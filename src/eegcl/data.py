@@ -431,10 +431,14 @@ def decode_subject(buf: bytes, subject_id: int, path="<memory>") -> tuple:
         offset += _TRIAL_PREFIX.size
         _need(buf, offset, 4 * c * t, f"trial {i} samples", path)
         data = decode_trial_data(buf, offset, c, t)
+        try:
+            trial = LabeledTrial(
+                trial=data, class_label=label, subject_id=subject_id, timestamp=timestamp
+            )
+        except ValueError as exc:
+            raise StreamFormatError(f"{path}: trial {i}: {exc}", offset=offset) from exc
         offset += 4 * c * t
-        trials.append(
-            LabeledTrial(trial=data, class_label=label, subject_id=subject_id, timestamp=timestamp)
-        )
+        trials.append(trial)
         tags.append(Split(tag))
     try:
         ds = SubjectDataset(subject_id=subject_id, trials=tuple(trials), split=tuple(tags))

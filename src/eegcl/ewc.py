@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyInputError, ShapeError
+from .errors import ShapeError
 from .models import Params, gradient
 from .training import stack_trials
 
@@ -46,15 +46,11 @@ class FisherAnchor:
 
 
 def fisher_diagonal(model, params: Params, trials) -> np.ndarray:
-    """Mean squared per-sample gradient of the negative log-likelihood."""
+    """Mean squared per-sample gradient of the negative log-likelihood,
+    with every trial's gradient taken from one batched backward pass."""
     x, y = stack_trials(trials)
-    if len(x) == 0:
-        raise EmptyInputError("fisher_diagonal of an empty dataset")
-    acc = np.zeros(params.n_params)
-    for i in range(len(x)):
-        g = gradient(model, params, x[i : i + 1], y[i : i + 1])
-        acc += g * g
-    return acc / len(x)
+    g = gradient(model, params, x, y, per_sample=True)
+    return np.einsum("np,np->p", g, g) / len(x)
 
 
 def penalty(vector: np.ndarray, anchor: FisherAnchor) -> tuple:

@@ -280,7 +280,6 @@ def run_continual(
                     f"subject {ds.subject_id} trial shape {t.trial.shape} "
                     f"does not match model input {shape}"
                 )
-            break
 
         if strategy.alignment_enabled:
             # The whitener comes from the training split alone; val and

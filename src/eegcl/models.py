@@ -72,21 +72,39 @@ class LayoutEntry:
     name: str
     shape: tuple
     offset: int
+    size: int
     fan: tuple | None
 
-    @property
-    def size(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) if self.shape else 1
 
+class Layout(tuple):
+    """Parameter blocks in vector order, built from (name, shape, fan)
+    triples. Each block's slice and shape, looked up by name, and the total
+    size are computed once."""
 
-def _build_layout(blocks) -> tuple:
-    entries = []
-    offset = 0
-    for name, shape, fan in blocks:
-        entry = LayoutEntry(name=name, shape=tuple(shape), offset=offset, fan=fan)
-        entries.append(entry)
-        offset += entry.size
-    return tuple(entries)
+    def __new__(cls, blocks):
+        entries = []
+        offset = 0
+        for name, shape, fan in blocks:
+            shape = tuple(shape)
+            size = math.prod(shape)
+            entries.append(LayoutEntry(name=name, shape=shape, offset=offset, size=size, fan=fan))
+            offset += size
+        self = super().__new__(cls, entries)
+        self.size = offset
+        self.slices = {
+            e.name: (slice(e.offset, e.offset + e.size), e.shape) for e in entries
+        }
+        return self
+
+    def __reduce__(self):
+        return Layout, ([(e.name, e.shape, e.fan) for e in self],)
+
+    def flatten(self, blocks: dict, lead: tuple = ()) -> np.ndarray:
+        """Concatenate named blocks, each shaped lead + its entry's shape,
+        into flat vectors of shape lead + (size,)."""
+        return np.concatenate(
+            [blocks[e.name].reshape(lead + (e.size,)) for e in self], axis=-1
+        )
 
 
 @dataclass
@@ -94,16 +112,16 @@ class Params:
     """Flat trainable-parameter vector plus its layer layout."""
 
     vector: np.ndarray
-    layout: tuple
+    layout: Layout
 
     def __post_init__(self):
         self.vector = np.asarray(self.vector, dtype=np.float64)
         if self.vector.ndim != 1:
             raise ShapeError(f"params vector must be 1-D, got shape {self.vector.shape}")
-        total = sum(e.size for e in self.layout)
-        if total != self.vector.size:
+        if self.layout.size != self.vector.size:
             raise ShapeError(
-                f"layout covers {total} entries but vector has {self.vector.size}"
+                f"layout covers {self.layout.size} entries but vector has "
+                f"{self.vector.size}"
             )
 
     @property
@@ -112,10 +130,11 @@ class Params:
 
     def view(self, name: str) -> np.ndarray:
         """Writable reshaped view of one named block."""
-        for e in self.layout:
-            if e.name == name:
-                return self.vector[e.offset : e.offset + e.size].reshape(e.shape)
-        raise KeyError(f"no parameter block named {name!r}")
+        try:
+            block, shape = self.layout.slices[name]
+        except KeyError:
+            raise KeyError(f"no parameter block named {name!r}") from None
+        return self.vector[block].reshape(shape)
 
     def copy(self) -> "Params":
         return Params(vector=self.vector.copy(), layout=self.layout)
@@ -131,7 +150,7 @@ def params_to_bytes(params: Params) -> bytes:
     return _PARAMS_HEADER.pack(_PARAMS_MAGIC, vec.size) + vec.tobytes()
 
 
-def params_from_bytes(buf: bytes, layout: tuple) -> Params:
+def params_from_bytes(buf: bytes, layout: Layout) -> Params:
     if len(buf) < _PARAMS_HEADER.size:
         raise ValueError("parameter blob too short for header")
     magic, n = _PARAMS_HEADER.unpack_from(buf, 0)
@@ -166,12 +185,12 @@ class MlpNet:
             fan_in, fan_out = sizes[i], sizes[i + 1]
             blocks.append((f"w{i}", (fan_out, fan_in), (fan_in, fan_out)))
             blocks.append((f"b{i}", (fan_out,), None))
-        self.layout = _build_layout(blocks)
+        self.layout = Layout(blocks)
         self._n_layers = len(sizes) - 1
 
     @property
     def n_params(self) -> int:
-        return sum(e.size for e in self.layout)
+        return self.layout.size
 
     def init_params(self) -> Params:
         return _glorot_init(self.layout, self.config.seed)
@@ -190,18 +209,21 @@ class MlpNet:
     def forward(self, params: Params, x: np.ndarray) -> np.ndarray:
         return self.forward_cached(params, x)[0]
 
-    def backward(self, params: Params, cache, dlogits: np.ndarray) -> np.ndarray:
+    def backward(
+        self, params: Params, cache, dlogits: np.ndarray, per_sample: bool = False
+    ) -> np.ndarray:
+        """Flat gradient summed over the batch, or with per_sample one row
+        per trial, of the loss whose logit gradient is dlogits."""
         acts = cache
-        grad = Params(vector=np.zeros(self.n_params), layout=self.layout)
         d = np.asarray(dlogits, dtype=np.float64)
+        blocks = {}
         last = self._n_layers - 1
-        grad.view(f"w{last}")[:] = d.T @ acts[last]
-        grad.view(f"b{last}")[:] = d.sum(axis=0)
-        for i in range(last - 1, -1, -1):
-            d = (d @ params.view(f"w{i + 1}")) * (1.0 - acts[i + 1] ** 2)
-            grad.view(f"w{i}")[:] = d.T @ acts[i]
-            grad.view(f"b{i}")[:] = d.sum(axis=0)
-        return grad.vector
+        for i in range(last, -1, -1):
+            if i < last:
+                d = (d @ params.view(f"w{i + 1}")) * (1.0 - acts[i + 1] ** 2)
+            blocks[f"w{i}"] = _weight_grad(d, acts[i], per_sample)
+            blocks[f"b{i}"] = d if per_sample else d.sum(axis=0)
+        return self.layout.flatten(blocks, d.shape[:1] if per_sample else ())
 
 
 class ShallowConvNet:
@@ -217,7 +239,7 @@ class ShallowConvNet:
         self.config = config
         k, length = config.n_filters, config.kernel_len
         c, n_classes = config.n_channels, config.n_classes
-        self.layout = _build_layout(
+        self.layout = Layout(
             [
                 ("temporal", (k, length), (length, k)),
                 ("spatial", (k, c), (c, k)),
@@ -230,7 +252,7 @@ class ShallowConvNet:
 
     @property
     def n_params(self) -> int:
-        return sum(e.size for e in self.layout)
+        return self.layout.size
 
     def init_params(self) -> Params:
         return _glorot_init(self.layout, self.config.seed)
@@ -242,41 +264,66 @@ class ShallowConvNet:
         bias = params.view("spatial_bias")
         head = params.view("head")
         head_bias = params.view("head_bias")
-        windows = np.lib.stride_tricks.sliding_window_view(
-            x, self.config.kernel_len, axis=2
-        )  # (n, channels, windows, kernel)
-        conv = np.einsum("ncul,fl->nfcu", windows, w)
-        s = np.einsum("nfcu,fc->nfu", conv, v) + bias[None, :, None]
+        # Both convs are linear, so mixing the channels before filtering in
+        # time gives the same s as filter-then-mix without ever building its
+        # (n, filters, channels, windows) tensor.
+        z = np.matmul(v, x)  # (n, filters, time)
+        zwin = np.lib.stride_tricks.sliding_window_view(
+            z, self.config.kernel_len, axis=2
+        )  # (n, filters, windows, kernel)
+        s = np.einsum("nful,fl->nfu", zwin, w) + bias[None, :, None]
         power = np.mean(s * s, axis=2)
         feats = np.log(power + LOG_EPS)
         logits = feats @ head.T + head_bias
-        return logits, (windows, conv, s, power, feats)
+        return logits, (x, zwin, s, power, feats)
 
     def forward(self, params: Params, x: np.ndarray) -> np.ndarray:
         return self.forward_cached(params, x)[0]
 
-    def backward(self, params: Params, cache, dlogits: np.ndarray) -> np.ndarray:
-        windows, conv, s, power, feats = cache
-        v = params.view("spatial")
+    def backward(
+        self, params: Params, cache, dlogits: np.ndarray, per_sample: bool = False
+    ) -> np.ndarray:
+        """Flat gradient summed over the batch, or with per_sample one row
+        per trial, of the loss whose logit gradient is dlogits."""
+        x, zwin, s, power, feats = cache
+        w = params.view("temporal")
         head = params.view("head")
-        grad = Params(vector=np.zeros(self.n_params), layout=self.layout)
         d = np.asarray(dlogits, dtype=np.float64)
-        grad.view("head")[:] = d.T @ feats
-        grad.view("head_bias")[:] = d.sum(axis=0)
         dpower = (d @ head) / (power + LOG_EPS)
         ds = (2.0 / self.n_windows) * s * dpower[:, :, None]
-        grad.view("spatial_bias")[:] = ds.sum(axis=(0, 2))
-        grad.view("spatial")[:] = np.einsum("nfu,nfcu->fc", ds, conv)
-        grad.view("temporal")[:] = np.einsum(
-            "nfu,fc,ncul->fl", ds, v, windows, optimize=True
+        # Transposed temporal conv, dz[n, f, t] = sum_l ds[n, f, t - l] w[f, l]:
+        # windows of ds zero-padded by kernel_len - 1 on each side, correlated
+        # with the reversed filter.
+        k = self.config.kernel_len
+        padded = np.zeros(ds.shape[:2] + (self.n_windows + 2 * (k - 1),))
+        padded[:, :, k - 1 : k - 1 + self.n_windows] = ds
+        dz = np.einsum(
+            "nftj,fj->nft",
+            np.lib.stride_tricks.sliding_window_view(padded, k, axis=2),
+            np.ascontiguousarray(w[:, ::-1]),
         )
-        return grad.vector
+        lead = "n" if per_sample else ""
+        blocks = {
+            "temporal": np.einsum(f"nfu,nful->{lead}fl", ds, zwin),
+            "spatial": np.einsum(f"nft,nct->{lead}fc", dz, x),
+            "spatial_bias": ds.sum(axis=2) if per_sample else ds.sum(axis=(0, 2)),
+            "head": _weight_grad(d, feats, per_sample),
+            "head_bias": d if per_sample else d.sum(axis=0),
+        }
+        return self.layout.flatten(blocks, d.shape[:1] if per_sample else ())
 
 
-def _glorot_init(layout: tuple, seed: int) -> Params:
+def _weight_grad(d: np.ndarray, a: np.ndarray, per_sample: bool) -> np.ndarray:
+    """Gradient of a dense weight with output gradient d and input a: the
+    sum over the batch of the outer products d[i] a[i]^T, or each one."""
+    if per_sample:
+        return d[:, :, None] * a[:, None, :]
+    return d.T @ a
+
+
+def _glorot_init(layout: Layout, seed: int) -> Params:
     rng = np.random.default_rng(seed)
-    total = sum(e.size for e in layout)
-    vec = np.zeros(total)
+    vec = np.zeros(layout.size)
     for e in layout:
         if e.fan is not None:
             fan_in, fan_out = e.fan
@@ -336,15 +383,7 @@ def loss_and_gradient(model, params: Params, x: np.ndarray, labels, penalty=None
     penalty, when given, is called with the flat parameter vector and must
     return (scalar, gradient vector); both are added to the loss terms.
     """
-    logits, cache = model.forward_cached(params, x)
-    labels = _check_labels(labels, logits.shape[1], logits.shape[0])
-    ls = log_softmax(logits)
-    n = logits.shape[0]
-    loss = float(-ls[np.arange(n), labels].mean())
-    dlogits = np.exp(ls)
-    dlogits[np.arange(n), labels] -= 1.0
-    dlogits /= n
-    grad = model.backward(params, cache, dlogits)
+    loss, grad = _cross_entropy_backward(model, params, x, labels, per_sample=False)
     if penalty is not None:
         p_loss, p_grad = penalty(params.vector)
         loss = loss + float(p_loss)
@@ -352,6 +391,25 @@ def loss_and_gradient(model, params: Params, x: np.ndarray, labels, penalty=None
     return loss, grad
 
 
-def gradient(model, params: Params, x: np.ndarray, labels) -> np.ndarray:
-    """Flat gradient of the mean cross-entropy over the batch."""
-    return loss_and_gradient(model, params, x, labels)[1]
+def gradient(
+    model, params: Params, x: np.ndarray, labels, per_sample: bool = False
+) -> np.ndarray:
+    """Flat gradient of the mean cross-entropy over the batch.
+
+    With per_sample, an (n, n_params) array whose row i is the gradient of
+    trial i's own cross-entropy, from one batched forward/backward pass.
+    """
+    return _cross_entropy_backward(model, params, x, labels, per_sample)[1]
+
+
+def _cross_entropy_backward(model, params: Params, x, labels, per_sample: bool):
+    logits, cache = model.forward_cached(params, x)
+    labels = _check_labels(labels, logits.shape[1], logits.shape[0])
+    ls = log_softmax(logits)
+    n = logits.shape[0]
+    loss = float(-ls[np.arange(n), labels].mean())
+    dlogits = np.exp(ls)
+    dlogits[np.arange(n), labels] -= 1.0
+    if not per_sample:
+        dlogits /= n
+    return loss, model.backward(params, cache, dlogits, per_sample)

@@ -259,6 +259,10 @@ def memory_from_bytes(buf: bytes, seed: int = 0) -> ReplayMemory:
     policy = POLICIES[code] if code < len(POLICIES) else None
     if policy is None:
         raise ValueError(f"unknown policy code {code}")
+    if n_entries > capacity:
+        raise ValueError(f"memory blob holds {n_entries} entries, over its capacity {capacity}")
+    if seen < n_entries:
+        raise ValueError(f"memory blob holds {n_entries} entries but has seen only {seen}")
     memory = ReplayMemory(capacity=capacity, policy=policy, seed=seed)
     offset = _MEMORY_HEADER.size
     record = _ENTRY_PREFIX.size + 4 * c * t

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -200,6 +201,23 @@ class TestRunCommand:
             stream={"path": str(tmp_path / "stream")}, strategies=["SFT"], seeds=[0]
         ))
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+
+    def test_nan_sample_exits_3(self, tmp_path, capsys):
+        gen_cfg = write_json(tmp_path / "gen.json", gen_config())
+        main(["gen", "--config", str(gen_cfg), "--out", str(tmp_path / "stream")])
+        path = tmp_path / "stream" / "subject_001.eegc"
+        blob = bytearray(path.read_bytes())
+        # an 18-byte header and the first trial's 6-byte prefix precede its samples
+        blob[24:28] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(blob))
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            stream={"path": str(tmp_path / "stream")}, strategies=["SFT"], seeds=[0]
+        ))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert main(["align", "--stream", str(tmp_path / "stream"),
+                     "--out", str(tmp_path / "aligned")]) == 3
+        err = capsys.readouterr().err
+        assert err.count("trial 0: trial contains non-finite values (at byte 24)") == 2
 
 
 class TestParseExperimentConfig:

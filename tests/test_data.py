@@ -373,6 +373,18 @@ class TestSubjectCodec:
             decode_subject(buf[:-1], 0)
         assert exc.value.offset >= HEADER.size
 
+    def test_nan_sample_offset(self):
+        data = encode_trial_data(np.zeros((2, 4), dtype=np.float32))
+        nan = encode_trial_data(np.full((2, 4), np.nan, dtype=np.float32))
+        buf = (
+            HEADER.pack(b"EEGC", 1, 2, 2, 4, 2)
+            + TRIAL_PREFIX.pack(0, 0, 0) + data
+            + TRIAL_PREFIX.pack(1, 1, 0) + nan
+        )
+        with pytest.raises(StreamFormatError) as exc:
+            decode_subject(buf, 0)
+        assert exc.value.offset == HEADER.size + 2 * TRIAL_PREFIX.size + len(data)
+
     def test_non_increasing_timestamps_rejected(self):
         data = encode_trial_data(np.zeros((2, 4), dtype=np.float32))
         buf = (

@@ -86,52 +86,58 @@ class TestPenalty:
             penalty(np.zeros(3), anchor)
 
 
+def tiny_models():
+    conv = ModelConfig(architecture="shallow_conv", n_channels=2, n_timepoints=4,
+                       n_classes=2, n_filters=2, kernel_len=2, seed=0)
+    return tiny_model(), build_model(conv)
+
+
 class TestFisherDiagonal:
     def test_single_sample_is_squared_gradient(self):
-        model = tiny_model()
-        params = model.init_params()
-        trials = tiny_trials(np.random.default_rng(1), 1)
-        fisher = fisher_diagonal(model, params, trials)
-        x = trials[0].trial[None, :, :].astype(np.float64)
-        g = gradient(model, params, x, [trials[0].class_label])
-        np.testing.assert_allclose(fisher, g * g, rtol=0, atol=1e-15)
+        for model in tiny_models():
+            params = model.init_params()
+            trials = tiny_trials(np.random.default_rng(1), 1)
+            fisher = fisher_diagonal(model, params, trials)
+            x = trials[0].trial[None, :, :].astype(np.float64)
+            g = gradient(model, params, x, [trials[0].class_label])
+            np.testing.assert_allclose(fisher, g * g, rtol=0, atol=1e-15)
 
     def test_mean_of_per_sample_squares(self):
-        model = tiny_model()
-        params = model.init_params()
-        trials = tiny_trials(np.random.default_rng(2), 5)
-        fisher = fisher_diagonal(model, params, trials)
-        acc = np.zeros(params.n_params)
-        for t in trials:
-            g = gradient(
-                model, params, t.trial[None, :, :].astype(np.float64), [t.class_label]
-            )
-            acc += g * g
-        np.testing.assert_allclose(fisher, acc / 5.0, rtol=0, atol=1e-10)
+        for model in tiny_models():
+            params = model.init_params()
+            trials = tiny_trials(np.random.default_rng(2), 5)
+            fisher = fisher_diagonal(model, params, trials)
+            acc = np.zeros(params.n_params)
+            for t in trials:
+                g = gradient(
+                    model, params, t.trial[None, :, :].astype(np.float64), [t.class_label]
+                )
+                acc += g * g
+            np.testing.assert_allclose(fisher, acc / 5.0, rtol=0, atol=1e-10)
 
     def test_nonnegative_and_finite(self):
-        model = tiny_model()
-        params = model.init_params()
-        fisher = fisher_diagonal(model, params, tiny_trials(np.random.default_rng(3), 8))
-        assert np.all(fisher >= 0)
-        assert np.all(np.isfinite(fisher))
+        for model in tiny_models():
+            params = model.init_params()
+            fisher = fisher_diagonal(model, params, tiny_trials(np.random.default_rng(3), 8))
+            assert np.all(fisher >= 0)
+            assert np.all(np.isfinite(fisher))
 
     def test_saturated_model_has_negligible_fisher(self):
         # a model that predicts every sample's label with near-certainty has
         # near-zero gradients, hence near-zero importance everywhere
-        model = tiny_model()
-        params = model.init_params()
-        params.view("b1")[:] = np.array([100.0, -100.0])
-        trials = [
-            t for t in tiny_trials(np.random.default_rng(4), 10) if t.class_label == 0
-        ]
-        fisher = fisher_diagonal(model, params, trials)
-        assert float(np.max(fisher)) < 1e-8
+        for model in tiny_models():
+            params = model.init_params()
+            params.view(model.layout[-1].name)[:] = np.array([100.0, -100.0])
+            trials = [
+                t for t in tiny_trials(np.random.default_rng(4), 10) if t.class_label == 0
+            ]
+            fisher = fisher_diagonal(model, params, trials)
+            assert float(np.max(fisher)) < 1e-8
 
     def test_empty_dataset_rejected(self):
-        model = tiny_model()
-        with pytest.raises(EmptyInputError):
-            fisher_diagonal(model, model.init_params(), [])
+        for model in tiny_models():
+            with pytest.raises(EmptyInputError):
+                fisher_diagonal(model, model.init_params(), [])
 
 
 class TestOnlineEwc:

@@ -11,6 +11,7 @@ from eegcl import (
     MemoryConfig,
     ModelConfig,
     ShapeError,
+    Split,
     Strategy,
     Stream,
     StreamConfig,
@@ -229,6 +230,16 @@ class TestRunContinual:
         cfg = replace(small_model_cfg(), n_channels=3)
         with pytest.raises(ShapeError):
             run_continual(small_stream(), sft_strategy(), cfg, fast_train_cfg())
+
+    @pytest.mark.parametrize("split", list(Split), ids=lambda s: s.name.lower())
+    def test_every_trial_shape_is_checked(self, split):
+        first, *rest = small_stream()
+        trials = list(first.trials)
+        second = [i for i, s in enumerate(first.split) if s == split][1]
+        trials[second] = replace(trials[second], trial=trials[second].trial[:, :-1])
+        subjects = [replace(first, trials=tuple(trials)), *rest]
+        with pytest.raises(ShapeError, match=r"trial shape \(4, 31\)"):
+            run_continual(subjects, sft_strategy(), small_model_cfg(), fast_train_cfg())
 
     def test_repeated_subject_does_not_lose_accuracy(self):
         # training twice on the same subject must keep its test accuracy

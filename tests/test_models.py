@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from eegcl import (
     loss_and_gradient,
     softmax,
 )
-from eegcl.models import params_from_bytes, params_to_bytes
+from eegcl.models import LOG_EPS, params_from_bytes, params_to_bytes
 
 from helpers import central_difference, gradients_close
 
@@ -91,6 +92,12 @@ class TestParams:
         params = small_conv().init_params()
         with pytest.raises(KeyError):
             params.view("nonexistent")
+
+    def test_pickle_round_trip(self):
+        params = small_conv().init_params()
+        out = pickle.loads(pickle.dumps(params))
+        assert out.layout == params.layout
+        assert np.array_equal(out.view("spatial"), params.view("spatial"))
 
     def test_copy_is_independent(self):
         params = small_conv().init_params()
@@ -291,10 +298,15 @@ class TestGradients:
             params = model.init_params()
             x, labels = batch_for(model, n=6)
             full = gradient(model, params, x, labels)
+            rows = gradient(model, params, x, labels, per_sample=True)
+            assert rows.shape == (6, model.n_params)
             acc = np.zeros_like(full)
             for i in range(6):
-                acc += gradient(model, params, x[i : i + 1], labels[i : i + 1])
+                single = gradient(model, params, x[i : i + 1], labels[i : i + 1])
+                np.testing.assert_allclose(rows[i], single, rtol=0, atol=1e-15)
+                acc += single
             np.testing.assert_allclose(full, acc / 6.0, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(full, rows.mean(axis=0), rtol=0, atol=1e-15)
 
     def test_saturated_model_has_tiny_gradient(self):
         model = small_conv()
@@ -332,3 +344,46 @@ class TestGradients:
             gradient(model, params, x, labels),
             loss_and_gradient(model, params, x, labels)[1],
         )
+
+
+def filter_then_mix_loss_and_gradient(model, params, x, labels):
+    """Filter-then-mix ShallowConvNet, the reference the spatial-first code
+    must match: every channel is filtered in time into an (n, filters,
+    channels, windows) tensor before the spatial weights mix it. Returns
+    (logits, loss, flat gradient)."""
+    w = params.view("temporal")
+    v = params.view("spatial")
+    head = params.view("head")
+    windows = np.lib.stride_tricks.sliding_window_view(x, model.config.kernel_len, axis=2)
+    conv = np.einsum("ncul,fl->nfcu", windows, w)
+    s = np.einsum("nfcu,fc->nfu", conv, v) + params.view("spatial_bias")[None, :, None]
+    power = np.mean(s * s, axis=2)
+    feats = np.log(power + LOG_EPS)
+    logits = feats @ head.T + params.view("head_bias")
+    n = len(x)
+    ls = log_softmax(logits)
+    loss = float(-ls[np.arange(n), labels].mean())
+    d = np.exp(ls)
+    d[np.arange(n), labels] -= 1.0
+    d /= n
+    grad = Params(vector=np.zeros(model.n_params), layout=model.layout)
+    grad.view("head")[:] = d.T @ feats
+    grad.view("head_bias")[:] = d.sum(axis=0)
+    ds = (2.0 / model.n_windows) * s * ((d @ head) / (power + LOG_EPS))[:, :, None]
+    grad.view("spatial_bias")[:] = ds.sum(axis=(0, 2))
+    grad.view("spatial")[:] = np.einsum("nfu,nfcu->fc", ds, conv)
+    grad.view("temporal")[:] = np.einsum("nfu,fc,ncul->fl", ds, v, windows)
+    return logits, loss, grad.vector
+
+
+class TestSpatialFirstConv:
+    @pytest.mark.parametrize("kernel_len", [16, 1, 64], ids=["default", "k1", "k_full"])
+    def test_matches_filter_then_mix(self, kernel_len):
+        model = build_model(ModelConfig(kernel_len=kernel_len, seed=3))
+        params = model.init_params()
+        x, labels = batch_for(model, n=32, seed=kernel_len)
+        logits, loss, grad = filter_then_mix_loss_and_gradient(model, params, x, labels)
+        np.testing.assert_allclose(model.forward(params, x), logits, rtol=0, atol=1e-12)
+        new_loss, new_grad = loss_and_gradient(model, params, x, labels)
+        assert abs(new_loss - loss) <= 1e-12
+        np.testing.assert_allclose(new_grad, grad, rtol=0, atol=1e-12)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -282,3 +284,19 @@ class TestSerialization:
         bad_version = blob[:4] + b"\x09\x00" + blob[6:]
         with pytest.raises(ValueError):
             memory_from_bytes(bad_version)
+
+    def _five_entry_blob(self, capacity, seen):
+        mem = ReplayMemory(capacity=5, seed=0)
+        mem.offer_many(stream_of(5))
+        blob = memory_to_bytes(mem)
+        # capacity is a uint32 at byte 6, seen a uint64 at byte 10
+        return blob[:6] + struct.pack("<IQ", capacity, seen) + blob[18:]
+
+    def test_more_entries_than_capacity_rejected(self):
+        assert len(memory_from_bytes(self._five_entry_blob(5, 5))) == 5
+        with pytest.raises(ValueError, match="capacity"):
+            memory_from_bytes(self._five_entry_blob(1, 5))
+
+    def test_fewer_seen_than_entries_rejected(self):
+        with pytest.raises(ValueError, match="seen"):
+            memory_from_bytes(self._five_entry_blob(5, 0))
