@@ -9,7 +9,9 @@ Subcommands:
   stream.
 - ``run --config PATH --out DIR [--jobs K]``: run an experiment config
   (strategies x seeds) over a stream, writing one JSON report and one
-  accuracy-matrix CSV per run plus an aggregate summary.
+  accuracy-matrix CSV per run plus an aggregate summary. A run that fails
+  numerically is named on stderr and left out; the others are still
+  written, and the command exits 4.
 - ``report DIR [--curve subject=I]``: aggregate existing reports into a
   per-strategy forgetting-curve CSV for one subject.
 
@@ -28,6 +30,7 @@ import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +62,9 @@ from .models import ModelConfig
 from .training import TrainConfig
 
 logger = logging.getLogger(__name__)
+
+# Failures that exit 4; in `run` they fail one task, not the whole sweep.
+_NUMERICAL_ERRORS = (TrainingDivergedError, DegenerateInputError, UndefinedMetricError)
 
 _CURVE_RE = re.compile(r"^subject=(\d+)$")
 _REPORT_RE = re.compile(r"^report_[a-z]+_\d+\.json$")
@@ -202,6 +208,15 @@ def _run_task(stream_path: str, strategy: Strategy, model_cfg: ModelConfig,
     return run_continual(stream, strategy, model_cfg, train_cfg, run_seed=run_seed)
 
 
+def _outcome(call):
+    """call()'s result, or the numerical error that stopped it, so that one
+    failed run leaves the others' reports standing."""
+    try:
+        return call()
+    except _NUMERICAL_ERRORS as exc:
+        return exc
+
+
 def _fit_model_to_stream(model: ModelConfig, dims_set: frozenset, stream) -> ModelConfig:
     """Model dims default to the stream's unless the config set them."""
     updates = {}
@@ -318,23 +333,22 @@ def cmd_run(args) -> int:
     ]
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    task_args = [
+        (str(stream_path), strategy, model_cfg, config.train, seed) for strategy, seed in tasks
+    ]
     if args.jobs == 1 or len(tasks) == 1:
-        records = [
-            _run_task(str(stream_path), strategy, model_cfg, config.train, seed)
-            for strategy, seed in tasks
-        ]
+        outcomes = [_outcome(partial(_run_task, *a)) for a in task_args]
     else:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [
-                pool.submit(
-                    _run_task, str(stream_path), strategy, model_cfg, config.train, seed
-                )
-                for strategy, seed in tasks
-            ]
-            records = [f.result() for f in futures]
+            futures = [pool.submit(_run_task, *a) for a in task_args]
+            outcomes = [_outcome(f.result) for f in futures]
 
     by_strategy: dict = {}
-    for (strategy, seed), record in zip(tasks, records):
+    failures = []
+    for (strategy, seed), record in zip(tasks, outcomes):
+        if isinstance(record, Exception):
+            failures.append(f"{strategy.kind} seed {seed}: {record}")
+            continue
         kind = strategy.kind.lower()
         report_path = out / f"report_{kind}_{seed}.json"
         report_path.write_text(
@@ -377,7 +391,9 @@ def cmd_run(args) -> int:
         )
     (out / "summary.csv").write_text("\n".join(csv_lines) + "\n")
     print(f"reports written to {out}")
-    return 0
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return 4 if failures else 0
 
 
 def _load_reports(directory: Path) -> list:
@@ -487,7 +503,7 @@ def main(argv=None) -> int:
     except (StreamFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (TrainingDivergedError, DegenerateInputError, UndefinedMetricError) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

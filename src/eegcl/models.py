@@ -1,8 +1,9 @@
 """Trainable classifiers over channels x time trials, with analytic gradients.
 
 Two small architectures share one interface: an MLP over flattened trials
-and a shallow convolutional net (temporal filters -> per-filter spatial
-weights -> square -> mean-pool over time -> log -> dense head). Parameters
+and a shallow convolutional net (per-filter spatial weights -> temporal
+filters -> square -> mean-pool over time -> log -> dense head), whose convs
+run as matmuls, the temporal one against banded filter matrices. Parameters
 live in one flat float64 vector with a layout describing each layer's slice,
 which keeps optimizers, penalties, and finite-difference checks trivial.
 """
@@ -139,10 +140,6 @@ class Params:
     def copy(self) -> "Params":
         return Params(vector=self.vector.copy(), layout=self.layout)
 
-    def check_finite(self):
-        if not np.all(np.isfinite(self.vector)):
-            raise ValueError("parameter vector contains non-finite values")
-
 
 def params_to_bytes(params: Params) -> bytes:
     """Little-endian float64 blob with a small magic/count header."""
@@ -227,11 +224,18 @@ class MlpNet:
 
 
 class ShallowConvNet:
-    """Temporal filters, per-filter spatial weights, square, mean-pool, log.
+    """Per-filter spatial weights, temporal filters, square, mean-pool, log.
 
     The squared-then-log band-power pipeline makes the features scale like
     the log variance of each filtered signal, which suits oscillatory
     multichannel data without needing a deep stack.
+
+    Both convs are linear, so the channels are mixed before the temporal
+    filter rather than after it, with the same result. Activations are kept
+    filter-major, (filters, n, time): the spatial conv is one matmul over
+    all trials and time points, and the temporal conv is a batched matmul
+    with each filter's banded (Toeplitz) matrix, as are its transpose and
+    its gradients in backward.
     """
 
     def __init__(self, config: ModelConfig):
@@ -258,24 +262,17 @@ class ShallowConvNet:
         return _glorot_init(self.layout, self.config.seed)
 
     def forward_cached(self, params: Params, x: np.ndarray):
-        x = _check_batch(x, self.config.n_channels, self.config.n_timepoints)
-        w = params.view("temporal")
-        v = params.view("spatial")
-        bias = params.view("spatial_bias")
-        head = params.view("head")
-        head_bias = params.view("head_bias")
-        # Both convs are linear, so mixing the channels before filtering in
-        # time gives the same s as filter-then-mix without ever building its
-        # (n, filters, channels, windows) tensor.
-        z = np.matmul(v, x)  # (n, filters, time)
-        zwin = np.lib.stride_tricks.sliding_window_view(
-            z, self.config.kernel_len, axis=2
-        )  # (n, filters, windows, kernel)
-        s = np.einsum("nful,fl->nfu", zwin, w) + bias[None, :, None]
-        power = np.mean(s * s, axis=2)
+        cfg = self.config
+        x = _check_batch(x, cfg.n_channels, cfg.n_timepoints)
+        n, t = x.shape[0], cfg.n_timepoints
+        xc = x.transpose(1, 0, 2).reshape(cfg.n_channels, n * t)
+        z = (params.view("spatial") @ xc).reshape(cfg.n_filters, n, t)
+        band = _band(params.view("temporal"), t)
+        s = z @ band + params.view("spatial_bias")[:, None, None]  # (filters, n, windows)
+        power = np.mean(s * s, axis=2).T  # (n, filters)
         feats = np.log(power + LOG_EPS)
-        logits = feats @ head.T + head_bias
-        return logits, (x, zwin, s, power, feats)
+        logits = feats @ params.view("head").T + params.view("head_bias")
+        return logits, (xc, z, band, s, power, feats)
 
     def forward(self, params: Params, x: np.ndarray) -> np.ndarray:
         return self.forward_cached(params, x)[0]
@@ -285,32 +282,60 @@ class ShallowConvNet:
     ) -> np.ndarray:
         """Flat gradient summed over the batch, or with per_sample one row
         per trial, of the loss whose logit gradient is dlogits."""
-        x, zwin, s, power, feats = cache
-        w = params.view("temporal")
-        head = params.view("head")
+        xc, z, band, s, power, feats = cache
         d = np.asarray(dlogits, dtype=np.float64)
-        dpower = (d @ head) / (power + LOG_EPS)
-        ds = (2.0 / self.n_windows) * s * dpower[:, :, None]
-        # Transposed temporal conv, dz[n, f, t] = sum_l ds[n, f, t - l] w[f, l]:
-        # windows of ds zero-padded by kernel_len - 1 on each side, correlated
-        # with the reversed filter.
-        k = self.config.kernel_len
-        padded = np.zeros(ds.shape[:2] + (self.n_windows + 2 * (k - 1),))
-        padded[:, :, k - 1 : k - 1 + self.n_windows] = ds
-        dz = np.einsum(
-            "nftj,fj->nft",
-            np.lib.stride_tricks.sliding_window_view(padded, k, axis=2),
-            np.ascontiguousarray(w[:, ::-1]),
-        )
-        lead = "n" if per_sample else ""
+        dpower = (d @ params.view("head")) / (power + LOG_EPS)
+        ds = (2.0 / self.n_windows) * s * dpower.T[:, :, None]
+        dz = ds @ band.transpose(0, 2, 1)  # transposed temporal conv, (filters, n, time)
+        if per_sample:
+            n, t = d.shape[0], self.config.n_timepoints
+            zwin = np.lib.stride_tricks.sliding_window_view(z, self.config.kernel_len, axis=2)
+            blocks = {
+                "temporal": np.einsum("fnu,fnul->nfl", ds, zwin),
+                "spatial": dz.transpose(1, 0, 2) @ xc.reshape(-1, n, t).transpose(1, 2, 0),
+                "spatial_bias": ds.sum(axis=2).T,
+                "head": _weight_grad(d, feats, True),
+                "head_bias": d,
+            }
+            return self.layout.flatten(blocks, (n,))
+        # temporal[f, l] sums g[f, u + l, u] over the windows u.
+        g = z.transpose(0, 2, 1) @ ds
         blocks = {
-            "temporal": np.einsum(f"nfu,nful->{lead}fl", ds, zwin),
-            "spatial": np.einsum(f"nft,nct->{lead}fc", dz, x),
-            "spatial_bias": ds.sum(axis=2) if per_sample else ds.sum(axis=(0, 2)),
-            "head": _weight_grad(d, feats, per_sample),
-            "head_bias": d if per_sample else d.sum(axis=0),
+            "temporal": _diagonals(g, self.config.kernel_len).sum(axis=2),
+            "spatial": dz.reshape(dz.shape[0], -1) @ xc.T,
+            "spatial_bias": ds.sum(axis=(1, 2)),
+            "head": _weight_grad(d, feats, False),
+            "head_bias": d.sum(axis=0),
         }
-        return self.layout.flatten(blocks, d.shape[:1] if per_sample else ())
+        return self.layout.flatten(blocks)
+
+
+def _diagonals(a: np.ndarray, length: int) -> np.ndarray:
+    """View of a stack of (time, windows) matrices as (length, windows):
+    element [f, l, u] is a[f, u + l, u]."""
+    s0, s1, s2 = a.strides
+    return np.lib.stride_tricks.as_strided(
+        a, shape=(a.shape[0], length, a.shape[2]), strides=(s0, s1, s1 + s2), writeable=False
+    )
+
+
+def _band(w: np.ndarray, n_timepoints: int) -> np.ndarray:
+    """Banded (Toeplitz) matrices of the temporal filters, shape (filters,
+    time, windows) with band[f, u + l, u] = w[f, l], so z @ band is the
+    valid correlation of z with each filter. It is a read-only view of the
+    zero-padded filters, in which a row steps one sample forward and a
+    column one sample back, so building it allocates only the padding."""
+    k, length = w.shape
+    n_windows = n_timepoints - length + 1
+    padded = np.zeros((k, n_windows - 1 + n_timepoints))
+    padded[:, n_windows - 1 : n_windows - 1 + length] = w
+    step = padded.strides[1]
+    return np.lib.stride_tricks.as_strided(
+        padded[:, n_windows - 1 :],
+        shape=(k, n_timepoints, n_windows),
+        strides=(padded.strides[0], step, -step),
+        writeable=False,
+    )
 
 
 def _weight_grad(d: np.ndarray, a: np.ndarray, per_sample: bool) -> np.ndarray:

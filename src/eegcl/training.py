@@ -106,11 +106,6 @@ def evaluate_arrays(model, params: Params, x: np.ndarray, y: np.ndarray) -> floa
     return float(np.mean(predictions == np.asarray(y)))
 
 
-def evaluate(model, params: Params, trials) -> float:
-    x, y = stack_trials(trials)
-    return evaluate_arrays(model, params, x, y)
-
-
 def train(model, params: Params, train_set, val_set, cfg: TrainConfig, penalty=None):
     """Early-stopped mini-batch training.
 

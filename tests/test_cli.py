@@ -159,6 +159,34 @@ class TestRunCommand:
             par.pop("stage_seconds")
             assert seq == par
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_diverged_run_keeps_finished_reports_and_exits_4(self, tmp_path, capsys):
+        # An infinite EWC lambda makes the first penalty of stage 2 inf * 0 = NaN.
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            strategies=["SFT", {"kind": "EWC", "lambda": float("inf")}]
+        ))
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run", "--config", str(config), "--out", str(out),
+                         "--jobs", jobs]) == 4
+            assert sorted(p.name for p in out.iterdir()) == [
+                "matrix_sft_0.csv", "matrix_sft_1.csv", "report_sft_0.json",
+                "report_sft_1.json", "stream", "summary.csv",
+            ]
+            err = capsys.readouterr().err
+            assert "error: EWC seed 0: training loss became nan" in err
+            assert "error: EWC seed 1: training loss became nan" in err
+        seq, par = tmp_path / "jobs1", tmp_path / "jobs2"
+        lines = (seq / "summary.csv").read_text().splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["SFT", "2"]]
+        for name in ("summary.csv", "matrix_sft_0.csv", "matrix_sft_1.csv"):
+            assert (seq / name).read_text() == (par / name).read_text()
+        for name in ("report_sft_0.json", "report_sft_1.json"):
+            a, b = json.loads((seq / name).read_text()), json.loads((par / name).read_text())
+            a.pop("stage_seconds")
+            b.pop("stage_seconds")
+            assert a == b
+
     def test_stream_path_variant(self, tmp_path):
         gen_cfg = write_json(tmp_path / "gen.json", gen_config())
         main(["gen", "--config", str(gen_cfg), "--out", str(tmp_path / "stream")])

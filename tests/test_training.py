@@ -9,7 +9,6 @@ from eegcl import (
     TrainConfig,
     TrainingDivergedError,
     build_model,
-    evaluate,
     evaluate_arrays,
     stack_trials,
     train,
@@ -116,13 +115,13 @@ class TestEvaluate:
         model = tiny_model()
         params = model.init_params()
         trials = tiny_trials(np.random.default_rng(4), 2000)
-        acc = evaluate(model, params, trials)
+        acc = evaluate_arrays(model, params, *stack_trials(trials))
         assert 0.4 <= acc <= 0.6
 
     def test_empty_rejected(self):
         model = tiny_model()
         with pytest.raises(EmptyInputError):
-            evaluate(model, model.init_params(), [])
+            evaluate_arrays(model, model.init_params(), np.empty((0, 2, 4)), np.empty(0))
 
 
 class TestTrain:
@@ -137,7 +136,7 @@ class TestTrain:
         model = tiny_model()
         cfg = TrainConfig(learning_rate=0.01, max_epochs=60, batch_size=8, patience=10)
         best, history = train(model, model.init_params(), train_set, val_set, cfg)
-        assert evaluate(model, best, train_set) == 1.0
+        assert evaluate_arrays(model, best, *stack_trials(train_set)) == 1.0
         assert history[-1].val_accuracy == 1.0
 
     def test_patience_zero_runs_exactly_one_epoch(self):
@@ -220,4 +219,4 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.05, max_epochs=30, batch_size=8,
                           patience=10, optimizer="sgd")
         best, _ = train(model, model.init_params(), train_set, val_set, cfg)
-        assert evaluate(model, best, train_set) > 0.9
+        assert evaluate_arrays(model, best, *stack_trials(train_set)) > 0.9
