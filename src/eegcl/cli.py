@@ -9,9 +9,11 @@ Subcommands:
   stream.
 - ``run --config PATH --out DIR [--jobs K]``: run an experiment config
   (strategies x seeds) over a stream, writing one JSON report and one
-  accuracy-matrix CSV per run plus an aggregate summary. A run that fails
-  numerically is named on stderr and left out; the others are still
-  written, and the command exits 4.
+  accuracy-matrix CSV per run plus an aggregate summary. The stream is
+  generated or decoded once; every run, in process or in one of K pool
+  workers, uses that decoded stream. A run that fails numerically is named
+  on stderr and left out; the others are still written, and the command
+  exits 4.
 - ``report DIR [--curve subject=I]``: aggregate existing reports into a
   per-strategy forgetting-curve CSV for one subject.
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import re
 import sys
@@ -59,6 +62,7 @@ from .harness import (
     sft_strategy,
 )
 from .models import ModelConfig
+from .replay import POLICIES
 from .training import TrainConfig
 
 logger = logging.getLogger(__name__)
@@ -122,10 +126,28 @@ def _build_dataclass(cls, data: dict, what: str):
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
+def _nonnegative_number(value, what: str) -> float:
+    """value as a float, if it is a finite JSON number >= 0 (a bool is not)."""
+    try:
+        number = float(value) if type(value) in (int, float) else math.nan
+    except OverflowError:
+        number = math.inf
+    if not 0.0 <= number < math.inf:
+        raise ConfigError(f"{what} must be a finite number >= 0, got {value!r}")
+    return number
+
+
 def _parse_memory(data, default: MemoryConfig) -> MemoryConfig:
     if data is None:
         return default
-    return _build_dataclass(MemoryConfig, data, "memory config")
+    memory = _build_dataclass(MemoryConfig, data, "memory config")
+    for name in ("capacity", "per_class"):
+        value = getattr(memory, name)
+        if type(value) is not int or value < 0:
+            raise ConfigError(f"memory {name} must be an integer >= 0, got {value!r}")
+    if memory.policy not in POLICIES:
+        raise ConfigError(f"unknown memory policy {memory.policy!r}, expected one of {POLICIES}")
+    return memory
 
 
 def _parse_strategy(item, default_memory: MemoryConfig, default_lambda: float) -> Strategy:
@@ -137,7 +159,7 @@ def _parse_strategy(item, default_memory: MemoryConfig, default_lambda: float) -
         raise ConfigError(f"strategy entries must be names or objects, got {item!r}")
     kind = str(spec.pop("kind", "")).upper()
     memory = _parse_memory(spec.pop("memory", None), default_memory)
-    lam = float(spec.pop("lambda", default_lambda))
+    lam = _nonnegative_number(spec.pop("lambda", default_lambda), "strategy lambda")
     if spec:
         raise ConfigError(f"unknown strategy keys: {sorted(spec)}")
     if kind == "SFT":
@@ -164,7 +186,7 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
         generator.validate()
 
     default_memory = _parse_memory(data.pop("memory", None), MemoryConfig())
-    default_lambda = float(data.pop("ewc_lambda", 100.0))
+    default_lambda = _nonnegative_number(data.pop("ewc_lambda", 100.0), "ewc_lambda")
     raw_strategies = data.pop("strategies", None)
     if not isinstance(raw_strategies, list) or not raw_strategies:
         raise ConfigError("config needs a non-empty 'strategies' list")
@@ -202,10 +224,20 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
     )
 
 
-def _run_task(stream_path: str, strategy: Strategy, model_cfg: ModelConfig,
-              train_cfg: TrainConfig, run_seed: int) -> RunRecord:
-    stream = load_stream(stream_path)
-    return run_continual(stream, strategy, model_cfg, train_cfg, run_seed=run_seed)
+# The decoded stream of a `run` pool worker, set once by _share_stream.
+_worker_stream: Stream | None = None
+
+
+def _share_stream(stream: Stream) -> None:
+    """Pool initializer: keep the parent's stream for this worker's tasks.
+    A forked worker inherits it; a spawned one unpickles it once."""
+    global _worker_stream
+    _worker_stream = stream
+
+
+def _run_task(strategy: Strategy, model_cfg: ModelConfig, train_cfg: TrainConfig,
+              run_seed: int) -> RunRecord:
+    return run_continual(_worker_stream, strategy, model_cfg, train_cfg, run_seed=run_seed)
 
 
 def _outcome(call):
@@ -316,9 +348,8 @@ def cmd_run(args) -> int:
 
     if config.generator is not None:
         stream = gen_stream(config.generator)
-        stream_path = out / "stream"
-        save_stream(stream, stream_path)
-        logger.info("generated stream of %d subjects at %s", len(stream), stream_path)
+        save_stream(stream, out / "stream")
+        logger.info("generated stream of %d subjects at %s", len(stream), out / "stream")
     else:
         stream_path = Path(config.stream_path)
         if not (stream_path / "manifest.json").is_file():
@@ -333,14 +364,20 @@ def cmd_run(args) -> int:
     ]
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-    task_args = [
-        (str(stream_path), strategy, model_cfg, config.train, seed) for strategy, seed in tasks
-    ]
     if args.jobs == 1 or len(tasks) == 1:
-        outcomes = [_outcome(partial(_run_task, *a)) for a in task_args]
+        outcomes = [
+            _outcome(partial(run_continual, stream, strategy, model_cfg, config.train,
+                             run_seed=seed))
+            for strategy, seed in tasks
+        ]
     else:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_run_task, *a) for a in task_args]
+        with ProcessPoolExecutor(
+            max_workers=args.jobs, initializer=_share_stream, initargs=(stream,)
+        ) as pool:
+            futures = [
+                pool.submit(_run_task, strategy, model_cfg, config.train, seed)
+                for strategy, seed in tasks
+            ]
             outcomes = [_outcome(f.result) for f in futures]
 
     by_strategy: dict = {}

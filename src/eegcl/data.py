@@ -77,6 +77,11 @@ class LabeledTrial:
         if self.timestamp < 0:
             raise ValueError(f"timestamp must be >= 0, got {self.timestamp}")
 
+    def __reduce__(self):
+        # Unpickle through the constructor, which re-checks the trial and
+        # makes its samples read-only again.
+        return LabeledTrial, (self.trial, self.class_label, self.subject_id, self.timestamp)
+
 
 def trials_equal(a: LabeledTrial, b: LabeledTrial) -> bool:
     """Bitwise equality of two labeled trials, all fields included."""

@@ -268,8 +268,9 @@ class ShallowConvNet:
         xc = x.transpose(1, 0, 2).reshape(cfg.n_channels, n * t)
         z = (params.view("spatial") @ xc).reshape(cfg.n_filters, n, t)
         band = _band(params.view("temporal"), t)
-        s = z @ band + params.view("spatial_bias")[:, None, None]  # (filters, n, windows)
-        power = np.mean(s * s, axis=2).T  # (n, filters)
+        s = z @ band  # (filters, n, windows)
+        s += params.view("spatial_bias")[:, None, None]
+        power = (s * s).sum(axis=2).T / self.n_windows  # mean over windows, (n, filters)
         feats = np.log(power + LOG_EPS)
         logits = feats @ params.view("head").T + params.view("head_bias")
         return logits, (xc, z, band, s, power, feats)
@@ -285,7 +286,8 @@ class ShallowConvNet:
         xc, z, band, s, power, feats = cache
         d = np.asarray(dlogits, dtype=np.float64)
         dpower = (d @ params.view("head")) / (power + LOG_EPS)
-        ds = (2.0 / self.n_windows) * s * dpower.T[:, :, None]
+        ds = (2.0 / self.n_windows) * s
+        ds *= dpower.T[:, :, None]
         dz = ds @ band.transpose(0, 2, 1)  # transposed temporal conv, (filters, n, time)
         if per_sample:
             n, t = d.shape[0], self.config.n_timepoints
@@ -310,13 +312,20 @@ class ShallowConvNet:
         return self.layout.flatten(blocks)
 
 
+def _read_only_view(base: np.ndarray, shape: tuple, offset: int, strides: tuple) -> np.ndarray:
+    """Strided read-only view into a C-contiguous array, offset in bytes.
+    Cheaper per call than as_strided, which round-trips through
+    __array_interface__."""
+    view = np.ndarray(shape, base.dtype, base, offset, strides)
+    view.flags.writeable = False
+    return view
+
+
 def _diagonals(a: np.ndarray, length: int) -> np.ndarray:
-    """View of a stack of (time, windows) matrices as (length, windows):
-    element [f, l, u] is a[f, u + l, u]."""
+    """View of a C-contiguous stack of (time, windows) matrices as (length,
+    windows): element [f, l, u] is a[f, u + l, u]."""
     s0, s1, s2 = a.strides
-    return np.lib.stride_tricks.as_strided(
-        a, shape=(a.shape[0], length, a.shape[2]), strides=(s0, s1, s1 + s2), writeable=False
-    )
+    return _read_only_view(a, (a.shape[0], length, a.shape[2]), 0, (s0, s1, s1 + s2))
 
 
 def _band(w: np.ndarray, n_timepoints: int) -> np.ndarray:
@@ -330,11 +339,9 @@ def _band(w: np.ndarray, n_timepoints: int) -> np.ndarray:
     padded = np.zeros((k, n_windows - 1 + n_timepoints))
     padded[:, n_windows - 1 : n_windows - 1 + length] = w
     step = padded.strides[1]
-    return np.lib.stride_tricks.as_strided(
-        padded[:, n_windows - 1 :],
-        shape=(k, n_timepoints, n_windows),
-        strides=(padded.strides[0], step, -step),
-        writeable=False,
+    return _read_only_view(
+        padded, (k, n_timepoints, n_windows), (n_windows - 1) * step,
+        (padded.strides[0], step, -step),
     )
 
 
@@ -381,7 +388,7 @@ def _check_labels(labels, n_classes: int, n_rows: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.shape != (n_rows,):
         raise ShapeError(f"labels must have shape ({n_rows},), got {labels.shape}")
-    labels = labels.astype(np.int64)
+    labels = labels.astype(np.int64, copy=False)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(
             f"labels must lie in [0, {n_classes}), got range "
@@ -412,7 +419,7 @@ def loss_and_gradient(model, params: Params, x: np.ndarray, labels, penalty=None
     if penalty is not None:
         p_loss, p_grad = penalty(params.vector)
         loss = loss + float(p_loss)
-        grad = grad + p_grad
+        grad += p_grad
     return loss, grad
 
 

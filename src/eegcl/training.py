@@ -64,12 +64,24 @@ class Adam:
         return cls(learning_rate=learning_rate, m=np.zeros(n_params), v=np.zeros(n_params))
 
     def step(self, vector: np.ndarray, grad: np.ndarray):
+        # In place, in the operation order of the update below, so that the
+        # result is bit-identical to evaluating it with fresh arrays:
+        #   m = b1 m + (1 - b1) g;  v = b2 v + ((1 - b2) g) g
+        #   vector -= lr (m / (1 - b1^t)) / (sqrt(v / (1 - b2^t)) + eps)
         self.t += 1
-        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
-        m_hat = self.m / (1.0 - ADAM_BETA1**self.t)
-        v_hat = self.v / (1.0 - ADAM_BETA2**self.t)
-        vector -= self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * grad
+        g2 = (1.0 - ADAM_BETA2) * grad
+        g2 *= grad
+        self.v *= ADAM_BETA2
+        self.v += g2
+        denom = self.v / (1.0 - ADAM_BETA2**self.t)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        update = self.m / (1.0 - ADAM_BETA1**self.t)
+        update *= self.learning_rate
+        update /= denom
+        vector -= update
 
 
 @dataclass

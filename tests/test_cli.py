@@ -1,9 +1,11 @@
 import json
 import struct
+import sys
 
 import numpy as np
 import pytest
 
+import eegcl.cli
 from eegcl import Split, covariance, load_stream
 from eegcl.cli import main, parse_experiment_config
 
@@ -160,10 +162,14 @@ class TestRunCommand:
             assert seq == par
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverged_run_keeps_finished_reports_and_exits_4(self, tmp_path, capsys):
-        # An infinite EWC lambda makes the first penalty of stage 2 inf * 0 = NaN.
+        # With the largest finite EWC lambda, lambda * F overflows to inf on
+        # the convnet's Fisher entries above 1, so the first penalty gradient
+        # of stage 2 is inf * 0 = NaN.
         config = write_json(tmp_path / "exp.json", experiment_config(
-            strategies=["SFT", {"kind": "EWC", "lambda": float("inf")}]
+            model={"architecture": "shallow_conv", "n_filters": 2, "kernel_len": 4},
+            strategies=["SFT", {"kind": "EWC", "lambda": sys.float_info.max}],
         ))
         for jobs in ("1", "2"):
             out = tmp_path / f"jobs{jobs}"
@@ -186,6 +192,51 @@ class TestRunCommand:
             a.pop("stage_seconds")
             b.pop("stage_seconds")
             assert a == b
+
+    @pytest.mark.parametrize("stream_kind", ["generator", "path"])
+    def test_stream_is_decoded_at_most_once(self, tmp_path, monkeypatch, stream_kind):
+        calls = []
+
+        def counting_load_stream(path):
+            calls.append(path)
+            return load_stream(path)
+
+        stream = {"generator": gen_config()}
+        if stream_kind == "path":
+            gen_cfg = write_json(tmp_path / "gen.json", gen_config())
+            main(["gen", "--config", str(gen_cfg), "--out", str(tmp_path / "stream")])
+            stream = {"path": str(tmp_path / "stream")}
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            stream=stream, strategies=["SFT", "ER", "EWC", "PCED"]
+        ))
+        monkeypatch.setattr(eegcl.cli, "load_stream", counting_load_stream)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
+                     "--jobs", "1"]) == 0
+        assert len(calls) == (0 if stream_kind == "generator" else 1)
+
+    @pytest.mark.parametrize("overrides", [
+        {"strategies": [{"kind": "EWC", "lambda": -1}]},
+        {"strategies": [{"kind": "EWC", "lambda": "abc"}]},
+        {"strategies": [{"kind": "EWC", "lambda": None}]},
+        {"strategies": [{"kind": "EWC", "lambda": float("inf")}]},
+        {"strategies": [{"kind": "EWC", "lambda": float("nan")}]},
+        {"strategies": [{"kind": "EWC", "lambda": 10**400}]},
+        {"strategies": ["EWC"], "ewc_lambda": -5},
+        {"strategies": ["EWC"], "ewc_lambda": True},
+        {"strategies": ["ER"], "memory": {"capacity": "x"}},
+        {"strategies": [{"kind": "ER", "memory": {"capacity": -1}}]},
+        {"strategies": [{"kind": "PCED", "memory": {"capacity": 1.5}}]},
+        {"strategies": [{"kind": "PCED", "memory": {"per_class": None}}]},
+        {"strategies": [{"kind": "ER", "memory": {"policy": "fifo"}}]},
+    ], ids=[
+        "lambda_negative", "lambda_string", "lambda_null", "lambda_inf", "lambda_nan",
+        "lambda_huge_int", "ewc_lambda_negative", "ewc_lambda_bool", "capacity_string",
+        "capacity_negative", "capacity_fraction", "per_class_null", "policy_unknown",
+    ])
+    def test_bad_strategy_config_exits_2(self, tmp_path, capsys, overrides):
+        config = write_json(tmp_path / "exp.json", experiment_config(**overrides))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_stream_path_variant(self, tmp_path):
         gen_cfg = write_json(tmp_path / "gen.json", gen_config())

@@ -1,4 +1,5 @@
 import json
+import pickle
 import struct
 
 import numpy as np
@@ -407,6 +408,15 @@ class TestStreamIO:
         stream = self.small_stream()
         save_stream(stream, tmp_path / "s")
         assert streams_equal(load_stream(tmp_path / "s"), stream)
+
+    def test_pickle_round_trip_keeps_trials_read_only(self):
+        stream = self.small_stream()
+        restored = pickle.loads(pickle.dumps(stream))
+        assert streams_equal(restored, stream)
+        for ds in restored:
+            for t in ds.trials:
+                assert t.trial.dtype == np.float32
+                assert not t.trial.flags.writeable
 
     def test_save_is_deterministic(self, tmp_path):
         stream = self.small_stream()
