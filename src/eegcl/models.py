@@ -6,6 +6,13 @@ filters -> square -> mean-pool over time -> log -> dense head), whose convs
 run as matmuls, the temporal one against banded filter matrices. Parameters
 live in one flat float64 vector with a layout describing each layer's slice,
 which keeps optimizers, penalties, and finite-difference checks trivial.
+
+The public entry points (forward, loss_and_gradient, gradient) check their
+input and then run the unchecked core: forward_cached, backward and
+unchecked_loss_and_gradient. A training stage runs those checks once
+(check_batch) and the core every step. A Params builds its block views once,
+and backward writes each gradient block straight into its slice of one flat
+vector, so a step allocates no per-block copies.
 """
 
 from __future__ import annotations
@@ -100,17 +107,24 @@ class Layout(tuple):
     def __reduce__(self):
         return Layout, ([(e.name, e.shape, e.fan) for e in self],)
 
-    def flatten(self, blocks: dict, lead: tuple = ()) -> np.ndarray:
-        """Concatenate named blocks, each shaped lead + its entry's shape,
-        into flat vectors of shape lead + (size,)."""
-        return np.concatenate(
-            [blocks[e.name].reshape(lead + (e.size,)) for e in self], axis=-1
-        )
+    def views(self, vectors: np.ndarray) -> dict:
+        """Name -> view of that block in an array of flat vectors, shape
+        lead + (size,); each view has shape lead + the block's shape and
+        writes through to the array."""
+        lead = vectors.shape[:-1]
+        return {
+            name: vectors[..., block].reshape(lead + shape)
+            for name, (block, shape) in self.slices.items()
+        }
 
 
 @dataclass
 class Params:
-    """Flat trainable-parameter vector plus its layer layout."""
+    """Flat trainable-parameter vector plus its layer layout.
+
+    The block views are built once, over the vector the Params is created
+    with: update that array in place, never rebind it.
+    """
 
     vector: np.ndarray
     layout: Layout
@@ -124,6 +138,12 @@ class Params:
                 f"layout covers {self.layout.size} entries but vector has "
                 f"{self.vector.size}"
             )
+        self._views = self.layout.views(self.vector)
+
+    def __reduce__(self):
+        # The views would unpickle as copies of their own; rebuild them
+        # over the unpickled vector instead.
+        return Params, (self.vector, self.layout)
 
     @property
     def n_params(self) -> int:
@@ -132,10 +152,9 @@ class Params:
     def view(self, name: str) -> np.ndarray:
         """Writable reshaped view of one named block."""
         try:
-            block, shape = self.layout.slices[name]
+            return self._views[name]
         except KeyError:
             raise KeyError(f"no parameter block named {name!r}") from None
-        return self.vector[block].reshape(shape)
 
     def copy(self) -> "Params":
         return Params(vector=self.vector.copy(), layout=self.layout)
@@ -160,11 +179,11 @@ def params_from_bytes(buf: bytes, layout: Layout) -> Params:
     return Params(vector=vec, layout=layout)
 
 
-def _check_batch(x: np.ndarray, n_channels: int, n_timepoints: int) -> np.ndarray:
+def _check_trials(x: np.ndarray, config: ModelConfig) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3 or x.shape[1] != n_channels or x.shape[2] != n_timepoints:
+    if x.ndim != 3 or x.shape[1:] != (config.n_channels, config.n_timepoints):
         raise ShapeError(
-            f"batch must have shape (n, {n_channels}, {n_timepoints}), "
+            f"batch must have shape (n, {config.n_channels}, {config.n_timepoints}), "
             f"got {x.shape}"
         )
     return x
@@ -172,6 +191,10 @@ def _check_batch(x: np.ndarray, n_channels: int, n_timepoints: int) -> np.ndarra
 
 class MlpNet:
     """Fully connected tanh network over flattened trials."""
+
+    # train() keeps a stage's trials sample-major, (n, channels, time), so
+    # that flattening a gathered batch is a free reshape.
+    trial_axis = 0
 
     def __init__(self, config: ModelConfig):
         config.validate()
@@ -193,7 +216,8 @@ class MlpNet:
         return _glorot_init(self.layout, self.config.seed)
 
     def forward_cached(self, params: Params, x: np.ndarray):
-        x = _check_batch(x, self.config.n_channels, self.config.n_timepoints)
+        """Logits and the cache backward needs, for a float64 batch of
+        shape (n, channels, time) that the caller has checked."""
         a = x.reshape(x.shape[0], -1)
         acts = [a]
         for i in range(self._n_layers - 1):
@@ -204,23 +228,24 @@ class MlpNet:
         return logits, acts
 
     def forward(self, params: Params, x: np.ndarray) -> np.ndarray:
-        return self.forward_cached(params, x)[0]
+        return self.forward_cached(params, _check_trials(x, self.config))[0]
 
     def backward(
         self, params: Params, cache, dlogits: np.ndarray, per_sample: bool = False
     ) -> np.ndarray:
         """Flat gradient summed over the batch, or with per_sample one row
-        per trial, of the loss whose logit gradient is dlogits."""
+        per trial, of the loss whose logit gradient is dlogits. Each block
+        is written straight into its slice of the result."""
         acts = cache
         d = np.asarray(dlogits, dtype=np.float64)
-        blocks = {}
+        grad = np.empty((d.shape[0], self.layout.size) if per_sample else self.layout.size)
+        out = self.layout.views(grad)
         last = self._n_layers - 1
         for i in range(last, -1, -1):
             if i < last:
                 d = (d @ params.view(f"w{i + 1}")) * (1.0 - acts[i + 1] ** 2)
-            blocks[f"w{i}"] = _weight_grad(d, acts[i], per_sample)
-            blocks[f"b{i}"] = d if per_sample else d.sum(axis=0)
-        return self.layout.flatten(blocks, d.shape[:1] if per_sample else ())
+            _dense_grad(d, acts[i], per_sample, out[f"w{i}"], out[f"b{i}"])
+        return grad
 
 
 class ShallowConvNet:
@@ -237,6 +262,12 @@ class ShallowConvNet:
     with each filter's banded (Toeplitz) matrix, as are its transpose and
     its gradients in backward.
     """
+
+    # train() keeps a stage's trials channel-major, (channels, n, time): a
+    # gathered batch, passed on as its (n, channels, time) transpose, is
+    # then read by the spatial conv as a (channels, n * time) matrix
+    # without a copy.
+    trial_axis = 1
 
     def __init__(self, config: ModelConfig):
         config.validate()
@@ -262,8 +293,9 @@ class ShallowConvNet:
         return _glorot_init(self.layout, self.config.seed)
 
     def forward_cached(self, params: Params, x: np.ndarray):
+        """Logits and the cache backward needs, for a float64 batch of
+        shape (n, channels, time) that the caller has checked."""
         cfg = self.config
-        x = _check_batch(x, cfg.n_channels, cfg.n_timepoints)
         n, t = x.shape[0], cfg.n_timepoints
         xc = x.transpose(1, 0, 2).reshape(cfg.n_channels, n * t)
         z = (params.view("spatial") @ xc).reshape(cfg.n_filters, n, t)
@@ -276,40 +308,40 @@ class ShallowConvNet:
         return logits, (xc, z, band, s, power, feats)
 
     def forward(self, params: Params, x: np.ndarray) -> np.ndarray:
-        return self.forward_cached(params, x)[0]
+        return self.forward_cached(params, _check_trials(x, self.config))[0]
 
     def backward(
         self, params: Params, cache, dlogits: np.ndarray, per_sample: bool = False
     ) -> np.ndarray:
         """Flat gradient summed over the batch, or with per_sample one row
-        per trial, of the loss whose logit gradient is dlogits."""
+        per trial, of the loss whose logit gradient is dlogits. Each block
+        is written straight into its slice of the result."""
         xc, z, band, s, power, feats = cache
         d = np.asarray(dlogits, dtype=np.float64)
         dpower = (d @ params.view("head")) / (power + LOG_EPS)
         ds = (2.0 / self.n_windows) * s
         ds *= dpower.T[:, :, None]
         dz = ds @ band.transpose(0, 2, 1)  # transposed temporal conv, (filters, n, time)
+        n = d.shape[0]
+        grad = np.empty((n, self.layout.size) if per_sample else self.layout.size)
+        out = self.layout.views(grad)
         if per_sample:
-            n, t = d.shape[0], self.config.n_timepoints
+            t = self.config.n_timepoints
             zwin = np.lib.stride_tricks.sliding_window_view(z, self.config.kernel_len, axis=2)
-            blocks = {
-                "temporal": np.einsum("fnu,fnul->nfl", ds, zwin),
-                "spatial": dz.transpose(1, 0, 2) @ xc.reshape(-1, n, t).transpose(1, 2, 0),
-                "spatial_bias": ds.sum(axis=2).T,
-                "head": _weight_grad(d, feats, True),
-                "head_bias": d,
-            }
-            return self.layout.flatten(blocks, (n,))
-        # temporal[f, l] sums g[f, u + l, u] over the windows u.
-        g = z.transpose(0, 2, 1) @ ds
-        blocks = {
-            "temporal": _diagonals(g, self.config.kernel_len).sum(axis=2),
-            "spatial": dz.reshape(dz.shape[0], -1) @ xc.T,
-            "spatial_bias": ds.sum(axis=(1, 2)),
-            "head": _weight_grad(d, feats, False),
-            "head_bias": d.sum(axis=0),
-        }
-        return self.layout.flatten(blocks)
+            np.einsum("fnu,fnul->nfl", ds, zwin, out=out["temporal"])
+            np.matmul(
+                dz.transpose(1, 0, 2), xc.reshape(-1, n, t).transpose(1, 2, 0),
+                out=out["spatial"],
+            )
+            ds.sum(axis=2, out=out["spatial_bias"].T)
+        else:
+            # temporal[f, l] sums g[f, u + l, u] over the windows u.
+            g = z.transpose(0, 2, 1) @ ds
+            _diagonals(g, self.config.kernel_len).sum(axis=2, out=out["temporal"])
+            np.matmul(dz.reshape(dz.shape[0], -1), xc.T, out=out["spatial"])
+            ds.sum(axis=(1, 2), out=out["spatial_bias"])
+        _dense_grad(d, feats, per_sample, out["head"], out["head_bias"])
+        return grad
 
 
 def _read_only_view(base: np.ndarray, shape: tuple, offset: int, strides: tuple) -> np.ndarray:
@@ -345,12 +377,17 @@ def _band(w: np.ndarray, n_timepoints: int) -> np.ndarray:
     )
 
 
-def _weight_grad(d: np.ndarray, a: np.ndarray, per_sample: bool) -> np.ndarray:
-    """Gradient of a dense weight with output gradient d and input a: the
-    sum over the batch of the outer products d[i] a[i]^T, or each one."""
+def _dense_grad(d: np.ndarray, a: np.ndarray, per_sample: bool, w_out, b_out):
+    """Write the gradients of a dense layer with output gradient d and
+    input a into w_out and b_out: for the weight the sum over the batch of
+    the outer products d[i] a[i]^T and for the bias the sum of the d[i],
+    or with per_sample each one."""
     if per_sample:
-        return d[:, :, None] * a[:, None, :]
-    return d.T @ a
+        np.multiply(d[:, :, None], a[:, None, :], out=w_out)
+        np.copyto(b_out, d)
+    else:
+        np.matmul(d.T, a, out=w_out)
+        d.sum(axis=0, out=b_out)
 
 
 def _glorot_init(layout: Layout, seed: int) -> Params:
@@ -376,6 +413,10 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 2:
         raise ShapeError(f"logits must be 2-D, got shape {logits.shape}")
+    return _log_softmax(logits)
+
+
+def _log_softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
@@ -388,6 +429,11 @@ def _check_labels(labels, n_classes: int, n_rows: int) -> np.ndarray:
     labels = np.asarray(labels)
     if labels.shape != (n_rows,):
         raise ShapeError(f"labels must have shape ({n_rows},), got {labels.shape}")
+    whole = labels.dtype.kind in "biu" or (
+        labels.dtype.kind == "f" and np.isfinite(labels).all() and (labels == np.floor(labels)).all()
+    )
+    if not whole:
+        raise ValueError(f"labels must be whole-number class indices, got {labels.dtype} values")
     labels = labels.astype(np.int64, copy=False)
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(
@@ -395,6 +441,16 @@ def _check_labels(labels, n_classes: int, n_rows: int) -> np.ndarray:
             f"[{labels.min()}, {labels.max()}]"
         )
     return labels
+
+
+def check_batch(model, x: np.ndarray, labels) -> tuple:
+    """The checks loss_and_gradient and gradient run on their input:
+    returns x as a float64 (n, channels, time) batch for the model and
+    labels as int64 class indices, one per trial. Raises ShapeError or
+    ValueError otherwise. train() runs them once on a stage's training
+    split, so that its steps can call unchecked_loss_and_gradient."""
+    x = _check_trials(x, model.config)
+    return x, _check_labels(labels, model.config.n_classes, x.shape[0])
 
 
 def cross_entropy(logits: np.ndarray, labels) -> float:
@@ -405,7 +461,7 @@ def cross_entropy(logits: np.ndarray, labels) -> float:
     labels = _check_labels(labels, logits.shape[1], logits.shape[0])
     if logits.shape[0] == 0:
         raise ValueError("cross_entropy of an empty batch")
-    ls = log_softmax(logits)
+    ls = _log_softmax(logits)
     return float(-ls[np.arange(len(labels)), labels].mean())
 
 
@@ -415,6 +471,14 @@ def loss_and_gradient(model, params: Params, x: np.ndarray, labels, penalty=None
     penalty, when given, is called with the flat parameter vector and must
     return (scalar, gradient vector); both are added to the loss terms.
     """
+    x, labels = check_batch(model, x, labels)
+    return unchecked_loss_and_gradient(model, params, x, labels, penalty)
+
+
+def unchecked_loss_and_gradient(model, params: Params, x: np.ndarray, labels, penalty=None):
+    """loss_and_gradient of a batch that check_batch has already passed:
+    x a float64 (n, channels, time) array, possibly a transposed view, and
+    labels int64 class indices. The arithmetic is loss_and_gradient's."""
     loss, grad = _cross_entropy_backward(model, params, x, labels, per_sample=False)
     if penalty is not None:
         p_loss, p_grad = penalty(params.vector)
@@ -431,17 +495,18 @@ def gradient(
     With per_sample, an (n, n_params) array whose row i is the gradient of
     trial i's own cross-entropy, from one batched forward/backward pass.
     """
+    x, labels = check_batch(model, x, labels)
     return _cross_entropy_backward(model, params, x, labels, per_sample)[1]
 
 
 def _cross_entropy_backward(model, params: Params, x, labels, per_sample: bool):
     logits, cache = model.forward_cached(params, x)
-    labels = _check_labels(labels, logits.shape[1], logits.shape[0])
-    ls = log_softmax(logits)
+    ls = _log_softmax(logits)
     n = logits.shape[0]
-    loss = float(-ls[np.arange(n), labels].mean())
+    rows = np.arange(n)
+    loss = float(-ls[rows, labels].mean())
     dlogits = np.exp(ls)
-    dlogits[np.arange(n), labels] -= 1.0
+    dlogits[rows, labels] -= 1.0
     if not per_sample:
         dlogits /= n
     return loss, model.backward(params, cache, dlogits, per_sample)

@@ -271,6 +271,10 @@ def memory_from_bytes(buf: bytes, seed: int = 0) -> ReplayMemory:
         raise ValueError(f"memory blob length {len(buf)} != expected {expected}")
     for _ in range(n_entries):
         subject_id, timestamp, label = _ENTRY_PREFIX.unpack_from(buf, offset)
+        if (subject_id, timestamp) in memory._keys:
+            raise ValueError(
+                f"memory blob holds subject {subject_id} timestamp {timestamp} twice"
+            )
         offset += _ENTRY_PREFIX.size
         data = decode_trial_data(buf, offset, c, t)
         offset += 4 * c * t

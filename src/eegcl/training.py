@@ -3,7 +3,9 @@
 The loop optimizes mean cross-entropy (optionally plus a penalty hook) with
 Adam or plain SGD, tracks validation accuracy each epoch, and returns the
 parameters from the best validation epoch. Everything is seeded and
-single-threaded so identical configs reproduce identical histories.
+single-threaded so identical configs reproduce identical histories. Input
+checks and layout changes run once per stage; a step only gathers a batch
+and does the model's arithmetic and the optimizer update.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, TrainingDivergedError
-from .models import Params, loss_and_gradient
+from .errors import ConfigError, EmptyInputError, ShapeError, TrainingDivergedError
+from .models import Params, check_batch, unchecked_loss_and_gradient
+from .models import loss_and_gradient  # noqa: F401  traced as training.loss_and_gradient by bench/
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -103,7 +106,7 @@ def stack_trials(trials) -> tuple:
     trials = list(trials)
     if not trials:
         raise EmptyInputError("cannot stack an empty trial list")
-    x = np.stack([np.asarray(t.trial, dtype=np.float64) for t in trials])
+    x = np.array([t.trial for t in trials], dtype=np.float64)
     y = np.array([t.class_label for t in trials], dtype=np.int64)
     return x, y
 
@@ -113,9 +116,12 @@ def evaluate_arrays(model, params: Params, x: np.ndarray, y: np.ndarray) -> floa
     class index."""
     if len(x) == 0:
         raise EmptyInputError("cannot evaluate on an empty set")
+    y = np.asarray(y)
+    if y.shape != (len(x),):
+        raise ShapeError(f"labels must have shape ({len(x)},), got {y.shape}")
     logits = model.forward(params, x)
     predictions = np.argmax(logits, axis=1)
-    return float(np.mean(predictions == np.asarray(y)))
+    return float(np.mean(predictions == y))
 
 
 def train(model, params: Params, train_set, val_set, cfg: TrainConfig, penalty=None):
@@ -127,11 +133,18 @@ def train(model, params: Params, train_set, val_set, cfg: TrainConfig, penalty=N
     epoch). The input params object is left untouched. penalty, when given,
     maps the flat parameter vector to (extra loss, extra gradient) and is
     applied every batch.
+
+    Once per stage: the training split is stacked, checked (check_batch)
+    and stored in the layout the model reads without a copy (its
+    trial_axis). Each step only gathers a batch from it with np.take and
+    runs the forward/backward arithmetic and the optimizer update.
     """
     cfg.validate()
-    x_train, y_train = stack_trials(train_set)
+    x_train, y_train = check_batch(model, *stack_trials(train_set))
     x_val, y_val = stack_trials(val_set)
     n = len(x_train)
+    axis = model.trial_axis
+    x_train = np.ascontiguousarray(x_train.swapaxes(0, axis))
     rng = np.random.default_rng(cfg.shuffle_seed)
     work = params.copy()
     optimizer = _make_optimizer(cfg, work.n_params)
@@ -144,7 +157,8 @@ def train(model, params: Params, train_set, val_set, cfg: TrainConfig, penalty=N
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grad = loss_and_gradient(model, work, x_train[idx], y_train[idx], penalty)
+            x = np.take(x_train, idx, axis=axis).swapaxes(0, axis)
+            loss, grad = unchecked_loss_and_gradient(model, work, x, y_train[idx], penalty)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"training loss became {loss} at epoch {epoch}, "

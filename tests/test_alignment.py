@@ -6,9 +6,12 @@ import pytest
 from eegcl import (
     EmptyInputError,
     ShapeError,
+    Split,
+    StreamConfig,
     align_subject,
     compute_whitener,
     covariance,
+    gen_stream,
     reference_covariance,
 )
 from eegcl.alignment import whiten_trials
@@ -37,7 +40,49 @@ def mean_covariance(trials):
     return acc / len(trials)
 
 
+def per_trial_reference_covariance(trials):
+    """The per-trial loop reference_covariance is checked against: each
+    trial's covariance (T-1 divisor, symmetrized) accumulated in index
+    order, then divided by the trial count."""
+    acc = None
+    for t in trials:
+        x = np.asarray(t, dtype=np.float64)
+        centered = x - x.mean(axis=1, keepdims=True)
+        cov = centered @ centered.T
+        cov /= x.shape[1] - 1
+        cov = (cov + cov.T) / 2.0
+        if acc is None:
+            acc = cov
+        else:
+            acc += cov
+    return acc / len(trials)
+
+
 class TestReferenceCovariance:
+    def test_batched_equals_per_trial_loop(self):
+        rng = np.random.default_rng(7)
+        cases = [
+            [rng.standard_normal((4, 9)) for _ in range(7)],
+            [(3.0 * rng.standard_normal((3, 40))).astype(np.float32) for _ in range(25)],
+        ]
+        stream = gen_stream(StreamConfig(seed=0))
+        cases += [[t.trial for t in ds.trials_for(Split.TRAIN)] for ds in stream]
+        for trials in cases:
+            assert np.array_equal(
+                reference_covariance(trials), per_trial_reference_covariance(trials)
+            )
+
+    def test_time_mismatch_rejected(self):
+        rng = np.random.default_rng(8)
+        trials = [rng.standard_normal((3, 8)), rng.standard_normal((3, 8)), rng.standard_normal((3, 9))]
+        with pytest.raises(ShapeError, match="trial 2"):
+            reference_covariance(trials)
+
+    def test_non_finite_rejected(self):
+        trials = [np.ones((2, 4)), np.array([[0.0, 1.0, 2.0, np.nan], [1.0, 2.0, 3.0, 4.0]])]
+        with pytest.raises(ValueError):
+            reference_covariance(trials)
+
     def test_single_trial_equals_covariance(self):
         rng = np.random.default_rng(0)
         trial = rng.standard_normal((3, 10))

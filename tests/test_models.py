@@ -99,6 +99,12 @@ class TestParams:
         assert out.layout == params.layout
         assert np.array_equal(out.view("spatial"), params.view("spatial"))
 
+    def test_views_write_into_vector_after_pickle(self):
+        out = pickle.loads(pickle.dumps(small_conv().init_params()))
+        out.view("spatial")[0, 0] = 123.0
+        block, _ = out.layout.slices["spatial"]
+        assert out.vector[block][0] == 123.0
+
     def test_copy_is_independent(self):
         params = small_conv().init_params()
         dup = params.copy()
@@ -211,6 +217,15 @@ class TestCrossEntropy:
             cross_entropy([[0.0, 0.0]], [-1])
         with pytest.raises(ShapeError):
             cross_entropy([[0.0, 0.0]], [0, 1])
+        logits = np.zeros((4, 2))
+        assert cross_entropy(logits, [0.0, 1.0, 0.0, 1.0]) == pytest.approx(math.log(2.0))
+        model = small_mlp()
+        x, _ = batch_for(model)
+        for bad in ([0.7, 1.2, 0.1, 1.9], [0.0, np.nan, 0.0, 1.0], [0.0, np.inf, 0.0, 1.0]):
+            with pytest.raises(ValueError, match="whole-number"):
+                cross_entropy(logits, bad)
+            with pytest.raises(ValueError, match="whole-number"):
+                loss_and_gradient(model, model.init_params(), x, bad)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):

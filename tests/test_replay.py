@@ -300,3 +300,13 @@ class TestSerialization:
     def test_fewer_seen_than_entries_rejected(self):
         with pytest.raises(ValueError, match="seen"):
             memory_from_bytes(self._five_entry_blob(5, 0))
+
+    def test_duplicate_exemplar_rejected(self):
+        mem = ReplayMemory(capacity=2, seed=0)
+        mem.offer_many(stream_of(2))
+        blob = memory_to_bytes(mem)
+        header = len(memory_to_bytes(ReplayMemory(capacity=2)))
+        first = blob[header : header + (len(blob) - header) // 2]
+        assert len(memory_from_bytes(blob[:header] + first + blob[header + len(first):])) == 2
+        with pytest.raises(ValueError, match="twice"):
+            memory_from_bytes(blob[:header] + first + first)

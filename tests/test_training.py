@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,15 +7,17 @@ from eegcl import (
     ConfigError,
     EmptyInputError,
     ModelConfig,
+    ShapeError,
     Split,
     TrainConfig,
     TrainingDivergedError,
     build_model,
     evaluate_arrays,
+    loss_and_gradient,
     stack_trials,
     train,
 )
-from eegcl.training import Adam, Sgd
+from eegcl.training import Adam, EpochStats, Sgd
 
 from helpers import separable_subject, tiny_trials
 
@@ -25,8 +29,47 @@ def tiny_model(seed=0):
     )
 
 
+def tiny_conv(seed=0):
+    return build_model(
+        ModelConfig(architecture="shallow_conv", n_channels=2, n_timepoints=4,
+                    n_classes=2, n_filters=3, kernel_len=2, seed=seed)
+    )
+
+
 def split_sets(subject):
     return subject.trials_for(Split.TRAIN), subject.trials_for(Split.VAL)
+
+
+def reference_train(model, params, train_set, val_set, cfg, penalty=None):
+    """train() as a plain loop over the public API: the split stacked
+    sample-major, and each step loss_and_gradient on a fancy-indexed batch
+    followed by an optimizer step."""
+    x, y = stack_trials(train_set)
+    x_val, y_val = stack_trials(val_set)
+    rng = np.random.default_rng(cfg.shuffle_seed)
+    work = params.copy()
+    if cfg.optimizer == "adam":
+        optimizer = Adam.fresh(cfg.learning_rate, work.n_params)
+    else:
+        optimizer = Sgd(cfg.learning_rate)
+    best, best_acc, bad_epochs, history = work.copy(), -math.inf, 0, []
+    for epoch in range(1, cfg.max_epochs + 1):
+        order = rng.permutation(len(x))
+        loss_sum = 0.0
+        for start in range(0, len(x), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            loss, grad = loss_and_gradient(model, work, x[idx], y[idx], penalty)
+            optimizer.step(work.vector, grad)
+            loss_sum += loss * len(idx)
+        val_acc = evaluate_arrays(model, work, x_val, y_val)
+        history.append(EpochStats(epoch=epoch, train_loss=loss_sum / len(x), val_accuracy=val_acc))
+        if val_acc > best_acc:
+            best, best_acc, bad_epochs = work.copy(), val_acc, 0
+        else:
+            bad_epochs += 1
+        if bad_epochs >= cfg.patience:
+            break
+    return best, history
 
 
 class TestTrainConfig:
@@ -123,6 +166,13 @@ class TestEvaluate:
         with pytest.raises(EmptyInputError):
             evaluate_arrays(model, model.init_params(), np.empty((0, 2, 4)), np.empty(0))
 
+    def test_label_count_must_match(self):
+        model = tiny_model()
+        x, y = stack_trials(tiny_trials(np.random.default_rng(5), 4))
+        for bad in ([1], y[:3], y[:, None]):
+            with pytest.raises(ShapeError):
+                evaluate_arrays(model, model.init_params(), x, bad)
+
 
 class TestTrain:
     def separable_sets(self, seed=0):
@@ -212,6 +262,22 @@ class TestTrain:
             TrainConfig(max_epochs=3, patience=5),
         )
         assert [h.epoch for h in history] == list(range(1, len(history) + 1))
+
+    @pytest.mark.parametrize("make_model", [tiny_model, tiny_conv], ids=["mlp", "conv"])
+    @pytest.mark.parametrize("penalized", [False, True], ids=["plain", "penalty"])
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    def test_matches_reference_loop(self, make_model, penalized, optimizer):
+        # 40 training trials in batches of 7 leave a short last batch.
+        train_set, val_set = self.separable_sets(seed=2)
+        model = make_model()
+        cfg = TrainConfig(learning_rate=0.02, max_epochs=6, batch_size=7, patience=3,
+                          optimizer=optimizer, shuffle_seed=11)
+        hook = (lambda vec: (0.05 * float(vec @ vec), 0.1 * vec)) if penalized else None
+        params = model.init_params()
+        best, history = train(model, params, train_set, val_set, cfg, penalty=hook)
+        ref_best, ref_history = reference_train(model, params, train_set, val_set, cfg, hook)
+        assert history == ref_history
+        assert np.array_equal(best.vector, ref_best.vector)
 
     def test_sgd_optimizer_runs(self):
         train_set, val_set = self.separable_sets()
