@@ -7,7 +7,8 @@ EWC regularization, a subject-incremental harness with forgetting metrics,
 and a CLI that ties them together.
 """
 
-from .alignment import AlignmentReport, align_subject, compute_whitener, reference_covariance
+from .alignment import AlignmentReport, align_subject, compute_whitener
+from .alignment import reference_covariance, whiten_subject
 from .data import (
     LabeledTrial,
     Split,
@@ -73,6 +74,7 @@ __all__ = [
     "align_subject",
     "compute_whitener",
     "reference_covariance",
+    "whiten_subject",
     "LabeledTrial",
     "Split",
     "Stream",

@@ -5,7 +5,8 @@ trial covariance, so that after alignment the subject's mean covariance is
 the identity. This removes second-order (covariance) differences between
 subjects without touching labels and is the fast domain-adaptation step of
 the decoding pipeline. The reference covariance is computed once per
-subject over the stacked training trials, with one batched matmul.
+subject over the stacked training trials, with one batched matmul, and
+whiten_subject is the one way a subject is whitened.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Split, SubjectDataset
 from .errors import EmptyInputError, ShapeError
-from .linalg import as_matrix, covariances, default_eig_floor, sym_eig, symmetrize
+from .linalg import covariances, inv_sqrt_of_eig, sym_eig
 from .linalg import covariance  # noqa: F401  traced as alignment.covariance by bench/
 
 logger = logging.getLogger(__name__)
@@ -76,14 +78,8 @@ def compute_whitener(
     1e-10 x max(largest eigenvalue, 1).
     """
     eig = sym_eig(ref_cov)
-    if eps is None:
-        eps = default_eig_floor(eig.eigenvalues)
-    elif eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    whitener, eps = inv_sqrt_of_eig(eig, eps)
     floored = bool(eig.eigenvalues[0] < eps)
-    w = np.maximum(eig.eigenvalues, eps)
-    v = eig.eigenvectors
-    whitener = symmetrize((v / np.sqrt(w)) @ v.T)
     condition = max(1.0, float(eig.eigenvalues[-1]) / max(float(eig.eigenvalues[0]), eps))
     if condition > CONDITION_WARN:
         logger.warning(
@@ -99,19 +95,28 @@ def compute_whitener(
     )
 
 
-def whiten_trials(trials, whitener: np.ndarray) -> list[np.ndarray]:
-    """Apply a whitening matrix to each trial; outputs are float64."""
-    return [whitener @ as_matrix(t, "trial") for t in trials]
+def whiten_subject(dataset: SubjectDataset, eps: float | None = None) -> tuple:
+    """Whiten a subject against their own training split.
+
+    Returns (aligned SubjectDataset, AlignmentReport). The whitener comes
+    from the training trials alone; every trial of every split is then
+    whitened with it in one matmul and rounded to float32 once.
+    """
+    report = compute_whitener(reference_covariance(dataset.arrays(Split.TRAIN)[0]), eps)
+    aligned = np.matmul(report.whitener, dataset.block.astype(np.float64))
+    return SubjectDataset.from_arrays(
+        dataset.subject_id, aligned.astype(np.float32), dataset.labels,
+        dataset.timestamps, dataset.split,
+    ), report
 
 
 def align_subject(trials, eps: float | None = None):
-    """Whiten a subject's trials against their own mean covariance.
+    """Whiten trials against their own mean covariance.
 
-    Returns (aligned trials, AlignmentReport). Each aligned trial has the
-    same shape as its input, and the mean covariance of the aligned set is
-    the identity whenever the reference covariance is well conditioned.
+    Returns (aligned float64 trials, AlignmentReport). Each aligned trial has
+    the same shape as its input, and the mean covariance of the aligned set
+    is the identity whenever the reference covariance is well conditioned.
     """
     trials = list(trials)
-    ref = reference_covariance(trials)
-    report = compute_whitener(ref, eps)
-    return whiten_trials(trials, report.whitener), report
+    report = compute_whitener(reference_covariance(trials), eps)
+    return list(np.matmul(report.whitener, np.array(trials, dtype=np.float64))), report

@@ -25,21 +25,22 @@ only on interactive terminals and NO_COLOR disables that too.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import math
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .alignment import compute_whitener, reference_covariance
-from .data import Split, Stream, StreamConfig, gen_stream, load_stream, save_stream
+from .alignment import whiten_subject
+from .alignment import compute_whitener, reference_covariance  # noqa: F401  traced by bench/
+from .data import Stream, StreamConfig, gen_stream, load_stream, save_stream
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -285,28 +286,14 @@ def cmd_align(args) -> int:
     stream = load_stream(args.stream)
     aligned_subjects = []
     for ds in stream:
-        train_trials = [t.trial for t in ds.trials_for(Split.TRAIN)]
-        report = compute_whitener(reference_covariance(train_trials), args.eps)
-        aligned = tuple(
-            replace(t, trial=report.whitener @ np.asarray(t.trial, dtype=np.float64))
-            for t in ds.trials
-        )
-        aligned_subjects.append(replace(ds, trials=aligned))
+        aligned, report = whiten_subject(ds, args.eps)
+        aligned_subjects.append(aligned)
         note = " (eigenvalue floor applied)" if report.eigenvalue_floor_applied else ""
         print(
             f"subject {ds.subject_id}: condition number "
             f"{report.condition_number:.3e}{note}"
         )
-    save_stream(
-        Stream(
-            subjects=tuple(aligned_subjects),
-            n_channels=stream.n_channels,
-            n_timepoints=stream.n_timepoints,
-            n_classes=stream.n_classes,
-            seed=stream.seed,
-        ),
-        args.out,
-    )
+    save_stream(replace(stream, subjects=aligned_subjects), args.out)
     print(f"wrote aligned stream to {args.out}")
     return 0
 
@@ -341,6 +328,8 @@ def _bold(text: str) -> str:
 
 
 def cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     config = parse_experiment_config(_load_json(args.config))
     config.validate()
     out = Path(args.out)
@@ -362,8 +351,6 @@ def cmd_run(args) -> int:
     tasks = [
         (strategy, seed) for strategy in config.strategies for seed in config.seeds
     ]
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if args.jobs == 1 or len(tasks) == 1:
         outcomes = [
             _outcome(partial(run_continual, stream, strategy, model_cfg, config.train,
@@ -371,6 +358,10 @@ def cmd_run(args) -> int:
             for strategy, seed in tasks
         ]
     else:
+        # Imported here: only this branch needs the pool and its
+        # multiprocessing machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=args.jobs, initializer=_share_stream, initargs=(stream,)
         ) as pool:
@@ -532,6 +523,12 @@ def main(argv=None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
+    if argv is None:
+        # This is the process entry. Freezing what the imports created keeps
+        # it out of every later collection, including the full ones at
+        # interpreter exit, and keeps the collector from touching (and so
+        # copying) those pages in forked pool workers.
+        gc.freeze()
     try:
         return args.func(args)
     except (ConfigError, StratificationError) as exc:

@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, replace
+from collections import Counter
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from pathlib import Path
 
@@ -24,10 +26,12 @@ import numpy as np
 from .errors import (
     ConfigError,
     EmptyInputError,
+    ShapeError,
     StratificationError,
     StreamFormatError,
 )
-from .linalg import covariance, inv_sqrt, sym_eig, symmetrize
+from .linalg import covariances, inv_sqrt, sym_eig, symmetrize
+from .linalg import covariance  # noqa: F401  traced as data.covariance by bench/
 
 MANIFEST_NAME = "manifest.json"
 SUBJECT_MAGIC = b"EEGC"
@@ -94,60 +98,140 @@ def trials_equal(a: LabeledTrial, b: LabeledTrial) -> bool:
     )
 
 
+class _Trials(Sequence):
+    """A subject's trials over their checked, read-only arrays; each
+    LabeledTrial is built the first time it is read."""
+
+    def __init__(self, subject_id: int, block, labels, timestamps, built=()):
+        block = np.ascontiguousarray(block, dtype=np.float32)
+        labels, timestamps = np.array(labels, dtype=np.int64), np.array(timestamps, dtype=np.int64)
+        if block.ndim != 3 or not labels.shape == timestamps.shape == (len(block),):
+            raise ShapeError(
+                f"need a (n, channels, time) block with n labels and timestamps, "
+                f"got shapes {block.shape}, {labels.shape} and {timestamps.shape}"
+            )
+        if subject_id < 0 or (labels.size and labels.min() < 0):
+            raise ValueError(f"subject_id and class labels must be >= 0 (subject {subject_id})")
+        if not np.isfinite(block).all():
+            raise ValueError("trial contains non-finite values")
+        step = np.flatnonzero(np.diff(timestamps, prepend=-1) <= 0)
+        if step.size:
+            i = step[0]
+            raise ValueError(
+                f"timestamps must increase strictly within a subject "
+                f"(saw {timestamps[i]} after {timestamps[i - 1] if i else -1})"
+            )
+        for a in (block, labels, timestamps):
+            a.flags.writeable = False
+        self.subject_id, self.arrays = subject_id, (block, labels, timestamps)
+        self._built = list(built) or [None] * len(block)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} trials of subject {self.subject_id}>"
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(len(self))[index])
+        if self._built[index] is None:
+            block, labels, timestamps = self.arrays
+            self._built[index] = LabeledTrial(
+                block[index], int(labels[index]), self.subject_id, int(timestamps[index])
+            )
+        return self._built[index]
+
+
 @dataclass(frozen=True, eq=False)
 class SubjectDataset:
-    """All trials of one subject plus a parallel tuple of split tags."""
+    """One subject's trials: a read-only float32 block (n, channels, time)
+    with parallel int64 `labels` and `timestamps` and uint8 `split` tags.
+
+    Built from a sequence of this subject's LabeledTrials, all of one
+    shape, or with from_arrays. `trials` reads them back as LabeledTrials,
+    each built on first access; a constructor given that sequence back, as
+    dataclasses.replace(ds, split=...) does, reuses the arrays as they are.
+    """
 
     subject_id: int
-    trials: tuple
-    split: tuple
+    trials: Sequence
+    split: np.ndarray
+    block: np.ndarray = field(init=False, repr=False)
+    labels: np.ndarray = field(init=False, repr=False)
+    timestamps: np.ndarray = field(init=False, repr=False)
+    _ARRAYS = ("block", "labels", "timestamps", "split")
 
     def __post_init__(self):
-        object.__setattr__(self, "trials", tuple(self.trials))
-        object.__setattr__(self, "split", tuple(Split(s) for s in self.split))
-        if len(self.trials) != len(self.split):
-            raise ValueError(
-                f"{len(self.trials)} trials but {len(self.split)} split tags"
+        trials = self.trials
+        if not isinstance(trials, _Trials):
+            trials = tuple(trials)
+            shape = trials[0].trial.shape if trials else (0, 0)
+            for i, t in enumerate(trials):
+                if t.trial.shape != shape:
+                    raise ShapeError(
+                        f"subject {self.subject_id} trial shape {t.trial.shape} "
+                        f"(trial {i}) does not match {shape}"
+                    )
+                if t.subject_id != self.subject_id:
+                    raise ValueError(f"trial {i} belongs to subject {t.subject_id}")
+            trials = _Trials(
+                self.subject_id,
+                np.array([t.trial for t in trials], dtype=np.float32).reshape(len(trials), *shape),
+                [t.class_label for t in trials], [t.timestamp for t in trials], built=trials,
             )
-        last = -1
-        for t in self.trials:
-            if t.timestamp <= last:
-                raise ValueError(
-                    f"timestamps must increase strictly within a subject "
-                    f"(saw {t.timestamp} after {last})"
-                )
-            last = t.timestamp
+        elif trials.subject_id != self.subject_id:
+            trials = _Trials(self.subject_id, *trials.arrays)
+        split = np.array(self.split, dtype=np.int64)
+        if split.shape != (len(trials),) or ((split < 0) | (split > max(Split))).any():
+            raise ValueError(f"need {len(trials)} Split codes, got {split.tolist()}")
+        split = split.astype(np.uint8)
+        split.flags.writeable = False
+        for name, value in zip(self._ARRAYS, (*trials.arrays, split)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "trials", trials)
+
+    @classmethod
+    def from_arrays(cls, subject_id: int, block, labels, timestamps, split) -> "SubjectDataset":
+        """A subject from its arrays, checked as the constructor checks
+        trials. A block that already is C-contiguous float32 is kept, not
+        copied, and made read-only."""
+        return cls(subject_id, _Trials(subject_id, block, labels, timestamps), split)
+
+    def __reduce__(self):
+        # Unpickle through from_arrays, which makes the arrays read-only again.
+        arrays = (getattr(self, name) for name in self._ARRAYS)
+        return SubjectDataset.from_arrays, (self.subject_id, *arrays)
 
     @property
     def n_trials(self) -> int:
-        return len(self.trials)
+        return len(self.block)
 
     @property
     def n_channels(self) -> int:
-        return self.trials[0].trial.shape[0] if self.trials else 0
+        return self.block.shape[1]
 
     @property
     def n_timepoints(self) -> int:
-        return self.trials[0].trial.shape[1] if self.trials else 0
+        return self.block.shape[2]
+
+    def arrays(self, split: Split) -> tuple:
+        """(float32 samples, int64 labels) of the trials carrying the
+        given split tag, in timestamp order."""
+        mask = self.split == split
+        return self.block[mask], self.labels[mask]
 
     def trials_for(self, split: Split) -> tuple:
         """Trials carrying the given split tag, in timestamp order."""
-        split = Split(split)
-        return tuple(t for t, s in zip(self.trials, self.split) if s == split)
+        return tuple(self.trials[i] for i in np.flatnonzero(self.split == split))
 
     def class_counts(self) -> dict:
-        counts: dict = {}
-        for t in self.trials:
-            counts[t.class_label] = counts.get(t.class_label, 0) + 1
-        return counts
+        return dict(Counter(self.labels.tolist()))
 
 
 def datasets_equal(a: SubjectDataset, b: SubjectDataset) -> bool:
-    return (
-        a.subject_id == b.subject_id
-        and a.split == b.split
-        and len(a.trials) == len(b.trials)
-        and all(trials_equal(x, y) for x, y in zip(a.trials, b.trials))
+    return a.subject_id == b.subject_id and all(
+        np.array_equal(getattr(a, name), getattr(b, name)) for name in SubjectDataset._ARRAYS
     )
 
 
@@ -204,17 +288,18 @@ class Stream:
     def __post_init__(self):
         object.__setattr__(self, "subjects", tuple(self.subjects))
         for ds in self.subjects:
-            for t in ds.trials:
-                if t.trial.shape != (self.n_channels, self.n_timepoints):
-                    raise ValueError(
-                        f"subject {ds.subject_id} trial shape {t.trial.shape} "
-                        f"!= ({self.n_channels}, {self.n_timepoints})"
-                    )
-                if t.class_label >= self.n_classes:
-                    raise ValueError(
-                        f"subject {ds.subject_id} has class_label {t.class_label} "
-                        f">= n_classes {self.n_classes}"
-                    )
+            if not ds.n_trials:
+                continue
+            if ds.block.shape[1:] != (self.n_channels, self.n_timepoints):
+                raise ValueError(
+                    f"subject {ds.subject_id} trial shape {ds.block.shape[1:]} "
+                    f"!= ({self.n_channels}, {self.n_timepoints})"
+                )
+            if ds.labels.max() >= self.n_classes:
+                raise ValueError(
+                    f"subject {ds.subject_id} has class_label {ds.labels.max()} "
+                    f">= n_classes {self.n_classes}"
+                )
 
     def __len__(self) -> int:
         return len(self.subjects)
@@ -246,35 +331,29 @@ def split_subject(dataset: SubjectDataset, train_frac: float, seed: int) -> Subj
     """
     if not 0.0 < train_frac < 1.0:
         raise ConfigError(f"train_frac must be in (0, 1), got {train_frac}")
-    if not dataset.trials:
+    if not dataset.n_trials:
         raise EmptyInputError("cannot split a subject with no trials")
-    by_class: dict = {}
-    for idx, t in enumerate(dataset.trials):
-        by_class.setdefault(t.class_label, []).append(idx)
     rng = np.random.default_rng(seed)
-    tags = [Split.TRAIN] * len(dataset.trials)
+    tags = np.full(dataset.n_trials, Split.TRAIN, dtype=np.uint8)
     next_is_val = True
-    for label in sorted(by_class):
-        idxs = by_class[label]
-        if len(idxs) < 3:
+    for label in sorted(set(dataset.labels.tolist())):
+        order = np.flatnonzero(dataset.labels == label)
+        if len(order) < 3:
             raise StratificationError(
-                f"class {label} has only {len(idxs)} trials; "
+                f"class {label} has only {len(order)} trials; "
                 f"need at least 3 to cover train/val/test"
             )
-        order = np.array(idxs)
         rng.shuffle(order)
         n_train = int(math.floor(train_frac * len(order)))
         if n_train == 0:
             raise StratificationError(
                 f"train_frac {train_frac} leaves class {label} with no training trials"
             )
-        for pos, idx in enumerate(order):
-            if pos < n_train:
-                tags[idx] = Split.TRAIN
-            else:
-                tags[idx] = Split.VAL if next_is_val else Split.TEST
-                next_is_val = not next_is_val
-    return replace(dataset, split=tuple(tags))
+        rest = order[n_train:]
+        is_val = np.arange(len(rest)) % 2 == (0 if next_is_val else 1)
+        tags[rest] = np.where(is_val, Split.VAL, Split.TEST)
+        next_is_val ^= len(rest) % 2 == 1
+    return replace(dataset, split=tags)
 
 
 def _draw_mixing(rng: np.random.Generator, n_channels: int, scale: float) -> np.ndarray:
@@ -323,31 +402,28 @@ def gen_stream(config: StreamConfig, train_frac: float = 0.7) -> Stream:
     rng = np.random.default_rng(config.seed)
     c, t = config.n_channels, config.n_timepoints
     raw = rng.standard_normal((config.n_classes, c, t))
-    mean_cov = np.zeros((c, c))
-    for s in raw:
-        mean_cov += covariance(s)
-    mean_cov /= config.n_classes
-    whiten = inv_sqrt(mean_cov)
-    patterns = np.array([whiten @ s for s in raw])
+    patterns = inv_sqrt(covariances(raw).sum(axis=0) / config.n_classes) @ raw
 
+    n = config.trials_per_subject
+    labels = np.arange(n) % config.n_classes
+    gains = np.ones(n)
+    noise = np.empty((n, c, t))
     subjects = []
     for k in range(config.n_subjects):
         mixing = _draw_mixing(rng, c, config.mixing_scale)
-        trials = []
-        for i in range(config.trials_per_subject):
-            label = i % config.n_classes
+        # The draws interleave per trial (gain, then noise), as the stream's
+        # definition fixes them; the arithmetic then runs once per subject.
+        for i in range(n):
             if config.randomize_polarity:
-                gain = 1.0 if rng.random() < 0.5 else -1.0
-            else:
-                gain = 1.0
-            noise = rng.standard_normal((c, t))
-            x = mixing @ (gain * patterns[label] + config.noise_sigma * noise)
-            trials.append(
-                LabeledTrial(trial=x, class_label=label, subject_id=k, timestamp=i)
-            )
-        ds = SubjectDataset(
-            subject_id=k, trials=tuple(trials), split=(Split.TRAIN,) * len(trials)
-        )
+                gains[i] = 1.0 if rng.random() < 0.5 else -1.0
+            rng.standard_normal(out=noise[i])
+        # In place, in the order of mixing @ (gain * pattern + sigma * noise).
+        x = patterns[labels]
+        x *= gains[:, None, None]
+        noise *= config.noise_sigma
+        x += noise
+        x = np.matmul(mixing, x, out=noise).astype(np.float32)
+        ds = SubjectDataset.from_arrays(k, x, labels, np.arange(n), np.zeros(n))
         split_seed = int(rng.integers(0, 2**32 - 1))
         subjects.append(split_subject(ds, train_frac, split_seed))
     return Stream(
@@ -382,26 +458,35 @@ def _need(buf: bytes, offset: int, n: int, what: str, path):
         )
 
 
+def _record_dtype(c: int, t: int) -> np.dtype:
+    """One trial record of a subject file: the _TRIAL_PREFIX fields, then
+    the samples."""
+    return np.dtype(
+        [("timestamp", "<u4"), ("label", "u1"), ("tag", "u1"), ("samples", "<f4", (c, t))]
+    )
+
+
 def encode_subject(dataset: SubjectDataset, n_classes: int) -> bytes:
     """Serialize one subject to the binary trial format."""
-    if dataset.trials:
-        c, t = dataset.n_channels, dataset.n_timepoints
-    else:
-        c, t = 0, 0
-    parts = [
-        _HEADER.pack(SUBJECT_MAGIC, FORMAT_VERSION, len(dataset.trials), c, t, n_classes)
-    ]
-    for trial, tag in zip(dataset.trials, dataset.split):
-        parts.append(_TRIAL_PREFIX.pack(trial.timestamp, trial.class_label, int(tag)))
-        parts.append(encode_trial_data(trial.trial))
-    return b"".join(parts)
+    n, c, t = dataset.block.shape
+    header = _HEADER.pack(SUBJECT_MAGIC, FORMAT_VERSION, n, c, t, n_classes)
+    if not n:
+        return header
+    if dataset.labels.max() > 255 or dataset.timestamps.max() > 0xFFFFFFFF:
+        raise ValueError("labels must fit in one byte and timestamps in four")
+    records = np.empty(n, _record_dtype(c, t))
+    records["timestamp"], records["label"] = dataset.timestamps, dataset.labels
+    records["tag"], records["samples"] = dataset.split, dataset.block
+    return header + records.tobytes()
 
 
 def decode_subject(buf: bytes, subject_id: int, path="<memory>") -> tuple:
     """Parse one subject file; returns (SubjectDataset, n_classes).
 
+    All whole records are read at once and checked with array operations.
     Raises StreamFormatError carrying the byte offset of the first
-    malformed field.
+    malformed field, found by re-reading the first bad record field by
+    field.
     """
     _need(buf, 0, _HEADER.size, "header", path)
     magic, version, n_trials, c, t, n_classes = _HEADER.unpack_from(buf, 0)
@@ -417,12 +502,19 @@ def decode_subject(buf: bytes, subject_id: int, path="<memory>") -> tuple:
         raise StreamFormatError(
             f"{path}: invalid trial dimensions {c}x{t}", offset=10
         )
-    offset = _HEADER.size
-    trials = []
-    tags = []
-    for i in range(n_trials):
+    size = _TRIAL_PREFIX.size + 4 * c * t
+    n_whole = min(n_trials, (len(buf) - _HEADER.size) // size)
+    # Only a record that fits in buf is sure to fit in a dtype.
+    dtype = _record_dtype(c, t) if n_whole else _record_dtype(0, 0)
+    records = np.frombuffer(buf, dtype, n_whole, _HEADER.size)
+    block = np.array(records["samples"], dtype=np.float32).reshape(n_whole, c, t)
+    bad = (records["label"] >= n_classes) | (records["tag"] > max(Split))
+    bad |= ~np.isfinite(block).all(axis=(1, 2))
+    i = int(bad.argmax()) if bad.any() else n_whole
+    if i < n_trials:  # record i is the first bad one: find its first bad field
+        offset = _HEADER.size + i * size
         _need(buf, offset, _TRIAL_PREFIX.size, f"trial {i} prefix", path)
-        timestamp, label, tag = _TRIAL_PREFIX.unpack_from(buf, offset)
+        _, label, tag = _TRIAL_PREFIX.unpack_from(buf, offset)
         if label >= n_classes:
             raise StreamFormatError(
                 f"{path}: trial {i} class_label {label} >= n_classes {n_classes}",
@@ -435,18 +527,13 @@ def decode_subject(buf: bytes, subject_id: int, path="<memory>") -> tuple:
             )
         offset += _TRIAL_PREFIX.size
         _need(buf, offset, 4 * c * t, f"trial {i} samples", path)
-        data = decode_trial_data(buf, offset, c, t)
-        try:
-            trial = LabeledTrial(
-                trial=data, class_label=label, subject_id=subject_id, timestamp=timestamp
-            )
-        except ValueError as exc:
-            raise StreamFormatError(f"{path}: trial {i}: {exc}", offset=offset) from exc
-        offset += 4 * c * t
-        trials.append(trial)
-        tags.append(Split(tag))
+        raise StreamFormatError(
+            f"{path}: trial {i}: trial contains non-finite values", offset=offset
+        )
     try:
-        ds = SubjectDataset(subject_id=subject_id, trials=tuple(trials), split=tuple(tags))
+        ds = SubjectDataset.from_arrays(
+            subject_id, block, records["label"], records["timestamp"], records["tag"]
+        )
     except ValueError as exc:
         raise StreamFormatError(f"{path}: {exc}", offset=_HEADER.size) from exc
     return ds, n_classes
@@ -512,13 +599,13 @@ def load_stream(path) -> Stream:
                 f"manifest says {manifest['n_classes']}",
                 offset=16,
             )
-        if ds.trials and ds.n_channels != manifest["n_channels"]:
+        if ds.n_trials and ds.n_channels != manifest["n_channels"]:
             raise StreamFormatError(
                 f"{fpath}: file has {ds.n_channels} channels, "
                 f"manifest says {manifest['n_channels']}",
                 offset=10,
             )
-        if ds.trials and ds.n_timepoints != manifest["n_timepoints"]:
+        if ds.n_trials and ds.n_timepoints != manifest["n_timepoints"]:
             raise StreamFormatError(
                 f"{fpath}: file has {ds.n_timepoints} timepoints, "
                 f"manifest says {manifest['n_timepoints']}",

@@ -24,13 +24,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .alignment import compute_whitener, reference_covariance
-from .data import Split, Stream, SubjectDataset
+from .alignment import whiten_subject
+from .alignment import compute_whitener, reference_covariance  # noqa: F401  traced by bench/
+from .data import Split
 from .errors import ConfigError, EmptyInputError, ShapeError, UndefinedMetricError
 from .ewc import OnlineEwc
 from .models import ModelConfig, build_model
 from .replay import ReplayMemory, store_class_balanced
-from .training import TrainConfig, evaluate_arrays, stack_trials, train
+from .training import TrainConfig, evaluate_arrays, train
 
 STRATEGY_KINDS = ("SFT", "ER", "EWC", "PCED")
 
@@ -187,16 +188,6 @@ def forgetting_curve(matrix: np.ndarray, subject: int) -> list:
     return series
 
 
-def _aligned_copy(trials, whitener: np.ndarray) -> tuple:
-    """The trials whitened by one matmul over the stacked split, each
-    rounded to float32 as LabeledTrial stores it."""
-    if not trials:
-        return ()
-    stacked = np.array([t.trial for t in trials], dtype=np.float64)
-    aligned = np.matmul(whitener, stacked).astype(np.float32)
-    return tuple(replace(t, trial=a) for t, a in zip(trials, aligned))
-
-
 def _derive_stage_seeds(train_seed: int, n_stages: int):
     states = np.random.SeedSequence(train_seed).generate_state(2 * n_stages + 1)
     shuffle = [int(s) for s in states[:n_stages]]
@@ -259,72 +250,52 @@ def run_continual(
     stage_subjects = []
 
     def take(stage, ds, split):
-        trials = ds.trials_for(split)
-        events.append(
-            AccessEvent(
-                stage=stage,
-                subject_id=ds.subject_id,
-                split=split.name.lower(),
-                n_trials=len(trials),
-            )
-        )
-        return trials
+        x, y = ds.arrays(split)
+        events.append(AccessEvent(stage, ds.subject_id, split.name.lower(), len(y)))
+        return x, y
 
     for stage in range(1, n + 1):
         started = time.perf_counter()
         ds = subjects[stage - 1]
         stage_subjects.append(ds.subject_id)
-        train_raw = take(stage, ds, Split.TRAIN)
-        val_raw = take(stage, ds, Split.VAL)
-        test_raw = take(stage, ds, Split.TEST)
-        for t in (*train_raw, *val_raw, *test_raw):
-            if t.trial.shape != shape:
-                raise ShapeError(
-                    f"subject {ds.subject_id} trial shape {t.trial.shape} "
-                    f"does not match model input {shape}"
-                )
-
+        if ds.block.shape[1:] != shape:
+            raise ShapeError(
+                f"subject {ds.subject_id} trial shape {ds.block.shape[1:]} "
+                f"does not match model input {shape}"
+            )
         if strategy.alignment_enabled:
             # The whitener comes from the training split alone; val and
             # test trials are whitened with it, never fed back into it.
-            ref = reference_covariance([t.trial for t in train_raw])
-            report = compute_whitener(ref)
-            train_t = _aligned_copy(train_raw, report.whitener)
-            val_t = _aligned_copy(val_raw, report.whitener)
-            test_t = _aligned_copy(test_raw, report.whitener)
-        else:
-            train_t, val_t, test_t = train_raw, val_raw, test_raw
+            ds, _ = whiten_subject(ds)
+        train_set, val_set, test_set = (take(stage, ds, split) for split in Split)
 
+        fit_set = train_set
         replayed = memory.snapshot() if memory is not None else ()
+        if replayed:
+            fit_set = (
+                np.concatenate([train_set[0], [t.trial for t in replayed]]),
+                np.concatenate([train_set[1], [t.class_label for t in replayed]]),
+            )
         penalty_hook = ewc_state.penalty_hook() if ewc_state is not None else None
         stage_cfg = replace(train_cfg, shuffle_seed=shuffle_seeds[stage - 1])
         params, history = train(
-            model,
-            params,
-            list(train_t) + list(replayed),
-            list(val_t),
-            stage_cfg,
-            penalty=penalty_hook,
+            model, params, fit_set, val_set, stage_cfg, penalty=penalty_hook
         )
         stage_epochs.append(len(history))
 
         if ewc_state is not None:
-            ewc_state.update(model, params, train_t)
+            ewc_state.update(model, params, train_set)
         if memory is not None:
             if memory.policy == "class_balanced":
-                stage_ds = SubjectDataset(
-                    subject_id=ds.subject_id,
-                    trials=train_t,
-                    split=(Split.TRAIN,) * len(train_t),
-                )
                 store_class_balanced(
-                    memory, stage_ds, strategy.memory.per_class, store_seeds[stage - 1]
+                    memory, ds, strategy.memory.per_class, store_seeds[stage - 1]
                 )
             else:
-                memory.offer_many(train_t)
+                memory.offer_many(ds.trials_for(Split.TRAIN))
         stage_memory.append(len(memory) if memory is not None else 0)
 
-        eval_cache.append(stack_trials(test_t))
+        # Test blocks stay float32; the model upcasts them exactly when used.
+        eval_cache.append(test_set)
         for i in range(stage):
             matrix[stage - 1, i] = evaluate_arrays(model, params, *eval_cache[i])
         stage_seconds.append(time.perf_counter() - started)

@@ -111,11 +111,14 @@ def inv_sqrt(a, eps: float | None = None) -> np.ndarray:
     rank-deficient input. When eps is omitted it defaults to
     1e-10 x max(largest eigenvalue, 1).
     """
-    eig = sym_eig(a)
+    return inv_sqrt_of_eig(sym_eig(a), eps)[0]
+
+
+def inv_sqrt_of_eig(eig: SymEigResult, eps: float | None = None) -> tuple:
+    """inv_sqrt from an eigendecomposition: returns (matrix, floor used)."""
     if eps is None:
         eps = default_eig_floor(eig.eigenvalues)
     elif eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    w = np.maximum(eig.eigenvalues, eps)
     v = eig.eigenvectors
-    return symmetrize((v / np.sqrt(w)) @ v.T)
+    return symmetrize((v / np.sqrt(np.maximum(eig.eigenvalues, eps))) @ v.T), eps

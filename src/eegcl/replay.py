@@ -184,16 +184,13 @@ def store_class_balanced(
     if per_class < 0:
         raise ConfigError(f"per_class must be >= 0, got {per_class}")
     rng = np.random.default_rng(rng)
-    train = dataset.trials_for(Split.TRAIN)
-    by_class: dict = {}
-    for t in train:
-        by_class.setdefault(t.class_label, []).append(t)
+    train = np.flatnonzero(dataset.split == Split.TRAIN)
+    labels = dataset.labels[train]
     chosen = []
-    for label in sorted(by_class):
-        pool = by_class[label]
-        k = min(per_class, len(pool))
-        picks = rng.choice(len(pool), size=k, replace=False)
-        chosen.extend(pool[i] for i in sorted(int(i) for i in picks))
+    for label in sorted(set(labels.tolist())):
+        pool = train[labels == label]
+        picks = rng.choice(len(pool), size=min(per_class, len(pool)), replace=False)
+        chosen.extend(dataset.trials[i] for i in pool[np.sort(picks)])
     stored = 0
     for entry in chosen:
         key = memory._check_entry(entry)
@@ -263,6 +260,8 @@ def memory_from_bytes(buf: bytes, seed: int = 0) -> ReplayMemory:
         raise ValueError(f"memory blob holds {n_entries} entries, over its capacity {capacity}")
     if seen < n_entries:
         raise ValueError(f"memory blob holds {n_entries} entries but has seen only {seen}")
+    if n_entries and (c < 1 or t < 1):
+        raise ValueError(f"memory blob holds {n_entries} entries of invalid dimensions {c}x{t}")
     memory = ReplayMemory(capacity=capacity, policy=policy, seed=seed)
     offset = _MEMORY_HEADER.size
     record = _ENTRY_PREFIX.size + 4 * c * t

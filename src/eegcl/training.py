@@ -102,13 +102,16 @@ def _make_optimizer(cfg: TrainConfig, n_params: int):
 
 
 def stack_trials(trials) -> tuple:
-    """Labeled trials -> (float64 batch (n, channels, time), int64 labels)."""
-    trials = list(trials)
-    if not trials:
+    """A sequence of LabeledTrials, or an (x, y) pair of arrays such as
+    SubjectDataset.arrays returns, as (float64 (n, channels, time), int64)."""
+    if isinstance(trials, tuple) and len(trials) == 2 and isinstance(trials[0], np.ndarray):
+        x, y = trials
+    else:
+        trials = list(trials)
+        x, y = [t.trial for t in trials], [t.class_label for t in trials]
+    if not len(x):
         raise EmptyInputError("cannot stack an empty trial list")
-    x = np.array([t.trial for t in trials], dtype=np.float64)
-    y = np.array([t.class_label for t in trials], dtype=np.int64)
-    return x, y
+    return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
 
 
 def evaluate_arrays(model, params: Params, x: np.ndarray, y: np.ndarray) -> float:
@@ -127,6 +130,7 @@ def evaluate_arrays(model, params: Params, x: np.ndarray, y: np.ndarray) -> floa
 def train(model, params: Params, train_set, val_set, cfg: TrainConfig, penalty=None):
     """Early-stopped mini-batch training.
 
+    train_set and val_set are trial sets as stack_trials takes them.
     Returns (best params, per-epoch history). Best means highest validation
     accuracy, earliest epoch on ties; the loop stops once `patience` epochs
     in a row fail to improve it (patience 0 therefore stops after the first

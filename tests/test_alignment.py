@@ -8,13 +8,16 @@ from eegcl import (
     ShapeError,
     Split,
     StreamConfig,
+    SubjectDataset,
     align_subject,
     compute_whitener,
     covariance,
     gen_stream,
     reference_covariance,
 )
-from eegcl.alignment import whiten_trials
+from eegcl.alignment import whiten_subject
+
+from helpers import balanced_subject
 
 
 def harmonic_trial(n_channels=4, n_timepoints=16):
@@ -213,10 +216,21 @@ class TestAlignSubject:
         for t, a in zip(trials, aligned):
             assert a.shape == t.shape
 
-    def test_whiten_trials_applies_matrix(self):
-        rng = np.random.default_rng(10)
-        trials = [rng.standard_normal((2, 6)) for _ in range(3)]
-        w = np.array([[2.0, 0.0], [0.0, 0.5]])
-        out = whiten_trials(trials, w)
-        for t, a in zip(trials, out):
-            np.testing.assert_allclose(a, w @ t, rtol=0, atol=0)
+    def test_whiten_subject_applies_training_whitener(self):
+        # the whitener comes from the training split alone and every trial,
+        # of every split, is W @ x rounded to float32 once
+        ds = balanced_subject(np.random.default_rng(10), 2, 6, n_channels=3, n_timepoints=8)
+        ds = SubjectDataset.from_arrays(
+            2, ds.block, ds.labels, ds.timestamps, [Split.TRAIN, Split.VAL, Split.TEST] * 4
+        )
+        aligned, report = whiten_subject(ds)
+        train = [t.trial for t in ds.trials_for(Split.TRAIN)]
+        assert np.array_equal(report.reference_covariance, reference_covariance(train))
+        whitener = compute_whitener(reference_covariance(train)).whitener
+        assert np.array_equal(report.whitener, whitener)
+        assert aligned.block.dtype == np.float32 and not aligned.block.flags.writeable
+        for before, after in zip(ds.trials, aligned.trials):
+            w_x = (report.whitener @ before.trial.astype(np.float64)).astype(np.float32)
+            assert np.array_equal(after.trial, w_x)
+        for name in ("labels", "timestamps", "split"):
+            assert np.array_equal(getattr(aligned, name), getattr(ds, name))

@@ -1,12 +1,25 @@
+import gc
 import json
+import os
 import struct
+import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eegcl.cli
-from eegcl import Split, covariance, load_stream
+from eegcl import (
+    Split,
+    SubjectDataset,
+    compute_whitener,
+    covariance,
+    load_stream,
+    reference_covariance,
+    save_stream,
+)
 from eegcl.cli import main, parse_experiment_config
 
 
@@ -103,6 +116,24 @@ class TestAlign:
             train = ds.trials_for(Split.TRAIN)
             mean_cov = sum(covariance(t.trial) for t in train) / len(train)
             assert np.linalg.norm(mean_cov - np.eye(3)) < 1e-4
+
+    def test_writes_the_per_trial_whitening(self, tmp_path, capsys):
+        # the stream `align` writes is byte for byte the one the per-trial
+        # loop wrote: W from the training split, then W @ x for each trial
+        config = write_json(tmp_path / "gen.json", gen_config(n_classes=3, trials_per_subject=15))
+        main(["gen", "--config", str(config), "--out", str(tmp_path / "stream")])
+        assert main(["align", "--stream", str(tmp_path / "stream"),
+                     "--out", str(tmp_path / "aligned"), "--eps", "0.01"]) == 0
+        stream = load_stream(tmp_path / "stream")
+        subjects = []
+        for ds in stream:
+            train = [t.trial for t in ds.trials_for(Split.TRAIN)]
+            w = compute_whitener(reference_covariance(train), 0.01).whitener
+            trials = [replace(t, trial=w @ t.trial.astype(np.float64)) for t in ds.trials]
+            subjects.append(SubjectDataset(subject_id=ds.subject_id, trials=trials, split=ds.split))
+        save_stream(replace(stream, subjects=subjects), tmp_path / "reference")
+        for path in sorted((tmp_path / "reference").iterdir()):
+            assert (tmp_path / "aligned" / path.name).read_bytes() == path.read_bytes()
 
     def test_missing_stream_exits_3(self, tmp_path):
         rc = main(["align", "--stream", str(tmp_path / "void"),
@@ -270,6 +301,7 @@ class TestRunCommand:
         rc = main(["run", "--config", str(config), "--out", str(tmp_path / "out"),
                    "--jobs", "0"])
         assert rc == 2
+        assert not (tmp_path / "out").exists()  # refused before any generation or output
 
     def test_corrupted_subject_file_exits_3(self, tmp_path):
         gen_cfg = write_json(tmp_path / "gen.json", gen_config())
@@ -383,3 +415,29 @@ class TestReportCommand:
         }
         write_json(tmp_path / "report_sft_0.json", report)
         assert main(["report", str(tmp_path), "--curve", "subject=1"]) == 4
+
+
+class TestProcessEntry:
+    def test_in_process_main_leaves_the_collector_alone(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        config = write_json(tmp_path / "gen.json", gen_config())
+        assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_process_entry_freezes_and_skips_the_pool_import(self, tmp_path):
+        config = write_json(tmp_path / "gen.json", gen_config())
+        probe = (
+            "import gc, sys\n"
+            "import eegcl.cli\n"
+            "sys.argv = ['eegcl', 'gen', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+            "code = eegcl.cli.main()\n"
+            "print(code, gc.get_freeze_count() > 0, 'concurrent.futures.process' in sys.modules)\n"
+        )
+        src = str(Path(eegcl.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(config), str(tmp_path / "s")],
+            capture_output=True, text=True, env=env, timeout=60, check=True,
+        ).stdout
+        assert out.splitlines()[-1] == "0 True False"

@@ -1,6 +1,9 @@
+import itertools
 import json
+import math
 import pickle
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from eegcl import (
     StreamFormatError,
     SubjectDataset,
     align_subject,
+    datasets_equal,
     decode_subject,
     encode_subject,
     gen_stream,
@@ -24,7 +28,8 @@ from eegcl import (
     streams_equal,
     trials_equal,
 )
-from eegcl.data import decode_trial_data, encode_trial_data
+from eegcl.data import _draw_mixing, decode_trial_data, encode_trial_data
+from eegcl.linalg import covariance, inv_sqrt
 
 from helpers import balanced_subject, make_trial, tiny_trials
 
@@ -50,6 +55,66 @@ def counts_by_split(dataset):
     for s in dataset.split:
         out[s] += 1
     return out
+
+
+def per_trial_split(labels, train_frac, seed):
+    """split_subject's tags as the per-class loop over trial indices that
+    the index-array version replaced."""
+    by_class = {}
+    for idx, label in enumerate(labels):
+        by_class.setdefault(label, []).append(idx)
+    rng = np.random.default_rng(seed)
+    tags = [Split.TRAIN] * len(labels)
+    next_is_val = True
+    for label in sorted(by_class):
+        order = np.array(by_class[label])
+        rng.shuffle(order)
+        n_train = int(math.floor(train_frac * len(order)))
+        for pos, idx in enumerate(order):
+            if pos >= n_train:
+                tags[idx] = Split.VAL if next_is_val else Split.TEST
+                next_is_val = not next_is_val
+    return tags
+
+
+def per_trial_gen_stream(config, train_frac=0.7):
+    """gen_stream as the per-trial loop it replaced: the same draws in the
+    same order, then one mixing matmul and one float32 rounding per trial."""
+    rng = np.random.default_rng(config.seed)
+    c, t = config.n_channels, config.n_timepoints
+    raw = rng.standard_normal((config.n_classes, c, t))
+    mean_cov = np.zeros((c, c))
+    for pattern in raw:
+        mean_cov += covariance(pattern)
+    mean_cov /= config.n_classes
+    whiten = inv_sqrt(mean_cov)
+    patterns = np.array([whiten @ pattern for pattern in raw])
+    subjects = []
+    for k in range(config.n_subjects):
+        mixing = _draw_mixing(rng, c, config.mixing_scale)
+        trials = []
+        for i in range(config.trials_per_subject):
+            label = i % config.n_classes
+            gain = 1.0
+            if config.randomize_polarity:
+                gain = 1.0 if rng.random() < 0.5 else -1.0
+            noise = rng.standard_normal((c, t))
+            x = mixing @ (gain * patterns[label] + config.noise_sigma * noise)
+            trials.append(make_trial(x, label=label, subject=k, timestamp=i))
+        tags = per_trial_split([tr.class_label for tr in trials], train_frac,
+                               int(rng.integers(0, 2**32 - 1)))
+        subjects.append(SubjectDataset(subject_id=k, trials=tuple(trials), split=tags))
+    return subjects
+
+
+def per_trial_encode(ds, n_classes):
+    """encode_subject as the per-trial struct packing it replaced."""
+    c, t = (ds.n_channels, ds.n_timepoints) if ds.n_trials else (0, 0)
+    parts = [HEADER.pack(b"EEGC", 1, ds.n_trials, c, t, n_classes)]
+    for trial, tag in zip(ds.trials, ds.split):
+        parts.append(TRIAL_PREFIX.pack(trial.timestamp, trial.class_label, int(tag)))
+        parts.append(encode_trial_data(trial.trial))
+    return b"".join(parts)
 
 
 class TestLabeledTrial:
@@ -107,6 +172,40 @@ class TestSubjectDataset:
     def test_class_counts(self):
         assert balanced(5).class_counts() == {0: 5, 1: 5}
 
+    def test_built_from_trials_equals_built_from_arrays(self):
+        ds = split_subject(balanced(5, n_classes=3, n_channels=3, n_timepoints=6), 0.6, seed=1)
+        trials = tuple(ds.trials)
+        from_trials = SubjectDataset(subject_id=0, trials=trials, split=ds.split)
+        from_arrays = SubjectDataset.from_arrays(
+            0, np.array([t.trial for t in trials]), [t.class_label for t in trials],
+            [t.timestamp for t in trials], ds.split,
+        )
+        assert datasets_equal(from_trials, from_arrays)
+        assert from_arrays.block.shape == (15, 3, 6) and from_arrays.block.dtype == np.float32
+        for built in (from_trials, from_arrays):
+            assert all(trials_equal(a, b) for a, b in zip(built.trials, trials))
+            for a in (built.block, built.labels, built.timestamps, built.split):
+                assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                built.block[0, 0, 0] = 1.0
+
+    def test_replace_trials_or_split(self):
+        ds = balanced(4)
+        retagged = replace(ds, split=[Split.TEST] * 8)
+        assert retagged.block is ds.block
+        assert retagged.split.tolist() == [Split.TEST] * 8
+        later = [replace(t, timestamp=t.timestamp + 10) for t in ds.trials]
+        moved = replace(ds, trials=later)
+        assert moved.timestamps.tolist() == list(range(10, 18))
+        assert np.array_equal(moved.block, ds.block)
+        with pytest.raises(ValueError):
+            replace(ds, split=[Split.TRAIN] * 3)
+
+    def test_trials_of_another_subject_rejected(self):
+        with pytest.raises(ValueError, match="belongs to subject 0"):
+            SubjectDataset(subject_id=1, trials=tiny_trials(np.random.default_rng(0), 2),
+                           split=(Split.TRAIN,) * 2)
+
 
 class TestSplitSubject:
     def test_hundred_trials_give_70_15_15(self):
@@ -127,7 +226,8 @@ class TestSplitSubject:
 
     def test_same_seed_same_tags(self):
         ds = balanced(10, n_classes=3)
-        assert split_subject(ds, 0.6, seed=9).split == split_subject(ds, 0.6, seed=9).split
+        a, b = split_subject(ds, 0.6, seed=9), split_subject(ds, 0.6, seed=9)
+        assert np.array_equal(a.split, b.split)
 
     def test_trials_untouched_only_tags_change(self):
         ds = balanced(6)
@@ -220,6 +320,17 @@ class TestGenStream:
                 assert np.array_equal(t.trial, -ref)
                 signs.append(-1)
         assert 1 in signs and -1 in signs
+
+    @pytest.mark.parametrize(
+        "seed, n_classes, polarity", list(itertools.product(range(4), (2, 3), (True, False)))
+    )
+    def test_equals_per_trial_generator(self, seed, n_classes, polarity):
+        cfg = StreamConfig(n_subjects=3, n_channels=4, n_timepoints=16, n_classes=n_classes,
+                           trials_per_subject=31, randomize_polarity=polarity, seed=seed)
+        reference = per_trial_gen_stream(cfg)
+        stream = gen_stream(cfg)
+        assert len(stream) == len(reference)
+        assert all(datasets_equal(a, b) for a, b in zip(stream, reference))
 
     def test_deterministic_per_seed(self):
         cfg = StreamConfig(
@@ -319,7 +430,7 @@ class TestSubjectCodec:
         ds = split_subject(balanced(5), 0.7, seed=0)
         out, n_classes = decode_subject(encode_subject(ds, 2), ds.subject_id)
         assert n_classes == 2
-        assert out.split == ds.split
+        assert np.array_equal(out.split, ds.split)
         for a, b in zip(ds.trials, out.trials):
             assert trials_equal(a, b)
 
@@ -417,6 +528,14 @@ class TestStreamIO:
             for t in ds.trials:
                 assert t.trial.dtype == np.float32
                 assert not t.trial.flags.writeable
+
+    def test_save_writes_the_per_trial_encoding(self, tmp_path):
+        stream = gen_stream(StreamConfig(n_subjects=2, n_channels=3, n_timepoints=12,
+                                         n_classes=3, trials_per_subject=15, seed=6))
+        save_stream(stream, tmp_path / "s")
+        for ds in stream:
+            written = (tmp_path / "s" / f"subject_{ds.subject_id:03d}.eegc").read_bytes()
+            assert written == per_trial_encode(ds, stream.n_classes)
 
     def test_save_is_deterministic(self, tmp_path):
         stream = self.small_stream()

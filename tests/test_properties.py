@@ -1,0 +1,194 @@
+"""Property tests for the binary decoders: on arbitrary bytes, and on
+single-byte mutations and truncations of valid files, a decoder either
+returns what its encoder writes back byte for byte or raises its
+documented error.
+
+decode_subject reads all records of a subject at once; the per-trial
+decoder it replaced is kept here as its reference, and every error must
+match that decoder's message and byte offset.
+"""
+
+import struct
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, strategies as st  # noqa: E402
+
+from eegcl import (  # noqa: E402
+    LabeledTrial,
+    ReplayMemory,
+    StreamConfig,
+    StreamFormatError,
+    SubjectDataset,
+    decode_subject,
+    encode_subject,
+    gen_stream,
+    store_class_balanced,
+    trials_equal,
+)
+from eegcl.data import decode_trial_data  # noqa: E402
+from eegcl.replay import memory_from_bytes, memory_to_bytes  # noqa: E402
+
+from helpers import tiny_trials  # noqa: E402
+
+HEADER = struct.Struct("<4sHIHIH")
+TRIAL_PREFIX = struct.Struct("<IBB")
+# An EEGM blob's header up to, not including, its trial dimensions.
+MEMORY_HEADER_BEFORE_DIMS = 23
+
+
+def _need(buf, offset, n, what, path):
+    if offset + n > len(buf):
+        raise StreamFormatError(
+            f"{path}: truncated while reading {what} "
+            f"(need {n} bytes at offset {offset}, have {len(buf) - offset})",
+            offset=offset,
+        )
+
+
+def per_trial_decode(buf, path="<memory>"):
+    """The per-trial subject decoder: returns (trials, split tags,
+    n_classes, bytes read), or raises the StreamFormatError the block
+    decoder must reproduce."""
+    _need(buf, 0, HEADER.size, "header", path)
+    magic, version, n_trials, c, t, n_classes = HEADER.unpack_from(buf, 0)
+    if magic != b"EEGC":
+        raise StreamFormatError(f"{path}: bad magic {magic!r}, expected {b'EEGC'!r}", offset=0)
+    if version != 1:
+        raise StreamFormatError(f"{path}: unsupported format version {version}", offset=4)
+    if n_trials > 0 and (c < 1 or t < 1):
+        raise StreamFormatError(f"{path}: invalid trial dimensions {c}x{t}", offset=10)
+    offset = HEADER.size
+    trials, tags = [], []
+    for i in range(n_trials):
+        _need(buf, offset, TRIAL_PREFIX.size, f"trial {i} prefix", path)
+        timestamp, label, tag = TRIAL_PREFIX.unpack_from(buf, offset)
+        if label >= n_classes:
+            raise StreamFormatError(
+                f"{path}: trial {i} class_label {label} >= n_classes {n_classes}",
+                offset=offset + 4,
+            )
+        if tag not in (0, 1, 2):
+            raise StreamFormatError(
+                f"{path}: trial {i} split tag {tag} not in {{0, 1, 2}}", offset=offset + 5
+            )
+        offset += TRIAL_PREFIX.size
+        _need(buf, offset, 4 * c * t, f"trial {i} samples", path)
+        try:
+            trial = LabeledTrial(
+                trial=decode_trial_data(buf, offset, c, t), class_label=label,
+                subject_id=0, timestamp=timestamp,
+            )
+        except ValueError as exc:
+            raise StreamFormatError(f"{path}: trial {i}: {exc}", offset=offset) from exc
+        offset += 4 * c * t
+        trials.append(trial)
+        tags.append(tag)
+    last = -1
+    for trial in trials:
+        if trial.timestamp <= last:
+            raise StreamFormatError(
+                f"{path}: timestamps must increase strictly within a subject "
+                f"(saw {trial.timestamp} after {last})",
+                offset=HEADER.size,
+            )
+        last = trial.timestamp
+    return trials, tags, n_classes, offset
+
+
+def _valid_subject_files():
+    stream = gen_stream(StreamConfig(n_subjects=2, n_channels=2, n_timepoints=3,
+                                     n_classes=3, trials_per_subject=9, seed=1))
+    empty = SubjectDataset.from_arrays(0, np.empty((0, 2, 3)), [], [], [])
+    return [encode_subject(ds, stream.n_classes) for ds in (*stream, empty)]
+
+
+def _valid_memory_blobs():
+    reservoir = ReplayMemory(capacity=4, policy="reservoir_standard", seed=2)
+    reservoir.offer_many(tiny_trials(np.random.default_rng(0), 9, n_channels=2, n_timepoints=3))
+    balanced = ReplayMemory(capacity=6, policy="class_balanced", seed=3)
+    for ds in gen_stream(StreamConfig(n_subjects=2, n_channels=2, n_timepoints=3,
+                                      trials_per_subject=9, seed=4)):
+        store_class_balanced(balanced, ds, per_class=2, rng=ds.subject_id)
+    return [memory_to_bytes(m) for m in (reservoir, balanced, ReplayMemory(capacity=3))]
+
+
+def set_byte(buf, pos, byte):
+    pos %= len(buf)
+    return buf[:pos] + bytes([byte]) + buf[pos + 1 :]
+
+
+def damaged(valid, magic):
+    """Arbitrary bytes, bytes after a valid magic and version, and valid
+    files with one byte changed or cut short."""
+    pick = st.sampled_from(valid)
+    return st.one_of(
+        st.binary(max_size=80),
+        st.binary(max_size=160).map(lambda b: magic + b"\x01\x00" + b),
+        st.builds(set_byte, pick, st.integers(0, 10**6), st.integers(0, 255)),
+        st.builds(lambda buf, n: buf[: n % len(buf)], pick, st.integers(0, 10**6)),
+    )
+
+
+# Byte values that hit field bounds: the split tags and class counts, and,
+# written over a float's high byte, infinities and NaNs.
+EDGE_BYTES = (0x00, 0x01, 0x02, 0x03, 0x7F, 0x80, 0xFE, 0xFF)
+
+
+def every_single_byte_damage(buf):
+    """Every truncation of buf, and buf with each byte set to each edge value."""
+    for pos in range(len(buf)):
+        yield buf[:pos]
+        for byte in EDGE_BYTES:
+            yield set_byte(buf, pos, byte)
+
+
+def check_subject_bytes(buf):
+    try:
+        trials, tags, n_classes, used = per_trial_decode(buf)
+    except StreamFormatError as expected:
+        with pytest.raises(StreamFormatError) as got:
+            decode_subject(buf, 0)
+        assert (got.value.offset, str(got.value)) == (expected.offset, str(expected))
+        return
+    ds, n = decode_subject(buf, 0)
+    assert n == n_classes
+    assert len(ds.trials) == len(trials)
+    assert all(trials_equal(a, b) for a, b in zip(ds.trials, trials))
+    assert ds.split.tolist() == tags
+    assert encode_subject(ds, n) == buf[:used]
+
+
+def check_memory_bytes(blob):
+    try:
+        memory = memory_from_bytes(blob)
+    except ValueError:
+        return
+    again = memory_to_bytes(memory)
+    if len(memory):
+        assert again == blob
+    else:  # an empty memory keeps no trial dimensions
+        assert len(blob) == len(again)
+        assert again[:MEMORY_HEADER_BEFORE_DIMS] == blob[:MEMORY_HEADER_BEFORE_DIMS]
+
+
+@given(buf=damaged(_valid_subject_files(), b"EEGC"))
+def test_decode_subject_round_trips_or_fails_like_the_per_trial_decoder(buf):
+    check_subject_bytes(buf)
+
+
+def test_decode_subject_on_every_single_byte_damage():
+    for buf in every_single_byte_damage(_valid_subject_files()[0]):
+        check_subject_bytes(buf)
+
+
+@given(blob=damaged(_valid_memory_blobs(), b"EEGM"))
+def test_memory_from_bytes_round_trips_or_raises_value_error(blob):
+    check_memory_bytes(blob)
+
+
+def test_memory_from_bytes_on_every_single_byte_damage():
+    for blob in every_single_byte_damage(_valid_memory_blobs()[0]):
+        check_memory_bytes(blob)

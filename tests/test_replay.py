@@ -301,6 +301,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="seen"):
             memory_from_bytes(self._five_entry_blob(5, 0))
 
+    @pytest.mark.parametrize("dims", [(0, 0), (3, 0), (0, 3)], ids=str)
+    def test_empty_trials_rejected(self, dims):
+        # header: magic, version, capacity, seen, policy, n_entries, channels,
+        # timepoints; then two entry prefixes whose samples take no bytes
+        c, t = dims
+        blob = struct.pack("<4sHIQBIHI", b"EEGM", 1, 4, 2, 0, 2, c, t)
+        blob += struct.pack("<IIB", 0, 0, 0) + struct.pack("<IIB", 0, 1, 1)
+        with pytest.raises(ValueError, match="dimensions"):
+            memory_from_bytes(blob)
+
     def test_duplicate_exemplar_rejected(self):
         mem = ReplayMemory(capacity=2, seed=0)
         mem.offer_many(stream_of(2))
