@@ -40,7 +40,7 @@ import numpy as np
 
 from .alignment import whiten_subject
 from .alignment import compute_whitener, reference_covariance  # noqa: F401  traced by bench/
-from .data import Stream, StreamConfig, gen_stream, load_stream, save_stream
+from .data import Split, Stream, StreamConfig, gen_stream, load_stream, save_stream
 from .errors import (
     ConfigError,
     DegenerateInputError,
@@ -53,14 +53,11 @@ from .harness import (
     MemoryConfig,
     RunRecord,
     Strategy,
-    er_strategy,
-    ewc_strategy,
+    build_strategy,
     forgetting_curve,
     matrix_to_csv,
-    pced_strategy,
     record_to_json_dict,
     run_continual,
-    sft_strategy,
 )
 from .models import ModelConfig
 from .replay import POLICIES
@@ -163,15 +160,7 @@ def _parse_strategy(item, default_memory: MemoryConfig, default_lambda: float) -
     lam = _nonnegative_number(spec.pop("lambda", default_lambda), "strategy lambda")
     if spec:
         raise ConfigError(f"unknown strategy keys: {sorted(spec)}")
-    if kind == "SFT":
-        return sft_strategy()
-    if kind == "ER":
-        return er_strategy(memory=memory)
-    if kind == "EWC":
-        return ewc_strategy(lam=lam)
-    if kind == "PCED":
-        return pced_strategy(memory=memory)
-    raise ConfigError(f"unknown strategy kind {kind!r}")
+    return build_strategy(kind, memory=memory, lam=lam)
 
 
 def parse_experiment_config(data: dict) -> ExperimentConfig:
@@ -284,6 +273,7 @@ def cmd_align(args) -> int:
     aligned stream is written in the normal stream format.
     """
     stream = load_stream(args.stream)
+    stream.require_splits(Split.TRAIN)
     aligned_subjects = []
     for ds in stream:
         aligned, report = whiten_subject(ds, args.eps)
@@ -344,6 +334,7 @@ def cmd_run(args) -> int:
         if not (stream_path / "manifest.json").is_file():
             raise ConfigError(f"stream path has no manifest.json: {stream_path}")
         stream = load_stream(stream_path)
+    stream.require_splits(*Split)
 
     model_cfg = _fit_model_to_stream(config.model, config.model_dims_set, stream)
     model_cfg.validate()

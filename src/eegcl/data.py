@@ -301,6 +301,15 @@ class Stream:
                     f">= n_classes {self.n_classes}"
                 )
 
+    def require_splits(self, *splits: Split) -> None:
+        """Raise StreamFormatError naming the first subject with no trials
+        in one of splits."""
+        for ds, split in ((ds, split) for ds in self.subjects for split in splits):
+            if not (ds.split == split).any():
+                raise StreamFormatError(
+                    f"subject {ds.subject_id} has no {split.name.lower()} trials"
+                )
+
     def __len__(self) -> int:
         return len(self.subjects)
 
@@ -564,8 +573,16 @@ def save_stream(stream: Stream, path) -> None:
     (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _manifest_int(value, what: str, path, minimum: int = 0) -> int:
+    """value, if it is a JSON integer (a bool is not) of at least minimum."""
+    if type(value) is not int or value < minimum:
+        raise StreamFormatError(f"{path}: {what} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def load_stream(path) -> Stream:
-    """Load a stream directory; inverse of save_stream, bit-exact."""
+    """Load a stream directory; inverse of save_stream, bit-exact. A
+    malformed manifest or subject file is a StreamFormatError."""
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     if not manifest_path.is_file():
@@ -574,25 +591,39 @@ def load_stream(path) -> Stream:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as exc:
         raise StreamFormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
+    if not isinstance(manifest, dict):
+        raise StreamFormatError(f"{manifest_path}: manifest must be a JSON object")
     for key in ("version", "n_subjects", "n_channels", "n_timepoints", "n_classes", "seed", "subjects"):
         if key not in manifest:
             raise StreamFormatError(f"{manifest_path}: missing key {key!r}")
+    for key, minimum in (("version", 0), ("n_subjects", 0), ("n_channels", 1),
+                         ("n_timepoints", 1), ("n_classes", 1), ("seed", 0)):
+        _manifest_int(manifest[key], key, manifest_path, minimum)
     if manifest["version"] != FORMAT_VERSION:
         raise StreamFormatError(
             f"{manifest_path}: unsupported manifest version {manifest['version']}"
         )
     entries = manifest["subjects"]
+    if not isinstance(entries, list):
+        raise StreamFormatError(f"{manifest_path}: 'subjects' must be a list")
     if len(entries) != manifest["n_subjects"]:
         raise StreamFormatError(
             f"{manifest_path}: manifest declares {manifest['n_subjects']} subjects "
             f"but lists {len(entries)} files"
         )
     subjects = []
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
+            raise StreamFormatError(f"{manifest_path}: subjects[{i}] needs a 'file' name")
+        subject_id = _manifest_int(
+            entry.get("subject_id"), f"subjects[{i}] subject_id", manifest_path
+        )
+        if any(ds.subject_id == subject_id for ds in subjects):
+            raise StreamFormatError(f"{manifest_path}: subject {subject_id} is listed twice")
         fpath = root / entry["file"]
         if not fpath.is_file():
             raise StreamFormatError(f"{fpath}: listed in manifest but missing")
-        ds, n_classes = decode_subject(fpath.read_bytes(), entry["subject_id"], fpath)
+        ds, n_classes = decode_subject(fpath.read_bytes(), subject_id, fpath)
         if n_classes != manifest["n_classes"]:
             raise StreamFormatError(
                 f"{fpath}: file declares {n_classes} classes, "

@@ -20,7 +20,7 @@ undefined upper triangle.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -32,8 +32,6 @@ from .ewc import OnlineEwc
 from .models import ModelConfig, build_model
 from .replay import ReplayMemory, store_class_balanced
 from .training import TrainConfig, evaluate_arrays, train
-
-STRATEGY_KINDS = ("SFT", "ER", "EWC", "PCED")
 
 DEFAULT_MEMORY_CAPACITY = 160
 DEFAULT_PER_CLASS = 10
@@ -51,15 +49,30 @@ class EwcConfig:
     lam: float = 100.0
 
 
+# Each strategy kind: whether it uses alignment, a memory and EWC, and the
+# rule validate() reports when a strategy's fields differ from its row.
+STRATEGY_TABLE = {
+    "SFT": (False, False, False, "SFT uses no memory, no EWC, and no alignment"),
+    "ER": (False, True, False, "ER needs a memory config and no alignment"),
+    "EWC": (False, False, True, "EWC needs an EWC config and no memory"),
+    "PCED": (True, True, False, "PCED needs a memory config and alignment enabled"),
+}
+STRATEGY_KINDS = tuple(STRATEGY_TABLE)
+
+
+def _kind(name) -> tuple:
+    if name not in STRATEGY_KINDS:
+        raise ConfigError(f"unknown strategy kind {name!r}")
+    return STRATEGY_TABLE[name]
+
+
 @dataclass(frozen=True)
 class Strategy:
     """Which forgetting-mitigation mechanisms a run uses.
 
     The loop dispatches on the fields (alignment flag, memory config, ewc
     config), never on the kind label, so mechanisms compose orthogonally.
-    The sft_strategy/er_strategy/ewc_strategy/pced_strategy factories build
-    the four named configurations; validate() checks that a strategy's
-    fields match its label's definition.
+    build_strategy builds, and validate() checks, a kind's STRATEGY_TABLE row.
     """
 
     kind: str
@@ -68,38 +81,39 @@ class Strategy:
     ewc: EwcConfig | None = None
 
     def validate(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ConfigError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == "SFT" and (
-            self.memory is not None or self.ewc is not None or self.alignment_enabled
-        ):
-            raise ConfigError("SFT uses no memory, no EWC, and no alignment")
-        if self.kind == "ER" and (self.memory is None or self.alignment_enabled):
-            raise ConfigError("ER needs a memory config and no alignment")
-        if self.kind == "EWC" and (self.ewc is None or self.memory is not None):
-            raise ConfigError("EWC needs an EWC config and no memory")
-        if self.kind == "PCED" and (self.memory is None or not self.alignment_enabled):
-            raise ConfigError("PCED needs a memory config and alignment enabled")
+        *uses, rule = _kind(self.kind)
+        if [bool(self.alignment_enabled), self.memory is not None, self.ewc is not None] != uses:
+            raise ConfigError(rule)
+
+
+def build_strategy(
+    kind: str, memory: MemoryConfig | None = None, lam: float = EwcConfig.lam
+) -> Strategy:
+    """The strategy of one kind; a kind without a memory or EWC ignores
+    memory or lam."""
+    alignment, uses_memory, uses_ewc, _ = _kind(kind)
+    return Strategy(kind, alignment, (memory or MemoryConfig()) if uses_memory else None,
+                    EwcConfig(lam) if uses_ewc else None)
 
 
 def sft_strategy() -> Strategy:
     """Sequential fine-tuning: carry parameters forward, nothing else."""
-    return Strategy(kind="SFT")
+    return build_strategy("SFT")
 
 
 def er_strategy(memory: MemoryConfig | None = None) -> Strategy:
     """Experience replay: bounded exemplar memory, no alignment."""
-    return Strategy(kind="ER", memory=memory or MemoryConfig())
+    return build_strategy("ER", memory=memory)
 
 
-def ewc_strategy(lam: float = 100.0) -> Strategy:
+def ewc_strategy(lam: float = EwcConfig.lam) -> Strategy:
     """Elastic weight consolidation: quadratic anchoring, no memory."""
-    return Strategy(kind="EWC", ewc=EwcConfig(lam=lam))
+    return build_strategy("EWC", lam=lam)
 
 
 def pced_strategy(memory: MemoryConfig | None = None) -> Strategy:
     """Personalized continual decoding: per-subject alignment plus replay."""
-    return Strategy(kind="PCED", alignment_enabled=True, memory=memory or MemoryConfig())
+    return build_strategy("PCED", memory=memory)
 
 
 @dataclass(frozen=True)
@@ -337,22 +351,13 @@ def record_to_json_dict(record: RunRecord) -> dict:
         [None if not np.isfinite(v) else float(v) for v in row]
         for row in record.matrix
     ]
-    mem = None
-    if record.strategy.memory is not None:
-        mem = {
-            "capacity": record.strategy.memory.capacity,
-            "per_class": record.strategy.memory.per_class,
-            "policy": record.strategy.memory.policy,
-        }
-    ewc_cfg = None
-    if record.strategy.ewc is not None:
-        ewc_cfg = {"lambda": record.strategy.ewc.lam}
+    strategy = record.strategy
     return {
         "strategy": {
-            "kind": record.strategy.kind,
-            "alignment_enabled": record.strategy.alignment_enabled,
-            "memory": mem,
-            "ewc": ewc_cfg,
+            "kind": strategy.kind,
+            "alignment_enabled": strategy.alignment_enabled,
+            "memory": asdict(strategy.memory) if strategy.memory is not None else None,
+            "ewc": {"lambda": strategy.ewc.lam} if strategy.ewc is not None else None,
         },
         "seeds": record.seeds,
         "n_subjects": int(record.matrix.shape[0]),

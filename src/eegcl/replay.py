@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 import struct
+from collections import Counter
 
 import numpy as np
 
@@ -37,7 +38,9 @@ _ENTRY_PREFIX = struct.Struct("<IIB")  # subject_id, timestamp, class_label
 
 
 class ReplayMemory:
-    """Bounded exemplar buffer; at most `capacity` labeled trials."""
+    """Bounded exemplar buffer: at most `capacity` labeled trials of one
+    shape, each (subject_id, timestamp) key at most once. offer_many inserts
+    under the reservoir policies, store under class_balanced."""
 
     def __init__(self, capacity: int, policy: str = "reservoir_standard", seed: int = 0):
         if capacity < 0:
@@ -55,7 +58,8 @@ class ReplayMemory:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _check_entry(self, entry: LabeledTrial):
+    def _check_entry(self, entry: LabeledTrial) -> tuple:
+        """Check an entry against the memory's shape and keys; returns its key."""
         if self._shape is None:
             self._shape = entry.trial.shape
         elif entry.trial.shape != self._shape:
@@ -68,44 +72,14 @@ class ReplayMemory:
             raise ValueError(f"exemplar {key} is already in memory")
         return key
 
-    def offer(self, entry: LabeledTrial) -> bool:
-        """Offer one streamed item; returns whether it was stored.
-
-        Free space is always filled in arrival order. Once full, the
-        configured reservoir policy decides replacement; see the module
-        docstring for the two probability rules.
-        """
-        if self.policy == "class_balanced":
-            raise ConfigError(
-                "offer() requires a reservoir policy; "
-                "use store_class_balanced with policy='class_balanced'"
-            )
-        key = self._check_entry(entry)
-        self.seen += 1
-        if self.capacity == 0:
-            return False
-        if len(self.entries) < self.capacity:
-            self.entries.append(entry)
-            self._keys.add(key)
-            return True
-        if self.policy == "reservoir_standard":
-            p = self.capacity / self.seen
-        else:
-            p = self.capacity / (self.capacity + len(self.entries))
-        if self._rng.random() < p:
-            slot = self._rng.randrange(self.capacity)
-            old = self.entries[slot]
-            self._keys.discard((old.subject_id, old.timestamp))
-            self.entries[slot] = entry
-            self._keys.add(key)
-            return True
-        return False
-
     def offer_many(self, entries) -> int:
-        """Offer a sequence of items; returns how many were stored.
+        """Offer streamed items in order; returns how many were stored.
 
-        Same semantics as repeated offer(), with the per-call overhead
-        hoisted out of the loop so large synthetic streams stay cheap.
+        Free slots fill in arrival order. Once full, each offer draws one
+        random() against the policy's replacement probability (module
+        docstring) and, if accepted, a randrange for its slot. A bad entry
+        raises after every earlier one was offered; the loop inlines
+        _check_entry, since a call per item costs ~10% more.
         """
         if self.policy == "class_balanced":
             raise ConfigError(
@@ -153,15 +127,42 @@ class ReplayMemory:
         self.seen = seen
         return accepted
 
+    def store(self, entries) -> int:
+        """Store every entry, in order; returns how many were stored. While
+        the memory is full, one entry is evicted, uniformly at random via
+        the memory's own rng, among those of the oldest subject still
+        present. This is the class_balanced policy's insertion."""
+        stored = 0
+        for entry in entries:
+            key = self._check_entry(entry)
+            self.seen += 1
+            if self.capacity == 0:
+                continue
+            while len(self.entries) >= self.capacity:
+                self._evict_from_oldest_subject()
+            self.entries.append(entry)
+            self._keys.add(key)
+            stored += 1
+        return stored
+
+    def _evict_from_oldest_subject(self):
+        # store appends, so entries stay in arrival order whatever the ids
+        oldest = self.entries[0].subject_id
+        slots = [i for i, e in enumerate(self.entries) if e.subject_id == oldest]
+        victim = self.entries.pop(slots[self._rng.randrange(len(slots))])
+        self._keys.discard((victim.subject_id, victim.timestamp))
+
+    def restore(self, entries, seen: int):
+        """Put a saved memory's entries (in storage order) and seen back."""
+        self.store(entries)
+        self.seen = seen
+
     def snapshot(self) -> tuple:
         """Immutable copy of the current contents, in storage order."""
         return tuple(self.entries)
 
     def class_counts(self) -> dict:
-        counts: dict = {}
-        for e in self.entries:
-            counts[e.class_label] = counts.get(e.class_label, 0) + 1
-        return counts
+        return dict(Counter(e.class_label for e in self.entries))
 
 
 def store_class_balanced(
@@ -170,11 +171,9 @@ def store_class_balanced(
     """Store up to `per_class` training trials per class from one subject.
 
     Selection is uniform without replacement using the rng argument (an int
-    seed or a numpy Generator); chosen trials are appended in class order,
-    each class's picks sorted by timestamp. If the additions overflow
-    capacity, entries are evicted one at a time — uniformly at random, via
-    the memory's own rng, among the entries of the oldest subject still
-    present — until everything fits.
+    seed or a numpy Generator); the chosen trials go to memory.store in
+    class order, each class's picks sorted by timestamp, so that overflow
+    evicts from the oldest subject.
     """
     if memory.policy != "class_balanced":
         raise ConfigError(
@@ -191,26 +190,7 @@ def store_class_balanced(
         pool = train[labels == label]
         picks = rng.choice(len(pool), size=min(per_class, len(pool)), replace=False)
         chosen.extend(dataset.trials[i] for i in pool[np.sort(picks)])
-    stored = 0
-    for entry in chosen:
-        key = memory._check_entry(entry)
-        memory.seen += 1
-        if memory.capacity == 0:
-            continue
-        while len(memory.entries) >= memory.capacity:
-            _evict_from_oldest_subject(memory)
-        memory.entries.append(entry)
-        memory._keys.add(key)
-        stored += 1
-    return stored
-
-
-def _evict_from_oldest_subject(memory: ReplayMemory):
-    oldest = min(e.subject_id for e in memory.entries)
-    slots = [i for i, e in enumerate(memory.entries) if e.subject_id == oldest]
-    slot = slots[memory._rng.randrange(len(slots))]
-    victim = memory.entries.pop(slot)
-    memory._keys.discard((victim.subject_id, victim.timestamp))
+    return memory.store(chosen)
 
 
 _POLICY_CODES = {name: i for i, name in enumerate(POLICIES)}
@@ -223,10 +203,7 @@ def memory_to_bytes(memory: ReplayMemory) -> bytes:
     after a checkpoint reload differ from an uninterrupted run; contents,
     counters, and policy round-trip exactly.
     """
-    if memory.entries:
-        c, t = memory.entries[0].trial.shape
-    else:
-        c, t = 0, 0
+    c, t = memory.entries[0].trial.shape if memory.entries else (0, 0)
     parts = [
         _MEMORY_HEADER.pack(
             _MEMORY_MAGIC,
@@ -262,26 +239,20 @@ def memory_from_bytes(buf: bytes, seed: int = 0) -> ReplayMemory:
         raise ValueError(f"memory blob holds {n_entries} entries but has seen only {seen}")
     if n_entries and (c < 1 or t < 1):
         raise ValueError(f"memory blob holds {n_entries} entries of invalid dimensions {c}x{t}")
-    memory = ReplayMemory(capacity=capacity, policy=policy, seed=seed)
-    offset = _MEMORY_HEADER.size
     record = _ENTRY_PREFIX.size + 4 * c * t
     expected = _MEMORY_HEADER.size + n_entries * record
     if len(buf) != expected:
         raise ValueError(f"memory blob length {len(buf)} != expected {expected}")
-    for _ in range(n_entries):
+    entries = []
+    for offset in range(_MEMORY_HEADER.size, expected, record):
         subject_id, timestamp, label = _ENTRY_PREFIX.unpack_from(buf, offset)
-        if (subject_id, timestamp) in memory._keys:
-            raise ValueError(
-                f"memory blob holds subject {subject_id} timestamp {timestamp} twice"
-            )
-        offset += _ENTRY_PREFIX.size
-        data = decode_trial_data(buf, offset, c, t)
-        offset += 4 * c * t
-        entry = LabeledTrial(
+        data = decode_trial_data(buf, offset + _ENTRY_PREFIX.size, c, t)
+        entries.append(LabeledTrial(
             trial=data, class_label=label, subject_id=subject_id, timestamp=timestamp
-        )
-        memory.entries.append(entry)
-        memory._keys.add((subject_id, timestamp))
-        memory._shape = (c, t)
-    memory.seen = seen
+        ))
+    memory = ReplayMemory(capacity=capacity, policy=policy, seed=seed)
+    try:
+        memory.restore(entries, seen)
+    except ValueError as exc:  # the only check left: a key stored twice
+        raise ValueError(f"memory blob holds an exemplar twice: {exc}") from exc
     return memory

@@ -47,6 +47,22 @@ def experiment_config(**overrides):
     return cfg
 
 
+def gen_stream_dir(tmp_path):
+    config = write_json(tmp_path / "gen.json", gen_config())
+    assert main(["gen", "--config", str(config), "--out", str(tmp_path / "stream")]) == 0
+    return tmp_path / "stream"
+
+
+def retag_split(stream_dir, subject, old, new):
+    """Rewrite a stream directory with one subject's `old` trials tagged `new`."""
+    stream = load_stream(stream_dir)
+    subjects = list(stream)
+    ds = subjects[subject]
+    subjects[subject] = replace(ds, split=np.where(ds.split == old, new, ds.split))
+    save_stream(replace(stream, subjects=subjects), stream_dir)
+    return stream_dir
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     """One completed `run` invocation shared by the report tests."""
@@ -139,6 +155,39 @@ class TestAlign:
         rc = main(["align", "--stream", str(tmp_path / "void"),
                    "--out", str(tmp_path / "aligned")])
         assert rc == 3
+
+    @pytest.mark.parametrize("damage", [
+        lambda m: m["subjects"][0].update(subject_id="zero"),
+        lambda m: m["subjects"][0].update(subject_id=True),
+        lambda m: m["subjects"][0].update(subject_id=-1),
+        lambda m: m["subjects"][0].update(subject_id=1.0),
+        lambda m: m["subjects"][1].update(subject_id=0),
+        lambda m: m["subjects"][0].pop("file"),
+        lambda m: m["subjects"][0].pop("subject_id"),
+        lambda m: m["subjects"][0].update(file=7),
+        lambda m: m.update(subjects={"0": "subject_000.eegc", "1": "subject_001.eegc"}),
+        lambda m: m["subjects"].__setitem__(0, "subject_000.eegc"),
+        lambda m: m.update(n_channels="3"),
+        lambda m: m.update(seed=None),
+    ], ids=["string_id", "bool_id", "negative_id", "float_id", "repeated_id", "no_file",
+            "no_subject_id", "file_not_a_string", "subjects_not_a_list",
+            "entry_not_an_object", "string_dimension", "null_seed"])
+    def test_malformed_manifest_entry_exits_3(self, tmp_path, capsys, damage):
+        stream_dir = gen_stream_dir(tmp_path)
+        manifest = json.loads((stream_dir / "manifest.json").read_text())
+        damage(manifest)
+        write_json(stream_dir / "manifest.json", manifest)
+        rc = main(["align", "--stream", str(stream_dir), "--out", str(tmp_path / "aligned")])
+        assert rc == 3
+        assert "manifest.json" in capsys.readouterr().err
+        assert not (tmp_path / "aligned").exists()
+
+    def test_subject_without_training_trials_exits_3(self, tmp_path, capsys):
+        stream_dir = retag_split(gen_stream_dir(tmp_path), 1, Split.TRAIN, Split.VAL)
+        rc = main(["align", "--stream", str(stream_dir), "--out", str(tmp_path / "aligned")])
+        assert rc == 3
+        assert "error: subject 1 has no train trials" in capsys.readouterr().err
+        assert not (tmp_path / "aligned").exists()
 
 
 class TestRunCommand:
@@ -312,6 +361,20 @@ class TestRunCommand:
             stream={"path": str(tmp_path / "stream")}, strategies=["SFT"], seeds=[0]
         ))
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+
+    @pytest.mark.parametrize("strategy", ["SFT", "PCED"])
+    @pytest.mark.parametrize("old, new", [
+        (Split.TRAIN, Split.VAL), (Split.VAL, Split.TEST), (Split.TEST, Split.TRAIN),
+    ], ids=["no_train", "no_val", "no_test"])
+    def test_subject_with_an_empty_split_exits_3(self, tmp_path, capsys, strategy, old, new):
+        stream_dir = retag_split(gen_stream_dir(tmp_path), 1, old, new)
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            stream={"path": str(stream_dir)}, strategies=[strategy], seeds=[0, 1]
+        ))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out), "--jobs", "2"]) == 3
+        assert f"error: subject 1 has no {old.name.lower()} trials" in capsys.readouterr().err
+        assert not list(out.glob("report_*"))
 
     def test_nan_sample_exits_3(self, tmp_path, capsys):
         gen_cfg = write_json(tmp_path / "gen.json", gen_config())

@@ -1,14 +1,17 @@
-"""Property tests for the binary decoders: on arbitrary bytes, and on
-single-byte mutations and truncations of valid files, a decoder either
-returns what its encoder writes back byte for byte or raises its
-documented error.
+"""Property tests for the decoders: on arbitrary bytes, and on
+single-byte mutations and truncations of valid files, a binary decoder
+either returns what its encoder writes back byte for byte or raises its
+documented error; load_stream does the same for generated manifest fields.
 
 decode_subject reads all records of a subject at once; the per-trial
 decoder it replaced is kept here as its reference, and every error must
 match that decoder's message and byte offset.
 """
 
+import copy
+import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,17 +21,23 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from eegcl import (  # noqa: E402
     LabeledTrial,
+    ModelConfig,
     ReplayMemory,
     StreamConfig,
     StreamFormatError,
     SubjectDataset,
+    build_model,
     decode_subject,
     encode_subject,
     gen_stream,
+    load_stream,
+    save_stream,
     store_class_balanced,
+    streams_equal,
     trials_equal,
 )
 from eegcl.data import decode_trial_data  # noqa: E402
+from eegcl.models import params_from_bytes, params_to_bytes  # noqa: E402
 from eegcl.replay import memory_from_bytes, memory_to_bytes  # noqa: E402
 
 from helpers import tiny_trials  # noqa: E402
@@ -192,3 +201,96 @@ def test_memory_from_bytes_round_trips_or_raises_value_error(blob):
 def test_memory_from_bytes_on_every_single_byte_damage():
     for blob in every_single_byte_damage(_valid_memory_blobs()[0]):
         check_memory_bytes(blob)
+
+
+PARAMS_CONFIG = ModelConfig(architecture="mlp", n_channels=2, n_timepoints=2, hidden=(2,))
+PARAMS_LAYOUT = build_model(PARAMS_CONFIG).layout
+
+
+def _valid_params_blobs():
+    return [params_to_bytes(build_model(replace(PARAMS_CONFIG, seed=seed)).init_params())
+            for seed in range(2)]
+
+
+def check_params_bytes(blob):
+    try:
+        params = params_from_bytes(blob, PARAMS_LAYOUT)
+    except ValueError:
+        return
+    assert params_to_bytes(params) == blob
+
+
+@given(blob=damaged(_valid_params_blobs(), b"EEGP"))
+def test_params_from_bytes_round_trips_or_raises_value_error(blob):
+    check_params_bytes(blob)
+
+
+def test_params_from_bytes_on_every_single_byte_damage():
+    for blob in every_single_byte_damage(_valid_params_blobs()[0]):
+        check_params_bytes(blob)
+
+
+# A manifest field's replacement: a JSON value of another type, an
+# integer near the valid ones, or the field's removal.
+DROP = object()
+replacements = st.one_of(
+    st.just(DROP), st.none(), st.booleans(), st.integers(-2, 5), st.integers(2**31, 2**64),
+    st.floats(), st.text(max_size=4), st.just([]), st.just({}), st.just("subject_000.eegc"),
+)
+
+
+@pytest.fixture(scope="module")
+def stream_dir(tmp_path_factory):
+    """A saved 3-subject stream whose manifest each example rewrites."""
+    root = tmp_path_factory.mktemp("manifest_props")
+    save_stream(gen_stream(StreamConfig(n_subjects=3, n_channels=2, n_timepoints=3,
+                                        trials_per_subject=9, seed=5)), root / "stream")
+    return root
+
+
+def damaged_manifest(valid, changes):
+    """valid with each (path, value) change applied: a path names a
+    top-level field, or a subject entry and one of its keys."""
+    manifest = copy.deepcopy(valid)
+    for (key, entry_key), value in changes:
+        obj = manifest
+        if entry_key is not None:
+            if not isinstance(manifest.get("subjects"), list) or key >= len(manifest["subjects"]):
+                continue
+            obj, key = manifest["subjects"][key], entry_key
+        if value is DROP:
+            obj.pop(key, None)
+        else:
+            obj[key] = value
+    return manifest
+
+
+def manifests(valid):
+    paths = [(key, None) for key in valid] + [
+        (i, key) for i in range(len(valid["subjects"])) for key in ("subject_id", "file")
+    ]
+    changes = st.lists(st.tuples(st.sampled_from(paths), replacements), max_size=3)
+    return st.builds(lambda c: damaged_manifest(valid, c), changes)
+
+
+VALID_MANIFEST = {
+    "version": 1, "n_subjects": 3, "n_channels": 2, "n_timepoints": 3, "n_classes": 2,
+    "seed": 5, "subjects": [{"subject_id": i, "file": f"subject_{i:03d}.eegc"} for i in range(3)],
+}
+
+
+@given(manifest=manifests(VALID_MANIFEST))
+def test_load_stream_round_trips_or_raises_stream_format_error(stream_dir, manifest):
+    source = stream_dir / "stream"
+    (source / "manifest.json").write_text(json.dumps(manifest))
+    try:
+        stream = load_stream(source)
+    except StreamFormatError:
+        return
+    finally:
+        (source / "manifest.json").write_text(json.dumps(VALID_MANIFEST))
+    dims = ("n_channels", "n_timepoints", "n_classes", "seed")
+    assert [getattr(stream, k) for k in dims] == [manifest[k] for k in dims]
+    assert [ds.subject_id for ds in stream] == [e["subject_id"] for e in manifest["subjects"]]
+    save_stream(stream, stream_dir / "copy")
+    assert streams_equal(load_stream(stream_dir / "copy"), stream)

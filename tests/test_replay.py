@@ -1,3 +1,4 @@
+import random
 import struct
 
 import numpy as np
@@ -29,78 +30,124 @@ class TestConstruction:
         assert mem.snapshot() == ()
 
 
+class ReferenceReservoir:
+    """The per-item ReplayMemory.offer that offer_many replaced, kept as
+    its reference: the same checks and draws, one call per item, with the
+    constant-rate rule written as capacity / (capacity + len(entries))."""
+
+    def __init__(self, capacity, policy, seed):
+        self.capacity, self.policy = capacity, policy
+        self.entries, self.seen = [], 0
+        self._rng = random.Random(seed)
+        self._keys, self._shape = set(), None
+
+    def offer(self, entry) -> bool:
+        if self._shape is None:
+            self._shape = entry.trial.shape
+        elif entry.trial.shape != self._shape:
+            raise ShapeError(
+                f"entry shape {entry.trial.shape} does not match memory shape {self._shape}"
+            )
+        key = (entry.subject_id, entry.timestamp)
+        if key in self._keys:
+            raise ValueError(f"exemplar {key} is already in memory")
+        self.seen += 1
+        if self.capacity == 0:
+            return False
+        if len(self.entries) < self.capacity:
+            self.entries.append(entry)
+            self._keys.add(key)
+            return True
+        if self.policy == "reservoir_standard":
+            p = self.capacity / self.seen
+        else:
+            p = self.capacity / (self.capacity + len(self.entries))
+        if self._rng.random() < p:
+            slot = self._rng.randrange(self.capacity)
+            old = self.entries[slot]
+            self._keys.discard((old.subject_id, old.timestamp))
+            self.entries[slot] = entry
+            self._keys.add(key)
+            return True
+        return False
+
+
 class TestOffer:
     def test_free_space_fills_in_arrival_order(self):
         mem = ReplayMemory(capacity=4)
         trials = stream_of(4)
-        for t in trials:
-            assert mem.offer(t) is True
+        assert mem.offer_many(trials) == 4
         assert [e.timestamp for e in mem.snapshot()] == [0, 1, 2, 3]
 
     def test_capacity_is_never_exceeded(self):
         mem = ReplayMemory(capacity=7, seed=3)
         for t in stream_of(200):
-            mem.offer(t)
+            mem.offer_many([t])
             assert len(mem) <= 7
         assert len(mem) == 7
         assert mem.seen == 200
 
     def test_seen_counts_rejected_offers_too(self):
         mem = ReplayMemory(capacity=1, seed=0)
-        for t in stream_of(50):
-            mem.offer(t)
+        mem.offer_many(stream_of(50))
         assert mem.seen == 50
         assert len(mem) == 1
 
     def test_duplicate_key_rejected(self):
         mem = ReplayMemory(capacity=5)
         t = stream_of(1)[0]
-        mem.offer(t)
+        mem.offer_many([t])
         with pytest.raises(ValueError):
-            mem.offer(t)
+            mem.offer_many([t])
 
     def test_same_timestamp_different_subject_is_fine(self):
         mem = ReplayMemory(capacity=5)
-        mem.offer(stream_of(1, subject=0)[0])
-        mem.offer(stream_of(1, subject=1)[0])
+        mem.offer_many([stream_of(1, subject=0)[0], stream_of(1, subject=1)[0]])
         assert len(mem) == 2
 
     def test_shape_mismatch_rejected(self):
         mem = ReplayMemory(capacity=5)
-        mem.offer(make_trial(np.zeros((2, 4)), timestamp=0))
+        mem.offer_many([make_trial(np.zeros((2, 4)), timestamp=0)])
         with pytest.raises(ShapeError):
-            mem.offer(make_trial(np.zeros((3, 4)), timestamp=1))
+            mem.offer_many([make_trial(np.zeros((3, 4)), timestamp=1)])
 
     def test_capacity_zero_rejects_but_counts(self):
         mem = ReplayMemory(capacity=0)
-        for t in stream_of(10):
-            assert mem.offer(t) is False
+        assert mem.offer_many(stream_of(10)) == 0
         assert mem.seen == 10
         assert len(mem) == 0
 
     def test_class_balanced_policy_has_no_offer(self):
         mem = ReplayMemory(capacity=5, policy="class_balanced")
         with pytest.raises(ConfigError):
-            mem.offer(stream_of(1)[0])
-        with pytest.raises(ConfigError):
             mem.offer_many(stream_of(2))
 
     def test_offer_many_matches_repeated_offer(self):
-        trials = stream_of(300)
-        one = ReplayMemory(capacity=9, seed=5)
-        accepted = 0
-        for t in trials:
-            accepted += bool(one.offer(t))
-        many = ReplayMemory(capacity=9, seed=5)
-        assert many.offer_many(trials) == accepted
-        assert many.seen == one.seen
-        assert [e.timestamp for e in many.snapshot()] == [
-            e.timestamp for e in one.snapshot()
-        ]
+        # the same entries in the same slots, seen count and accept count
+        # as the per-item reference, whether the stream comes in one call
+        # or in uneven batches
+        for policy in ("reservoir_standard", "reservoir_paper_literal"):
+            for capacity in (0, 1, 3, 9, 40):
+                for seed in range(4):
+                    trials = stream_of(300, seed=seed)
+                    one = ReferenceReservoir(capacity, policy, seed)
+                    accepted = sum(one.offer(t) for t in trials)
+                    many = ReplayMemory(capacity, policy, seed)
+                    assert many.offer_many(trials) == accepted
+                    batched = ReplayMemory(capacity, policy, seed)
+                    cuts = (0, 1, 7, 150, 300)
+                    batch_accepted = sum(
+                        batched.offer_many(trials[a:b]) for a, b in zip(cuts, cuts[1:])
+                    )
+                    assert batch_accepted == accepted
+                    for mem in (many, batched):
+                        assert mem.seen == one.seen == 300
+                        assert len(mem.entries) == len(one.entries)
+                        assert all(a is b for a, b in zip(mem.entries, one.entries))
 
     def test_offer_many_error_matches_sequential_behavior(self):
         # entries before the malformed one are processed, exactly as if
-        # offer() had been called one at a time
+        # they had been offered one at a time
         mem = ReplayMemory(capacity=5)
         bad = [make_trial(np.zeros((2, 4)), timestamp=0),
                make_trial(np.zeros((3, 4)), timestamp=1)]
@@ -108,14 +155,29 @@ class TestOffer:
             mem.offer_many(bad)
         assert mem.seen == 1
         assert len(mem) == 1
+        # a stored key offered again once the memory is full
+        trials = stream_of(30, seed=1)
+        for policy in ("reservoir_standard", "reservoir_paper_literal"):
+            one = ReferenceReservoir(4, policy, seed=6)
+            for t in trials:
+                one.offer(t)
+            repeated = trials + stream_of(5, start=30) + [one.entries[-1]]
+            one = ReferenceReservoir(4, policy, seed=6)
+            with pytest.raises(ValueError, match="already in memory"):
+                for t in repeated:
+                    one.offer(t)
+            many = ReplayMemory(4, policy, seed=6)
+            with pytest.raises(ValueError, match="already in memory"):
+                many.offer_many(repeated)
+            assert many.seen == one.seen
+            assert all(a is b for a, b in zip(many.entries, one.entries))
 
 
 class TestReservoirPolicies:
     def test_paper_literal_accepts_about_half_once_full(self):
         mem = ReplayMemory(capacity=20, policy="reservoir_paper_literal", seed=1)
-        for t in stream_of(20):
-            mem.offer(t)
-        accepted = sum(bool(mem.offer(t)) for t in stream_of(4000, start=20))
+        mem.offer_many(stream_of(20))
+        accepted = mem.offer_many(stream_of(4000, start=20))
         assert 0.46 * 4000 <= accepted <= 0.54 * 4000
 
     def test_standard_keeps_early_items_literal_does_not(self):
@@ -136,9 +198,7 @@ class TestReservoirPolicies:
 class TestSnapshot:
     def test_snapshot_is_frozen_against_later_offers(self):
         mem = ReplayMemory(capacity=3, seed=0)
-        first = stream_of(3)
-        for t in first:
-            mem.offer(t)
+        mem.offer_many(stream_of(3))
         snap = mem.snapshot()
         mem.offer_many(stream_of(100, start=3))
         assert [e.timestamp for e in snap] == [0, 1, 2]
@@ -146,8 +206,7 @@ class TestSnapshot:
 
     def test_class_counts(self):
         mem = ReplayMemory(capacity=10)
-        for t in stream_of(6):
-            mem.offer(t)
+        mem.offer_many(stream_of(6))
         assert mem.class_counts() == {0: 3, 1: 3}
 
 
@@ -210,6 +269,13 @@ class TestStoreClassBalanced:
         for e in mem.snapshot():
             by_subject[e.subject_id] = by_subject.get(e.subject_id, 0) + 1
         assert by_subject == {0: 3, 1: 6}
+
+    def test_overflow_evicts_first_arrival_not_lowest_id(self):
+        # a stream may list its subjects in any id order
+        mem = ReplayMemory(capacity=6, policy="class_balanced", seed=0)
+        for i, subject_id in enumerate((2, 1, 0)):
+            store_class_balanced(mem, self.subject(subject_id, 3, seed=i), per_class=3, rng=i)
+            assert all(e.subject_id == subject_id for e in mem.snapshot())
 
     def test_eviction_uses_memory_rng(self):
         # identical stores with different memory seeds must be allowed to
