@@ -28,7 +28,6 @@ import argparse
 import gc
 import json
 import logging
-import math
 import os
 import re
 import sys
@@ -42,14 +41,18 @@ from .alignment import whiten_subject
 from .alignment import compute_whitener, reference_covariance  # noqa: F401  traced by bench/
 from .data import Split, Stream, StreamConfig, gen_stream, load_stream, save_stream
 from .errors import (
+    STRING,
     ConfigError,
     DegenerateInputError,
     StratificationError,
     StreamFormatError,
     TrainingDivergedError,
     UndefinedMetricError,
+    integer,
+    integers,
 )
 from .harness import (
+    EwcConfig,
     MemoryConfig,
     RunRecord,
     Strategy,
@@ -59,8 +62,8 @@ from .harness import (
     record_to_json_dict,
     run_continual,
 )
+from .linalg import EIG_FLOOR
 from .models import ModelConfig
-from .replay import POLICIES
 from .training import TrainConfig
 
 logger = logging.getLogger(__name__)
@@ -72,10 +75,15 @@ _CURVE_RE = re.compile(r"^subject=(\d+)$")
 _REPORT_RE = re.compile(r"^report_[a-z]+_\d+\.json$")
 
 
+# The model dimensions that default to the stream's unless the config sets them.
+_MODEL_DIMS = ("n_channels", "n_timepoints", "n_classes")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a stream source, strategies, model/train configs,
-    and the seed list (one independent run per strategy per seed)."""
+    and the seeds, one independent run per strategy per seed. The seeds
+    are seed_list, else 0 .. repeat - 1, else 0 alone."""
 
     stream_path: str | None
     generator: StreamConfig | None
@@ -83,19 +91,35 @@ class ExperimentConfig:
     model: ModelConfig
     model_dims_set: frozenset
     train: TrainConfig
-    seeds: tuple
+    seed_list: list | None = None
+    repeat: int | None = None
+
+    @property
+    def seeds(self) -> tuple:
+        if self.seed_list is not None:
+            return tuple(self.seed_list)
+        return tuple(range(1 if self.repeat is None else self.repeat))
 
     def validate(self):
         if (self.stream_path is None) == (self.generator is None):
             raise ConfigError(
                 "stream must specify exactly one of 'path' or 'generator'"
             )
-        if not self.strategies:
-            raise ConfigError("at least one strategy is required")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"seeds must be unique, got {list(self.seeds)}")
+        if self.generator is None:
+            STRING.check(self.stream_path, "stream path")
+        else:
+            self.generator.validate()
+        if self.seed_list is not None:
+            integers(0).check(self.seed_list, "seeds")
+            if len(set(self.seed_list)) != len(self.seed_list):
+                raise ConfigError(f"seeds must be unique, got {self.seed_list!r}")
+        if self.repeat is not None:
+            integer(1).check(self.repeat, "repeat")
+            if self.seed_list is not None and self.repeat != len(self.seed_list):
+                raise ConfigError(
+                    f"repeat ({self.repeat}) disagrees with the seed list length "
+                    f"({len(self.seed_list)})"
+                )
         for s in self.strategies:
             s.validate()
         self.model.validate()
@@ -124,93 +148,62 @@ def _build_dataclass(cls, data: dict, what: str):
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
-def _nonnegative_number(value, what: str) -> float:
-    """value as a float, if it is a finite JSON number >= 0 (a bool is not)."""
-    try:
-        number = float(value) if type(value) in (int, float) else math.nan
-    except OverflowError:
-        number = math.inf
-    if not 0.0 <= number < math.inf:
-        raise ConfigError(f"{what} must be a finite number >= 0, got {value!r}")
-    return number
+def _validated(config):
+    config.validate()
+    return config
 
 
 def _parse_memory(data, default: MemoryConfig) -> MemoryConfig:
     if data is None:
         return default
-    memory = _build_dataclass(MemoryConfig, data, "memory config")
-    for name in ("capacity", "per_class"):
-        value = getattr(memory, name)
-        if type(value) is not int or value < 0:
-            raise ConfigError(f"memory {name} must be an integer >= 0, got {value!r}")
-    if memory.policy not in POLICIES:
-        raise ConfigError(f"unknown memory policy {memory.policy!r}, expected one of {POLICIES}")
-    return memory
+    return _validated(_build_dataclass(MemoryConfig, data, "memory config"))
 
 
-def _parse_strategy(item, default_memory: MemoryConfig, default_lambda: float) -> Strategy:
+def _parse_strategy(item, default_memory: MemoryConfig, default_ewc: EwcConfig) -> Strategy:
+    """A strategy entry; the memory and lambda it gives are checked even
+    when its kind does not use them."""
     if isinstance(item, str):
-        spec = {"kind": item}
-    elif isinstance(item, dict):
-        spec = dict(item)
-    else:
+        item = {"kind": item}
+    elif not isinstance(item, dict):
         raise ConfigError(f"strategy entries must be names or objects, got {item!r}")
-    kind = str(spec.pop("kind", "")).upper()
-    memory = _parse_memory(spec.pop("memory", None), default_memory)
-    lam = _nonnegative_number(spec.pop("lambda", default_lambda), "strategy lambda")
-    if spec:
-        raise ConfigError(f"unknown strategy keys: {sorted(spec)}")
-    return build_strategy(kind, memory=memory, lam=lam)
+    unknown = sorted(set(item) - {"kind", "memory", "lambda"})
+    if unknown:
+        raise ConfigError(f"unknown strategy keys: {unknown}")
+    memory = _parse_memory(item.get("memory"), default_memory)
+    ewc = _validated(EwcConfig(item["lambda"])) if "lambda" in item else default_ewc
+    return build_strategy(str(item.get("kind", "")).upper(), memory=memory, lam=ewc.lam)
 
 
 def parse_experiment_config(data: dict) -> ExperimentConfig:
-    data = dict(data)
-    stream_spec = data.pop("stream", None)
-    if not isinstance(stream_spec, dict):
+    """Map an experiment config's JSON object onto an ExperimentConfig,
+    whose validate() checks the values."""
+    unknown = sorted(set(data) - {"stream", "strategies", "memory", "ewc_lambda", "model",
+                                  "train", "seeds", "repeat"})
+    if unknown:
+        raise ConfigError(f"unknown config keys: {unknown}")
+    stream = data.get("stream")
+    if not isinstance(stream, dict):
         raise ConfigError("config needs a 'stream' object with 'path' or 'generator'")
-    stream_path = stream_spec.get("path")
-    generator = None
-    if "generator" in stream_spec:
-        gen_dict = dict(stream_spec["generator"])
-        generator = _build_dataclass(StreamConfig, gen_dict, "stream generator config")
-        generator.validate()
-
-    default_memory = _parse_memory(data.pop("memory", None), MemoryConfig())
-    default_lambda = _nonnegative_number(data.pop("ewc_lambda", 100.0), "ewc_lambda")
-    raw_strategies = data.pop("strategies", None)
-    if not isinstance(raw_strategies, list) or not raw_strategies:
+    if set(stream) - {"path", "generator"}:
+        raise ConfigError(f"unknown stream keys: {sorted(set(stream) - {'path', 'generator'})}")
+    strategies = data.get("strategies")
+    if not isinstance(strategies, list) or not strategies:
         raise ConfigError("config needs a non-empty 'strategies' list")
-    strategies = tuple(
-        _parse_strategy(item, default_memory, default_lambda) for item in raw_strategies
-    )
-
-    model_dict = dict(data.pop("model", {}))
-    if "hidden" in model_dict:
-        model_dict["hidden"] = tuple(model_dict["hidden"])
-    train_dict = dict(data.pop("train", {}))
-
-    seeds = data.pop("seeds", None)
-    repeat = data.pop("repeat", None)
-    if seeds is None:
-        seeds = list(range(int(repeat))) if repeat is not None else [0]
-    elif repeat is not None and int(repeat) != len(seeds):
-        raise ConfigError(
-            f"repeat ({repeat}) disagrees with the seed list length ({len(seeds)})"
-        )
-    if data:
-        raise ConfigError(f"unknown config keys: {sorted(data)}")
-
-    dims_set = frozenset(
-        k for k in ("n_channels", "n_timepoints", "n_classes") if k in model_dict
-    )
+    default_memory = _parse_memory(data.get("memory"), MemoryConfig())
+    default_ewc = _validated(EwcConfig(data.get("ewc_lambda", EwcConfig.lam)))
+    model = _build_dataclass(ModelConfig, data.get("model", {}), "model config")
     return ExperimentConfig(
-        stream_path=stream_path,
-        generator=generator,
-        strategies=strategies,
-        model=_build_dataclass(ModelConfig, model_dict, "model config"),
-        model_dims_set=dims_set,
-        train=_build_dataclass(TrainConfig, train_dict, "train config"),
-        seeds=tuple(int(s) for s in seeds),
+        stream_path=stream.get("path"),
+        generator=(
+            _build_dataclass(StreamConfig, stream["generator"], "stream generator config")
+            if "generator" in stream else None
+        ),
+        strategies=tuple(_parse_strategy(i, default_memory, default_ewc) for i in strategies),
+        model=model,
+        model_dims_set=frozenset(d for d in _MODEL_DIMS if d in data.get("model", {})),
+        train=_build_dataclass(TrainConfig, data.get("train", {}), "train config"),
+        seed_list=data.get("seeds"),
+        repeat=data.get("repeat"),
     )
 
 
@@ -240,22 +233,21 @@ def _outcome(call):
 
 
 def _fit_model_to_stream(model: ModelConfig, dims_set: frozenset, stream) -> ModelConfig:
-    """Model dims default to the stream's unless the config set them."""
-    updates = {}
-    if "n_channels" not in dims_set:
-        updates["n_channels"] = stream.n_channels
-    if "n_timepoints" not in dims_set:
-        updates["n_timepoints"] = stream.n_timepoints
-    if "n_classes" not in dims_set:
-        updates["n_classes"] = stream.n_classes
-    return replace(model, **updates) if updates else model
+    """Model dims default to the stream's; a dim the config set must equal
+    the stream's."""
+    dims = {name: getattr(stream, name) for name in _MODEL_DIMS}
+    for name in _MODEL_DIMS:
+        if name in dims_set and getattr(model, name) != dims[name]:
+            raise ConfigError(
+                f"model {name} {getattr(model, name)!r} does not match "
+                f"the stream's {dims[name]}"
+            )
+    return replace(model, **dims)
 
 
 def cmd_gen(args) -> int:
-    data = _load_json(args.config)
-    config = _build_dataclass(StreamConfig, data, "stream config")
-    config.validate()
-    stream = gen_stream(config)
+    config = _build_dataclass(StreamConfig, _load_json(args.config), "stream config")
+    stream = gen_stream(config)  # validates config before any output
     save_stream(stream, args.out)
     print(
         f"wrote {len(stream)} subjects "
@@ -272,6 +264,8 @@ def cmd_align(args) -> int:
     trials; val and test trials are whitened with the same matrix. The
     aligned stream is written in the normal stream format.
     """
+    if args.eps is not None:
+        EIG_FLOOR.check(args.eps, "--eps")
     stream = load_stream(args.stream)
     stream.require_splits(Split.TRAIN)
     aligned_subjects = []
@@ -318,26 +312,25 @@ def _bold(text: str) -> str:
 
 
 def cmd_run(args) -> int:
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    integer(1).check(args.jobs, "--jobs")
     config = parse_experiment_config(_load_json(args.config))
     config.validate()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
     if config.generator is not None:
         stream = gen_stream(config.generator)
-        save_stream(stream, out / "stream")
-        logger.info("generated stream of %d subjects at %s", len(stream), out / "stream")
     else:
         stream_path = Path(config.stream_path)
         if not (stream_path / "manifest.json").is_file():
             raise ConfigError(f"stream path has no manifest.json: {stream_path}")
         stream = load_stream(stream_path)
     stream.require_splits(*Split)
-
     model_cfg = _fit_model_to_stream(config.model, config.model_dims_set, stream)
     model_cfg.validate()
+
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if config.generator is not None:
+        save_stream(stream, out / "stream")
+        logger.info("generated stream of %d subjects at %s", len(stream), out / "stream")
 
     tasks = [
         (strategy, seed) for strategy in config.strategies for seed in config.seeds

@@ -24,11 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BOOL,
     ConfigError,
     EmptyInputError,
     ShapeError,
     StratificationError,
     StreamFormatError,
+    check_fields,
+    integer,
+    number,
 )
 from .linalg import covariances, inv_sqrt, sym_eig, symmetrize
 from .linalg import covariance  # noqa: F401  traced as data.covariance by bench/
@@ -258,21 +262,21 @@ class StreamConfig:
     randomize_polarity: bool = True
     seed: int = 0
 
+    # n_timepoints >= 2, since alignment needs covariance estimates.
+    RULES = {
+        "n_subjects": integer(1),
+        "n_channels": integer(1),
+        "n_timepoints": integer(2),
+        "n_classes": integer(2),
+        "trials_per_subject": integer(1),
+        "mixing_scale": number(0),
+        "noise_sigma": number(0),
+        "randomize_polarity": BOOL,
+        "seed": integer(0),
+    }
+
     def validate(self):
-        for field in ("n_subjects", "n_channels", "n_timepoints", "trials_per_subject"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"{field} must be >= 1, got {getattr(self, field)}")
-        if self.n_classes < 2:
-            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
-        if self.mixing_scale < 0:
-            raise ConfigError(f"mixing_scale must be >= 0, got {self.mixing_scale}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.n_timepoints < 2:
-            raise ConfigError(
-                f"n_timepoints must be >= 2 for covariance estimates, "
-                f"got {self.n_timepoints}"
-            )
+        check_fields(self, "generator", self.RULES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -494,8 +498,8 @@ def decode_subject(buf: bytes, subject_id: int, path="<memory>") -> tuple:
 
     All whole records are read at once and checked with array operations.
     Raises StreamFormatError carrying the byte offset of the first
-    malformed field, found by re-reading the first bad record field by
-    field.
+    malformed field; only once a check has failed are the records searched
+    for the first bad one, which is then re-read field by field.
     """
     _need(buf, 0, _HEADER.size, "header", path)
     magic, version, n_trials, c, t, n_classes = _HEADER.unpack_from(buf, 0)
@@ -518,34 +522,35 @@ def decode_subject(buf: bytes, subject_id: int, path="<memory>") -> tuple:
     records = np.frombuffer(buf, dtype, n_whole, _HEADER.size)
     block = np.array(records["samples"], dtype=np.float32).reshape(n_whole, c, t)
     bad = (records["label"] >= n_classes) | (records["tag"] > max(Split))
+    if n_whole == n_trials and not bad.any():
+        try:  # the constructor's finiteness check is the only pass over the samples
+            return SubjectDataset.from_arrays(
+                subject_id, block, records["label"], records["timestamp"], records["tag"]
+            ), n_classes
+        except ValueError as exc:
+            if np.isfinite(block).all():
+                raise StreamFormatError(f"{path}: {exc}", offset=_HEADER.size) from exc
+    # A record is bad or missing: find the first, then its first bad field.
     bad |= ~np.isfinite(block).all(axis=(1, 2))
     i = int(bad.argmax()) if bad.any() else n_whole
-    if i < n_trials:  # record i is the first bad one: find its first bad field
-        offset = _HEADER.size + i * size
-        _need(buf, offset, _TRIAL_PREFIX.size, f"trial {i} prefix", path)
-        _, label, tag = _TRIAL_PREFIX.unpack_from(buf, offset)
-        if label >= n_classes:
-            raise StreamFormatError(
-                f"{path}: trial {i} class_label {label} >= n_classes {n_classes}",
-                offset=offset + 4,
-            )
-        if tag not in (0, 1, 2):
-            raise StreamFormatError(
-                f"{path}: trial {i} split tag {tag} not in {{0, 1, 2}}",
-                offset=offset + 5,
-            )
-        offset += _TRIAL_PREFIX.size
-        _need(buf, offset, 4 * c * t, f"trial {i} samples", path)
+    offset = _HEADER.size + i * size
+    _need(buf, offset, _TRIAL_PREFIX.size, f"trial {i} prefix", path)
+    _, label, tag = _TRIAL_PREFIX.unpack_from(buf, offset)
+    if label >= n_classes:
         raise StreamFormatError(
-            f"{path}: trial {i}: trial contains non-finite values", offset=offset
+            f"{path}: trial {i} class_label {label} >= n_classes {n_classes}",
+            offset=offset + 4,
         )
-    try:
-        ds = SubjectDataset.from_arrays(
-            subject_id, block, records["label"], records["timestamp"], records["tag"]
+    if tag not in (0, 1, 2):
+        raise StreamFormatError(
+            f"{path}: trial {i} split tag {tag} not in {{0, 1, 2}}",
+            offset=offset + 5,
         )
-    except ValueError as exc:
-        raise StreamFormatError(f"{path}: {exc}", offset=_HEADER.size) from exc
-    return ds, n_classes
+    offset += _TRIAL_PREFIX.size
+    _need(buf, offset, 4 * c * t, f"trial {i} samples", path)
+    raise StreamFormatError(
+        f"{path}: trial {i}: trial contains non-finite values", offset=offset
+    )
 
 
 def _subject_filename(subject_id: int) -> str:
@@ -573,13 +578,6 @@ def save_stream(stream: Stream, path) -> None:
     (root / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _manifest_int(value, what: str, path, minimum: int = 0) -> int:
-    """value, if it is a JSON integer (a bool is not) of at least minimum."""
-    if type(value) is not int or value < minimum:
-        raise StreamFormatError(f"{path}: {what} must be an integer >= {minimum}, got {value!r}")
-    return value
-
-
 def load_stream(path) -> Stream:
     """Load a stream directory; inverse of save_stream, bit-exact. A
     malformed manifest or subject file is a StreamFormatError."""
@@ -598,7 +596,7 @@ def load_stream(path) -> Stream:
             raise StreamFormatError(f"{manifest_path}: missing key {key!r}")
     for key, minimum in (("version", 0), ("n_subjects", 0), ("n_channels", 1),
                          ("n_timepoints", 1), ("n_classes", 1), ("seed", 0)):
-        _manifest_int(manifest[key], key, manifest_path, minimum)
+        integer(minimum).check(manifest[key], f"{manifest_path}: {key}", StreamFormatError)
     if manifest["version"] != FORMAT_VERSION:
         raise StreamFormatError(
             f"{manifest_path}: unsupported manifest version {manifest['version']}"
@@ -615,9 +613,9 @@ def load_stream(path) -> Stream:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
             raise StreamFormatError(f"{manifest_path}: subjects[{i}] needs a 'file' name")
-        subject_id = _manifest_int(
-            entry.get("subject_id"), f"subjects[{i}] subject_id", manifest_path
-        )
+        subject_id = entry.get("subject_id")
+        integer(0).check(subject_id, f"{manifest_path}: subjects[{i}] subject_id",
+                         StreamFormatError)
         if any(ds.subject_id == subject_id for ds in subjects):
             raise StreamFormatError(f"{manifest_path}: subject {subject_id} is listed twice")
         fpath = root / entry["file"]

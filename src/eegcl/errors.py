@@ -1,9 +1,21 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the field rules of the
+config dataclasses.
 
 The CLI maps these onto its exit-code contract: configuration and usage
 problems exit 2, I/O and file-format problems exit 3, numerical failures
 exit 4.
+
+Each config dataclass states its field rules once, as a table of Rules
+(field name -> rule), and its validate() applies the table with
+check_fields. A rule accepts JSON values only: a bool is not an integer,
+and an integer too large for a float is not a finite number.
 """
+
+import math
+import operator
+from collections.abc import Callable
+from numbers import Integral, Real
+from typing import NamedTuple
 
 
 class ShapeError(ValueError):
@@ -24,6 +36,60 @@ class StratificationError(ValueError):
 
 class ConfigError(ValueError):
     """A configuration value violates its contract."""
+
+
+class Rule(NamedTuple):
+    """What one config field accepts, and how a message describes it."""
+
+    accepts: Callable
+    text: str
+
+    def check(self, value, what: str, error=ConfigError) -> None:
+        """Raise error naming what (section and field) and value unless
+        the rule accepts value."""
+        if not self.accepts(value):
+            raise error(f"{what} must be {self.text}, got {value!r}")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    try:
+        return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def integer(low: int) -> Rule:
+    return Rule(lambda v: _is_integer(v) and v >= low, f"an integer >= {low}")
+
+
+def number(low: float, exclusive: bool = False) -> Rule:
+    above = operator.gt if exclusive else operator.ge
+    return Rule(lambda v: _is_finite(v) and above(v, low),
+                f"a finite number {'>' if exclusive else '>='} {low}")
+
+
+def integers(low: int) -> Rule:
+    return Rule(lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+                and all(_is_integer(x) and x >= low for x in v),
+                f"a non-empty list of integers >= {low}")
+
+
+def one_of(names: tuple) -> Rule:
+    return Rule(lambda v: isinstance(v, str) and v in names, f"one of {names}")
+
+
+BOOL = Rule(lambda v: isinstance(v, bool), "true or false")
+STRING = Rule(lambda v: isinstance(v, str), "a string")
+
+
+def check_fields(config, section: str, rules: dict) -> None:
+    """Apply a rule table to a config's fields, in table order."""
+    for name, rule in rules.items():
+        rule.check(getattr(config, name), f"{section} {name}")
 
 
 class StreamFormatError(ValueError):

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, number
 from .models import Params, gradient
 from .training import stack_trials
 
 DEFAULT_LAMBDA = 100.0
+# The rule for the penalty strength; harness.EwcConfig checks its lam with it.
+LAMBDA = number(0)
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,7 @@ class FisherAnchor:
             )
         if not np.all(np.isfinite(fisher)) or np.any(fisher < 0):
             raise ValueError("fisher entries must be finite and >= 0")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        LAMBDA.check(self.lam, "ewc lambda")
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "fisher", fisher)
 
@@ -71,8 +72,7 @@ class OnlineEwc:
     """Running EWC state across a subject stream."""
 
     def __init__(self, lam: float = DEFAULT_LAMBDA):
-        if lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {lam}")
+        LAMBDA.check(lam, "ewc lambda")
         self.lam = lam
         self._fisher_sum = None
         self._anchor = None

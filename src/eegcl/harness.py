@@ -27,10 +27,12 @@ import numpy as np
 from .alignment import whiten_subject
 from .alignment import compute_whitener, reference_covariance  # noqa: F401  traced by bench/
 from .data import Split
-from .errors import ConfigError, EmptyInputError, ShapeError, UndefinedMetricError
-from .ewc import OnlineEwc
+from .errors import (
+    ConfigError, EmptyInputError, ShapeError, UndefinedMetricError, check_fields, one_of,
+)
+from .ewc import DEFAULT_LAMBDA, LAMBDA, OnlineEwc
 from .models import ModelConfig, build_model
-from .replay import ReplayMemory, store_class_balanced
+from .replay import MEMORY_RULES, ReplayMemory, store_class_balanced
 from .training import TrainConfig, evaluate_arrays, train
 
 DEFAULT_MEMORY_CAPACITY = 160
@@ -43,10 +45,16 @@ class MemoryConfig:
     per_class: int = DEFAULT_PER_CLASS
     policy: str = "class_balanced"
 
+    def validate(self):
+        check_fields(self, "memory", MEMORY_RULES)
+
 
 @dataclass(frozen=True)
 class EwcConfig:
-    lam: float = 100.0
+    lam: float = DEFAULT_LAMBDA
+
+    def validate(self):
+        LAMBDA.check(self.lam, "ewc lambda")
 
 
 # Each strategy kind: whether it uses alignment, a memory and EWC, and the
@@ -61,8 +69,7 @@ STRATEGY_KINDS = tuple(STRATEGY_TABLE)
 
 
 def _kind(name) -> tuple:
-    if name not in STRATEGY_KINDS:
-        raise ConfigError(f"unknown strategy kind {name!r}")
+    one_of(STRATEGY_KINDS).check(name, "strategy kind")
     return STRATEGY_TABLE[name]
 
 
@@ -84,6 +91,9 @@ class Strategy:
         *uses, rule = _kind(self.kind)
         if [bool(self.alignment_enabled), self.memory is not None, self.ewc is not None] != uses:
             raise ConfigError(rule)
+        for config in (self.memory, self.ewc):
+            if config is not None:
+                config.validate()
 
 
 def build_strategy(
@@ -357,7 +367,7 @@ def record_to_json_dict(record: RunRecord) -> dict:
             "kind": strategy.kind,
             "alignment_enabled": strategy.alignment_enabled,
             "memory": asdict(strategy.memory) if strategy.memory is not None else None,
-            "ewc": {"lambda": strategy.ewc.lam} if strategy.ewc is not None else None,
+            "ewc": {"lambda": float(strategy.ewc.lam)} if strategy.ewc is not None else None,
         },
         "seeds": record.seeds,
         "n_subjects": int(record.matrix.shape[0]),

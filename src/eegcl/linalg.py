@@ -13,13 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ShapeError
+from .errors import DegenerateInputError, ShapeError, number
 
 # Largest relative asymmetry accepted before an eigendecomposition.
 SYMMETRY_RTOL = 1e-10
 
 # Relative eigenvalue floor used when the caller does not supply one.
 DEFAULT_EIG_FLOOR_REL = 1e-10
+# An eigenvalue floor given explicitly (inv_sqrt's eps, `eegcl align --eps`).
+EIG_FLOOR = number(0, exclusive=True)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -118,7 +120,7 @@ def inv_sqrt_of_eig(eig: SymEigResult, eps: float | None = None) -> tuple:
     """inv_sqrt from an eigendecomposition: returns (matrix, floor used)."""
     if eps is None:
         eps = default_eig_floor(eig.eigenvalues)
-    elif eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    else:
+        EIG_FLOOR.check(eps, "eps")
     v = eig.eigenvectors
     return symmetrize((v / np.sqrt(np.maximum(eig.eigenvalues, eps))) @ v.T), eps

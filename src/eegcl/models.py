@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_fields, integer, integers, one_of
 
 # Added inside the log of the pooled power so zero-power features stay finite.
 LOG_EPS = 1e-6
@@ -49,27 +49,26 @@ class ModelConfig:
     kernel_len: int = 16
     seed: int = 0
 
+    RULES = {
+        "architecture": one_of(("mlp", "shallow_conv")),
+        "n_channels": integer(1),
+        "n_timepoints": integer(1),
+        "n_classes": integer(2),
+        "n_filters": integer(1),
+        "kernel_len": integer(1),
+        "seed": integer(0),
+    }
+    HIDDEN = integers(1)
+
     def validate(self):
-        if self.architecture not in ("mlp", "shallow_conv"):
-            raise ConfigError(f"unknown architecture {self.architecture!r}")
-        if self.n_channels < 1 or self.n_timepoints < 1:
-            raise ConfigError(
-                f"input must be at least 1x1, got "
-                f"{self.n_channels}x{self.n_timepoints}"
-            )
-        if self.n_classes < 2:
-            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
+        check_fields(self, "model", self.RULES)
         if self.architecture == "mlp":
-            if not self.hidden or any(h < 1 for h in self.hidden):
-                raise ConfigError(f"hidden sizes must be positive, got {self.hidden}")
-        else:
-            if self.n_filters < 1:
-                raise ConfigError(f"n_filters must be >= 1, got {self.n_filters}")
-            if not 1 <= self.kernel_len <= self.n_timepoints:
-                raise ConfigError(
-                    f"kernel_len must be in [1, {self.n_timepoints}], "
-                    f"got {self.kernel_len}"
-                )
+            self.HIDDEN.check(self.hidden, "model hidden")
+        elif self.kernel_len > self.n_timepoints:
+            raise ConfigError(
+                f"model kernel_len must be <= n_timepoints {self.n_timepoints}, "
+                f"got {self.kernel_len}"
+            )
 
 
 @dataclass(frozen=True)
@@ -179,8 +178,8 @@ def params_from_bytes(buf: bytes, layout: Layout) -> Params:
     return Params(vector=vec, layout=layout)
 
 
-def _check_trials(x: np.ndarray, config: ModelConfig) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def _check_trials(x: np.ndarray, config: ModelConfig, dtype=np.float64) -> np.ndarray:
+    x = np.asarray(x, dtype=dtype)
     if x.ndim != 3 or x.shape[1:] != (config.n_channels, config.n_timepoints):
         raise ShapeError(
             f"batch must have shape (n, {config.n_channels}, {config.n_timepoints}), "
@@ -402,7 +401,6 @@ def _glorot_init(layout: Layout, seed: int) -> Params:
 
 
 def build_model(config: ModelConfig):
-    config.validate()
     if config.architecture == "mlp":
         return MlpNet(config)
     return ShallowConvNet(config)
@@ -443,13 +441,14 @@ def _check_labels(labels, n_classes: int, n_rows: int) -> np.ndarray:
     return labels
 
 
-def check_batch(model, x: np.ndarray, labels) -> tuple:
+def check_batch(model, x: np.ndarray, labels, dtype=np.float64) -> tuple:
     """The checks loss_and_gradient and gradient run on their input:
-    returns x as a float64 (n, channels, time) batch for the model and
+    returns x as a dtype (n, channels, time) batch for the model and
     labels as int64 class indices, one per trial. Raises ShapeError or
     ValueError otherwise. train() runs them once on a stage's training
-    split, so that its steps can call unchecked_loss_and_gradient."""
-    x = _check_trials(x, model.config)
+    split, with dtype None to keep that split's own dtype, so that its
+    steps can call unchecked_loss_and_gradient."""
+    x = _check_trials(x, model.config, dtype)
     return x, _check_labels(labels, model.config.n_classes, x.shape[0])
 
 

@@ -26,15 +26,18 @@ from collections import Counter
 import numpy as np
 
 from .data import LabeledTrial, Split, SubjectDataset, decode_trial_data, encode_trial_data
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, integer, one_of
 
 POLICIES = ("reservoir_standard", "reservoir_paper_literal", "class_balanced")
+# The memory's field rules, also harness.MemoryConfig's rule table.
+MEMORY_RULES = {"capacity": integer(0), "per_class": integer(0), "policy": one_of(POLICIES)}
 
 _MEMORY_MAGIC = b"EEGM"
 _MEMORY_VERSION = 1
 _MEMORY_HEADER = struct.Struct("<4sHIQBIHI")
 # magic, version, capacity, seen, policy code, n_entries, channels, timepoints
 _ENTRY_PREFIX = struct.Struct("<IIB")  # subject_id, timestamp, class_label
+_ENTRY_LIMITS = (("subject_id", 2**32 - 1), ("timestamp", 2**32 - 1), ("class_label", 255))
 
 
 class ReplayMemory:
@@ -43,10 +46,8 @@ class ReplayMemory:
     under the reservoir policies, store under class_balanced."""
 
     def __init__(self, capacity: int, policy: str = "reservoir_standard", seed: int = 0):
-        if capacity < 0:
-            raise ConfigError(f"capacity must be >= 0, got {capacity}")
-        if policy not in POLICIES:
-            raise ConfigError(f"unknown policy {policy!r}, expected one of {POLICIES}")
+        MEMORY_RULES["capacity"].check(capacity, "memory capacity")
+        MEMORY_RULES["policy"].check(policy, "memory policy")
         self.capacity = capacity
         self.policy = policy
         self.entries: list = []
@@ -180,8 +181,7 @@ def store_class_balanced(
             f"store_class_balanced requires policy 'class_balanced', "
             f"got {memory.policy!r}"
         )
-    if per_class < 0:
-        raise ConfigError(f"per_class must be >= 0, got {per_class}")
+    MEMORY_RULES["per_class"].check(per_class, "memory per_class")
     rng = np.random.default_rng(rng)
     train = np.flatnonzero(dataset.split == Split.TRAIN)
     labels = dataset.labels[train]
@@ -198,6 +198,8 @@ _POLICY_CODES = {name: i for i, name in enumerate(POLICIES)}
 
 def memory_to_bytes(memory: ReplayMemory) -> bytes:
     """Serialize buffer contents (not the RNG state) to a binary blob.
+    An exemplar whose subject_id or timestamp exceeds 2**32 - 1, or whose
+    class_label exceeds 255, is a ValueError.
 
     A restored memory continues with a fresh seed, so eviction decisions
     after a checkpoint reload differ from an uninterrupted run; contents,
@@ -217,6 +219,9 @@ def memory_to_bytes(memory: ReplayMemory) -> bytes:
         )
     ]
     for e in memory.entries:
+        for name, top in _ENTRY_LIMITS:
+            if getattr(e, name) > top:
+                raise ValueError(f"exemplar {name} {getattr(e, name)} is above EEGM's {top}")
         parts.append(_ENTRY_PREFIX.pack(e.subject_id, e.timestamp, e.class_label))
         parts.append(encode_trial_data(e.trial))
     return b"".join(parts)

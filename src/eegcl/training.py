@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, ShapeError, TrainingDivergedError
+from .errors import (
+    EmptyInputError, ShapeError, TrainingDivergedError, check_fields, integer, number, one_of,
+)
 from .models import Params, check_batch, unchecked_loss_and_gradient
 from .models import loss_and_gradient  # noqa: F401  traced as training.loss_and_gradient by bench/
 
@@ -33,17 +35,17 @@ class TrainConfig:
     shuffle_seed: int = 0
     optimizer: str = "adam"
 
+    RULES = {
+        "learning_rate": number(0, exclusive=True),
+        "max_epochs": integer(1),
+        "batch_size": integer(1),
+        "patience": integer(0),
+        "shuffle_seed": integer(0),
+        "optimizer": one_of(("adam", "sgd")),
+    }
+
     def validate(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.max_epochs < 1:
-            raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.patience < 0:
-            raise ConfigError(f"patience must be >= 0, got {self.patience}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        check_fields(self, "train", self.RULES)
 
 
 @dataclass(frozen=True)
@@ -101,9 +103,10 @@ def _make_optimizer(cfg: TrainConfig, n_params: int):
     return Sgd(learning_rate=cfg.learning_rate)
 
 
-def stack_trials(trials) -> tuple:
+def stack_trials(trials, dtype=np.float64) -> tuple:
     """A sequence of LabeledTrials, or an (x, y) pair of arrays such as
-    SubjectDataset.arrays returns, as (float64 (n, channels, time), int64)."""
+    SubjectDataset.arrays returns, as (dtype (n, channels, time), int64);
+    dtype None keeps the samples' own (float32 for LabeledTrials)."""
     if isinstance(trials, tuple) and len(trials) == 2 and isinstance(trials[0], np.ndarray):
         x, y = trials
     else:
@@ -111,7 +114,7 @@ def stack_trials(trials) -> tuple:
         x, y = [t.trial for t in trials], [t.class_label for t in trials]
     if not len(x):
         raise EmptyInputError("cannot stack an empty trial list")
-    return np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.int64)
+    return np.asarray(x, dtype=dtype), np.asarray(y, dtype=np.int64)
 
 
 def evaluate_arrays(model, params: Params, x: np.ndarray, y: np.ndarray) -> float:
@@ -139,12 +142,13 @@ def train(model, params: Params, train_set, val_set, cfg: TrainConfig, penalty=N
     applied every batch.
 
     Once per stage: the training split is stacked, checked (check_batch)
-    and stored in the layout the model reads without a copy (its
-    trial_axis). Each step only gathers a batch from it with np.take and
-    runs the forward/backward arithmetic and the optimizer update.
+    and stored, in its own dtype (float32 for stream trials), in the
+    layout the model reads without a copy (its trial_axis). Each step only
+    gathers a batch from it with np.take, casts it to float64 and runs the
+    forward/backward arithmetic and the optimizer update.
     """
     cfg.validate()
-    x_train, y_train = check_batch(model, *stack_trials(train_set))
+    x_train, y_train = check_batch(model, *stack_trials(train_set, None), dtype=None)
     x_val, y_val = stack_trials(val_set)
     n = len(x_train)
     axis = model.trial_axis
@@ -161,7 +165,7 @@ def train(model, params: Params, train_set, val_set, cfg: TrainConfig, penalty=N
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            x = np.take(x_train, idx, axis=axis).swapaxes(0, axis)
+            x = np.take(x_train, idx, axis=axis).astype(np.float64).swapaxes(0, axis)
             loss, grad = unchecked_loss_and_gradient(model, work, x, y_train[idx], penalty)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(

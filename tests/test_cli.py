@@ -103,6 +103,13 @@ class TestGen:
         config = write_json(tmp_path / "gen.json", gen_config(n_classes=1))
         assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
 
+    @pytest.mark.parametrize("field, value", [("seed", "x"), ("n_subjects", 2.5)])
+    def test_bad_config_value_type_exits_2(self, tmp_path, capsys, field, value):
+        config = write_json(tmp_path / "gen.json", gen_config(**{field: value}))
+        assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
+        assert f"error: generator {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         config = write_json(tmp_path / "gen.json", gen_config(bogus=1))
         assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
@@ -150,6 +157,17 @@ class TestAlign:
         save_stream(replace(stream, subjects=subjects), tmp_path / "reference")
         for path in sorted((tmp_path / "reference").iterdir()):
             assert (tmp_path / "aligned" / path.name).read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+    def test_bad_eps_exits_2(self, tmp_path, capsys, eps, monkeypatch):
+        stream_dir = gen_stream_dir(tmp_path)
+        monkeypatch.setattr(eegcl.cli, "load_stream", None)  # refused before any read
+        rc = main(["align", "--stream", str(stream_dir), "--out", str(tmp_path / "aligned"),
+                   "--eps", eps])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: --eps must be a finite number > 0, got {float(eps)}" in err
+        assert not (tmp_path / "aligned").exists()
 
     def test_missing_stream_exits_3(self, tmp_path):
         rc = main(["align", "--stream", str(tmp_path / "void"),
@@ -317,6 +335,75 @@ class TestRunCommand:
         config = write_json(tmp_path / "exp.json", experiment_config(**overrides))
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"stream": {"generator": gen_config(n_subjects="8")}},
+         "generator n_subjects must be an integer >= 1, got '8'"),
+        ({"stream": {"generator": gen_config(seed="zero")}},
+         "generator seed must be an integer >= 0, got 'zero'"),
+        ({"stream": {"generator": gen_config(seed=-1)}},
+         "generator seed must be an integer >= 0, got -1"),
+        ({"stream": {"generator": gen_config(randomize_polarity="yes")}},
+         "generator randomize_polarity must be true or false, got 'yes'"),
+        ({"stream": {"generator": 5}}, "stream generator config must be a JSON object, got int"),
+        ({"stream": {"path": 5}}, "stream path must be a string, got 5"),
+        ({"stream": {"generator": gen_config(), "pth": "x"}}, "unknown stream keys: ['pth']"),
+        ({"train": {"max_epochs": "3"}}, "train max_epochs must be an integer >= 1, got '3'"),
+        ({"train": {"max_epochs": 1.5}}, "train max_epochs must be an integer >= 1, got 1.5"),
+        ({"train": {"learning_rate": None}},
+         "train learning_rate must be a finite number > 0, got None"),
+        ({"train": {"batch_size": True}}, "train batch_size must be an integer >= 1, got True"),
+        ({"train": {"shuffle_seed": -1}}, "train shuffle_seed must be an integer >= 0, got -1"),
+        ({"model": {"n_filters": "8"}}, "model n_filters must be an integer >= 1, got '8'"),
+        ({"model": {"kernel_len": 4.5}}, "model kernel_len must be an integer >= 1, got 4.5"),
+        ({"model": {"seed": -1}}, "model seed must be an integer >= 0, got -1"),
+        ({"model": 5}, "model config must be a JSON object, got int"),
+        ({"model": {"architecture": "mlp", "hidden": 5}},
+         "model hidden must be a non-empty list of integers >= 1, got 5"),
+        ({"seeds": ["a"]}, "seeds must be a non-empty list of integers >= 0, got ['a']"),
+        ({"seeds": [-1]}, "seeds must be a non-empty list of integers >= 0, got [-1]"),
+        ({"seeds": [1.7]}, "seeds must be a non-empty list of integers >= 0, got [1.7]"),
+        ({"seeds": [True]}, "seeds must be a non-empty list of integers >= 0, got [True]"),
+        ({"seeds": None, "repeat": "x"}, "repeat must be an integer >= 1, got 'x'"),
+    ], ids=[
+        "n_subjects_string", "generator_seed_string", "generator_seed_negative",
+        "polarity_string", "generator_not_object", "path_not_string", "stream_key_unknown",
+        "max_epochs_string",
+        "max_epochs_fraction", "learning_rate_null", "batch_size_bool", "shuffle_seed_negative",
+        "n_filters_string", "kernel_len_fraction", "model_seed_negative", "model_not_object",
+        "hidden_not_list", "seed_string", "seed_negative", "seed_fraction", "seed_bool",
+        "repeat_string",
+    ])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides, message):
+        config = write_json(tmp_path / "exp.json", experiment_config(**overrides))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("stream_kind", ["generator", "path"])
+    @pytest.mark.parametrize("dims, message", [
+        ({"n_channels": 4}, "model n_channels 4 does not match the stream's 3"),
+        ({"n_timepoints": 11}, "model n_timepoints 11 does not match the stream's 12"),
+        ({"n_classes": 3}, "model n_classes 3 does not match the stream's 2"),
+    ], ids=["channels", "timepoints", "classes"])
+    def test_pinned_model_dims_must_match_the_stream(self, tmp_path, capsys, stream_kind,
+                                                     dims, message):
+        stream = ({"generator": gen_config()} if stream_kind == "generator"
+                  else {"path": str(gen_stream_dir(tmp_path))})
+        model = {"architecture": "mlp", "hidden": [4]}
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            stream=stream, model={**model, **dims}, seeds=[0, 1]
+        ))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out), "--jobs", "2"]) == 2
+        assert capsys.readouterr().err.endswith(f"error: {message}\n")
+        assert not out.exists()
+        pinned = {k: v for k, v in gen_config().items() if k in dims}
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            stream=stream, model={**model, **pinned, "n_classes": 2}, seeds=[0]
+        ))
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
 
     def test_stream_path_variant(self, tmp_path):
         gen_cfg = write_json(tmp_path / "gen.json", gen_config())
@@ -413,6 +500,16 @@ class TestParseExperimentConfig:
             memory={"capacity": 12, "per_class": 3},
         ))
         assert all(s.memory.capacity == 12 for s in cfg.strategies)
+
+    def test_integers_count_as_numbers(self):
+        cfg = parse_experiment_config(experiment_config(
+            strategies=[{"kind": "EWC", "lambda": 7}], ewc_lambda=3,
+            train={"learning_rate": 1},
+            stream={"generator": gen_config(mixing_scale=0, noise_sigma=2)},
+        ))
+        cfg.validate()
+        assert cfg.strategies[0].ewc.lam == 7
+        assert cfg.train.learning_rate == 1
 
     def test_repeat_expands_seeds(self):
         cfg = parse_experiment_config(experiment_config(seeds=None, repeat=3))

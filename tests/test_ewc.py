@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eegcl import (
+    ConfigError,
     EmptyInputError,
     FisherAnchor,
     ModelConfig,
@@ -47,6 +48,13 @@ class TestFisherAnchor:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             FisherAnchor(anchor=[0.0], fisher=[1.0], lam=-0.5)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, "1", True, None])
+    def test_non_number_lambda_rejected(self, lam):
+        with pytest.raises(ConfigError, match="ewc lambda"):
+            FisherAnchor(anchor=[0.0], fisher=[1.0], lam=lam)
+        with pytest.raises(ConfigError, match="ewc lambda"):
+            OnlineEwc(lam=lam)
 
 
 class TestPenalty:

@@ -155,6 +155,9 @@ class TestInvSqrt:
             inv_sqrt(np.eye(2), eps=0.0)
         with pytest.raises(ValueError):
             inv_sqrt(np.eye(2), eps=-1.0)
+        for eps in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="eps must be a finite number > 0"):
+                inv_sqrt(np.eye(2), eps=eps)
 
 
 class TestHelpers:

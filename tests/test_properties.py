@@ -1,7 +1,8 @@
 """Property tests for the decoders: on arbitrary bytes, and on
 single-byte mutations and truncations of valid files, a binary decoder
 either returns what its encoder writes back byte for byte or raises its
-documented error; load_stream does the same for generated manifest fields.
+documented error; load_stream does the same for generated manifest fields,
+and an experiment config for generated values in its fields.
 
 decode_subject reads all records of a subject at once; the per-trial
 decoder it replaced is kept here as its reference, and every error must
@@ -11,7 +12,7 @@ match that decoder's message and byte offset.
 import copy
 import json
 import struct
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, strategies as st  # noqa: E402
 
 from eegcl import (  # noqa: E402
+    ConfigError,
     LabeledTrial,
+    MemoryConfig,
     ModelConfig,
     ReplayMemory,
     StreamConfig,
@@ -34,8 +37,10 @@ from eegcl import (  # noqa: E402
     save_stream,
     store_class_balanced,
     streams_equal,
+    TrainConfig,
     trials_equal,
 )
+from eegcl.cli import parse_experiment_config  # noqa: E402
 from eegcl.data import decode_trial_data  # noqa: E402
 from eegcl.models import params_from_bytes, params_to_bytes  # noqa: E402
 from eegcl.replay import memory_from_bytes, memory_to_bytes  # noqa: E402
@@ -294,3 +299,64 @@ def test_load_stream_round_trips_or_raises_stream_format_error(stream_dir, manif
     assert [ds.subject_id for ds in stream] == [e["subject_id"] for e in manifest["subjects"]]
     save_stream(stream, stream_dir / "copy")
     assert streams_equal(load_stream(stream_dir / "copy"), stream)
+
+
+VALID_EXPERIMENT = {
+    "stream": {"generator": {"n_subjects": 2, "seed": 4}},
+    "strategies": ["SFT", {"kind": "ER", "memory": {"capacity": 20}}, {"kind": "EWC", "lambda": 5}],
+    "memory": {"capacity": 12, "per_class": 3, "policy": "class_balanced"},
+    "ewc_lambda": 50.0,
+    "model": {"architecture": "mlp", "hidden": [4, 2]},
+    "train": {"learning_rate": 0.01, "max_epochs": 2},
+    "seeds": [0, 1],
+}
+
+
+def _field_paths():
+    """Every field an experiment config can set, as a path of keys."""
+    paths = [(key,) for key in (*VALID_EXPERIMENT, "repeat")] + [
+        ("stream", "path"), ("seeds", 0), ("model", "hidden", 0),
+        *(("strategies", i, key) for i in (1, 2) for key in ("kind", "memory", "lambda")),
+    ]
+    for prefix, cls in ((("stream", "generator"), StreamConfig), (("model",), ModelConfig),
+                        (("train",), TrainConfig), (("memory",), MemoryConfig),
+                        (("strategies", 1, "memory"), MemoryConfig)):
+        paths += [(*prefix, f.name) for f in fields(cls)]
+    return paths
+
+
+def changed_config(changes):
+    """VALID_EXPERIMENT with each (path, value) change applied; a change
+    whose path an earlier change removed or replaced, or that would drop
+    a list element, is skipped."""
+    config = copy.deepcopy(VALID_EXPERIMENT)
+    for path, value in changes:
+        obj = config
+        for key in path[:-1]:
+            try:
+                obj = obj[key]
+            except (KeyError, IndexError, TypeError):
+                break
+        else:
+            if isinstance(obj, list) and (value is DROP or path[-1] >= len(obj)):
+                continue
+            if isinstance(obj, dict) and value is DROP:
+                obj.pop(path[-1], None)
+            elif isinstance(obj, (dict, list)):
+                obj[path[-1]] = value
+    return config
+
+
+config_values = st.one_of(
+    replacements, st.floats(-1e3, 1e3), st.lists(st.integers(-2, 5), max_size=3),
+    st.sampled_from(["mlp", "shallow_conv", "sgd", "reservoir_standard", "PCED"]),
+)
+
+
+@given(changes=st.lists(st.tuples(st.sampled_from(_field_paths()), config_values),
+                        min_size=1, max_size=3))
+def test_experiment_config_validates_or_raises_config_error(changes):
+    try:
+        parse_experiment_config(changed_config(changes)).validate()
+    except ConfigError:
+        pass

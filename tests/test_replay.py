@@ -23,6 +23,14 @@ class TestConstruction:
         with pytest.raises(ConfigError):
             ReplayMemory(capacity=5, policy="fifo")
 
+    @pytest.mark.parametrize("value", [1.5, True, "3", None])
+    def test_non_integer_sizes_rejected(self, value):
+        with pytest.raises(ConfigError, match="memory capacity must be an integer >= 0"):
+            ReplayMemory(capacity=value)
+        subject = balanced_subject(np.random.default_rng(0), 0, 4)
+        with pytest.raises(ConfigError, match="memory per_class must be an integer >= 0"):
+            store_class_balanced(ReplayMemory(4, "class_balanced"), subject, value, 0)
+
     def test_starts_empty(self):
         mem = ReplayMemory(capacity=5)
         assert len(mem) == 0
@@ -376,6 +384,19 @@ class TestSerialization:
         blob += struct.pack("<IIB", 0, 0, 0) + struct.pack("<IIB", 0, 1, 1)
         with pytest.raises(ValueError, match="dimensions"):
             memory_from_bytes(blob)
+
+    @pytest.mark.parametrize("field, value", [
+        ("subject", 2**32), ("timestamp", 2**32), ("label", 256),
+    ])
+    def test_fields_out_of_eegm_range_rejected(self, field, value):
+        mem = ReplayMemory(capacity=2, seed=0)
+        mem.offer_many([make_trial(np.zeros((2, 4)), **{field: value})])
+        name = {"subject": "subject_id", "label": "class_label"}.get(field, field)
+        with pytest.raises(ValueError, match=f"exemplar {name} {value} is above EEGM's {value - 1}"):
+            memory_to_bytes(mem)
+        mem = ReplayMemory(capacity=2, seed=0)
+        mem.offer_many([make_trial(np.zeros((2, 4)), **{field: value - 1})])
+        assert len(memory_from_bytes(memory_to_bytes(mem))) == 1
 
     def test_duplicate_exemplar_rejected(self):
         mem = ReplayMemory(capacity=2, seed=0)

@@ -205,6 +205,19 @@ class TestTrain:
         assert hist_a == hist_b
         assert np.array_equal(best_a.vector, best_b.vector)
 
+    @pytest.mark.parametrize("make_model", [tiny_model, tiny_conv], ids=["mlp", "conv"])
+    def test_float32_stage_matches_float64_input(self, make_model):
+        # A float32 training split is kept as float32 and each batch is cast
+        # to float64: the run equals one on the same values in float64.
+        (x, y), (x_val, y_val) = (stack_trials(s) for s in self.separable_sets())
+        x32 = x.astype(np.float32)
+        model = make_model()
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=5, batch_size=8, patience=5)
+        runs = [train(model, model.init_params(), (xs, y), (x_val, y_val), cfg)
+                for xs in (x32, x32.astype(np.float64))]
+        assert runs[0][1] == runs[1][1]
+        assert np.array_equal(runs[0][0].vector, runs[1][0].vector)
+
     def test_ties_keep_the_earliest_epoch(self):
         # if epoch 1 already hits the best validation accuracy, later epochs
         # tie at most and must not displace it: training longer returns the
