@@ -191,7 +191,7 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
         raise ConfigError("config needs a non-empty 'strategies' list")
     default_memory = _parse_memory(data.get("memory"), MemoryConfig())
     default_ewc = _validated(EwcConfig(data.get("ewc_lambda", EwcConfig.lam)))
-    model = _build_dataclass(ModelConfig, data.get("model", {}), "model config")
+    model = data.get("model", {})
     return ExperimentConfig(
         stream_path=stream.get("path"),
         generator=(
@@ -199,8 +199,8 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
             if "generator" in stream else None
         ),
         strategies=tuple(_parse_strategy(i, default_memory, default_ewc) for i in strategies),
-        model=model,
-        model_dims_set=frozenset(d for d in _MODEL_DIMS if d in data.get("model", {})),
+        model=_build_dataclass(ModelConfig, model, "model config"),
+        model_dims_set=frozenset(d for d in _MODEL_DIMS if d in model),
         train=_build_dataclass(TrainConfig, data.get("train", {}), "train config"),
         seed_list=data.get("seeds"),
         repeat=data.get("repeat"),
