@@ -12,7 +12,7 @@ whiten_subject is the one way a subject is whitened.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -104,10 +104,7 @@ def whiten_subject(dataset: SubjectDataset, eps: float | None = None) -> tuple:
     """
     report = compute_whitener(reference_covariance(dataset.arrays(Split.TRAIN)[0]), eps)
     aligned = np.matmul(report.whitener, dataset.block.astype(np.float64))
-    return SubjectDataset.from_arrays(
-        dataset.subject_id, aligned.astype(np.float32), dataset.labels,
-        dataset.timestamps, dataset.split,
-    ), report
+    return replace(dataset, block=aligned.astype(np.float32)), report
 
 
 def align_subject(trials, eps: float | None = None):

@@ -16,7 +16,6 @@ import json
 import math
 import struct
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from pathlib import Path
@@ -102,20 +101,37 @@ def trials_equal(a: LabeledTrial, b: LabeledTrial) -> bool:
     )
 
 
-class _Trials(Sequence):
-    """A subject's trials over their checked, read-only arrays; each
-    LabeledTrial is built the first time it is read."""
+@dataclass(frozen=True, eq=False)
+class SubjectDataset:
+    """One subject's trials: a read-only float32 block (n, channels, time)
+    with parallel int64 `labels` and `timestamps` and uint8 `split` tags.
 
-    def __init__(self, subject_id: int, block, labels, timestamps, built=()):
-        block = np.ascontiguousarray(block, dtype=np.float32)
-        labels, timestamps = np.array(labels, dtype=np.int64), np.array(timestamps, dtype=np.int64)
+    The constructor checks the arrays and makes them read-only. A block
+    that already is C-contiguous float32 is kept, not copied, so
+    dataclasses.replace(ds, split=...) shares it. `trials`, `trials_for`
+    and `trials_at` build LabeledTrials of only the rows asked for, anew
+    on each call.
+    """
+
+    subject_id: int
+    block: np.ndarray = field(repr=False)
+    labels: np.ndarray = field(repr=False)
+    timestamps: np.ndarray = field(repr=False)
+    split: np.ndarray
+    _ARRAYS = ("block", "labels", "timestamps", "split")
+
+    def __post_init__(self):
+        block = np.ascontiguousarray(self.block, dtype=np.float32)
+        labels = np.array(self.labels, dtype=np.int64)
+        timestamps = np.array(self.timestamps, dtype=np.int64)
         if block.ndim != 3 or not labels.shape == timestamps.shape == (len(block),):
             raise ShapeError(
                 f"need a (n, channels, time) block with n labels and timestamps, "
                 f"got shapes {block.shape}, {labels.shape} and {timestamps.shape}"
             )
-        if subject_id < 0 or (labels.size and labels.min() < 0):
-            raise ValueError(f"subject_id and class labels must be >= 0 (subject {subject_id})")
+        sid = self.subject_id
+        if sid < 0 or (labels.size and labels.min() < 0):
+            raise ValueError(f"subject_id and class labels must be >= 0 (subject {sid})")
         if not np.isfinite(block).all():
             raise ValueError("trial contains non-finite values")
         step = np.flatnonzero(np.diff(timestamps, prepend=-1) <= 0)
@@ -125,87 +141,17 @@ class _Trials(Sequence):
                 f"timestamps must increase strictly within a subject "
                 f"(saw {timestamps[i]} after {timestamps[i - 1] if i else -1})"
             )
-        for a in (block, labels, timestamps):
-            a.flags.writeable = False
-        self.subject_id, self.arrays = subject_id, (block, labels, timestamps)
-        self._built = list(built) or [None] * len(block)
-
-    def __len__(self) -> int:
-        return len(self._built)
-
-    def __repr__(self) -> str:
-        return f"<{len(self)} trials of subject {self.subject_id}>"
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self[i] for i in range(len(self))[index])
-        if self._built[index] is None:
-            block, labels, timestamps = self.arrays
-            self._built[index] = LabeledTrial(
-                block[index], int(labels[index]), self.subject_id, int(timestamps[index])
-            )
-        return self._built[index]
-
-
-@dataclass(frozen=True, eq=False)
-class SubjectDataset:
-    """One subject's trials: a read-only float32 block (n, channels, time)
-    with parallel int64 `labels` and `timestamps` and uint8 `split` tags.
-
-    Built from a sequence of this subject's LabeledTrials, all of one
-    shape, or with from_arrays. `trials` reads them back as LabeledTrials,
-    each built on first access; a constructor given that sequence back, as
-    dataclasses.replace(ds, split=...) does, reuses the arrays as they are.
-    """
-
-    subject_id: int
-    trials: Sequence
-    split: np.ndarray
-    block: np.ndarray = field(init=False, repr=False)
-    labels: np.ndarray = field(init=False, repr=False)
-    timestamps: np.ndarray = field(init=False, repr=False)
-    _ARRAYS = ("block", "labels", "timestamps", "split")
-
-    def __post_init__(self):
-        trials = self.trials
-        if not isinstance(trials, _Trials):
-            trials = tuple(trials)
-            shape = trials[0].trial.shape if trials else (0, 0)
-            for i, t in enumerate(trials):
-                if t.trial.shape != shape:
-                    raise ShapeError(
-                        f"subject {self.subject_id} trial shape {t.trial.shape} "
-                        f"(trial {i}) does not match {shape}"
-                    )
-                if t.subject_id != self.subject_id:
-                    raise ValueError(f"trial {i} belongs to subject {t.subject_id}")
-            trials = _Trials(
-                self.subject_id,
-                np.array([t.trial for t in trials], dtype=np.float32).reshape(len(trials), *shape),
-                [t.class_label for t in trials], [t.timestamp for t in trials], built=trials,
-            )
-        elif trials.subject_id != self.subject_id:
-            trials = _Trials(self.subject_id, *trials.arrays)
         split = np.array(self.split, dtype=np.int64)
-        if split.shape != (len(trials),) or ((split < 0) | (split > max(Split))).any():
-            raise ValueError(f"need {len(trials)} Split codes, got {split.tolist()}")
+        if split.shape != (len(block),) or ((split < 0) | (split > max(Split))).any():
+            raise ValueError(f"need {len(block)} Split codes, got {split.tolist()}")
         split = split.astype(np.uint8)
-        split.flags.writeable = False
-        for name, value in zip(self._ARRAYS, (*trials.arrays, split)):
+        for name, value in zip(self._ARRAYS, (block, labels, timestamps, split)):
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "trials", trials)
-
-    @classmethod
-    def from_arrays(cls, subject_id: int, block, labels, timestamps, split) -> "SubjectDataset":
-        """A subject from its arrays, checked as the constructor checks
-        trials. A block that already is C-contiguous float32 is kept, not
-        copied, and made read-only."""
-        return cls(subject_id, _Trials(subject_id, block, labels, timestamps), split)
 
     def __reduce__(self):
-        # Unpickle through from_arrays, which makes the arrays read-only again.
-        arrays = (getattr(self, name) for name in self._ARRAYS)
-        return SubjectDataset.from_arrays, (self.subject_id, *arrays)
+        # Unpickle through the constructor, which makes the arrays read-only again.
+        return SubjectDataset, (self.subject_id, *(getattr(self, n) for n in self._ARRAYS))
 
     @property
     def n_trials(self) -> int:
@@ -225,9 +171,21 @@ class SubjectDataset:
         mask = self.split == split
         return self.block[mask], self.labels[mask]
 
+    def trials_at(self, rows) -> tuple:
+        """LabeledTrials of the given rows, in the order given."""
+        block, labels, stamps = self.block, self.labels, self.timestamps
+        return tuple(
+            LabeledTrial(block[i], int(labels[i]), self.subject_id, int(stamps[i])) for i in rows
+        )
+
+    @property
+    def trials(self) -> tuple:
+        """Every trial as a LabeledTrial, in timestamp order."""
+        return self.trials_at(range(self.n_trials))
+
     def trials_for(self, split: Split) -> tuple:
         """Trials carrying the given split tag, in timestamp order."""
-        return tuple(self.trials[i] for i in np.flatnonzero(self.split == split))
+        return self.trials_at(np.flatnonzero(self.split == split))
 
     def class_counts(self) -> dict:
         return dict(Counter(self.labels.tolist()))
@@ -262,12 +220,13 @@ class StreamConfig:
     randomize_polarity: bool = True
     seed: int = 0
 
-    # n_timepoints >= 2, since alignment needs covariance estimates.
+    # n_timepoints >= 2, since alignment needs covariance estimates; a
+    # subject file stores each label in one byte, so n_classes <= 256.
     RULES = {
         "n_subjects": integer(1),
         "n_channels": integer(1),
         "n_timepoints": integer(2),
-        "n_classes": integer(2),
+        "n_classes": integer(2, 256),
         "trials_per_subject": integer(1),
         "mixing_scale": number(0),
         "noise_sigma": number(0),
@@ -436,7 +395,7 @@ def gen_stream(config: StreamConfig, train_frac: float = 0.7) -> Stream:
         noise *= config.noise_sigma
         x += noise
         x = np.matmul(mixing, x, out=noise).astype(np.float32)
-        ds = SubjectDataset.from_arrays(k, x, labels, np.arange(n), np.zeros(n))
+        ds = SubjectDataset(k, x, labels, np.arange(n), np.zeros(n))
         split_seed = int(rng.integers(0, 2**32 - 1))
         subjects.append(split_subject(ds, train_frac, split_seed))
     return Stream(
@@ -524,7 +483,7 @@ def decode_subject(buf: bytes, subject_id: int, path="<memory>") -> tuple:
     bad = (records["label"] >= n_classes) | (records["tag"] > max(Split))
     if n_whole == n_trials and not bad.any():
         try:  # the constructor's finiteness check is the only pass over the samples
-            return SubjectDataset.from_arrays(
+            return SubjectDataset(
                 subject_id, block, records["label"], records["timestamp"], records["tag"]
             ), n_classes
         except ValueError as exc:

@@ -62,8 +62,9 @@ def _is_finite(value) -> bool:
         return False
 
 
-def integer(low: int) -> Rule:
-    return Rule(lambda v: _is_integer(v) and v >= low, f"an integer >= {low}")
+def integer(low: int, high: float = math.inf) -> Rule:
+    text = f"an integer >= {low}" if high == math.inf else f"an integer in [{low}, {high}]"
+    return Rule(lambda v: _is_integer(v) and low <= v <= high, text)
 
 
 def number(low: float, exclusive: bool = False) -> Rule:

@@ -46,10 +46,11 @@ class FisherAnchor:
         object.__setattr__(self, "fisher", fisher)
 
 
-def fisher_diagonal(model, params: Params, trials) -> np.ndarray:
-    """Mean squared per-sample gradient of the negative log-likelihood,
-    with every trial's gradient taken from one batched backward pass."""
-    x, y = stack_trials(trials)
+def fisher_diagonal(model, params: Params, xy) -> np.ndarray:
+    """Mean squared per-sample gradient of the negative log-likelihood over
+    an (x, y) pair of arrays, with every trial's gradient taken from one
+    batched backward pass."""
+    x, y = stack_trials(xy)
     g = gradient(model, params, x, y, per_sample=True)
     return np.einsum("np,np->p", g, g) / len(x)
 
@@ -84,9 +85,10 @@ class OnlineEwc:
             return None
         return FisherAnchor(anchor=self._anchor, fisher=self._fisher_sum, lam=self.lam)
 
-    def update(self, model, params: Params, trials):
-        """Fold one finished stage in: re-anchor and add its Fisher."""
-        fisher = fisher_diagonal(model, params, trials)
+    def update(self, model, params: Params, xy):
+        """Fold one finished stage in: re-anchor and add the Fisher of its
+        (x, y) training arrays."""
+        fisher = fisher_diagonal(model, params, xy)
         if self._fisher_sum is None:
             self._fisher_sum = fisher
         else:

@@ -38,6 +38,7 @@ _MEMORY_HEADER = struct.Struct("<4sHIQBIHI")
 # magic, version, capacity, seen, policy code, n_entries, channels, timepoints
 _ENTRY_PREFIX = struct.Struct("<IIB")  # subject_id, timestamp, class_label
 _ENTRY_LIMITS = (("subject_id", 2**32 - 1), ("timestamp", 2**32 - 1), ("class_label", 255))
+_CAPACITY_LIMIT = 2**32 - 1
 
 
 class ReplayMemory:
@@ -189,8 +190,8 @@ def store_class_balanced(
     for label in sorted(set(labels.tolist())):
         pool = train[labels == label]
         picks = rng.choice(len(pool), size=min(per_class, len(pool)), replace=False)
-        chosen.extend(dataset.trials[i] for i in pool[np.sort(picks)])
-    return memory.store(chosen)
+        chosen.extend(pool[np.sort(picks)])
+    return memory.store(dataset.trials_at(chosen))
 
 
 _POLICY_CODES = {name: i for i, name in enumerate(POLICIES)}
@@ -198,13 +199,16 @@ _POLICY_CODES = {name: i for i, name in enumerate(POLICIES)}
 
 def memory_to_bytes(memory: ReplayMemory) -> bytes:
     """Serialize buffer contents (not the RNG state) to a binary blob.
-    An exemplar whose subject_id or timestamp exceeds 2**32 - 1, or whose
-    class_label exceeds 255, is a ValueError.
+    A capacity above 2**32 - 1, or an exemplar whose subject_id or
+    timestamp exceeds 2**32 - 1 or whose class_label exceeds 255, is a
+    ValueError.
 
     A restored memory continues with a fresh seed, so eviction decisions
     after a checkpoint reload differ from an uninterrupted run; contents,
     counters, and policy round-trip exactly.
     """
+    if memory.capacity > _CAPACITY_LIMIT:
+        raise ValueError(f"memory capacity {memory.capacity} is above EEGM's {_CAPACITY_LIMIT}")
     c, t = memory.entries[0].trial.shape if memory.entries else (0, 0)
     parts = [
         _MEMORY_HEADER.pack(

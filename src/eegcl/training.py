@@ -103,17 +103,12 @@ def _make_optimizer(cfg: TrainConfig, n_params: int):
     return Sgd(learning_rate=cfg.learning_rate)
 
 
-def stack_trials(trials, dtype=np.float64) -> tuple:
-    """A sequence of LabeledTrials, or an (x, y) pair of arrays such as
-    SubjectDataset.arrays returns, as (dtype (n, channels, time), int64);
-    dtype None keeps the samples' own (float32 for LabeledTrials)."""
-    if isinstance(trials, tuple) and len(trials) == 2 and isinstance(trials[0], np.ndarray):
-        x, y = trials
-    else:
-        trials = list(trials)
-        x, y = [t.trial for t in trials], [t.class_label for t in trials]
+def stack_trials(xy, dtype=np.float64) -> tuple:
+    """An (x, y) pair of arrays, such as SubjectDataset.arrays returns, as
+    (dtype (n, channels, time), int64); dtype None keeps the samples' own."""
+    x, y = xy
     if not len(x):
-        raise EmptyInputError("cannot stack an empty trial list")
+        raise EmptyInputError("cannot stack an empty trial set")
     return np.asarray(x, dtype=dtype), np.asarray(y, dtype=np.int64)
 
 
@@ -133,7 +128,8 @@ def evaluate_arrays(model, params: Params, x: np.ndarray, y: np.ndarray) -> floa
 def train(model, params: Params, train_set, val_set, cfg: TrainConfig, penalty=None):
     """Early-stopped mini-batch training.
 
-    train_set and val_set are trial sets as stack_trials takes them.
+    train_set and val_set are (x, y) pairs of arrays, as stack_trials
+    takes them.
     Returns (best params, per-epoch history). Best means highest validation
     accuracy, earliest epoch on ties; the loop stops once `patience` epochs
     in a row fail to improve it (patience 0 therefore stops after the first
@@ -142,7 +138,7 @@ def train(model, params: Params, train_set, val_set, cfg: TrainConfig, penalty=N
     applied every batch.
 
     Once per stage: the training split is stacked, checked (check_batch)
-    and stored, in its own dtype (float32 for stream trials), in the
+    and stored, in its own dtype (float32 for a subject's block), in the
     layout the model reads without a copy (its trial_axis). Each step only
     gathers a batch from it with np.take, casts it to float64 and runs the
     forward/backward arithmetic and the optimizer update.

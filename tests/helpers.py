@@ -12,30 +12,26 @@ def make_trial(data, label=0, subject=0, timestamp=0):
     )
 
 
+def tiny_arrays(rng, n, n_channels=2, n_timepoints=4, n_classes=2):
+    """n random trials with round-robin labels, as an (x, y) pair of arrays."""
+    return rng.standard_normal((n, n_channels, n_timepoints)), np.arange(n) % n_classes
+
+
 def tiny_trials(rng, n, n_channels=2, n_timepoints=4, subject=0, n_classes=2, start=0):
-    """n random labeled trials with round-robin labels and sequential timestamps."""
+    """tiny_arrays as LabeledTrials with sequential timestamps."""
+    x, y = tiny_arrays(rng, n, n_channels, n_timepoints, n_classes)
     return [
-        make_trial(
-            rng.standard_normal((n_channels, n_timepoints)),
-            label=i % n_classes,
-            subject=subject,
-            timestamp=start + i,
-        )
-        for i in range(n)
+        make_trial(x[i], label=int(y[i]), subject=subject, timestamp=start + i) for i in range(n)
     ]
 
 
 def balanced_subject(rng, subject_id, n_per_class, n_channels=2, n_timepoints=4,
                      n_classes=2, tag_all=Split.TRAIN):
-    """A subject with n_per_class trials per class, all carrying one split tag."""
-    trials = tiny_trials(
-        rng, n_per_class * n_classes, n_channels, n_timepoints, subject_id, n_classes
-    )
-    return SubjectDataset(
-        subject_id=subject_id,
-        trials=tuple(trials),
-        split=(tag_all,) * len(trials),
-    )
+    """A subject of tiny_arrays with n_per_class trials per class, all
+    carrying one split tag."""
+    n = n_per_class * n_classes
+    x, y = tiny_arrays(rng, n, n_channels, n_timepoints, n_classes)
+    return SubjectDataset(subject_id, x, y, np.arange(n), [tag_all] * n)
 
 
 def separable_subject(rng, subject_id, n_per_class, n_channels=2, n_timepoints=4,
@@ -45,16 +41,12 @@ def separable_subject(rng, subject_id, n_per_class, n_channels=2, n_timepoints=4
     splits cycles over the trials, so (TRAIN, TRAIN, VAL) gives a 2:1
     train/val interleaving.
     """
-    trials = []
-    tags = []
     n = n_per_class * 2
-    for i in range(n):
-        label = i % 2
-        center = gap if label == 0 else -gap
-        data = center + noise * rng.standard_normal((n_channels, n_timepoints))
-        trials.append(make_trial(data, label=label, subject=subject_id, timestamp=i))
-        tags.append(splits[i % len(splits)])
-    return SubjectDataset(subject_id=subject_id, trials=tuple(trials), split=tuple(tags))
+    labels = np.arange(n) % 2
+    centers = np.where(labels == 0, gap, -gap)[:, None, None]
+    block = centers + noise * rng.standard_normal((n, n_channels, n_timepoints))
+    tags = [splits[i % len(splits)] for i in range(n)]
+    return SubjectDataset(subject_id, block, labels, np.arange(n), tags)
 
 
 def central_difference(f, vector, h=1e-5):

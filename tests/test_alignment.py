@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from eegcl import (
     ShapeError,
     Split,
     StreamConfig,
-    SubjectDataset,
     align_subject,
     compute_whitener,
     covariance,
@@ -220,9 +220,7 @@ class TestAlignSubject:
         # the whitener comes from the training split alone and every trial,
         # of every split, is W @ x rounded to float32 once
         ds = balanced_subject(np.random.default_rng(10), 2, 6, n_channels=3, n_timepoints=8)
-        ds = SubjectDataset.from_arrays(
-            2, ds.block, ds.labels, ds.timestamps, [Split.TRAIN, Split.VAL, Split.TEST] * 4
-        )
+        ds = replace(ds, split=[Split.TRAIN, Split.VAL, Split.TEST] * 4)
         aligned, report = whiten_subject(ds)
         train = [t.trial for t in ds.trials_for(Split.TRAIN)]
         assert np.array_equal(report.reference_covariance, reference_covariance(train))

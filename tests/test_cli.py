@@ -13,7 +13,6 @@ import pytest
 import eegcl.cli
 from eegcl import (
     Split,
-    SubjectDataset,
     compute_whitener,
     covariance,
     load_stream,
@@ -103,7 +102,8 @@ class TestGen:
         config = write_json(tmp_path / "gen.json", gen_config(n_classes=1))
         assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
 
-    @pytest.mark.parametrize("field, value", [("seed", "x"), ("n_subjects", 2.5)])
+    @pytest.mark.parametrize("field, value", [("seed", "x"), ("n_subjects", 2.5),
+                                              ("n_classes", 300)])
     def test_bad_config_value_type_exits_2(self, tmp_path, capsys, field, value):
         config = write_json(tmp_path / "gen.json", gen_config(**{field: value}))
         assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
@@ -152,8 +152,8 @@ class TestAlign:
         for ds in stream:
             train = [t.trial for t in ds.trials_for(Split.TRAIN)]
             w = compute_whitener(reference_covariance(train), 0.01).whitener
-            trials = [replace(t, trial=w @ t.trial.astype(np.float64)) for t in ds.trials]
-            subjects.append(SubjectDataset(subject_id=ds.subject_id, trials=trials, split=ds.split))
+            block = np.array([w @ t.trial.astype(np.float64) for t in ds.trials], np.float32)
+            subjects.append(replace(ds, block=block))
         save_stream(replace(stream, subjects=subjects), tmp_path / "reference")
         for path in sorted((tmp_path / "reference").iterdir()):
             assert (tmp_path / "aligned" / path.name).read_bytes() == path.read_bytes()
@@ -346,6 +346,8 @@ class TestRunCommand:
          "generator seed must be an integer >= 0, got -1"),
         ({"stream": {"generator": gen_config(randomize_polarity="yes")}},
          "generator randomize_polarity must be true or false, got 'yes'"),
+        ({"stream": {"generator": gen_config(n_classes=300, trials_per_subject=900)}},
+         "generator n_classes must be an integer in [2, 256], got 300"),
         ({"stream": {"generator": 5}}, "stream generator config must be a JSON object, got int"),
         ({"stream": {"path": 5}}, "stream path must be a string, got 5"),
         ({"stream": {"generator": gen_config(), "pth": "x"}}, "unknown stream keys: ['pth']"),
@@ -368,8 +370,8 @@ class TestRunCommand:
         ({"seeds": None, "repeat": "x"}, "repeat must be an integer >= 1, got 'x'"),
     ], ids=[
         "n_subjects_string", "generator_seed_string", "generator_seed_negative",
-        "polarity_string", "generator_not_object", "path_not_string", "stream_key_unknown",
-        "max_epochs_string",
+        "polarity_string", "n_classes_above_a_byte", "generator_not_object", "path_not_string",
+        "stream_key_unknown", "max_epochs_string",
         "max_epochs_fraction", "learning_rate_null", "batch_size_bool", "shuffle_seed_negative",
         "n_filters_string", "kernel_len_fraction", "model_seed_negative", "model_not_object",
         "hidden_not_list", "seed_string", "seed_negative", "seed_fraction", "seed_bool",

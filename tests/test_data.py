@@ -12,6 +12,7 @@ from eegcl import (
     ConfigError,
     LabeledTrial,
     Split,
+    ShapeError,
     StratificationError,
     Stream,
     StreamConfig,
@@ -31,7 +32,7 @@ from eegcl import (
 from eegcl.data import _draw_mixing, decode_trial_data, encode_trial_data
 from eegcl.linalg import covariance, inv_sqrt
 
-from helpers import balanced_subject, make_trial, tiny_trials
+from helpers import balanced_subject, make_trial
 
 HEADER = struct.Struct("<4sHIHIH")
 TRIAL_PREFIX = struct.Struct("<IBB")
@@ -90,20 +91,20 @@ def per_trial_gen_stream(config, train_frac=0.7):
     whiten = inv_sqrt(mean_cov)
     patterns = np.array([whiten @ pattern for pattern in raw])
     subjects = []
+    n = config.trials_per_subject
+    labels = [i % config.n_classes for i in range(n)]
     for k in range(config.n_subjects):
         mixing = _draw_mixing(rng, c, config.mixing_scale)
         trials = []
-        for i in range(config.trials_per_subject):
-            label = i % config.n_classes
+        for label in labels:
             gain = 1.0
             if config.randomize_polarity:
                 gain = 1.0 if rng.random() < 0.5 else -1.0
             noise = rng.standard_normal((c, t))
-            x = mixing @ (gain * patterns[label] + config.noise_sigma * noise)
-            trials.append(make_trial(x, label=label, subject=k, timestamp=i))
-        tags = per_trial_split([tr.class_label for tr in trials], train_frac,
-                               int(rng.integers(0, 2**32 - 1)))
-        subjects.append(SubjectDataset(subject_id=k, trials=tuple(trials), split=tags))
+            trials.append((mixing @ (gain * patterns[label] + config.noise_sigma * noise))
+                          .astype(np.float32))
+        tags = per_trial_split(labels, train_frac, int(rng.integers(0, 2**32 - 1)))
+        subjects.append(SubjectDataset(k, np.array(trials), labels, np.arange(n), tags))
     return subjects
 
 
@@ -150,21 +151,84 @@ class TestLabeledTrial:
         assert not trials_equal(a, same_data)
 
 
+def subject(n=2, seed=0, **arrays):
+    """An n-trial subject of 2 x 8 trials, all TRAIN; arrays overrides
+    any of block, labels, timestamps and split."""
+    fields = {
+        "block": np.random.default_rng(seed).standard_normal((n, 2, 8)),
+        "labels": np.arange(n) % 2, "timestamps": np.arange(n), "split": [Split.TRAIN] * n,
+    }
+    return SubjectDataset(0, **{**fields, **arrays})
+
+
 class TestSubjectDataset:
     def test_timestamps_must_strictly_increase(self):
-        t0 = rand_trial(seed=0, timestamp=3)
-        t1 = rand_trial(seed=1, timestamp=3)
-        with pytest.raises(ValueError):
-            SubjectDataset(subject_id=0, trials=(t0, t1), split=(Split.TRAIN, Split.TRAIN))
+        with pytest.raises(ValueError, match="saw 3 after 3"):
+            subject(timestamps=[3, 3])
+        with pytest.raises(ValueError, match="saw 2 after 3"):
+            subject(3, timestamps=[0, 3, 2])
+        with pytest.raises(ValueError, match="saw -1 after -1"):
+            subject(1, timestamps=[-1])
 
     def test_split_length_must_match(self):
+        with pytest.raises(ValueError, match="need 1 Split codes"):
+            subject(1, split=[])
+        with pytest.raises(ValueError, match="need 2 Split codes"):
+            subject(split=[Split.TRAIN, 3])
+        with pytest.raises(ValueError, match="need 2 Split codes"):
+            subject(split=[-1, Split.TRAIN])
+
+    @pytest.mark.parametrize("arrays", [
+        {"block": np.zeros((2, 8))}, {"block": np.zeros((2, 1, 2, 8))},
+        {"labels": [0]}, {"timestamps": [0, 1, 2]}, {"labels": [[0, 1]]},
+    ], ids=["block_2d", "block_4d", "short_labels", "long_timestamps", "labels_2d"])
+    def test_array_shapes_must_agree(self, arrays):
+        with pytest.raises(ShapeError):
+            subject(**arrays)
+
+    def test_negative_ids_and_labels_rejected(self):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            subject(labels=[0, -1])
+        with pytest.raises(ValueError, match="must be >= 0"):
+            replace(subject(), subject_id=-1)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
+    def test_non_finite_samples_rejected(self, value):
+        block = np.zeros((2, 2, 8))
+        block[1, 1, 7] = value  # 1e39 overflows float32
+        with pytest.raises(ValueError, match="non-finite"):
+            subject(block=block)
+
+    def test_arrays_stored_checked_and_read_only(self):
+        ds = subject(3, block=np.ones((3, 2, 8), dtype=np.float64), labels=[2, 0, 1])
+        assert ds.block.dtype == np.float32 and ds.block.shape == (3, 2, 8)
+        assert ds.labels.dtype == ds.timestamps.dtype == np.int64
+        assert ds.split.dtype == np.uint8
+        for a in (ds.block, ds.labels, ds.timestamps, ds.split):
+            assert not a.flags.writeable
         with pytest.raises(ValueError):
-            SubjectDataset(subject_id=0, trials=(rand_trial(),), split=())
+            ds.block[0, 0, 0] = 1.0
+        empty = subject(0, block=np.empty((0, 2, 8)))
+        assert empty.n_trials == 0 and empty.trials == ()
+        block = np.zeros((2, 2, 8), dtype=np.float32)  # already float32: kept, not copied
+        assert subject(block=block).block is block
+        assert not block.flags.writeable
+
+    def test_trials_are_built_from_the_rows(self):
+        ds = split_subject(balanced(5, n_classes=3, n_channels=3, n_timepoints=6), 0.6, seed=1)
+        trials = ds.trials
+        assert len(trials) == 15
+        for i, t in enumerate(trials):
+            assert np.array_equal(t.trial, ds.block[i])
+            assert (t.class_label, t.subject_id, t.timestamp) == (ds.labels[i], 0, i)
+        assert all(trials_equal(a, b) for a, b in zip(ds.trials_at([4, 0]), trials[4::-4]))
+        # no cache: each read builds its trials anew
+        assert ds.trials[0] is not ds.trials[0]
 
     def test_trials_for_filters_in_order(self):
-        trials = tiny_trials(np.random.default_rng(0), 6)
         tags = (Split.TRAIN, Split.VAL, Split.TRAIN, Split.TEST, Split.VAL, Split.TRAIN)
-        ds = SubjectDataset(subject_id=0, trials=trials, split=tags)
+        ds = subject(6, split=tags)
         assert [t.timestamp for t in ds.trials_for(Split.TRAIN)] == [0, 2, 5]
         assert [t.timestamp for t in ds.trials_for(Split.VAL)] == [1, 4]
         assert [t.timestamp for t in ds.trials_for(Split.TEST)] == [3]
@@ -172,39 +236,16 @@ class TestSubjectDataset:
     def test_class_counts(self):
         assert balanced(5).class_counts() == {0: 5, 1: 5}
 
-    def test_built_from_trials_equals_built_from_arrays(self):
-        ds = split_subject(balanced(5, n_classes=3, n_channels=3, n_timepoints=6), 0.6, seed=1)
-        trials = tuple(ds.trials)
-        from_trials = SubjectDataset(subject_id=0, trials=trials, split=ds.split)
-        from_arrays = SubjectDataset.from_arrays(
-            0, np.array([t.trial for t in trials]), [t.class_label for t in trials],
-            [t.timestamp for t in trials], ds.split,
-        )
-        assert datasets_equal(from_trials, from_arrays)
-        assert from_arrays.block.shape == (15, 3, 6) and from_arrays.block.dtype == np.float32
-        for built in (from_trials, from_arrays):
-            assert all(trials_equal(a, b) for a, b in zip(built.trials, trials))
-            for a in (built.block, built.labels, built.timestamps, built.split):
-                assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                built.block[0, 0, 0] = 1.0
-
     def test_replace_trials_or_split(self):
         ds = balanced(4)
         retagged = replace(ds, split=[Split.TEST] * 8)
         assert retagged.block is ds.block
         assert retagged.split.tolist() == [Split.TEST] * 8
-        later = [replace(t, timestamp=t.timestamp + 10) for t in ds.trials]
-        moved = replace(ds, trials=later)
+        moved = replace(ds, timestamps=ds.timestamps + 10)
         assert moved.timestamps.tolist() == list(range(10, 18))
-        assert np.array_equal(moved.block, ds.block)
+        assert moved.block is ds.block
         with pytest.raises(ValueError):
             replace(ds, split=[Split.TRAIN] * 3)
-
-    def test_trials_of_another_subject_rejected(self):
-        with pytest.raises(ValueError, match="belongs to subject 0"):
-            SubjectDataset(subject_id=1, trials=tiny_trials(np.random.default_rng(0), 2),
-                           split=(Split.TRAIN,) * 2)
 
 
 class TestSplitSubject:
@@ -244,8 +285,7 @@ class TestSplitSubject:
 
     def test_class_below_three_trials_rejected(self):
         # labels cycle 0,1,0,1,0 so class 1 ends up with only two trials
-        trials = tiny_trials(np.random.default_rng(0), 5)
-        ds = SubjectDataset(subject_id=0, trials=trials, split=(Split.TRAIN,) * 5)
+        ds = subject(5)
         with pytest.raises(StratificationError):
             split_subject(ds, 0.7, seed=0)
 
@@ -398,16 +438,12 @@ class TestGenStream:
 
 class TestStreamValidation:
     def test_mismatched_trial_shape_rejected(self):
-        ds = SubjectDataset(
-            subject_id=0, trials=(rand_trial(n_channels=3),), split=(Split.TRAIN,)
-        )
+        ds = subject(1, block=np.zeros((1, 3, 8)))
         with pytest.raises(ValueError):
             Stream(subjects=(ds,), n_channels=2, n_timepoints=8, n_classes=2, seed=0)
 
     def test_label_out_of_range_rejected(self):
-        ds = SubjectDataset(
-            subject_id=0, trials=(rand_trial(label=5),), split=(Split.TRAIN,)
-        )
+        ds = subject(1, labels=[5])
         with pytest.raises(ValueError):
             Stream(subjects=(ds,), n_channels=2, n_timepoints=8, n_classes=2, seed=0)
 
@@ -525,6 +561,9 @@ class TestStreamIO:
         restored = pickle.loads(pickle.dumps(stream))
         assert streams_equal(restored, stream)
         for ds in restored:
+            assert ds.block.dtype == np.float32
+            for a in (ds.block, ds.labels, ds.timestamps, ds.split):
+                assert not a.flags.writeable
             for t in ds.trials:
                 assert t.trial.dtype == np.float32
                 assert not t.trial.flags.writeable

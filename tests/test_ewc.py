@@ -15,7 +15,7 @@ from eegcl import (
     penalty,
 )
 
-from helpers import central_difference, tiny_trials
+from helpers import central_difference, tiny_arrays
 
 
 def tiny_model():
@@ -104,29 +104,26 @@ class TestFisherDiagonal:
     def test_single_sample_is_squared_gradient(self):
         for model in tiny_models():
             params = model.init_params()
-            trials = tiny_trials(np.random.default_rng(1), 1)
-            fisher = fisher_diagonal(model, params, trials)
-            x = trials[0].trial[None, :, :].astype(np.float64)
-            g = gradient(model, params, x, [trials[0].class_label])
+            x, y = tiny_arrays(np.random.default_rng(1), 1)
+            fisher = fisher_diagonal(model, params, (x, y))
+            g = gradient(model, params, x, y)
             np.testing.assert_allclose(fisher, g * g, rtol=0, atol=1e-15)
 
     def test_mean_of_per_sample_squares(self):
         for model in tiny_models():
             params = model.init_params()
-            trials = tiny_trials(np.random.default_rng(2), 5)
-            fisher = fisher_diagonal(model, params, trials)
+            x, y = tiny_arrays(np.random.default_rng(2), 5)
+            fisher = fisher_diagonal(model, params, (x, y))
             acc = np.zeros(params.n_params)
-            for t in trials:
-                g = gradient(
-                    model, params, t.trial[None, :, :].astype(np.float64), [t.class_label]
-                )
+            for i in range(5):
+                g = gradient(model, params, x[i : i + 1], y[i : i + 1])
                 acc += g * g
             np.testing.assert_allclose(fisher, acc / 5.0, rtol=0, atol=1e-10)
 
     def test_nonnegative_and_finite(self):
         for model in tiny_models():
             params = model.init_params()
-            fisher = fisher_diagonal(model, params, tiny_trials(np.random.default_rng(3), 8))
+            fisher = fisher_diagonal(model, params, tiny_arrays(np.random.default_rng(3), 8))
             assert np.all(fisher >= 0)
             assert np.all(np.isfinite(fisher))
 
@@ -136,16 +133,14 @@ class TestFisherDiagonal:
         for model in tiny_models():
             params = model.init_params()
             params.view(model.layout[-1].name)[:] = np.array([100.0, -100.0])
-            trials = [
-                t for t in tiny_trials(np.random.default_rng(4), 10) if t.class_label == 0
-            ]
-            fisher = fisher_diagonal(model, params, trials)
+            x, y = tiny_arrays(np.random.default_rng(4), 10)
+            fisher = fisher_diagonal(model, params, (x[y == 0], y[y == 0]))
             assert float(np.max(fisher)) < 1e-8
 
     def test_empty_dataset_rejected(self):
         for model in tiny_models():
             with pytest.raises(EmptyInputError):
-                fisher_diagonal(model, model.init_params(), [])
+                fisher_diagonal(model, model.init_params(), (np.empty((0, 2, 4)), []))
 
 
 class TestOnlineEwc:
@@ -158,7 +153,7 @@ class TestOnlineEwc:
         model = tiny_model()
         params = model.init_params()
         ewc = OnlineEwc(lam=10.0)
-        ewc.update(model, params, tiny_trials(np.random.default_rng(5), 4))
+        ewc.update(model, params, tiny_arrays(np.random.default_rng(5), 4))
         anchor = ewc.anchor
         assert np.array_equal(anchor.anchor, params.vector)
         params.vector[0] += 99.0
@@ -167,8 +162,8 @@ class TestOnlineEwc:
     def test_fisher_accumulates_across_updates(self):
         model = tiny_model()
         params = model.init_params()
-        set_a = tiny_trials(np.random.default_rng(6), 4)
-        set_b = tiny_trials(np.random.default_rng(7), 4)
+        set_a = tiny_arrays(np.random.default_rng(6), 4)
+        set_b = tiny_arrays(np.random.default_rng(7), 4)
         f_a = fisher_diagonal(model, params, set_a)
         f_b = fisher_diagonal(model, params, set_b)
         ewc = OnlineEwc(lam=1.0)
@@ -180,18 +175,18 @@ class TestOnlineEwc:
         model = tiny_model()
         first = model.init_params()
         ewc = OnlineEwc(lam=1.0)
-        trials = tiny_trials(np.random.default_rng(8), 4)
-        ewc.update(model, first, trials)
+        xy = tiny_arrays(np.random.default_rng(8), 4)
+        ewc.update(model, first, xy)
         second = first.copy()
         second.vector += 0.5
-        ewc.update(model, second, trials)
+        ewc.update(model, second, xy)
         assert np.array_equal(ewc.anchor.anchor, second.vector)
 
     def test_hook_captures_state_at_creation(self):
         model = tiny_model()
         params = model.init_params()
         ewc = OnlineEwc(lam=2.0)
-        ewc.update(model, params, tiny_trials(np.random.default_rng(9), 4))
+        ewc.update(model, params, tiny_arrays(np.random.default_rng(9), 4))
         hook = ewc.penalty_hook()
         at_anchor_loss, at_anchor_grad = hook(params.vector)
         assert at_anchor_loss == 0.0

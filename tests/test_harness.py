@@ -15,7 +15,6 @@ from eegcl import (
     Strategy,
     Stream,
     StreamConfig,
-    SubjectDataset,
     TrainConfig,
     UndefinedMetricError,
     bwt,
@@ -234,12 +233,16 @@ class TestRunContinual:
     @pytest.mark.parametrize("split", list(Split), ids=lambda s: s.name.lower())
     def test_every_trial_shape_is_checked(self, split):
         first = small_stream()[0]
-        trials = list(first.trials)
+        rows = list(first.block)
         second = [i for i, s in enumerate(first.split) if s == split][1]
-        trials[second] = replace(trials[second], trial=trials[second].trial[:, :-1])
-        # A subject is one block, so the ragged subject cannot even be built.
-        with pytest.raises(ShapeError, match=r"trial shape \(4, 31\)"):
-            replace(first, trials=tuple(trials))
+        rows[second] = rows[second][:, :-1]
+        # A subject is one block, so the ragged subject cannot even be built...
+        with pytest.raises(ValueError):
+            replace(first, block=rows)
+        # ...and a later subject of another trial shape is refused at its stage.
+        narrow = replace(first, subject_id=1, block=first.block[:, :, :-1])
+        with pytest.raises(ShapeError, match=r"subject 1 trial shape \(4, 31\)"):
+            run_continual([first, narrow], sft_strategy(), small_model_cfg(), fast_train_cfg())
 
     def test_repeated_subject_does_not_lose_accuracy(self):
         # training twice on the same subject must keep its test accuracy
@@ -250,11 +253,7 @@ class TestRunContinual:
                          randomize_polarity=False, seed=3)
         )
         first = base[0]
-        second = SubjectDataset(
-            subject_id=1,
-            trials=tuple(replace(t, subject_id=1) for t in first.trials),
-            split=first.split,
-        )
+        second = replace(first, subject_id=1)
         stream = Stream(subjects=(first, second), n_channels=3, n_timepoints=16,
                         n_classes=2, seed=3)
         model_cfg = ModelConfig(architecture="mlp", n_channels=3, n_timepoints=16,

@@ -115,7 +115,7 @@ def per_trial_decode(buf, path="<memory>"):
 def _valid_subject_files():
     stream = gen_stream(StreamConfig(n_subjects=2, n_channels=2, n_timepoints=3,
                                      n_classes=3, trials_per_subject=9, seed=1))
-    empty = SubjectDataset.from_arrays(0, np.empty((0, 2, 3)), [], [], [])
+    empty = SubjectDataset(0, np.empty((0, 2, 3)), [], [], [])
     return [encode_subject(ds, stream.n_classes) for ds in (*stream, empty)]
 
 

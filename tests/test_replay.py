@@ -7,7 +7,7 @@ import pytest
 from eegcl import ConfigError, ReplayMemory, ShapeError, Split, SubjectDataset, store_class_balanced
 from eegcl.replay import memory_from_bytes, memory_to_bytes
 
-from helpers import balanced_subject, make_trial, tiny_trials
+from helpers import balanced_subject, make_trial, tiny_arrays, tiny_trials
 
 
 def stream_of(n, subject=0, start=0, seed=0):
@@ -235,15 +235,16 @@ class TestStoreClassBalanced:
         assert mem.class_counts() == {0: 3, 1: 3}
 
     def test_only_training_trials_eligible(self):
-        trials = tiny_trials(np.random.default_rng(0), 8)
+        x, y = tiny_arrays(np.random.default_rng(0), 8)
         tags = (Split.TRAIN, Split.TRAIN, Split.VAL, Split.TEST) * 2
-        ds = SubjectDataset(subject_id=0, trials=trials, split=tags)
+        ds = SubjectDataset(0, x, y, np.arange(8), tags)
         mem = ReplayMemory(capacity=100, policy="class_balanced")
         store_class_balanced(mem, ds, per_class=10, rng=0)
-        train_keys = {
-            (t.subject_id, t.timestamp) for t, s in zip(trials, tags) if s == Split.TRAIN
-        }
+        train_keys = {(0, i) for i, s in enumerate(tags) if s == Split.TRAIN}
         assert {(e.subject_id, e.timestamp) for e in mem.snapshot()} == train_keys
+        for e in mem.snapshot():
+            assert np.array_equal(e.trial, ds.block[e.timestamp])
+            assert e.class_label == y[e.timestamp]
 
     def test_same_rng_seed_same_selection(self):
         picks = []
@@ -386,17 +387,20 @@ class TestSerialization:
             memory_from_bytes(blob)
 
     @pytest.mark.parametrize("field, value", [
-        ("subject", 2**32), ("timestamp", 2**32), ("label", 256),
+        ("subject", 2**32), ("timestamp", 2**32), ("label", 256), ("capacity", 2**32),
     ])
     def test_fields_out_of_eegm_range_rejected(self, field, value):
-        mem = ReplayMemory(capacity=2, seed=0)
-        mem.offer_many([make_trial(np.zeros((2, 4)), **{field: value})])
-        name = {"subject": "subject_id", "label": "class_label"}.get(field, field)
-        with pytest.raises(ValueError, match=f"exemplar {name} {value} is above EEGM's {value - 1}"):
-            memory_to_bytes(mem)
-        mem = ReplayMemory(capacity=2, seed=0)
-        mem.offer_many([make_trial(np.zeros((2, 4)), **{field: value - 1})])
-        assert len(memory_from_bytes(memory_to_bytes(mem))) == 1
+        def memory(v):
+            mem = ReplayMemory(capacity=v if field == "capacity" else 2, seed=0)
+            fields = {} if field == "capacity" else {field: v}
+            mem.offer_many([make_trial(np.zeros((2, 4)), **fields)])
+            return mem
+
+        name = {"subject": "exemplar subject_id", "label": "exemplar class_label",
+                "timestamp": "exemplar timestamp", "capacity": "memory capacity"}[field]
+        with pytest.raises(ValueError, match=f"{name} {value} is above EEGM's {value - 1}"):
+            memory_to_bytes(memory(value))
+        assert len(memory_from_bytes(memory_to_bytes(memory(value - 1)))) == 1
 
     def test_duplicate_exemplar_rejected(self):
         mem = ReplayMemory(capacity=2, seed=0)

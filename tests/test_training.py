@@ -19,7 +19,7 @@ from eegcl import (
 )
 from eegcl.training import Adam, EpochStats, Sgd
 
-from helpers import separable_subject, tiny_trials
+from helpers import separable_subject, tiny_arrays
 
 
 def tiny_model(seed=0):
@@ -37,7 +37,7 @@ def tiny_conv(seed=0):
 
 
 def split_sets(subject):
-    return subject.trials_for(Split.TRAIN), subject.trials_for(Split.VAL)
+    return subject.arrays(Split.TRAIN), subject.arrays(Split.VAL)
 
 
 def reference_train(model, params, train_set, val_set, cfg, penalty=None):
@@ -116,23 +116,24 @@ class TestOptimizers:
 
 class TestStackTrials:
     def test_shapes_and_dtypes(self):
-        trials = tiny_trials(np.random.default_rng(0), 5)
-        x, y = stack_trials(trials)
+        x32 = tiny_arrays(np.random.default_rng(0), 5)[0].astype(np.float32)
+        x, y = stack_trials((x32, [0, 1, 0, 1, 0]))
         assert x.shape == (5, 2, 4)
         assert x.dtype == np.float64
         assert y.dtype == np.int64
         assert list(y) == [0, 1, 0, 1, 0]
+        assert stack_trials((x32, y), None)[0] is x32
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            stack_trials([])
+            stack_trials((np.empty((0, 2, 4)), np.empty(0)))
 
 
 class TestEvaluate:
     def test_all_correct_scores_one(self):
         model = tiny_model()
         params = model.init_params()
-        x, _ = stack_trials(tiny_trials(np.random.default_rng(1), 8))
+        x, _ = tiny_arrays(np.random.default_rng(1), 8)
         logits = model.forward(params, x)
         y = np.argmax(logits, axis=1)
         assert evaluate_arrays(model, params, x, y) == 1.0
@@ -140,7 +141,7 @@ class TestEvaluate:
     def test_single_trial_is_zero_or_one(self):
         model = tiny_model()
         params = model.init_params()
-        x, y = stack_trials(tiny_trials(np.random.default_rng(2), 1))
+        x, y = tiny_arrays(np.random.default_rng(2), 1)
         assert evaluate_arrays(model, params, x, y) in (0.0, 1.0)
 
     def test_argmax_ties_pick_lowest_class(self):
@@ -150,15 +151,13 @@ class TestEvaluate:
         params = model.init_params()
         params.view("w1")[:] = 0.0
         params.view("b1")[:] = 0.0
-        trials = tiny_trials(np.random.default_rng(3), 10)
-        x, y = stack_trials(trials)
+        x, y = tiny_arrays(np.random.default_rng(3), 10)
         assert evaluate_arrays(model, params, x, y) == pytest.approx(np.mean(y == 0))
 
     def test_random_params_near_chance_on_balanced_data(self):
         model = tiny_model()
         params = model.init_params()
-        trials = tiny_trials(np.random.default_rng(4), 2000)
-        acc = evaluate_arrays(model, params, *stack_trials(trials))
+        acc = evaluate_arrays(model, params, *tiny_arrays(np.random.default_rng(4), 2000))
         assert 0.4 <= acc <= 0.6
 
     def test_empty_rejected(self):
@@ -168,7 +167,7 @@ class TestEvaluate:
 
     def test_label_count_must_match(self):
         model = tiny_model()
-        x, y = stack_trials(tiny_trials(np.random.default_rng(5), 4))
+        x, y = tiny_arrays(np.random.default_rng(5), 4)
         for bad in ([1], y[:3], y[:, None]):
             with pytest.raises(ShapeError):
                 evaluate_arrays(model, model.init_params(), x, bad)
