@@ -75,21 +75,20 @@ _CURVE_RE = re.compile(r"^subject=(\d+)$")
 _REPORT_RE = re.compile(r"^report_[a-z]+_\d+\.json$")
 
 
-# The model dimensions that default to the stream's unless the config sets them.
+# The model dimensions that come from the stream; a config may only restate them.
 _MODEL_DIMS = ("n_channels", "n_timepoints", "n_classes")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a stream source, strategies, model/train configs,
-    and the seeds, one independent run per strategy per seed. The seeds
-    are seed_list, else 0 .. repeat - 1, else 0 alone."""
+    """One experiment: a stream source, strategies, the model's JSON object,
+    a train config, and the seeds, one independent run per strategy per
+    seed. The seeds are seed_list, else 0 .. repeat - 1, else 0 alone."""
 
     stream_path: str | None
     generator: StreamConfig | None
     strategies: tuple
-    model: ModelConfig
-    model_dims_set: frozenset
+    model: dict
     train: TrainConfig
     seed_list: list | None = None
     repeat: int | None = None
@@ -101,14 +100,14 @@ class ExperimentConfig:
         return tuple(range(1 if self.repeat is None else self.repeat))
 
     def validate(self):
+        """Check what parse_experiment_config copies raw from the JSON:
+        the stream source, seeds and repeat."""
         if (self.stream_path is None) == (self.generator is None):
             raise ConfigError(
                 "stream must specify exactly one of 'path' or 'generator'"
             )
         if self.generator is None:
             STRING.check(self.stream_path, "stream path")
-        else:
-            self.generator.validate()
         if self.seed_list is not None:
             integers(0).check(self.seed_list, "seeds")
             if len(set(self.seed_list)) != len(self.seed_list):
@@ -120,10 +119,6 @@ class ExperimentConfig:
                     f"repeat ({self.repeat}) disagrees with the seed list length "
                     f"({len(self.seed_list)})"
                 )
-        for s in self.strategies:
-            s.validate()
-        self.model.validate()
-        self.train.validate()
 
 
 def _load_json(path) -> dict:
@@ -148,15 +143,10 @@ def _build_dataclass(cls, data: dict, what: str):
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
-def _validated(config):
-    config.validate()
-    return config
-
-
 def _parse_memory(data, default: MemoryConfig) -> MemoryConfig:
     if data is None:
         return default
-    return _validated(_build_dataclass(MemoryConfig, data, "memory config"))
+    return _build_dataclass(MemoryConfig, data, "memory config")
 
 
 def _parse_strategy(item, default_memory: MemoryConfig, default_ewc: EwcConfig) -> Strategy:
@@ -170,13 +160,14 @@ def _parse_strategy(item, default_memory: MemoryConfig, default_ewc: EwcConfig) 
     if unknown:
         raise ConfigError(f"unknown strategy keys: {unknown}")
     memory = _parse_memory(item.get("memory"), default_memory)
-    ewc = _validated(EwcConfig(item["lambda"])) if "lambda" in item else default_ewc
+    ewc = EwcConfig(item["lambda"]) if "lambda" in item else default_ewc
     return build_strategy(str(item.get("kind", "")).upper(), memory=memory, lam=ewc.lam)
 
 
 def parse_experiment_config(data: dict) -> ExperimentConfig:
-    """Map an experiment config's JSON object onto an ExperimentConfig,
-    whose validate() checks the values."""
+    """Map an experiment config's JSON object onto an ExperimentConfig. The
+    configs it builds check themselves; cmd_run builds the ModelConfig
+    over the stream's dimensions."""
     unknown = sorted(set(data) - {"stream", "strategies", "memory", "ewc_lambda", "model",
                                   "train", "seeds", "repeat"})
     if unknown:
@@ -190,8 +181,10 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
     if not isinstance(strategies, list) or not strategies:
         raise ConfigError("config needs a non-empty 'strategies' list")
     default_memory = _parse_memory(data.get("memory"), MemoryConfig())
-    default_ewc = _validated(EwcConfig(data.get("ewc_lambda", EwcConfig.lam)))
+    default_ewc = EwcConfig(data.get("ewc_lambda", EwcConfig.lam))
     model = data.get("model", {})
+    if not isinstance(model, dict):
+        raise ConfigError(f"model config must be a JSON object, got {type(model).__name__}")
     return ExperimentConfig(
         stream_path=stream.get("path"),
         generator=(
@@ -199,8 +192,7 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
             if "generator" in stream else None
         ),
         strategies=tuple(_parse_strategy(i, default_memory, default_ewc) for i in strategies),
-        model=_build_dataclass(ModelConfig, model, "model config"),
-        model_dims_set=frozenset(d for d in _MODEL_DIMS if d in model),
+        model=model,
         train=_build_dataclass(TrainConfig, data.get("train", {}), "train config"),
         seed_list=data.get("seeds"),
         repeat=data.get("repeat"),
@@ -232,22 +224,9 @@ def _outcome(call):
         return exc
 
 
-def _fit_model_to_stream(model: ModelConfig, dims_set: frozenset, stream) -> ModelConfig:
-    """Model dims default to the stream's; a dim the config set must equal
-    the stream's."""
-    dims = {name: getattr(stream, name) for name in _MODEL_DIMS}
-    for name in _MODEL_DIMS:
-        if name in dims_set and getattr(model, name) != dims[name]:
-            raise ConfigError(
-                f"model {name} {getattr(model, name)!r} does not match "
-                f"the stream's {dims[name]}"
-            )
-    return replace(model, **dims)
-
-
 def cmd_gen(args) -> int:
     config = _build_dataclass(StreamConfig, _load_json(args.config), "stream config")
-    stream = gen_stream(config)  # validates config before any output
+    stream = gen_stream(config)  # config was checked when built, before any output
     save_stream(stream, args.out)
     print(
         f"wrote {len(stream)} subjects "
@@ -323,8 +302,12 @@ def cmd_run(args) -> int:
             raise ConfigError(f"stream path has no manifest.json: {stream_path}")
         stream = load_stream(stream_path)
     stream.require_splits(*Split)
-    model_cfg = _fit_model_to_stream(config.model, config.model_dims_set, stream)
-    model_cfg.validate()
+    dims = {name: getattr(stream, name) for name in _MODEL_DIMS}
+    model_cfg = _build_dataclass(ModelConfig, {**dims, **config.model}, "model config")
+    for name, value in dims.items():
+        if config.model.get(name, value) != value:
+            raise ConfigError(f"model {name} {config.model[name]!r} does not match "
+                              f"the stream's {value}")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -408,12 +391,29 @@ def cmd_run(args) -> int:
     return 4 if failures else 0
 
 
-def _load_reports(directory: Path) -> list:
-    reports = []
-    for path in sorted(directory.iterdir()):
-        if _REPORT_RE.match(path.name):
-            reports.append(json.loads(path.read_text()))
-    return reports
+def _is_cell(value) -> bool:
+    """A report matrix entry: a JSON number a float can hold, or null."""
+    return (value is None or isinstance(value, float)
+            or (type(value) is int and abs(value) <= sys.float_info.max))
+
+
+def _load_report(path: Path) -> tuple:
+    """A report's strategy kind and its accuracy matrix, NaN for null; a
+    malformed report is a ConfigError that names its file."""
+    try:
+        report = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    report = report if isinstance(report, dict) else {}
+    strategy = report.get("strategy")
+    if not isinstance(strategy, dict) or not isinstance(strategy.get("kind"), str):
+        raise ConfigError(f"{path}: report needs a strategy kind")
+    rows = report.get("matrix")
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) and len(row) == len(rows) for row in rows)
+            and all(_is_cell(v) for row in rows for v in row)):
+        raise ConfigError(f"{path}: report matrix must be a square list of numbers and nulls")
+    return strategy["kind"], np.array([[np.nan if v is None else v for v in row] for row in rows])
 
 
 def cmd_report(args) -> int:
@@ -424,17 +424,13 @@ def cmd_report(args) -> int:
     if not match:
         raise ConfigError(f"--curve must look like subject=3, got {args.curve!r}")
     subject = int(match.group(1))
-    reports = _load_reports(directory)
+    reports = [_load_report(p) for p in sorted(directory.iterdir()) if _REPORT_RE.match(p.name)]
     if not reports:
         raise ConfigError(f"no report_*.json files found in {directory}")
 
     curves: dict = {}
     n_subjects = None
-    for report in reports:
-        kind = report["strategy"]["kind"]
-        matrix = np.array(
-            [[np.nan if v is None else v for v in row] for row in report["matrix"]]
-        )
+    for kind, matrix in reports:
         if n_subjects is None:
             n_subjects = matrix.shape[0]
         elif matrix.shape[0] != n_subjects:

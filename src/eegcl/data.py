@@ -41,6 +41,8 @@ SUBJECT_MAGIC = b"EEGC"
 FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sHIHIH")  # magic, version, n_trials, channels, timepoints, n_classes
+# Subject (EEGC) and memory (EEGM) headers store the channel count in two bytes.
+CHANNEL_LIMIT = 0xFFFF
 _TRIAL_PREFIX = struct.Struct("<IBB")  # timestamp, class_label, split tag
 
 # Redraw threshold for the per-subject mixing matrix determinant.
@@ -221,10 +223,11 @@ class StreamConfig:
     seed: int = 0
 
     # n_timepoints >= 2, since alignment needs covariance estimates; a
-    # subject file stores each label in one byte, so n_classes <= 256.
+    # subject file stores each label in one byte, so n_classes <= 256, and
+    # its channel count in two.
     RULES = {
         "n_subjects": integer(1),
-        "n_channels": integer(1),
+        "n_channels": integer(1, CHANNEL_LIMIT),
         "n_timepoints": integer(2),
         "n_classes": integer(2, 256),
         "trials_per_subject": integer(1),
@@ -234,7 +237,7 @@ class StreamConfig:
         "seed": integer(0),
     }
 
-    def validate(self):
+    def __post_init__(self):
         check_fields(self, "generator", self.RULES)
 
 
@@ -370,7 +373,6 @@ def gen_stream(config: StreamConfig, train_frac: float = 0.7) -> Stream:
     mixings, which is what lets the stream exhibit genuine forgetting and
     genuine recovery under alignment instead of uniform positive transfer.
     """
-    config.validate()
     rng = np.random.default_rng(config.seed)
     c, t = config.n_channels, config.n_timepoints
     raw = rng.standard_normal((config.n_classes, c, t))
@@ -441,6 +443,8 @@ def _record_dtype(c: int, t: int) -> np.dtype:
 def encode_subject(dataset: SubjectDataset, n_classes: int) -> bytes:
     """Serialize one subject to the binary trial format."""
     n, c, t = dataset.block.shape
+    if c > CHANNEL_LIMIT:
+        raise ValueError(f"n_channels {c} is above EEGC's {CHANNEL_LIMIT}")
     header = _HEADER.pack(SUBJECT_MAGIC, FORMAT_VERSION, n, c, t, n_classes)
     if not n:
         return header

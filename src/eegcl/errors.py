@@ -6,9 +6,10 @@ problems exit 2, I/O and file-format problems exit 3, numerical failures
 exit 4.
 
 Each config dataclass states its field rules once, as a table of Rules
-(field name -> rule), and its validate() applies the table with
-check_fields. A rule accepts JSON values only: a bool is not an integer,
-and an integer too large for a float is not a finite number.
+(field name -> rule), and its constructor (so dataclasses.replace too)
+applies the table with check_fields. A rule accepts JSON values only: a
+bool is not an integer, and an integer too large for a float is not a
+finite number.
 """
 
 import math

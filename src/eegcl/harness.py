@@ -45,7 +45,7 @@ class MemoryConfig:
     per_class: int = DEFAULT_PER_CLASS
     policy: str = "class_balanced"
 
-    def validate(self):
+    def __post_init__(self):
         check_fields(self, "memory", MEMORY_RULES)
 
 
@@ -53,12 +53,12 @@ class MemoryConfig:
 class EwcConfig:
     lam: float = DEFAULT_LAMBDA
 
-    def validate(self):
+    def __post_init__(self):
         LAMBDA.check(self.lam, "ewc lambda")
 
 
 # Each strategy kind: whether it uses alignment, a memory and EWC, and the
-# rule validate() reports when a strategy's fields differ from its row.
+# rule a Strategy reports when its fields differ from its kind's row.
 STRATEGY_TABLE = {
     "SFT": (False, False, False, "SFT uses no memory, no EWC, and no alignment"),
     "ER": (False, True, False, "ER needs a memory config and no alignment"),
@@ -78,8 +78,8 @@ class Strategy:
     """Which forgetting-mitigation mechanisms a run uses.
 
     The loop dispatches on the fields (alignment flag, memory config, ewc
-    config), never on the kind label, so mechanisms compose orthogonally.
-    build_strategy builds, and validate() checks, a kind's STRATEGY_TABLE row.
+    config), never on the kind label. build_strategy builds, and the
+    constructor checks, a kind's STRATEGY_TABLE row.
     """
 
     kind: str
@@ -87,13 +87,10 @@ class Strategy:
     memory: MemoryConfig | None = None
     ewc: EwcConfig | None = None
 
-    def validate(self):
+    def __post_init__(self):
         *uses, rule = _kind(self.kind)
         if [bool(self.alignment_enabled), self.memory is not None, self.ewc is not None] != uses:
             raise ConfigError(rule)
-        for config in (self.memory, self.ewc):
-            if config is not None:
-                config.validate()
 
 
 def build_strategy(

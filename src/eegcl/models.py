@@ -60,7 +60,7 @@ class ModelConfig:
     }
     HIDDEN = integers(1)
 
-    def validate(self):
+    def __post_init__(self):
         check_fields(self, "model", self.RULES)
         if self.architecture == "mlp":
             self.HIDDEN.check(self.hidden, "model hidden")
@@ -196,7 +196,6 @@ class MlpNet:
     trial_axis = 0
 
     def __init__(self, config: ModelConfig):
-        config.validate()
         self.config = config
         sizes = [config.n_channels * config.n_timepoints, *config.hidden, config.n_classes]
         blocks = []
@@ -269,7 +268,6 @@ class ShallowConvNet:
     trial_axis = 1
 
     def __init__(self, config: ModelConfig):
-        config.validate()
         self.config = config
         k, length = config.n_filters, config.kernel_len
         c, n_classes = config.n_channels, config.n_classes

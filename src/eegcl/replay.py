@@ -25,7 +25,9 @@ from collections import Counter
 
 import numpy as np
 
-from .data import LabeledTrial, Split, SubjectDataset, decode_trial_data, encode_trial_data
+from .data import (
+    CHANNEL_LIMIT, LabeledTrial, Split, SubjectDataset, decode_trial_data, encode_trial_data,
+)
 from .errors import ConfigError, ShapeError, integer, one_of
 
 POLICIES = ("reservoir_standard", "reservoir_paper_literal", "class_balanced")
@@ -199,9 +201,9 @@ _POLICY_CODES = {name: i for i, name in enumerate(POLICIES)}
 
 def memory_to_bytes(memory: ReplayMemory) -> bytes:
     """Serialize buffer contents (not the RNG state) to a binary blob.
-    A capacity above 2**32 - 1, or an exemplar whose subject_id or
-    timestamp exceeds 2**32 - 1 or whose class_label exceeds 255, is a
-    ValueError.
+    A capacity above 2**32 - 1, exemplars of more than CHANNEL_LIMIT
+    channels, or an exemplar whose subject_id or timestamp exceeds
+    2**32 - 1 or whose class_label exceeds 255, is a ValueError.
 
     A restored memory continues with a fresh seed, so eviction decisions
     after a checkpoint reload differ from an uninterrupted run; contents,
@@ -210,6 +212,8 @@ def memory_to_bytes(memory: ReplayMemory) -> bytes:
     if memory.capacity > _CAPACITY_LIMIT:
         raise ValueError(f"memory capacity {memory.capacity} is above EEGM's {_CAPACITY_LIMIT}")
     c, t = memory.entries[0].trial.shape if memory.entries else (0, 0)
+    if c > CHANNEL_LIMIT:
+        raise ValueError(f"exemplar channels {c} is above EEGM's {CHANNEL_LIMIT}")
     parts = [
         _MEMORY_HEADER.pack(
             _MEMORY_MAGIC,

@@ -44,7 +44,7 @@ class TrainConfig:
         "optimizer": one_of(("adam", "sgd")),
     }
 
-    def validate(self):
+    def __post_init__(self):
         check_fields(self, "train", self.RULES)
 
 
@@ -143,7 +143,6 @@ def train(model, params: Params, train_set, val_set, cfg: TrainConfig, penalty=N
     gathers a batch from it with np.take, casts it to float64 and runs the
     forward/backward arithmetic and the optimizer update.
     """
-    cfg.validate()
     x_train, y_train = check_batch(model, *stack_trials(train_set, None), dtype=None)
     x_val, y_val = stack_trials(val_set)
     n = len(x_train)

@@ -1,7 +1,8 @@
-"""The benchmark reads eegcl's API by name: the functions its tracer wraps,
-and, in ingest_replay, ds.trials, trials_for, memory.entries and
-trials_equal. A tiny traced run of each workload that reaches them keeps a
-change to those names from breaking the benchmark unnoticed."""
+"""The benchmark reads eegcl's API by name: the functions its tracer wraps;
+in ingest_replay, ds.trials, trials_for, memory.entries and trials_equal;
+and in sweep_jobs2, parse_experiment_config(...).validate() and the
+`eegcl run` command. A tiny traced run of each workload that reaches them
+keeps a change to those names from breaking the benchmark unnoticed."""
 
 import json
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["ingest_replay", "stream_default"])
+@pytest.mark.parametrize("workload", ["ingest_replay", "stream_default", "sweep_jobs2"])
 def test_tiny_traced_bench_run_passes(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run_bench.py"), "--workload", workload,

@@ -407,6 +407,21 @@ class TestRunCommand:
         ))
         assert main(["run", "--config", str(config), "--out", str(out)]) == 0
 
+    def test_model_is_checked_over_the_streams_dimensions(self, tmp_path):
+        # a kernel longer than the default 64 timepoints fits a 128-sample stream
+        def run(n_timepoints, out):
+            config = write_json(tmp_path / "exp.json", experiment_config(
+                stream={"generator": gen_config(n_timepoints=n_timepoints)},
+                strategies=["SFT"], model={"kernel_len": 80},
+                train={"max_epochs": 1, "patience": 1}, seeds=[0],
+            ))
+            return main(["run", "--config", str(config), "--out", str(out)])
+
+        assert run(128, tmp_path / "long") == 0
+        assert (tmp_path / "long" / "report_sft_0.json").is_file()
+        assert run(64, tmp_path / "short") == 2
+        assert not (tmp_path / "short").exists()
+
     def test_stream_path_variant(self, tmp_path):
         gen_cfg = write_json(tmp_path / "gen.json", gen_config())
         main(["gen", "--config", str(gen_cfg), "--out", str(tmp_path / "stream")])
@@ -568,6 +583,24 @@ class TestReportCommand:
 
     def test_missing_directory_exits_2(self, tmp_path):
         assert main(["report", str(tmp_path / "void")]) == 2
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "invalid JSON"),
+        (json.dumps({"strategy": {"kind": "SFT"}}), "report matrix must be"),
+        (json.dumps({"strategy": {}, "matrix": [[0.5]]}), "report needs a strategy kind"),
+        (json.dumps({"strategy": {"kind": "SFT"}, "matrix": [[0.5], [0.4, 0.6]]}),
+         "report matrix must be"),
+        (json.dumps({"strategy": {"kind": "SFT"}, "matrix": [[0.5, None]]}),
+         "report matrix must be"),
+        (json.dumps({"strategy": {"kind": "SFT"}, "matrix": [["0.5"]]}),
+         "report matrix must be"),
+    ], ids=["invalid_json", "no_matrix", "no_kind", "ragged", "not_square", "not_numeric"])
+    def test_malformed_report_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "report_sft_0.json"
+        path.write_text(text)
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
+        assert not (tmp_path / "curve_subject1.csv").exists()
 
     def test_undefined_curve_entry_exits_4(self, tmp_path):
         report = {

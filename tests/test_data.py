@@ -302,19 +302,24 @@ class TestSplitSubject:
 
 class TestStreamConfig:
     def test_defaults_validate(self):
-        StreamConfig().validate()
+        StreamConfig()
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
-            StreamConfig(n_subjects=0).validate()
+            StreamConfig(n_subjects=0)
         with pytest.raises(ConfigError):
-            StreamConfig(n_classes=1).validate()
+            StreamConfig(n_classes=1)
         with pytest.raises(ConfigError):
-            StreamConfig(mixing_scale=-0.1).validate()
+            StreamConfig(mixing_scale=-0.1)
         with pytest.raises(ConfigError):
-            StreamConfig(noise_sigma=-1.0).validate()
+            StreamConfig(noise_sigma=-1.0)
         with pytest.raises(ConfigError):
-            StreamConfig(n_timepoints=1).validate()
+            StreamConfig(n_timepoints=1)
+
+    def test_channel_count_fits_the_subject_header(self):
+        with pytest.raises(ConfigError, match=r"n_channels must be an integer in \[1, 65535\]"):
+            StreamConfig(n_channels=65536)
+        assert StreamConfig(n_channels=65535).n_channels == 65535
 
 
 class TestGenStream:
@@ -478,6 +483,17 @@ class TestSubjectCodec:
         assert version == 1
         assert (n_trials, c, t, n_classes) == (4, 3, 5, 2)
         assert len(buf) == HEADER.size + 4 * (TRIAL_PREFIX.size + 4 * 3 * 5)
+
+    @pytest.mark.parametrize("arrays, message", [
+        ({"labels": [256]}, "labels must fit in one byte"),
+        ({"timestamps": [2**32]}, "timestamps in four"),
+        ({"block": np.zeros((1, 65536, 2))}, "n_channels 65536 is above EEGC's 65535"),
+    ], ids=["label", "timestamp", "channels"])
+    def test_fields_out_of_eegc_range_rejected(self, arrays, message):
+        with pytest.raises(ValueError, match=message):
+            encode_subject(subject(1, **arrays), 257)
+        widest = subject(1, block=np.zeros((1, 65535, 2)))
+        assert decode_subject(encode_subject(widest, 2), 0)[0].block.shape == (1, 65535, 2)
 
     def test_bad_magic_offset_0(self):
         buf = HEADER.pack(b"XXXX", 1, 0, 2, 4, 2)

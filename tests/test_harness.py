@@ -60,7 +60,7 @@ def triangular(values):
 class TestStrategies:
     def test_factories_build_valid_configs(self):
         for strategy in (sft_strategy(), er_strategy(), ewc_strategy(), pced_strategy()):
-            strategy.validate()
+            assert replace(strategy) == strategy  # replace runs the constructor's checks
 
     def test_factory_shapes(self):
         assert sft_strategy() == Strategy(kind="SFT")
@@ -80,21 +80,21 @@ class TestStrategies:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
-            Strategy(kind="FINETUNE").validate()
+            Strategy(kind="FINETUNE")
 
     def test_field_label_mismatches_rejected(self):
         with pytest.raises(ConfigError):
-            Strategy(kind="SFT", memory=MemoryConfig()).validate()
+            Strategy(kind="SFT", memory=MemoryConfig())
         with pytest.raises(ConfigError):
-            Strategy(kind="ER").validate()
+            Strategy(kind="ER")
         with pytest.raises(ConfigError):
-            Strategy(kind="ER", memory=MemoryConfig(), alignment_enabled=True).validate()
+            Strategy(kind="ER", memory=MemoryConfig(), alignment_enabled=True)
         with pytest.raises(ConfigError):
-            Strategy(kind="EWC").validate()
+            Strategy(kind="EWC")
         with pytest.raises(ConfigError):
-            Strategy(kind="EWC", ewc=EwcConfig(), memory=MemoryConfig()).validate()
+            Strategy(kind="EWC", ewc=EwcConfig(), memory=MemoryConfig())
         with pytest.raises(ConfigError):
-            Strategy(kind="PCED", memory=MemoryConfig()).validate()
+            Strategy(kind="PCED", memory=MemoryConfig())
 
 
 class TestBwt:
@@ -271,15 +271,11 @@ class TestRunContinual:
         assert a.stage_epochs == b.stage_epochs
 
     def test_disabled_mechanisms_reduce_to_plain_finetuning(self):
-        # a strategy whose alignment is off and whose memory holds nothing
-        # must follow the exact same trajectory as SFT, parameter for
-        # parameter — the loop dispatches on fields, not on the label
+        # replay from a memory that holds nothing must follow the exact
+        # same trajectory as SFT, parameter for parameter — the loop
+        # dispatches on fields, not on the label
         stream = small_stream()
-        neutered = Strategy(
-            kind="PCED",
-            alignment_enabled=False,
-            memory=MemoryConfig(capacity=0, per_class=0),
-        )
+        neutered = er_strategy(MemoryConfig(capacity=0, per_class=0))
         a = run_continual(stream, sft_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=2)
         b = run_continual(stream, neutered, small_model_cfg(), fast_train_cfg(), run_seed=2)
         assert np.array_equal(a.matrix, b.matrix, equal_nan=True)

@@ -45,29 +45,29 @@ def batch_for(model, n=4, seed=0):
 
 class TestModelConfig:
     def test_defaults_validate(self):
-        ModelConfig().validate()
+        ModelConfig()
 
     def test_unknown_architecture(self):
         with pytest.raises(ConfigError):
-            ModelConfig(architecture="transformer").validate()
+            ModelConfig(architecture="transformer")
 
     def test_bad_dimensions(self):
         with pytest.raises(ConfigError):
-            ModelConfig(n_channels=0).validate()
+            ModelConfig(n_channels=0)
         with pytest.raises(ConfigError):
-            ModelConfig(n_classes=1).validate()
+            ModelConfig(n_classes=1)
 
     def test_mlp_needs_hidden_layers(self):
         with pytest.raises(ConfigError):
-            ModelConfig(architecture="mlp", hidden=()).validate()
+            ModelConfig(architecture="mlp", hidden=())
         with pytest.raises(ConfigError):
-            ModelConfig(architecture="mlp", hidden=(0,)).validate()
+            ModelConfig(architecture="mlp", hidden=(0,))
 
     def test_conv_kernel_bounds(self):
         with pytest.raises(ConfigError):
-            ModelConfig(kernel_len=65, n_timepoints=64).validate()
+            ModelConfig(kernel_len=65, n_timepoints=64)
         with pytest.raises(ConfigError):
-            ModelConfig(n_filters=0).validate()
+            ModelConfig(n_filters=0)
 
 
 class TestParams:

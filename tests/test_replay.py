@@ -388,16 +388,19 @@ class TestSerialization:
 
     @pytest.mark.parametrize("field, value", [
         ("subject", 2**32), ("timestamp", 2**32), ("label", 256), ("capacity", 2**32),
+        ("channels", 2**16),
     ])
     def test_fields_out_of_eegm_range_rejected(self, field, value):
         def memory(v):
             mem = ReplayMemory(capacity=v if field == "capacity" else 2, seed=0)
-            fields = {} if field == "capacity" else {field: v}
-            mem.offer_many([make_trial(np.zeros((2, 4)), **fields)])
+            fields = {} if field in ("capacity", "channels") else {field: v}
+            shape = (v, 2) if field == "channels" else (2, 4)
+            mem.offer_many([make_trial(np.zeros(shape), **fields)])
             return mem
 
         name = {"subject": "exemplar subject_id", "label": "exemplar class_label",
-                "timestamp": "exemplar timestamp", "capacity": "memory capacity"}[field]
+                "timestamp": "exemplar timestamp", "capacity": "memory capacity",
+                "channels": "exemplar channels"}[field]
         with pytest.raises(ValueError, match=f"{name} {value} is above EEGM's {value - 1}"):
             memory_to_bytes(memory(value))
         assert len(memory_from_bytes(memory_to_bytes(memory(value - 1)))) == 1

@@ -74,19 +74,19 @@ def reference_train(model, params, train_set, val_set, cfg, penalty=None):
 
 class TestTrainConfig:
     def test_defaults_validate(self):
-        TrainConfig().validate()
+        TrainConfig()
 
     def test_bad_values_rejected(self):
         with pytest.raises(ConfigError):
-            TrainConfig(learning_rate=0.0).validate()
+            TrainConfig(learning_rate=0.0)
         with pytest.raises(ConfigError):
-            TrainConfig(max_epochs=0).validate()
+            TrainConfig(max_epochs=0)
         with pytest.raises(ConfigError):
-            TrainConfig(batch_size=0).validate()
+            TrainConfig(batch_size=0)
         with pytest.raises(ConfigError):
-            TrainConfig(patience=-1).validate()
+            TrainConfig(patience=-1)
         with pytest.raises(ConfigError):
-            TrainConfig(optimizer="lbfgs").validate()
+            TrainConfig(optimizer="lbfgs")
 
 
 class TestOptimizers:
