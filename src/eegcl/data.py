@@ -41,8 +41,10 @@ SUBJECT_MAGIC = b"EEGC"
 FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sHIHIH")  # magic, version, n_trials, channels, timepoints, n_classes
-# Subject (EEGC) and memory (EEGM) headers store the channel count in two bytes.
+# Subject (EEGC) and memory (EEGM) headers store the channel count in two
+# bytes, and the subject header stores the class count in two.
 CHANNEL_LIMIT = 0xFFFF
+CLASS_LIMIT = 0xFFFF
 _TRIAL_PREFIX = struct.Struct("<IBB")  # timestamp, class_label, split tag
 
 # Redraw threshold for the per-subject mixing matrix determinant.
@@ -445,6 +447,8 @@ def encode_subject(dataset: SubjectDataset, n_classes: int) -> bytes:
     n, c, t = dataset.block.shape
     if c > CHANNEL_LIMIT:
         raise ValueError(f"n_channels {c} is above EEGC's {CHANNEL_LIMIT}")
+    if n_classes > CLASS_LIMIT:
+        raise ValueError(f"n_classes {n_classes} is above EEGC's {CLASS_LIMIT}")
     header = _HEADER.pack(SUBJECT_MAGIC, FORMAT_VERSION, n, c, t, n_classes)
     if not n:
         return header

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, check_fields, integer, integers, one_of
+from .errors import ConfigError, EmptyInputError, ShapeError
+from .errors import check_fields, integer, integers, one_of
 
 # Added inside the log of the pooled power so zero-power features stay finite.
 LOG_EPS = 1e-6
@@ -404,21 +405,10 @@ def build_model(config: ModelConfig):
     return ShallowConvNet(config)
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log softmax, stabilized by max subtraction."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be 2-D, got shape {logits.shape}")
-    return _log_softmax(logits)
-
-
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log softmax, stabilized by max subtraction."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
-def softmax(logits: np.ndarray) -> np.ndarray:
-    return np.exp(log_softmax(logits))
 
 
 def _check_labels(labels, n_classes: int, n_rows: int) -> np.ndarray:
@@ -431,7 +421,7 @@ def _check_labels(labels, n_classes: int, n_rows: int) -> np.ndarray:
     if not whole:
         raise ValueError(f"labels must be whole-number class indices, got {labels.dtype} values")
     labels = labels.astype(np.int64, copy=False)
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+    if labels.min() < 0 or labels.max() >= n_classes:
         raise ValueError(
             f"labels must lie in [0, {n_classes}), got range "
             f"[{labels.min()}, {labels.max()}]"
@@ -442,24 +432,15 @@ def _check_labels(labels, n_classes: int, n_rows: int) -> np.ndarray:
 def check_batch(model, x: np.ndarray, labels, dtype=np.float64) -> tuple:
     """The checks loss_and_gradient and gradient run on their input:
     returns x as a dtype (n, channels, time) batch for the model and
-    labels as int64 class indices, one per trial. Raises ShapeError or
-    ValueError otherwise. train() runs them once on a stage's training
-    split, with dtype None to keep that split's own dtype, so that its
-    steps can call unchecked_loss_and_gradient."""
+    labels as int64 class indices, one per trial. Raises ShapeError,
+    EmptyInputError (a batch of no trials) or ValueError otherwise.
+    train() runs them once on a stage's training split, with dtype None to
+    keep that split's own dtype, so that its steps can call
+    unchecked_loss_and_gradient."""
     x = _check_trials(x, model.config, dtype)
+    if not x.shape[0]:
+        raise EmptyInputError("a batch needs at least one trial")
     return x, _check_labels(labels, model.config.n_classes, x.shape[0])
-
-
-def cross_entropy(logits: np.ndarray, labels) -> float:
-    """Mean negative log softmax probability of the true class."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise ShapeError(f"logits must be 2-D, got shape {logits.shape}")
-    labels = _check_labels(labels, logits.shape[1], logits.shape[0])
-    if logits.shape[0] == 0:
-        raise ValueError("cross_entropy of an empty batch")
-    ls = _log_softmax(logits)
-    return float(-ls[np.arange(len(labels)), labels].mean())
 
 
 def loss_and_gradient(model, params: Params, x: np.ndarray, labels, penalty=None):

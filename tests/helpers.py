@@ -1,9 +1,10 @@
-"""Shared builders for the test suite: tiny trials, subjects, and a
-central-difference gradient oracle."""
+"""Shared builders for the test suite: tiny trials, subjects, a
+central-difference gradient oracle, and reference log-softmax and
+cross-entropy for the gradient oracles."""
 
 import numpy as np
 
-from eegcl import LabeledTrial, Split, SubjectDataset
+from eegcl.data import LabeledTrial, Split, SubjectDataset
 
 
 def make_trial(data, label=0, subject=0, timestamp=0):
@@ -66,3 +67,16 @@ def gradients_close(analytic, numeric, abs_tol=1e-4, rel_tol=1e-3):
     """Per-coordinate agreement within max(abs_tol, rel_tol * |numeric|)."""
     allowed = np.maximum(abs_tol, rel_tol * np.abs(numeric))
     return bool(np.all(np.abs(analytic - numeric) <= allowed))
+
+
+def log_softmax(logits):
+    """Reference row-wise log softmax of 2-D logits, stabilized by max
+    subtraction."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def cross_entropy(logits, labels):
+    """Reference mean negative log softmax probability of the true class."""
+    ls = log_softmax(logits)
+    return float(-ls[np.arange(len(labels)), labels].mean())

@@ -31,30 +31,22 @@ from scipy.stats import chi2
 
 import helpers
 from eegcl import (
-    LabeledTrial,
     ModelConfig,
-    Params,
-    ReplayMemory,
     StreamConfig,
     TrainConfig,
-    align_subject,
-    build_model,
-    bwt,
-    er_strategy,
-    ewc_strategy,
-    final_acc,
-    foreign_reads,
     forgetting_curve,
     gen_stream,
-    gradient,
-    inv_sqrt,
-    loss_and_gradient,
     pced_strategy,
-    reference_covariance,
     run_continual,
     sft_strategy,
 )
+from eegcl.alignment import align_subject, reference_covariance
 from eegcl.cli import main
+from eegcl.data import LabeledTrial
+from eegcl.harness import bwt, er_strategy, ewc_strategy, final_acc, foreign_reads
+from eegcl.linalg import inv_sqrt
+from eegcl.models import Params, build_model, gradient, loss_and_gradient
+from eegcl.replay import ReplayMemory
 
 SEEDS = (0, 1, 2)
 

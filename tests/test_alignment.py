@@ -4,18 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eegcl import (
-    EmptyInputError,
-    ShapeError,
-    Split,
-    StreamConfig,
-    align_subject,
-    compute_whitener,
-    covariance,
-    gen_stream,
-    reference_covariance,
-)
-from eegcl.alignment import whiten_subject
+from eegcl import StreamConfig, gen_stream
+from eegcl.alignment import align_subject, compute_whitener, reference_covariance, whiten_subject
+from eegcl.data import Split
+from eegcl.errors import EmptyInputError, ShapeError
+from eegcl.linalg import covariance
 
 from helpers import balanced_subject
 

@@ -11,15 +11,10 @@ import numpy as np
 import pytest
 
 import eegcl.cli
-from eegcl import (
-    Split,
-    compute_whitener,
-    covariance,
-    load_stream,
-    reference_covariance,
-    save_stream,
-)
+from eegcl.alignment import compute_whitener, reference_covariance
 from eegcl.cli import main, parse_experiment_config
+from eegcl.data import Split, load_stream, save_stream
+from eegcl.linalg import covariance
 
 
 def write_json(path, data):

@@ -5,7 +5,8 @@ from dataclasses import replace
 
 import pytest
 
-from eegcl import ConfigError, EwcConfig, MemoryConfig, ModelConfig, StreamConfig, TrainConfig
+from eegcl import ConfigError, ModelConfig, StreamConfig, TrainConfig
+from eegcl.harness import EwcConfig, MemoryConfig
 from eegcl.replay import MEMORY_RULES
 
 RULE_FIELDS = [

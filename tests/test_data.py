@@ -8,28 +8,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eegcl import (
-    ConfigError,
+from eegcl import ConfigError, StratificationError, StreamConfig, StreamFormatError, gen_stream
+from eegcl.alignment import align_subject
+from eegcl.data import (
     LabeledTrial,
     Split,
-    ShapeError,
-    StratificationError,
     Stream,
-    StreamConfig,
-    StreamFormatError,
     SubjectDataset,
-    align_subject,
+    _draw_mixing,
     datasets_equal,
     decode_subject,
+    decode_trial_data,
     encode_subject,
-    gen_stream,
+    encode_trial_data,
     load_stream,
     save_stream,
     split_subject,
     streams_equal,
     trials_equal,
 )
-from eegcl.data import _draw_mixing, decode_trial_data, encode_trial_data
+from eegcl.errors import ShapeError
 from eegcl.linalg import covariance, inv_sqrt
 
 from helpers import balanced_subject, make_trial
@@ -591,6 +589,15 @@ class TestStreamIO:
         for ds in stream:
             written = (tmp_path / "s" / f"subject_{ds.subject_id:03d}.eegc").read_bytes()
             assert written == per_trial_encode(ds, stream.n_classes)
+
+    def test_class_count_fits_the_subject_header(self, tmp_path):
+        stream = self.small_stream()
+        wide = Stream(stream.subjects, stream.n_channels, stream.n_timepoints, 65536, 0)
+        with pytest.raises(ValueError, match="n_classes 65536 is above EEGC's 65535"):
+            save_stream(wide, tmp_path / "s")
+        assert not list(tmp_path.glob("s/*"))
+        widest = encode_subject(stream[0], 65535)
+        assert decode_subject(widest, 0)[1] == 65535
 
     def test_save_is_deterministic(self, tmp_path):
         stream = self.small_stream()

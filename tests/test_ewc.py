@@ -1,19 +1,10 @@
 import numpy as np
 import pytest
 
-from eegcl import (
-    ConfigError,
-    EmptyInputError,
-    FisherAnchor,
-    ModelConfig,
-    OnlineEwc,
-    Params,
-    ShapeError,
-    build_model,
-    fisher_diagonal,
-    gradient,
-    penalty,
-)
+from eegcl import ConfigError, ModelConfig
+from eegcl.errors import EmptyInputError, ShapeError
+from eegcl.ewc import FisherAnchor, OnlineEwc, fisher_diagonal, penalty
+from eegcl.models import Params, build_model, gradient
 
 from helpers import central_difference, tiny_arrays
 

@@ -6,30 +6,32 @@ import pytest
 
 from eegcl import (
     ConfigError,
-    EmptyInputError,
-    EwcConfig,
-    MemoryConfig,
     ModelConfig,
-    ShapeError,
-    Split,
-    Strategy,
-    Stream,
     StreamConfig,
     TrainConfig,
     UndefinedMetricError,
-    bwt,
-    derive_run_seeds,
-    er_strategy,
-    ewc_strategy,
-    final_acc,
-    foreign_reads,
     forgetting_curve,
     gen_stream,
     pced_strategy,
     run_continual,
     sft_strategy,
 )
-from eegcl.harness import matrix_to_csv, new_matrix, record_to_json_dict
+from eegcl.data import Split, Stream
+from eegcl.errors import EmptyInputError, ShapeError
+from eegcl.harness import (
+    EwcConfig,
+    MemoryConfig,
+    Strategy,
+    bwt,
+    derive_run_seeds,
+    er_strategy,
+    ewc_strategy,
+    final_acc,
+    foreign_reads,
+    matrix_to_csv,
+    new_matrix,
+    record_to_json_dict,
+)
 
 
 def small_stream(seed=1):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from eegcl import DegenerateInputError, ShapeError, covariance, inv_sqrt, sym_eig, symmetrize
-from eegcl.linalg import as_matrix, default_eig_floor
+from eegcl import DegenerateInputError
+from eegcl.errors import ShapeError
+from eegcl.linalg import as_matrix, covariance, default_eig_floor, inv_sqrt, sym_eig, symmetrize
 
 
 def brute_force_covariance(x):

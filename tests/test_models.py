@@ -4,21 +4,19 @@ import pickle
 import numpy as np
 import pytest
 
-from eegcl import (
-    ConfigError,
-    ModelConfig,
+from eegcl import ConfigError, ModelConfig
+from eegcl.errors import EmptyInputError, ShapeError
+from eegcl.models import (
+    LOG_EPS,
     Params,
-    ShapeError,
     build_model,
-    cross_entropy,
     gradient,
-    log_softmax,
     loss_and_gradient,
-    softmax,
+    params_from_bytes,
+    params_to_bytes,
 )
-from eegcl.models import LOG_EPS, params_from_bytes, params_to_bytes
 
-from helpers import central_difference, gradients_close
+from helpers import central_difference, cross_entropy, gradients_close, log_softmax
 
 
 def small_mlp():
@@ -164,72 +162,89 @@ class TestInitialization:
         assert not np.array_equal(a.vector, b.vector)
 
 
+def bias_logits_model(logits):
+    """An MLP over 1x1 trials with zero weights and output bias logits, so
+    that every trial's logits are logits."""
+    model = build_model(ModelConfig(architecture="mlp", n_channels=1, n_timepoints=1,
+                                    n_classes=len(logits), hidden=(1,)))
+    params = Params(vector=np.zeros(model.n_params), layout=model.layout)
+    params.view("b1")[:] = logits
+    return model, params
+
+
+def loss_at(logits, labels):
+    """loss_and_gradient's loss and gradient over len(labels) trials whose
+    logits are all logits."""
+    model, params = bias_logits_model(logits)
+    return loss_and_gradient(model, params, np.zeros((len(labels), 1, 1)), labels)
+
+
 class TestSoftmax:
+    """The log softmax inside the loss: a trial's loss is minus the log
+    softmax of its logits at its label."""
+
     def test_log_softmax_of_equal_logits(self):
-        out = log_softmax(np.zeros((3, 2)))
-        assert out == pytest.approx(np.full((3, 2), -math.log(2.0)))
+        for label in range(3):
+            assert loss_at([5.0, 5.0, 5.0], [label] * 2)[0] == pytest.approx(math.log(3.0))
 
     def test_large_logits_stay_finite(self):
-        out = log_softmax(np.array([[1000.0, 0.0], [-1000.0, 0.0]]))
-        assert np.all(np.isfinite(out))
-        assert out[0, 0] == pytest.approx(0.0, abs=1e-12)
-
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        probs = softmax(rng.standard_normal((5, 4)))
-        assert probs.sum(axis=1) == pytest.approx(np.ones(5))
-
-    def test_requires_2d(self):
-        with pytest.raises(ShapeError):
-            log_softmax(np.zeros(4))
+        for labels, expected in (([0], 0.0), ([1], 1000.0)):
+            loss, grad = loss_at([1000.0, 0.0], labels)
+            assert loss == pytest.approx(expected, abs=1e-12)
+            assert np.all(np.isfinite(grad))
 
 
 class TestCrossEntropy:
     def test_uniform_logits_give_log_2(self):
-        assert cross_entropy([[0.0, 0.0]], [0]) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert loss_at([0.0, 0.0], [0])[0] == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_logit_gap_of_one(self):
         # -log(e / (e + 1)) = log(1 + exp(-1))
-        assert cross_entropy([[1.0, 0.0]], [0]) == pytest.approx(
-            0.3132616875182228, abs=1e-12
-        )
+        assert loss_at([1.0, 0.0], [0])[0] == pytest.approx(0.3132616875182228, abs=1e-12)
 
     def test_confident_correct_prediction(self):
-        assert cross_entropy([[100.0, 0.0]], [0]) < 1e-6
+        assert loss_at([100.0, 0.0], [0])[0] < 1e-6
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(1)
-        logits = rng.standard_normal((6, 3))
+        logits = rng.standard_normal(3)
         labels = rng.integers(0, 3, size=6)
-        assert cross_entropy(logits + 123.0, labels) == pytest.approx(
-            cross_entropy(logits, labels), abs=1e-10
+        assert loss_at(logits + 123.0, labels)[0] == pytest.approx(
+            loss_at(logits, labels)[0], abs=1e-10
         )
 
     def test_mean_over_batch(self):
-        logits = np.array([[0.0, 0.0], [1.0, 0.0]])
-        expected = (math.log(2.0) + 0.3132616875182228) / 2.0
-        assert cross_entropy(logits, [0, 0]) == pytest.approx(expected, abs=1e-12)
+        # log(1 + exp(-1)) for label 0 and log(1 + exp(1)) for label 1
+        expected = (0.3132616875182228 + 1.3132616875182228) / 2.0
+        assert loss_at([1.0, 0.0], [0, 1])[0] == pytest.approx(expected, abs=1e-12)
 
     def test_label_validation(self):
+        model, params = bias_logits_model([0.0, 0.0])
+        one = np.zeros((1, 1, 1))
         with pytest.raises(ValueError):
-            cross_entropy([[0.0, 0.0]], [2])
+            loss_and_gradient(model, params, one, [2])
         with pytest.raises(ValueError):
-            cross_entropy([[0.0, 0.0]], [-1])
+            loss_and_gradient(model, params, one, [-1])
         with pytest.raises(ShapeError):
-            cross_entropy([[0.0, 0.0]], [0, 1])
-        logits = np.zeros((4, 2))
-        assert cross_entropy(logits, [0.0, 1.0, 0.0, 1.0]) == pytest.approx(math.log(2.0))
+            loss_and_gradient(model, params, one, [0, 1])
+        assert loss_at([0.0, 0.0], [0.0, 1.0, 0.0, 1.0])[0] == pytest.approx(math.log(2.0))
         model = small_mlp()
         x, _ = batch_for(model)
         for bad in ([0.7, 1.2, 0.1, 1.9], [0.0, np.nan, 0.0, 1.0], [0.0, np.inf, 0.0, 1.0]):
             with pytest.raises(ValueError, match="whole-number"):
-                cross_entropy(logits, bad)
+                loss_at([0.0, 0.0], bad)
             with pytest.raises(ValueError, match="whole-number"):
                 loss_and_gradient(model, model.init_params(), x, bad)
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            cross_entropy(np.zeros((0, 2)), [])
+        for model in (small_mlp(), small_conv()):
+            params = model.init_params()
+            x = np.zeros((0, model.config.n_channels, model.config.n_timepoints))
+            with pytest.raises(EmptyInputError):
+                loss_and_gradient(model, params, x, [])
+            for per_sample in (False, True):
+                with pytest.raises(EmptyInputError):
+                    gradient(model, params, x, [], per_sample=per_sample)
 
 
 class TestForward:

@@ -22,28 +22,32 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from eegcl import (  # noqa: E402
     ConfigError,
-    LabeledTrial,
-    MemoryConfig,
     ModelConfig,
-    ReplayMemory,
     StreamConfig,
     StreamFormatError,
-    SubjectDataset,
-    build_model,
-    decode_subject,
-    encode_subject,
-    gen_stream,
-    load_stream,
-    save_stream,
-    store_class_balanced,
-    streams_equal,
     TrainConfig,
-    trials_equal,
+    gen_stream,
 )
 from eegcl.cli import parse_experiment_config  # noqa: E402
-from eegcl.data import decode_trial_data  # noqa: E402
-from eegcl.models import params_from_bytes, params_to_bytes  # noqa: E402
-from eegcl.replay import memory_from_bytes, memory_to_bytes  # noqa: E402
+from eegcl.data import (  # noqa: E402
+    LabeledTrial,
+    SubjectDataset,
+    decode_subject,
+    decode_trial_data,
+    encode_subject,
+    load_stream,
+    save_stream,
+    streams_equal,
+    trials_equal,
+)
+from eegcl.harness import MemoryConfig  # noqa: E402
+from eegcl.models import build_model, params_from_bytes, params_to_bytes  # noqa: E402
+from eegcl.replay import (  # noqa: E402
+    ReplayMemory,
+    memory_from_bytes,
+    memory_to_bytes,
+    store_class_balanced,
+)
 
 from helpers import tiny_trials  # noqa: E402
 

@@ -4,8 +4,10 @@ import struct
 import numpy as np
 import pytest
 
-from eegcl import ConfigError, ReplayMemory, ShapeError, Split, SubjectDataset, store_class_balanced
-from eegcl.replay import memory_from_bytes, memory_to_bytes
+from eegcl import ConfigError
+from eegcl.data import Split, SubjectDataset
+from eegcl.errors import ShapeError
+from eegcl.replay import ReplayMemory, memory_from_bytes, memory_to_bytes, store_class_balanced
 
 from helpers import balanced_subject, make_trial, tiny_arrays, tiny_trials
 

@@ -3,21 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from eegcl import (
-    ConfigError,
-    EmptyInputError,
-    ModelConfig,
-    ShapeError,
-    Split,
-    TrainConfig,
-    TrainingDivergedError,
-    build_model,
-    evaluate_arrays,
-    loss_and_gradient,
-    stack_trials,
-    train,
-)
-from eegcl.training import Adam, EpochStats, Sgd
+from eegcl import ConfigError, ModelConfig, TrainConfig, TrainingDivergedError
+from eegcl.data import Split
+from eegcl.errors import EmptyInputError, ShapeError
+from eegcl.models import build_model, loss_and_gradient
+from eegcl.training import Adam, EpochStats, Sgd, evaluate_arrays, stack_trials, train
 
 from helpers import separable_subject, tiny_arrays
 
