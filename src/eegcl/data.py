@@ -41,14 +41,15 @@ SUBJECT_MAGIC = b"EEGC"
 FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sHIHIH")  # magic, version, n_trials, channels, timepoints, n_classes
-# Subject (EEGC) and memory (EEGM) headers store the channel count in two
-# bytes, and the subject header stores the class count in two.
+# A subject header stores the channel count and the class count in two bytes.
 CHANNEL_LIMIT = 0xFFFF
 CLASS_LIMIT = 0xFFFF
 _TRIAL_PREFIX = struct.Struct("<IBB")  # timestamp, class_label, split tag
 
 # Redraw threshold for the per-subject mixing matrix determinant.
 _LOG_DET_MIN = math.log(1e-3)
+# Share of each class gen_stream tags train; split_subject splits the rest.
+TRAIN_FRAC = 0.7
 
 
 class Split(IntEnum):
@@ -353,7 +354,7 @@ def _draw_mixing(rng: np.random.Generator, n_channels: int, scale: float) -> np.
     return symmetrize((v * np.exp(eig.eigenvalues)) @ v.T)
 
 
-def gen_stream(config: StreamConfig, train_frac: float = 0.7) -> Stream:
+def gen_stream(config: StreamConfig) -> Stream:
     """Generate a synthetic subject stream with controllable domain shift.
 
     Each class gets a fixed latent pattern, drawn once per stream and then
@@ -401,27 +402,13 @@ def gen_stream(config: StreamConfig, train_frac: float = 0.7) -> Stream:
         x = np.matmul(mixing, x, out=noise).astype(np.float32)
         ds = SubjectDataset(k, x, labels, np.arange(n), np.zeros(n))
         split_seed = int(rng.integers(0, 2**32 - 1))
-        subjects.append(split_subject(ds, train_frac, split_seed))
+        subjects.append(split_subject(ds, TRAIN_FRAC, split_seed))
     return Stream(
         subjects=tuple(subjects),
         n_channels=c,
         n_timepoints=t,
         n_classes=config.n_classes,
         seed=config.seed,
-    )
-
-
-def encode_trial_data(a: np.ndarray) -> bytes:
-    """Row-major little-endian float32 bytes of a trial matrix."""
-    return np.ascontiguousarray(a, dtype="<f4").tobytes()
-
-
-def decode_trial_data(buf: bytes, offset: int, n_channels: int, n_timepoints: int) -> np.ndarray:
-    count = n_channels * n_timepoints
-    return (
-        np.frombuffer(buf, dtype="<f4", count=count, offset=offset)
-        .reshape(n_channels, n_timepoints)
-        .copy()
     )
 
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import ShapeError, number
 from .models import Params, gradient
-from .training import stack_trials
 
 DEFAULT_LAMBDA = 100.0
 # The rule for the penalty strength; harness.EwcConfig checks its lam with it.
@@ -50,9 +49,8 @@ def fisher_diagonal(model, params: Params, xy) -> np.ndarray:
     """Mean squared per-sample gradient of the negative log-likelihood over
     an (x, y) pair of arrays, with every trial's gradient taken from one
     batched backward pass."""
-    x, y = stack_trials(xy)
-    g = gradient(model, params, x, y, per_sample=True)
-    return np.einsum("np,np->p", g, g) / len(x)
+    g = gradient(model, params, *xy, per_sample=True)
+    return np.einsum("np,np->p", g, g) / len(g)
 
 
 def penalty(vector: np.ndarray, anchor: FisherAnchor) -> tuple:

@@ -186,6 +186,8 @@ def _check_trials(x: np.ndarray, config: ModelConfig, dtype=np.float64) -> np.nd
             f"batch must have shape (n, {config.n_channels}, {config.n_timepoints}), "
             f"got {x.shape}"
         )
+    if not x.shape[0]:
+        raise EmptyInputError("a batch needs at least one trial")
     return x
 
 
@@ -438,8 +440,6 @@ def check_batch(model, x: np.ndarray, labels, dtype=np.float64) -> tuple:
     keep that split's own dtype, so that its steps can call
     unchecked_loss_and_gradient."""
     x = _check_trials(x, model.config, dtype)
-    if not x.shape[0]:
-        raise EmptyInputError("a batch needs at least one trial")
     return x, _check_labels(labels, model.config.n_classes, x.shape[0])
 
 

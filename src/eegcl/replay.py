@@ -15,6 +15,10 @@ Three storage policies:
 
 The eviction and replacement randomness comes from the memory's own stdlib
 RNG so buffer contents never depend on model or training seeds.
+
+memory_to_bytes and memory_from_bytes write and read the EEGM format, which
+only this module knows: a header, then one packed structured-dtype record
+per exemplar.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ from collections import Counter
 
 import numpy as np
 
-from .data import (
-    CHANNEL_LIMIT, LabeledTrial, Split, SubjectDataset, decode_trial_data, encode_trial_data,
-)
+from .data import LabeledTrial, Split, SubjectDataset
 from .errors import ConfigError, ShapeError, integer, one_of
 
 POLICIES = ("reservoir_standard", "reservoir_paper_literal", "class_balanced")
@@ -38,9 +40,10 @@ _MEMORY_MAGIC = b"EEGM"
 _MEMORY_VERSION = 1
 _MEMORY_HEADER = struct.Struct("<4sHIQBIHI")
 # magic, version, capacity, seen, policy code, n_entries, channels, timepoints
-_ENTRY_PREFIX = struct.Struct("<IIB")  # subject_id, timestamp, class_label
+_RECORD_PREFIX = 9  # bytes of an exemplar record before its samples
 _ENTRY_LIMITS = (("subject_id", 2**32 - 1), ("timestamp", 2**32 - 1), ("class_label", 255))
 _CAPACITY_LIMIT = 2**32 - 1
+_CHANNEL_LIMIT = 0xFFFF
 
 
 class ReplayMemory:
@@ -156,11 +159,6 @@ class ReplayMemory:
         victim = self.entries.pop(slots[self._rng.randrange(len(slots))])
         self._keys.discard((victim.subject_id, victim.timestamp))
 
-    def restore(self, entries, seen: int):
-        """Put a saved memory's entries (in storage order) and seen back."""
-        self.store(entries)
-        self.seen = seen
-
     def snapshot(self) -> tuple:
         """Immutable copy of the current contents, in storage order."""
         return tuple(self.entries)
@@ -199,11 +197,21 @@ def store_class_balanced(
 _POLICY_CODES = {name: i for i, name in enumerate(POLICIES)}
 
 
+def _record_dtype(c: int, t: int) -> np.dtype:
+    """One exemplar record of an EEGM blob, packed: the fields of
+    _ENTRY_LIMITS, then the samples."""
+    return np.dtype([
+        ("subject_id", "<u4"), ("timestamp", "<u4"), ("class_label", "u1"),
+        ("trial", "<f4", (c, t)),
+    ])
+
+
 def memory_to_bytes(memory: ReplayMemory) -> bytes:
-    """Serialize buffer contents (not the RNG state) to a binary blob.
-    A capacity above 2**32 - 1, exemplars of more than CHANNEL_LIMIT
-    channels, or an exemplar whose subject_id or timestamp exceeds
-    2**32 - 1 or whose class_label exceeds 255, is a ValueError.
+    """Serialize buffer contents (not the RNG state) to a binary blob: the
+    header, then one _record_dtype record per exemplar in storage order.
+    A capacity above 2**32 - 1, exemplars of more than 65535 channels, or
+    an exemplar whose subject_id or timestamp exceeds 2**32 - 1 or whose
+    class_label exceeds 255, is a ValueError.
 
     A restored memory continues with a fresh seed, so eviction decisions
     after a checkpoint reload differ from an uninterrupted run; contents,
@@ -211,31 +219,29 @@ def memory_to_bytes(memory: ReplayMemory) -> bytes:
     """
     if memory.capacity > _CAPACITY_LIMIT:
         raise ValueError(f"memory capacity {memory.capacity} is above EEGM's {_CAPACITY_LIMIT}")
-    c, t = memory.entries[0].trial.shape if memory.entries else (0, 0)
-    if c > CHANNEL_LIMIT:
-        raise ValueError(f"exemplar channels {c} is above EEGM's {CHANNEL_LIMIT}")
-    parts = [
-        _MEMORY_HEADER.pack(
-            _MEMORY_MAGIC,
-            _MEMORY_VERSION,
-            memory.capacity,
-            memory.seen,
-            _POLICY_CODES[memory.policy],
-            len(memory.entries),
-            c,
-            t,
-        )
-    ]
-    for e in memory.entries:
-        for name, top in _ENTRY_LIMITS:
-            if getattr(e, name) > top:
-                raise ValueError(f"exemplar {name} {getattr(e, name)} is above EEGM's {top}")
-        parts.append(_ENTRY_PREFIX.pack(e.subject_id, e.timestamp, e.class_label))
-        parts.append(encode_trial_data(e.trial))
-    return b"".join(parts)
+    entries = memory.entries
+    c, t = entries[0].trial.shape if entries else (0, 0)
+    if c > _CHANNEL_LIMIT:
+        raise ValueError(f"exemplar channels {c} is above EEGM's {_CHANNEL_LIMIT}")
+    header = _MEMORY_HEADER.pack(
+        _MEMORY_MAGIC, _MEMORY_VERSION, memory.capacity, memory.seen,
+        _POLICY_CODES[memory.policy], len(entries), c, t,
+    )
+    if not entries:
+        return header
+    records = np.empty(len(entries), _record_dtype(c, t))
+    for name, top in _ENTRY_LIMITS:
+        values = np.array([getattr(e, name) for e in entries])
+        over = values > top
+        if over.any():
+            raise ValueError(f"exemplar {name} {values[over.argmax()]} is above EEGM's {top}")
+        records[name] = values
+    records["trial"] = [e.trial for e in entries]
+    return header + records.tobytes()
 
 
 def memory_from_bytes(buf: bytes, seed: int = 0) -> ReplayMemory:
+    """Inverse of memory_to_bytes; any malformed blob is a ValueError."""
     if len(buf) < _MEMORY_HEADER.size:
         raise ValueError("memory blob too short for header")
     magic, version, capacity, seen, code, n_entries, c, t = _MEMORY_HEADER.unpack_from(buf, 0)
@@ -252,20 +258,21 @@ def memory_from_bytes(buf: bytes, seed: int = 0) -> ReplayMemory:
         raise ValueError(f"memory blob holds {n_entries} entries but has seen only {seen}")
     if n_entries and (c < 1 or t < 1):
         raise ValueError(f"memory blob holds {n_entries} entries of invalid dimensions {c}x{t}")
-    record = _ENTRY_PREFIX.size + 4 * c * t
-    expected = _MEMORY_HEADER.size + n_entries * record
+    # In Python integers: only a record that fits in buf is sure to fit in a dtype.
+    expected = _MEMORY_HEADER.size + n_entries * (_RECORD_PREFIX + 4 * c * t)
     if len(buf) != expected:
         raise ValueError(f"memory blob length {len(buf)} != expected {expected}")
-    entries = []
-    for offset in range(_MEMORY_HEADER.size, expected, record):
-        subject_id, timestamp, label = _ENTRY_PREFIX.unpack_from(buf, offset)
-        data = decode_trial_data(buf, offset + _ENTRY_PREFIX.size, c, t)
-        entries.append(LabeledTrial(
-            trial=data, class_label=label, subject_id=subject_id, timestamp=timestamp
-        ))
     memory = ReplayMemory(capacity=capacity, policy=policy, seed=seed)
-    try:
-        memory.restore(entries, seen)
-    except ValueError as exc:  # the only check left: a key stored twice
-        raise ValueError(f"memory blob holds an exemplar twice: {exc}") from exc
+    if n_entries:
+        records = np.frombuffer(buf, _record_dtype(c, t), n_entries, _MEMORY_HEADER.size)
+        if not np.isfinite(records["trial"]).all():
+            raise ValueError("memory blob holds non-finite samples")
+        keys = np.sort(records["subject_id"].astype(np.uint64) << 32 | records["timestamp"])
+        twice = keys[1:][keys[1:] == keys[:-1]]
+        if twice.size:
+            key = int(twice[0])
+            raise ValueError(f"memory blob holds exemplar {(key >> 32, key & 0xFFFFFFFF)} twice")
+        fields = (records[n].tolist() for n in ("class_label", "subject_id", "timestamp"))
+        memory.store(LabeledTrial(*entry) for entry in zip(records["trial"], *fields))
+    memory.seen = seen
     return memory

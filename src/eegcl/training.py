@@ -15,9 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyInputError, ShapeError, TrainingDivergedError, check_fields, integer, number, one_of,
-)
+from .errors import TrainingDivergedError, check_fields, integer, number, one_of
 from .models import Params, check_batch, unchecked_loss_and_gradient
 from .models import loss_and_gradient  # noqa: F401  traced as training.loss_and_gradient by bench/
 
@@ -103,33 +101,20 @@ def _make_optimizer(cfg: TrainConfig, n_params: int):
     return Sgd(learning_rate=cfg.learning_rate)
 
 
-def stack_trials(xy, dtype=np.float64) -> tuple:
-    """An (x, y) pair of arrays, such as SubjectDataset.arrays returns, as
-    (dtype (n, channels, time), int64); dtype None keeps the samples' own."""
-    x, y = xy
-    if not len(x):
-        raise EmptyInputError("cannot stack an empty trial set")
-    return np.asarray(x, dtype=dtype), np.asarray(y, dtype=np.int64)
-
-
 def evaluate_arrays(model, params: Params, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of argmax-correct predictions; argmax ties go to the lowest
-    class index."""
-    if len(x) == 0:
-        raise EmptyInputError("cannot evaluate on an empty set")
-    y = np.asarray(y)
-    if y.shape != (len(x),):
-        raise ShapeError(f"labels must have shape ({len(x)},), got {y.shape}")
-    logits = model.forward(params, x)
-    predictions = np.argmax(logits, axis=1)
+    class index. The batch passes check_batch first, so an empty batch or
+    labels that are not class indices raise."""
+    x, y = check_batch(model, x, y)
+    predictions = np.argmax(model.forward_cached(params, x)[0], axis=1)
     return float(np.mean(predictions == y))
 
 
 def train(model, params: Params, train_set, val_set, cfg: TrainConfig, penalty=None):
     """Early-stopped mini-batch training.
 
-    train_set and val_set are (x, y) pairs of arrays, as stack_trials
-    takes them.
+    train_set and val_set are (x, y) pairs of arrays, such as
+    SubjectDataset.arrays returns.
     Returns (best params, per-epoch history). Best means highest validation
     accuracy, earliest epoch on ties; the loop stops once `patience` epochs
     in a row fail to improve it (patience 0 therefore stops after the first
@@ -137,14 +122,15 @@ def train(model, params: Params, train_set, val_set, cfg: TrainConfig, penalty=N
     maps the flat parameter vector to (extra loss, extra gradient) and is
     applied every batch.
 
-    Once per stage: the training split is stacked, checked (check_batch)
-    and stored, in its own dtype (float32 for a subject's block), in the
-    layout the model reads without a copy (its trial_axis). Each step only
-    gathers a batch from it with np.take, casts it to float64 and runs the
-    forward/backward arithmetic and the optimizer update.
+    Once per stage: both splits are checked (check_batch), and the
+    training split is stored, in its own dtype (float32 for a subject's
+    block), in the layout the model reads without a copy (its
+    trial_axis). Each step only gathers a batch from it with np.take,
+    casts it to float64 and runs the forward/backward arithmetic and the
+    optimizer update.
     """
-    x_train, y_train = check_batch(model, *stack_trials(train_set, None), dtype=None)
-    x_val, y_val = stack_trials(val_set)
+    x_train, y_train = check_batch(model, *train_set, dtype=None)
+    x_val, y_val = check_batch(model, *val_set)
     n = len(x_train)
     axis = model.trial_axis
     x_train = np.ascontiguousarray(x_train.swapaxes(0, axis))

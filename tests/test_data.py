@@ -18,9 +18,7 @@ from eegcl.data import (
     _draw_mixing,
     datasets_equal,
     decode_subject,
-    decode_trial_data,
     encode_subject,
-    encode_trial_data,
     load_stream,
     save_stream,
     split_subject,
@@ -76,7 +74,7 @@ def per_trial_split(labels, train_frac, seed):
     return tags
 
 
-def per_trial_gen_stream(config, train_frac=0.7):
+def per_trial_gen_stream(config):
     """gen_stream as the per-trial loop it replaced: the same draws in the
     same order, then one mixing matmul and one float32 rounding per trial."""
     rng = np.random.default_rng(config.seed)
@@ -101,7 +99,7 @@ def per_trial_gen_stream(config, train_frac=0.7):
             noise = rng.standard_normal((c, t))
             trials.append((mixing @ (gain * patterns[label] + config.noise_sigma * noise))
                           .astype(np.float32))
-        tags = per_trial_split(labels, train_frac, int(rng.integers(0, 2**32 - 1)))
+        tags = per_trial_split(labels, 0.7, int(rng.integers(0, 2**32 - 1)))
         subjects.append(SubjectDataset(k, np.array(trials), labels, np.arange(n), tags))
     return subjects
 
@@ -112,7 +110,7 @@ def per_trial_encode(ds, n_classes):
     parts = [HEADER.pack(b"EEGC", 1, ds.n_trials, c, t, n_classes)]
     for trial, tag in zip(ds.trials, ds.split):
         parts.append(TRIAL_PREFIX.pack(trial.timestamp, trial.class_label, int(tag)))
-        parts.append(encode_trial_data(trial.trial))
+        parts.append(np.asarray(trial.trial, "<f4").tobytes())
     return b"".join(parts)
 
 
@@ -451,19 +449,6 @@ class TestStreamValidation:
             Stream(subjects=(ds,), n_channels=2, n_timepoints=8, n_classes=2, seed=0)
 
 
-class TestTrialCodec:
-    def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((3, 7)).astype(np.float32)
-        buf = encode_trial_data(a)
-        assert len(buf) == 4 * 3 * 7
-        assert np.array_equal(decode_trial_data(buf, 0, 3, 7), a)
-
-    def test_row_major_order(self):
-        a = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32)
-        assert encode_trial_data(a) == struct.pack("<4f", 1.0, 2.0, 3.0, 4.0)
-
-
 class TestSubjectCodec:
     def test_round_trip(self):
         ds = split_subject(balanced(5), 0.7, seed=0)
@@ -512,14 +497,14 @@ class TestSubjectCodec:
         assert exc.value.offset == 10
 
     def test_bad_label_offset(self):
-        data = encode_trial_data(np.zeros((2, 4), dtype=np.float32))
+        data = np.zeros((2, 4), "<f4").tobytes()
         buf = HEADER.pack(b"EEGC", 1, 1, 2, 4, 2) + TRIAL_PREFIX.pack(0, 7, 0) + data
         with pytest.raises(StreamFormatError) as exc:
             decode_subject(buf, 0)
         assert exc.value.offset == HEADER.size + 4
 
     def test_bad_split_tag_offset(self):
-        data = encode_trial_data(np.zeros((2, 4), dtype=np.float32))
+        data = np.zeros((2, 4), "<f4").tobytes()
         buf = HEADER.pack(b"EEGC", 1, 1, 2, 4, 2) + TRIAL_PREFIX.pack(0, 1, 7) + data
         with pytest.raises(StreamFormatError) as exc:
             decode_subject(buf, 0)
@@ -536,8 +521,8 @@ class TestSubjectCodec:
         assert exc.value.offset >= HEADER.size
 
     def test_nan_sample_offset(self):
-        data = encode_trial_data(np.zeros((2, 4), dtype=np.float32))
-        nan = encode_trial_data(np.full((2, 4), np.nan, dtype=np.float32))
+        data = np.zeros((2, 4), "<f4").tobytes()
+        nan = np.full((2, 4), np.nan, "<f4").tobytes()
         buf = (
             HEADER.pack(b"EEGC", 1, 2, 2, 4, 2)
             + TRIAL_PREFIX.pack(0, 0, 0) + data
@@ -548,7 +533,7 @@ class TestSubjectCodec:
         assert exc.value.offset == HEADER.size + 2 * TRIAL_PREFIX.size + len(data)
 
     def test_non_increasing_timestamps_rejected(self):
-        data = encode_trial_data(np.zeros((2, 4), dtype=np.float32))
+        data = np.zeros((2, 4), "<f4").tobytes()
         buf = (
             HEADER.pack(b"EEGC", 1, 2, 2, 4, 2)
             + TRIAL_PREFIX.pack(5, 0, 0) + data

@@ -248,6 +248,13 @@ class TestCrossEntropy:
 
 
 class TestForward:
+    def test_empty_batch_rejected(self):
+        # Both architectures reject a (0, channels, time) batch alike.
+        for model in (small_mlp(), small_conv()):
+            x = np.zeros((0, model.config.n_channels, model.config.n_timepoints))
+            with pytest.raises(EmptyInputError, match="at least one trial"):
+                model.forward(model.init_params(), x)
+
     def test_zeroed_head_gives_constant_logits(self):
         for model in (small_mlp(), small_conv()):
             params = model.init_params()

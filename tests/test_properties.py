@@ -33,7 +33,6 @@ from eegcl.data import (  # noqa: E402
     LabeledTrial,
     SubjectDataset,
     decode_subject,
-    decode_trial_data,
     encode_subject,
     load_stream,
     save_stream,
@@ -96,7 +95,7 @@ def per_trial_decode(buf, path="<memory>"):
         _need(buf, offset, 4 * c * t, f"trial {i} samples", path)
         try:
             trial = LabeledTrial(
-                trial=decode_trial_data(buf, offset, c, t), class_label=label,
+                trial=np.frombuffer(buf, "<f4", c * t, offset).reshape(c, t), class_label=label,
                 subject_id=0, timestamp=timestamp,
             )
         except ValueError as exc:

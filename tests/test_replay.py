@@ -1,11 +1,12 @@
+import hashlib
 import random
 import struct
 
 import numpy as np
 import pytest
 
-from eegcl import ConfigError
-from eegcl.data import Split, SubjectDataset
+from eegcl import ConfigError, StreamConfig, gen_stream
+from eegcl.data import Split, SubjectDataset, encode_subject
 from eegcl.errors import ShapeError
 from eegcl.replay import ReplayMemory, memory_from_bytes, memory_to_bytes, store_class_balanced
 
@@ -416,3 +417,47 @@ class TestSerialization:
         assert len(memory_from_bytes(blob[:header] + first + blob[header + len(first):])) == 2
         with pytest.raises(ValueError, match="twice"):
             memory_from_bytes(blob[:header] + first + first)
+
+    def test_empty_memory_of_widest_dimensions_decodes(self):
+        # No record dtype is built for an empty memory, so header dimensions
+        # far beyond numpy's record size limit still decode.
+        blob = struct.pack("<4sHIQBIHI", b"EEGM", 1, 4, 7, 1, 0, 0xFFFF, 0xFFFFFFFF)
+        out = memory_from_bytes(blob)
+        assert (len(out), out.capacity, out.seen) == (0, 4, 7)
+        assert out.policy == "reservoir_paper_literal"
+
+
+@pytest.fixture(scope="module")
+def seed3_stream():
+    return gen_stream(StreamConfig(seed=3))
+
+
+# SHA-256 of EEGM version 1 and EEGC blobs of one generated stream: a codec
+# change that moves any byte of either format fails here.
+GOLDEN_SHA256 = {
+    "reservoir_standard": "8fced2f13a683e0e0f3e4e1f22c15cb82e70c5b340889caef3ba603796e55629",
+    "class_balanced": "2a4aa2705885af038ffac499a3264b2980b7e3a10dda8a4bb9ac4a3422dfa7eb",
+    "eegc_subject": "78b94dc040ac9d8947ec82554b38a3b6b288a117e2afe984223a502e0ae01f74",
+}
+
+
+def golden_blob(name, stream):
+    if name == "eegc_subject":
+        return encode_subject(stream[0], stream.n_classes)
+    if name == "reservoir_standard":
+        memory = ReplayMemory(capacity=50, policy=name, seed=5)
+        for ds in stream:
+            memory.offer_many(ds.trials_for(Split.TRAIN))
+    else:
+        memory = ReplayMemory(capacity=40, policy=name, seed=6)
+        for ds in stream:
+            store_class_balanced(memory, ds, per_class=4, rng=ds.subject_id)
+    return memory_to_bytes(memory)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SHA256))
+def test_golden_bytes(name, seed3_stream):
+    blob = golden_blob(name, seed3_stream)
+    assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[name]
+    if name != "eegc_subject":
+        assert memory_to_bytes(memory_from_bytes(blob)) == blob

@@ -6,8 +6,8 @@ import pytest
 from eegcl import ConfigError, ModelConfig, TrainConfig, TrainingDivergedError
 from eegcl.data import Split
 from eegcl.errors import EmptyInputError, ShapeError
-from eegcl.models import build_model, loss_and_gradient
-from eegcl.training import Adam, EpochStats, Sgd, evaluate_arrays, stack_trials, train
+from eegcl.models import build_model, check_batch, loss_and_gradient
+from eegcl.training import Adam, EpochStats, Sgd, evaluate_arrays, train
 
 from helpers import separable_subject, tiny_arrays
 
@@ -31,11 +31,11 @@ def split_sets(subject):
 
 
 def reference_train(model, params, train_set, val_set, cfg, penalty=None):
-    """train() as a plain loop over the public API: the split stacked
+    """train() as a plain loop over the public API: the split checked
     sample-major, and each step loss_and_gradient on a fancy-indexed batch
     followed by an optimizer step."""
-    x, y = stack_trials(train_set)
-    x_val, y_val = stack_trials(val_set)
+    x, y = check_batch(model, *train_set)
+    x_val, y_val = check_batch(model, *val_set)
     rng = np.random.default_rng(cfg.shuffle_seed)
     work = params.copy()
     if cfg.optimizer == "adam":
@@ -104,19 +104,20 @@ class TestOptimizers:
         assert np.array_equal(vec, [0.0, 4.0])
 
 
-class TestStackTrials:
+class TestCheckBatch:
     def test_shapes_and_dtypes(self):
+        model = tiny_model()
         x32 = tiny_arrays(np.random.default_rng(0), 5)[0].astype(np.float32)
-        x, y = stack_trials((x32, [0, 1, 0, 1, 0]))
+        x, y = check_batch(model, x32, [0, 1, 0, 1, 0])
         assert x.shape == (5, 2, 4)
         assert x.dtype == np.float64
         assert y.dtype == np.int64
         assert list(y) == [0, 1, 0, 1, 0]
-        assert stack_trials((x32, y), None)[0] is x32
+        assert check_batch(model, x32, y, dtype=None)[0] is x32
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
-            stack_trials((np.empty((0, 2, 4)), np.empty(0)))
+            check_batch(tiny_model(), np.empty((0, 2, 4)), np.empty(0))
 
 
 class TestEvaluate:
@@ -162,6 +163,16 @@ class TestEvaluate:
             with pytest.raises(ShapeError):
                 evaluate_arrays(model, model.init_params(), x, bad)
 
+    def test_labels_must_be_class_indices(self):
+        # Out-of-range or fractional labels raise instead of counting as
+        # wrong predictions.
+        model = tiny_model()
+        x, _ = tiny_arrays(np.random.default_rng(6), 4)
+        for bad, match in (([0, 1, 2, 0], r"lie in \[0, 2\)"), ([0, -1, 0, 1], r"lie in \[0, 2\)"),
+                           ([0.0, 0.5, 1.0, 1.0], "whole-number")):
+            with pytest.raises(ValueError, match=match):
+                evaluate_arrays(model, model.init_params(), x, bad)
+
 
 class TestTrain:
     def separable_sets(self, seed=0):
@@ -175,8 +186,14 @@ class TestTrain:
         model = tiny_model()
         cfg = TrainConfig(learning_rate=0.01, max_epochs=60, batch_size=8, patience=10)
         best, history = train(model, model.init_params(), train_set, val_set, cfg)
-        assert evaluate_arrays(model, best, *stack_trials(train_set)) == 1.0
+        assert evaluate_arrays(model, best, *train_set) == 1.0
         assert history[-1].val_accuracy == 1.0
+
+    def test_bad_validation_labels_rejected(self):
+        train_set, (x_val, y_val) = self.separable_sets()
+        model = tiny_model()
+        with pytest.raises(ValueError, match="lie in"):
+            train(model, model.init_params(), train_set, (x_val, y_val + 2), TrainConfig())
 
     def test_patience_zero_runs_exactly_one_epoch(self):
         train_set, val_set = self.separable_sets()
@@ -198,9 +215,9 @@ class TestTrain:
     def test_float32_stage_matches_float64_input(self, make_model):
         # A float32 training split is kept as float32 and each batch is cast
         # to float64: the run equals one on the same values in float64.
-        (x, y), (x_val, y_val) = (stack_trials(s) for s in self.separable_sets())
-        x32 = x.astype(np.float32)
         model = make_model()
+        (x, y), (x_val, y_val) = (check_batch(model, *s) for s in self.separable_sets())
+        x32 = x.astype(np.float32)
         cfg = TrainConfig(learning_rate=0.01, max_epochs=5, batch_size=8, patience=5)
         runs = [train(model, model.init_params(), (xs, y), (x_val, y_val), cfg)
                 for xs in (x32, x32.astype(np.float64))]
@@ -287,4 +304,4 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.05, max_epochs=30, batch_size=8,
                           patience=10, optimizer="sgd")
         best, _ = train(model, model.init_params(), train_set, val_set, cfg)
-        assert evaluate_arrays(model, best, *stack_trials(train_set)) > 0.9
+        assert evaluate_arrays(model, best, *train_set) > 0.9
