@@ -10,10 +10,10 @@ Subcommands:
 - ``run --config PATH --out DIR [--jobs K]``: run an experiment config
   (strategies x seeds) over a stream, writing one JSON report and one
   accuracy-matrix CSV per run plus an aggregate summary. The stream is
-  generated or decoded once; every run, in process or in one of K pool
-  workers, uses that decoded stream. A run that fails numerically is named
-  on stderr and left out; the others are still written, and the command
-  exits 4.
+  generated or decoded once; every run, in process or in one of at most K
+  pool workers (never more than there are runs), uses that decoded stream.
+  A run that fails numerically is named on stderr and left out; the others
+  are still written, and the command exits 4.
 - ``report DIR [--curve subject=I]``: aggregate existing reports into a
   per-strategy forgetting-curve CSV for one subject.
 
@@ -51,12 +51,11 @@ from .errors import (
     integer,
     integers,
 )
+from .ewc import DEFAULT_LAMBDA, LAMBDA
 from .harness import (
-    EwcConfig,
     MemoryConfig,
     RunRecord,
     Strategy,
-    build_strategy,
     forgetting_curve,
     matrix_to_csv,
     record_to_json_dict,
@@ -149,7 +148,7 @@ def _parse_memory(data, default: MemoryConfig) -> MemoryConfig:
     return _build_dataclass(MemoryConfig, data, "memory config")
 
 
-def _parse_strategy(item, default_memory: MemoryConfig, default_ewc: EwcConfig) -> Strategy:
+def _parse_strategy(item, default_memory: MemoryConfig, default_lam: float) -> Strategy:
     """A strategy entry; the memory and lambda it gives are checked even
     when its kind does not use them."""
     if isinstance(item, str):
@@ -159,9 +158,9 @@ def _parse_strategy(item, default_memory: MemoryConfig, default_ewc: EwcConfig) 
     unknown = sorted(set(item) - {"kind", "memory", "lambda"})
     if unknown:
         raise ConfigError(f"unknown strategy keys: {unknown}")
-    memory = _parse_memory(item.get("memory"), default_memory)
-    ewc = EwcConfig(item["lambda"]) if "lambda" in item else default_ewc
-    return build_strategy(str(item.get("kind", "")).upper(), memory=memory, lam=ewc.lam)
+    return Strategy(str(item.get("kind", "")).upper(),
+                    _parse_memory(item.get("memory"), default_memory),
+                    item.get("lambda", default_lam))
 
 
 def parse_experiment_config(data: dict) -> ExperimentConfig:
@@ -181,7 +180,12 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
     if not isinstance(strategies, list) or not strategies:
         raise ConfigError("config needs a non-empty 'strategies' list")
     default_memory = _parse_memory(data.get("memory"), MemoryConfig())
-    default_ewc = EwcConfig(data.get("ewc_lambda", EwcConfig.lam))
+    default_lam = data.get("ewc_lambda", DEFAULT_LAMBDA)
+    LAMBDA.check(default_lam, "ewc lambda")
+    parsed = tuple(_parse_strategy(i, default_memory, default_lam) for i in strategies)
+    kinds = [strategy.kind for strategy in parsed]
+    if len(set(kinds)) != len(kinds):
+        raise ConfigError(f"strategies must list each kind at most once, got {kinds}")
     model = data.get("model", {})
     if not isinstance(model, dict):
         raise ConfigError(f"model config must be a JSON object, got {type(model).__name__}")
@@ -191,7 +195,7 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
             _build_dataclass(StreamConfig, stream["generator"], "stream generator config")
             if "generator" in stream else None
         ),
-        strategies=tuple(_parse_strategy(i, default_memory, default_ewc) for i in strategies),
+        strategies=parsed,
         model=model,
         train=_build_dataclass(TrainConfig, data.get("train", {}), "train config"),
         seed_list=data.get("seeds"),
@@ -330,7 +334,8 @@ def cmd_run(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(
-            max_workers=args.jobs, initializer=_share_stream, initargs=(stream,)
+            max_workers=min(args.jobs, len(tasks)), initializer=_share_stream,
+            initargs=(stream,),
         ) as pool:
             futures = [
                 pool.submit(_run_task, strategy, model_cfg, config.train, seed)

@@ -246,7 +246,8 @@ class StreamConfig:
 
 @dataclass(frozen=True, eq=False)
 class Stream:
-    """An ordered subject stream plus the shared dimensions and seed."""
+    """An ordered subject stream plus the shared dimensions and seed; each
+    subject id appears once."""
 
     subjects: tuple
     n_channels: int
@@ -256,7 +257,11 @@ class Stream:
 
     def __post_init__(self):
         object.__setattr__(self, "subjects", tuple(self.subjects))
+        seen = set()
         for ds in self.subjects:
+            if ds.subject_id in seen:
+                raise ValueError(f"subject {ds.subject_id} is listed twice")
+            seen.add(ds.subject_id)
             if not ds.n_trials:
                 continue
             if ds.block.shape[1:] != (self.n_channels, self.n_timepoints):

@@ -18,7 +18,7 @@ from .errors import ShapeError, number
 from .models import Params, gradient
 
 DEFAULT_LAMBDA = 100.0
-# The rule for the penalty strength; harness.EwcConfig checks its lam with it.
+# The rule for the penalty strength; harness.Strategy checks its lam with it.
 LAMBDA = number(0)
 
 

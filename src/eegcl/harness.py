@@ -20,16 +20,14 @@ undefined upper triangle.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .alignment import whiten_subject
 from .alignment import compute_whitener, reference_covariance  # noqa: F401  traced by bench/
 from .data import Split
-from .errors import (
-    ConfigError, EmptyInputError, ShapeError, UndefinedMetricError, check_fields, one_of,
-)
+from .errors import EmptyInputError, ShapeError, UndefinedMetricError, check_fields, one_of
 from .ewc import DEFAULT_LAMBDA, LAMBDA, OnlineEwc
 from .models import ModelConfig, build_model
 from .replay import MEMORY_RULES, ReplayMemory, store_class_balanced
@@ -49,78 +47,66 @@ class MemoryConfig:
         check_fields(self, "memory", MEMORY_RULES)
 
 
-@dataclass(frozen=True)
-class EwcConfig:
-    lam: float = DEFAULT_LAMBDA
-
-    def __post_init__(self):
-        LAMBDA.check(self.lam, "ewc lambda")
-
-
-# Each strategy kind: whether it uses alignment, a memory and EWC, and the
-# rule a Strategy reports when its fields differ from its kind's row.
+# Each strategy kind's mechanisms: whether it uses alignment, a memory and EWC.
 STRATEGY_TABLE = {
-    "SFT": (False, False, False, "SFT uses no memory, no EWC, and no alignment"),
-    "ER": (False, True, False, "ER needs a memory config and no alignment"),
-    "EWC": (False, False, True, "EWC needs an EWC config and no memory"),
-    "PCED": (True, True, False, "PCED needs a memory config and alignment enabled"),
+    "SFT": (False, False, False),
+    "ER": (False, True, False),
+    "EWC": (False, False, True),
+    "PCED": (True, True, False),
 }
 STRATEGY_KINDS = tuple(STRATEGY_TABLE)
 
 
-def _kind(name) -> tuple:
-    one_of(STRATEGY_KINDS).check(name, "strategy kind")
-    return STRATEGY_TABLE[name]
-
-
 @dataclass(frozen=True)
 class Strategy:
-    """Which forgetting-mitigation mechanisms a run uses.
+    """A strategy kind plus the settings its mechanisms read.
 
-    The loop dispatches on the fields (alignment flag, memory config, ewc
-    config), never on the kind label. build_strategy builds, and the
-    constructor checks, a kind's STRATEGY_TABLE row.
+    The kind's STRATEGY_TABLE row fixes the mechanisms (alignment_enabled,
+    uses_memory, uses_ewc), and the loop dispatches on those, never on the
+    kind label. memory applies to a kind that uses a memory and lam to one
+    that uses EWC; lam is checked for every kind, as a MemoryConfig checks
+    itself.
     """
 
     kind: str
-    alignment_enabled: bool = False
-    memory: MemoryConfig | None = None
-    ewc: EwcConfig | None = None
+    memory: MemoryConfig = MemoryConfig()
+    lam: float = DEFAULT_LAMBDA
 
     def __post_init__(self):
-        *uses, rule = _kind(self.kind)
-        if [bool(self.alignment_enabled), self.memory is not None, self.ewc is not None] != uses:
-            raise ConfigError(rule)
+        one_of(STRATEGY_KINDS).check(self.kind, "strategy kind")
+        LAMBDA.check(self.lam, "ewc lambda")
 
+    @property
+    def alignment_enabled(self) -> bool:
+        return STRATEGY_TABLE[self.kind][0]
 
-def build_strategy(
-    kind: str, memory: MemoryConfig | None = None, lam: float = EwcConfig.lam
-) -> Strategy:
-    """The strategy of one kind; a kind without a memory or EWC ignores
-    memory or lam."""
-    alignment, uses_memory, uses_ewc, _ = _kind(kind)
-    return Strategy(kind, alignment, (memory or MemoryConfig()) if uses_memory else None,
-                    EwcConfig(lam) if uses_ewc else None)
+    @property
+    def uses_memory(self) -> bool:
+        return STRATEGY_TABLE[self.kind][1]
+
+    @property
+    def uses_ewc(self) -> bool:
+        return STRATEGY_TABLE[self.kind][2]
 
 
 def sft_strategy() -> Strategy:
     """Sequential fine-tuning: carry parameters forward, nothing else."""
-    return build_strategy("SFT")
+    return Strategy("SFT")
 
 
-def er_strategy(memory: MemoryConfig | None = None) -> Strategy:
+def er_strategy(memory: MemoryConfig = MemoryConfig()) -> Strategy:
     """Experience replay: bounded exemplar memory, no alignment."""
-    return build_strategy("ER", memory=memory)
+    return Strategy("ER", memory)
 
 
-def ewc_strategy(lam: float = EwcConfig.lam) -> Strategy:
+def ewc_strategy(lam: float = DEFAULT_LAMBDA) -> Strategy:
     """Elastic weight consolidation: quadratic anchoring, no memory."""
-    return build_strategy("EWC", lam=lam)
+    return Strategy("EWC", lam=lam)
 
 
-def pced_strategy(memory: MemoryConfig | None = None) -> Strategy:
+def pced_strategy(memory: MemoryConfig = MemoryConfig()) -> Strategy:
     """Personalized continual decoding: per-subject alignment plus replay."""
-    return build_strategy("PCED", memory=memory)
+    return Strategy("PCED", memory)
 
 
 @dataclass(frozen=True)
@@ -228,39 +214,33 @@ def run_continual(
     strategy: Strategy,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
-    run_seed: int | None = None,
+    run_seed: int,
 ) -> RunRecord:
     """Run one strategy over a subject stream; see the module docstring.
 
-    The model seed comes from model_cfg; train_cfg's shuffle seed acts as
-    the root training seed from which per-stage shuffle seeds, exemplar
-    selection seeds, and the memory's eviction seed are all derived. When
-    run_seed is given it overrides both: the model and training seeds are
-    derived from it and the seed is recorded in the report.
+    run_seed is the run's one seed. derive_run_seeds splits it into the
+    model-init seed and a training seed, from which the per-stage shuffle
+    seeds, exemplar selection seeds and the memory's eviction seed are all
+    derived.
     """
-    if run_seed is not None:
-        model_seed, train_seed = derive_run_seeds(run_seed)
-        model_cfg = replace(model_cfg, seed=model_seed)
-        train_cfg = replace(train_cfg, shuffle_seed=train_seed)
+    model_seed, train_seed = derive_run_seeds(run_seed)
     subjects = list(stream)
     if not subjects:
         raise EmptyInputError("cannot run on an empty stream")
     shape = (model_cfg.n_channels, model_cfg.n_timepoints)
     n = len(subjects)
-    shuffle_seeds, store_seeds, memory_seed = _derive_stage_seeds(
-        train_cfg.shuffle_seed, n
-    )
+    shuffle_seeds, store_seeds, memory_seed = _derive_stage_seeds(train_seed, n)
 
     model = build_model(model_cfg)
-    params = model.init_params()
+    params = model.init_params(model_seed)
     memory = None
-    if strategy.memory is not None:
+    if strategy.uses_memory:
         memory = ReplayMemory(
             capacity=strategy.memory.capacity,
             policy=strategy.memory.policy,
             seed=memory_seed,
         )
-    ewc_state = OnlineEwc(lam=strategy.ewc.lam) if strategy.ewc is not None else None
+    ewc_state = OnlineEwc(lam=strategy.lam) if strategy.uses_ewc else None
 
     matrix = new_matrix(n)
     events = []
@@ -298,9 +278,9 @@ def run_continual(
                 np.concatenate([train_set[1], [t.class_label for t in replayed]]),
             )
         penalty_hook = ewc_state.penalty_hook() if ewc_state is not None else None
-        stage_cfg = replace(train_cfg, shuffle_seed=shuffle_seeds[stage - 1])
         params, history = train(
-            model, params, fit_set, val_set, stage_cfg, penalty=penalty_hook
+            model, params, fit_set, val_set, train_cfg, shuffle_seeds[stage - 1],
+            penalty=penalty_hook,
         )
         stage_epochs.append(len(history))
 
@@ -321,16 +301,10 @@ def run_continual(
             matrix[stage - 1, i] = evaluate_arrays(model, params, *eval_cache[i])
         stage_seconds.append(time.perf_counter() - started)
 
-    seeds = {
-        "stream": getattr(stream, "seed", None),
-        "model": model_cfg.seed,
-        "train": train_cfg.shuffle_seed,
-    }
-    if run_seed is not None:
-        seeds["run"] = run_seed
     return RunRecord(
         strategy=strategy,
-        seeds=seeds,
+        seeds={"stream": getattr(stream, "seed", None), "model": model_seed,
+               "train": train_seed, "run": run_seed},
         matrix=matrix,
         acc=final_acc(matrix),
         bwt=bwt(matrix) if n >= 2 else None,
@@ -363,8 +337,8 @@ def record_to_json_dict(record: RunRecord) -> dict:
         "strategy": {
             "kind": strategy.kind,
             "alignment_enabled": strategy.alignment_enabled,
-            "memory": asdict(strategy.memory) if strategy.memory is not None else None,
-            "ewc": {"lambda": float(strategy.ewc.lam)} if strategy.ewc is not None else None,
+            "memory": asdict(strategy.memory) if strategy.uses_memory else None,
+            "ewc": {"lambda": float(strategy.lam)} if strategy.uses_ewc else None,
         },
         "seeds": record.seeds,
         "n_subjects": int(record.matrix.shape[0]),

@@ -37,8 +37,8 @@ _PARAMS_HEADER = struct.Struct("<4sI")
 class ModelConfig:
     """Architecture choice plus every size the networks need.
 
-    hidden applies to the mlp; n_filters/kernel_len to shallow_conv. seed
-    drives weight initialization only.
+    hidden applies to the mlp; n_filters/kernel_len to shallow_conv. The
+    weight-initialization seed is init_params' argument.
     """
 
     architecture: str = "shallow_conv"
@@ -48,7 +48,6 @@ class ModelConfig:
     hidden: tuple = (32,)
     n_filters: int = 8
     kernel_len: int = 16
-    seed: int = 0
 
     RULES = {
         "architecture": one_of(("mlp", "shallow_conv")),
@@ -57,7 +56,6 @@ class ModelConfig:
         "n_classes": integer(2),
         "n_filters": integer(1),
         "kernel_len": integer(1),
-        "seed": integer(0),
     }
     HIDDEN = integers(1)
 
@@ -213,8 +211,8 @@ class MlpNet:
     def n_params(self) -> int:
         return self.layout.size
 
-    def init_params(self) -> Params:
-        return _glorot_init(self.layout, self.config.seed)
+    def init_params(self, seed: int) -> Params:
+        return _glorot_init(self.layout, seed)
 
     def forward_cached(self, params: Params, x: np.ndarray):
         """Logits and the cache backward needs, for a float64 batch of
@@ -289,8 +287,8 @@ class ShallowConvNet:
     def n_params(self) -> int:
         return self.layout.size
 
-    def init_params(self) -> Params:
-        return _glorot_init(self.layout, self.config.seed)
+    def init_params(self, seed: int) -> Params:
+        return _glorot_init(self.layout, seed)
 
     def forward_cached(self, params: Params, x: np.ndarray):
         """Logits and the cache backward needs, for a float64 batch of

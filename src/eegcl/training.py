@@ -30,7 +30,6 @@ class TrainConfig:
     max_epochs: int = 200
     batch_size: int = 32
     patience: int = 20
-    shuffle_seed: int = 0
     optimizer: str = "adam"
 
     RULES = {
@@ -38,7 +37,6 @@ class TrainConfig:
         "max_epochs": integer(1),
         "batch_size": integer(1),
         "patience": integer(0),
-        "shuffle_seed": integer(0),
         "optimizer": one_of(("adam", "sgd")),
     }
 
@@ -110,11 +108,12 @@ def evaluate_arrays(model, params: Params, x: np.ndarray, y: np.ndarray) -> floa
     return float(np.mean(predictions == y))
 
 
-def train(model, params: Params, train_set, val_set, cfg: TrainConfig, penalty=None):
+def train(model, params: Params, train_set, val_set, cfg: TrainConfig, seed: int,
+          penalty=None):
     """Early-stopped mini-batch training.
 
     train_set and val_set are (x, y) pairs of arrays, such as
-    SubjectDataset.arrays returns.
+    SubjectDataset.arrays returns; seed drives the per-epoch shuffle.
     Returns (best params, per-epoch history). Best means highest validation
     accuracy, earliest epoch on ties; the loop stops once `patience` epochs
     in a row fail to improve it (patience 0 therefore stops after the first
@@ -134,7 +133,7 @@ def train(model, params: Params, train_set, val_set, cfg: TrainConfig, penalty=N
     n = len(x_train)
     axis = model.trial_axis
     x_train = np.ascontiguousarray(x_train.swapaxes(0, axis))
-    rng = np.random.default_rng(cfg.shuffle_seed)
+    rng = np.random.default_rng(seed)
     work = params.copy()
     optimizer = _make_optimizer(cfg, work.n_params)
     best = work.copy()

@@ -128,7 +128,6 @@ def test_03_analytic_gradients_match_finite_differences():
                 n_timepoints=int(rng.integers(4, 9)),
                 n_classes=n_classes,
                 hidden=(int(rng.integers(3, 7)),),
-                seed=i,
             )
         else:
             cfg = ModelConfig(
@@ -138,12 +137,11 @@ def test_03_analytic_gradients_match_finite_differences():
                 n_classes=n_classes,
                 n_filters=int(rng.integers(2, 4)),
                 kernel_len=int(rng.integers(3, 7)),
-                seed=i,
             )
         model = build_model(cfg)
         assert model.n_params <= 500
         largest = max(largest, model.n_params)
-        vector = model.init_params().vector + 0.2 * rng.standard_normal(model.n_params)
+        vector = model.init_params(i).vector + 0.2 * rng.standard_normal(model.n_params)
         params = Params(vector=vector, layout=model.layout)
         x = rng.standard_normal((4, cfg.n_channels, cfg.n_timepoints))
         labels = rng.integers(0, n_classes, size=4)

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import json
 import os
@@ -254,6 +255,36 @@ class TestRunCommand:
             par.pop("stage_seconds")
             assert seq == par
 
+    def test_pool_never_outnumbers_the_tasks(self, tmp_path, monkeypatch):
+        # The pool is a spy that records its size and runs each task in
+        # this process, so no worker is started.
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(eegcl.cli, "_worker_stream", None)
+        config = write_json(tmp_path / "exp.json", experiment_config())  # 2 x 2 tasks
+        for jobs in ("3", "64"):
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / jobs),
+                         "--jobs", jobs]) == 0
+            assert (tmp_path / jobs / "report_pced_1.json").is_file()
+        assert sizes == [3, 4]
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverged_run_keeps_finished_reports_and_exits_4(self, tmp_path, capsys):
@@ -351,10 +382,16 @@ class TestRunCommand:
         ({"train": {"learning_rate": None}},
          "train learning_rate must be a finite number > 0, got None"),
         ({"train": {"batch_size": True}}, "train batch_size must be an integer >= 1, got True"),
-        ({"train": {"shuffle_seed": -1}}, "train shuffle_seed must be an integer >= 0, got -1"),
+        ({"train": {"shuffle_seed": -1}}, "invalid train config: TrainConfig.__init__() got an "
+         "unexpected keyword argument 'shuffle_seed'"),
+        ({"train": {"shuffle_seed": 999}}, "invalid train config: TrainConfig.__init__() got an "
+         "unexpected keyword argument 'shuffle_seed'"),
         ({"model": {"n_filters": "8"}}, "model n_filters must be an integer >= 1, got '8'"),
         ({"model": {"kernel_len": 4.5}}, "model kernel_len must be an integer >= 1, got 4.5"),
-        ({"model": {"seed": -1}}, "model seed must be an integer >= 0, got -1"),
+        ({"model": {"seed": -1}}, "invalid model config: ModelConfig.__init__() got an "
+         "unexpected keyword argument 'seed'"),
+        ({"model": {"seed": 12345}}, "invalid model config: ModelConfig.__init__() got an "
+         "unexpected keyword argument 'seed'"),
         ({"model": 5}, "model config must be a JSON object, got int"),
         ({"model": {"architecture": "mlp", "hidden": 5}},
          "model hidden must be a non-empty list of integers >= 1, got 5"),
@@ -363,14 +400,16 @@ class TestRunCommand:
         ({"seeds": [1.7]}, "seeds must be a non-empty list of integers >= 0, got [1.7]"),
         ({"seeds": [True]}, "seeds must be a non-empty list of integers >= 0, got [True]"),
         ({"seeds": None, "repeat": "x"}, "repeat must be an integer >= 1, got 'x'"),
+        ({"strategies": ["ER", {"kind": "er", "memory": {"capacity": 4}}]},
+         "strategies must list each kind at most once, got ['ER', 'ER']"),
     ], ids=[
         "n_subjects_string", "generator_seed_string", "generator_seed_negative",
         "polarity_string", "n_classes_above_a_byte", "generator_not_object", "path_not_string",
         "stream_key_unknown", "max_epochs_string",
         "max_epochs_fraction", "learning_rate_null", "batch_size_bool", "shuffle_seed_negative",
-        "n_filters_string", "kernel_len_fraction", "model_seed_negative", "model_not_object",
-        "hidden_not_list", "seed_string", "seed_negative", "seed_fraction", "seed_bool",
-        "repeat_string",
+        "shuffle_seed_given", "n_filters_string", "kernel_len_fraction", "model_seed_negative",
+        "model_seed_given", "model_not_object", "hidden_not_list", "seed_string",
+        "seed_negative", "seed_fraction", "seed_bool", "repeat_string", "kind_listed_twice",
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides, message):
         config = write_json(tmp_path / "exp.json", experiment_config(**overrides))
@@ -504,7 +543,7 @@ class TestParseExperimentConfig:
         er, ewc = cfg.strategies
         assert er.kind == "ER"
         assert er.memory.capacity == 20
-        assert ewc.ewc.lam == 7.5
+        assert ewc.lam == 7.5
 
     def test_shared_defaults_apply(self):
         cfg = parse_experiment_config(experiment_config(
@@ -520,7 +559,7 @@ class TestParseExperimentConfig:
             stream={"generator": gen_config(mixing_scale=0, noise_sigma=2)},
         ))
         cfg.validate()
-        assert cfg.strategies[0].ewc.lam == 7
+        assert cfg.strategies[0].lam == 7
         assert cfg.train.learning_rate == 1
 
     def test_repeat_expands_seeds(self):

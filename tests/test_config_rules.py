@@ -2,24 +2,30 @@
 dataclasses.replace builds a changed copy."""
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 from eegcl import ConfigError, ModelConfig, StreamConfig, TrainConfig
-from eegcl.harness import EwcConfig, MemoryConfig
+from eegcl.harness import MemoryConfig, Strategy
 from eegcl.replay import MEMORY_RULES
+
+# Strategy has no default kind; SFT stands in for one.
+SFT = partial(Strategy, kind="SFT")
 
 RULE_FIELDS = [
     *((StreamConfig, f"generator {name}", name) for name in StreamConfig.RULES),
     *((ModelConfig, f"model {name}", name) for name in ModelConfig.RULES),
     *((TrainConfig, f"train {name}", name) for name in TrainConfig.RULES),
     *((MemoryConfig, f"memory {name}", name) for name in MEMORY_RULES),
-    (EwcConfig, "ewc lambda", "lam"),
+    (SFT, "strategy kind", "kind"),
+    (SFT, "ewc lambda", "lam"),
 ]
 
 
 @pytest.mark.parametrize("cls, label, name", RULE_FIELDS,
-                         ids=[f"{cls.__name__}.{name}" for cls, _, name in RULE_FIELDS])
+                         ids=[f"{getattr(cls, 'func', cls).__name__}.{name}"
+                              for cls, _, name in RULE_FIELDS])
 def test_a_config_checks_every_rule_when_built(cls, label, name):
     with pytest.raises(ConfigError, match=f"^{label} must be "):
         cls(**{name: object()})

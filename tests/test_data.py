@@ -448,6 +448,11 @@ class TestStreamValidation:
         with pytest.raises(ValueError):
             Stream(subjects=(ds,), n_channels=2, n_timepoints=8, n_classes=2, seed=0)
 
+    def test_repeated_subject_id_rejected(self):
+        twins = (subject(1), subject(1, seed=1))  # both subject 0
+        with pytest.raises(ValueError, match="subject 0 is listed twice"):
+            Stream(subjects=twins, n_channels=2, n_timepoints=8, n_classes=2, seed=0)
+
 
 class TestSubjectCodec:
     def test_round_trip(self):

@@ -12,7 +12,7 @@ from helpers import central_difference, tiny_arrays
 def tiny_model():
     return build_model(
         ModelConfig(architecture="mlp", n_channels=2, n_timepoints=4,
-                    n_classes=2, hidden=(3,), seed=0)
+                    n_classes=2, hidden=(3,))
     )
 
 
@@ -87,14 +87,14 @@ class TestPenalty:
 
 def tiny_models():
     conv = ModelConfig(architecture="shallow_conv", n_channels=2, n_timepoints=4,
-                       n_classes=2, n_filters=2, kernel_len=2, seed=0)
+                       n_classes=2, n_filters=2, kernel_len=2)
     return tiny_model(), build_model(conv)
 
 
 class TestFisherDiagonal:
     def test_single_sample_is_squared_gradient(self):
         for model in tiny_models():
-            params = model.init_params()
+            params = model.init_params(0)
             x, y = tiny_arrays(np.random.default_rng(1), 1)
             fisher = fisher_diagonal(model, params, (x, y))
             g = gradient(model, params, x, y)
@@ -102,7 +102,7 @@ class TestFisherDiagonal:
 
     def test_mean_of_per_sample_squares(self):
         for model in tiny_models():
-            params = model.init_params()
+            params = model.init_params(0)
             x, y = tiny_arrays(np.random.default_rng(2), 5)
             fisher = fisher_diagonal(model, params, (x, y))
             acc = np.zeros(params.n_params)
@@ -113,7 +113,7 @@ class TestFisherDiagonal:
 
     def test_nonnegative_and_finite(self):
         for model in tiny_models():
-            params = model.init_params()
+            params = model.init_params(0)
             fisher = fisher_diagonal(model, params, tiny_arrays(np.random.default_rng(3), 8))
             assert np.all(fisher >= 0)
             assert np.all(np.isfinite(fisher))
@@ -122,7 +122,7 @@ class TestFisherDiagonal:
         # a model that predicts every sample's label with near-certainty has
         # near-zero gradients, hence near-zero importance everywhere
         for model in tiny_models():
-            params = model.init_params()
+            params = model.init_params(0)
             params.view(model.layout[-1].name)[:] = np.array([100.0, -100.0])
             x, y = tiny_arrays(np.random.default_rng(4), 10)
             fisher = fisher_diagonal(model, params, (x[y == 0], y[y == 0]))
@@ -131,7 +131,7 @@ class TestFisherDiagonal:
     def test_empty_dataset_rejected(self):
         for model in tiny_models():
             with pytest.raises(EmptyInputError):
-                fisher_diagonal(model, model.init_params(), (np.empty((0, 2, 4)), []))
+                fisher_diagonal(model, model.init_params(0), (np.empty((0, 2, 4)), []))
 
 
 class TestOnlineEwc:
@@ -142,7 +142,7 @@ class TestOnlineEwc:
 
     def test_update_sets_anchor_copy(self):
         model = tiny_model()
-        params = model.init_params()
+        params = model.init_params(0)
         ewc = OnlineEwc(lam=10.0)
         ewc.update(model, params, tiny_arrays(np.random.default_rng(5), 4))
         anchor = ewc.anchor
@@ -152,7 +152,7 @@ class TestOnlineEwc:
 
     def test_fisher_accumulates_across_updates(self):
         model = tiny_model()
-        params = model.init_params()
+        params = model.init_params(0)
         set_a = tiny_arrays(np.random.default_rng(6), 4)
         set_b = tiny_arrays(np.random.default_rng(7), 4)
         f_a = fisher_diagonal(model, params, set_a)
@@ -164,7 +164,7 @@ class TestOnlineEwc:
 
     def test_reanchors_to_latest_params(self):
         model = tiny_model()
-        first = model.init_params()
+        first = model.init_params(0)
         ewc = OnlineEwc(lam=1.0)
         xy = tiny_arrays(np.random.default_rng(8), 4)
         ewc.update(model, first, xy)
@@ -175,7 +175,7 @@ class TestOnlineEwc:
 
     def test_hook_captures_state_at_creation(self):
         model = tiny_model()
-        params = model.init_params()
+        params = model.init_params(0)
         ewc = OnlineEwc(lam=2.0)
         ewc.update(model, params, tiny_arrays(np.random.default_rng(9), 4))
         hook = ewc.penalty_hook()

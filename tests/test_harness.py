@@ -19,7 +19,6 @@ from eegcl import (
 from eegcl.data import Split, Stream
 from eegcl.errors import EmptyInputError, ShapeError
 from eegcl.harness import (
-    EwcConfig,
     MemoryConfig,
     Strategy,
     bwt,
@@ -43,7 +42,7 @@ def small_stream(seed=1):
 
 def small_model_cfg():
     return ModelConfig(architecture="shallow_conv", n_channels=4, n_timepoints=32,
-                       n_classes=2, n_filters=4, kernel_len=8, seed=0)
+                       n_classes=2, n_filters=4, kernel_len=8)
 
 
 def fast_train_cfg():
@@ -69,34 +68,26 @@ class TestStrategies:
         er = er_strategy()
         assert er.kind == "ER" and er.memory == MemoryConfig() and not er.alignment_enabled
         ew = ewc_strategy(lam=5.0)
-        assert ew.kind == "EWC" and ew.ewc == EwcConfig(lam=5.0) and ew.memory is None
+        assert ew.kind == "EWC" and ew.lam == 5.0 and ew.uses_ewc and not ew.uses_memory
         pc = pced_strategy()
         assert pc.kind == "PCED" and pc.alignment_enabled and pc.memory == MemoryConfig()
+
+    def test_mechanisms_follow_the_kind(self):
+        for kind, mechanisms in {"SFT": (False, False, False), "ER": (False, True, False),
+                                 "EWC": (False, False, True), "PCED": (True, True, False)}.items():
+            s = Strategy(kind)
+            assert (s.alignment_enabled, s.uses_memory, s.uses_ewc) == mechanisms
 
     def test_memory_defaults(self):
         cfg = MemoryConfig()
         assert cfg.capacity == 160
         assert cfg.per_class == 10
         assert cfg.policy == "class_balanced"
-        assert EwcConfig().lam == 100.0
+        assert Strategy("EWC").lam == 100.0
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             Strategy(kind="FINETUNE")
-
-    def test_field_label_mismatches_rejected(self):
-        with pytest.raises(ConfigError):
-            Strategy(kind="SFT", memory=MemoryConfig())
-        with pytest.raises(ConfigError):
-            Strategy(kind="ER")
-        with pytest.raises(ConfigError):
-            Strategy(kind="ER", memory=MemoryConfig(), alignment_enabled=True)
-        with pytest.raises(ConfigError):
-            Strategy(kind="EWC")
-        with pytest.raises(ConfigError):
-            Strategy(kind="EWC", ewc=EwcConfig(), memory=MemoryConfig())
-        with pytest.raises(ConfigError):
-            Strategy(kind="PCED", memory=MemoryConfig())
 
 
 class TestBwt:
@@ -184,7 +175,7 @@ class TestForgettingCurve:
 
 class TestRunContinual:
     def test_matrix_is_lower_triangular_and_bounded(self):
-        record = run_continual(small_stream(), sft_strategy(), small_model_cfg(), fast_train_cfg())
+        record = run_continual(small_stream(), sft_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=0)
         m = record.matrix
         assert m.shape == (3, 3)
         for j in range(3):
@@ -195,12 +186,12 @@ class TestRunContinual:
                     assert np.isnan(m[j, i])
 
     def test_summary_metrics_match_the_matrix(self):
-        record = run_continual(small_stream(), sft_strategy(), small_model_cfg(), fast_train_cfg())
+        record = run_continual(small_stream(), sft_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=0)
         assert record.acc == final_acc(record.matrix)
         assert record.bwt == bwt(record.matrix)
 
     def test_stage_telemetry(self):
-        record = run_continual(small_stream(), sft_strategy(), small_model_cfg(), fast_train_cfg())
+        record = run_continual(small_stream(), sft_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=0)
         assert record.stage_subjects == (0, 1, 2)
         assert len(record.stage_epochs) == 3
         assert all(1 <= e <= 4 for e in record.stage_epochs)
@@ -213,24 +204,24 @@ class TestRunContinual:
             StreamConfig(n_subjects=1, n_channels=4, n_timepoints=32,
                          trials_per_subject=40, seed=1)
         )
-        record = run_continual(stream, sft_strategy(), small_model_cfg(), fast_train_cfg())
+        record = run_continual(stream, sft_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=0)
         assert record.matrix.shape == (1, 1)
         assert record.bwt is None
         assert record.acc == record.matrix[0, 0]
 
     def test_plain_subject_list_is_accepted(self):
         subjects = list(small_stream())[:1]
-        record = run_continual(subjects, sft_strategy(), small_model_cfg(), fast_train_cfg())
+        record = run_continual(subjects, sft_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=0)
         assert record.seeds["stream"] is None
 
     def test_empty_stream_rejected(self):
         with pytest.raises(EmptyInputError):
-            run_continual([], sft_strategy(), small_model_cfg(), fast_train_cfg())
+            run_continual([], sft_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=0)
 
     def test_model_stream_shape_mismatch(self):
         cfg = replace(small_model_cfg(), n_channels=3)
         with pytest.raises(ShapeError):
-            run_continual(small_stream(), sft_strategy(), cfg, fast_train_cfg())
+            run_continual(small_stream(), sft_strategy(), cfg, fast_train_cfg(), run_seed=0)
 
     @pytest.mark.parametrize("split", list(Split), ids=lambda s: s.name.lower())
     def test_every_trial_shape_is_checked(self, split):
@@ -244,7 +235,7 @@ class TestRunContinual:
         # ...and a later subject of another trial shape is refused at its stage.
         narrow = replace(first, subject_id=1, block=first.block[:, :, :-1])
         with pytest.raises(ShapeError, match=r"subject 1 trial shape \(4, 31\)"):
-            run_continual([first, narrow], sft_strategy(), small_model_cfg(), fast_train_cfg())
+            run_continual([first, narrow], sft_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=0)
 
     def test_repeated_subject_does_not_lose_accuracy(self):
         # training twice on the same subject must keep its test accuracy
@@ -259,9 +250,9 @@ class TestRunContinual:
         stream = Stream(subjects=(first, second), n_channels=3, n_timepoints=16,
                         n_classes=2, seed=3)
         model_cfg = ModelConfig(architecture="mlp", n_channels=3, n_timepoints=16,
-                                n_classes=2, hidden=(8,), seed=0)
+                                n_classes=2, hidden=(8,))
         train_cfg = TrainConfig(learning_rate=0.01, max_epochs=30, batch_size=16, patience=5)
-        record = run_continual(stream, sft_strategy(), model_cfg, train_cfg)
+        record = run_continual(stream, sft_strategy(), model_cfg, train_cfg, run_seed=0)
         assert record.matrix[1, 0] >= record.matrix[0, 0] - 0.05
 
     def test_identical_seeds_reproduce_bitwise(self):
@@ -286,18 +277,18 @@ class TestRunContinual:
     def test_no_strategy_reads_foreign_raw_trials(self):
         stream = small_stream()
         for strategy in (sft_strategy(), er_strategy(), ewc_strategy(), pced_strategy()):
-            record = run_continual(stream, strategy, small_model_cfg(), fast_train_cfg())
+            record = run_continual(stream, strategy, small_model_cfg(), fast_train_cfg(), run_seed=0)
             assert foreign_reads(record) == []
             assert len(record.access_events) == 9  # 3 stages x 3 splits
 
     def test_replay_memory_grows_by_quota(self):
         strategy = er_strategy(MemoryConfig(capacity=100, per_class=2))
-        record = run_continual(small_stream(), strategy, small_model_cfg(), fast_train_cfg())
+        record = run_continual(small_stream(), strategy, small_model_cfg(), fast_train_cfg(), run_seed=0)
         assert record.stage_memory == (4, 8, 12)
 
     def test_replay_memory_respects_capacity(self):
         strategy = er_strategy(MemoryConfig(capacity=6, per_class=2))
-        record = run_continual(small_stream(), strategy, small_model_cfg(), fast_train_cfg())
+        record = run_continual(small_stream(), strategy, small_model_cfg(), fast_train_cfg(), run_seed=0)
         assert record.stage_memory == (4, 6, 6)
 
     def test_run_seed_derives_and_records_seeds(self):
@@ -309,14 +300,21 @@ class TestRunContinual:
             "stream": 1, "model": model_seed, "train": train_seed, "run": 7,
         }
 
-    def test_explicit_seeds_recorded_without_run_seed(self):
-        record = run_continual(small_stream(), sft_strategy(), small_model_cfg(), fast_train_cfg())
-        assert record.seeds == {"stream": 1, "model": 0, "train": 0}
+    def test_seeds_block_golden(self):
+        # The report's seeds for run_seed 0, fixed by the seed derivation.
+        record = run_continual(small_stream(), sft_strategy(), small_model_cfg(),
+                               fast_train_cfg(), run_seed=0)
+        assert record_to_json_dict(record)["seeds"] == {
+            "stream": 1, "model": 2968811710, "train": 3677149159, "run": 0,
+        }
 
 
 class TestDeriveRunSeeds:
     def test_deterministic(self):
         assert derive_run_seeds(3) == derive_run_seeds(3)
+
+    def test_golden_values(self):
+        assert derive_run_seeds(0) == (2968811710, 3677149159)
 
     def test_pairs_differ_across_run_seeds(self):
         assert derive_run_seeds(0) != derive_run_seeds(1)

@@ -22,14 +22,14 @@ from helpers import central_difference, cross_entropy, gradients_close, log_soft
 def small_mlp():
     return build_model(
         ModelConfig(architecture="mlp", n_channels=2, n_timepoints=4,
-                    n_classes=2, hidden=(4,), seed=0)
+                    n_classes=2, hidden=(4,))
     )
 
 
 def small_conv():
     return build_model(
         ModelConfig(architecture="shallow_conv", n_channels=2, n_timepoints=8,
-                    n_classes=2, n_filters=2, kernel_len=4, seed=0)
+                    n_classes=2, n_filters=2, kernel_len=4)
     )
 
 
@@ -80,31 +80,31 @@ class TestParams:
             Params(vector=np.zeros((model.n_params, 1)), layout=model.layout)
 
     def test_view_is_writable_alias(self):
-        params = small_conv().init_params()
+        params = small_conv().init_params(0)
         params.view("head_bias")[:] = 7.0
         assert np.all(params.view("head_bias") == 7.0)
         # the block is a view into the flat vector, not a copy
         assert np.any(params.vector == 7.0)
 
     def test_unknown_block_name(self):
-        params = small_conv().init_params()
+        params = small_conv().init_params(0)
         with pytest.raises(KeyError):
             params.view("nonexistent")
 
     def test_pickle_round_trip(self):
-        params = small_conv().init_params()
+        params = small_conv().init_params(0)
         out = pickle.loads(pickle.dumps(params))
         assert out.layout == params.layout
         assert np.array_equal(out.view("spatial"), params.view("spatial"))
 
     def test_views_write_into_vector_after_pickle(self):
-        out = pickle.loads(pickle.dumps(small_conv().init_params()))
+        out = pickle.loads(pickle.dumps(small_conv().init_params(0)))
         out.view("spatial")[0, 0] = 123.0
         block, _ = out.layout.slices["spatial"]
         assert out.vector[block][0] == 123.0
 
     def test_copy_is_independent(self):
-        params = small_conv().init_params()
+        params = small_conv().init_params(0)
         dup = params.copy()
         dup.vector[0] += 1.0
         assert params.vector[0] != dup.vector[0]
@@ -116,19 +116,19 @@ class TestParams:
 
     def test_bytes_round_trip(self):
         model = small_mlp()
-        params = model.init_params()
+        params = model.init_params(0)
         out = params_from_bytes(params_to_bytes(params), model.layout)
         assert np.array_equal(out.vector, params.vector)
 
     def test_bytes_bad_magic(self):
         model = small_mlp()
-        blob = params_to_bytes(model.init_params())
+        blob = params_to_bytes(model.init_params(0))
         with pytest.raises(ValueError):
             params_from_bytes(b"XXXX" + blob[4:], model.layout)
 
     def test_bytes_bad_length(self):
         model = small_mlp()
-        blob = params_to_bytes(model.init_params())
+        blob = params_to_bytes(model.init_params(0))
         with pytest.raises(ValueError):
             params_from_bytes(blob[:-8], model.layout)
         with pytest.raises(ValueError):
@@ -138,7 +138,7 @@ class TestParams:
 class TestInitialization:
     def test_weights_within_glorot_bounds_biases_zero(self):
         for model in (small_mlp(), small_conv()):
-            params = model.init_params()
+            params = model.init_params(0)
             for entry in model.layout:
                 block = params.view(entry.name)
                 if entry.fan is None:
@@ -150,15 +150,13 @@ class TestInitialization:
                     assert np.any(block != 0.0)
 
     def test_same_seed_same_params(self):
-        a = small_conv().init_params()
-        b = small_conv().init_params()
+        a = small_conv().init_params(0)
+        b = small_conv().init_params(0)
         assert np.array_equal(a.vector, b.vector)
 
     def test_different_seed_differs(self):
-        cfg = ModelConfig(architecture="shallow_conv", n_channels=2, n_timepoints=8,
-                          n_classes=2, n_filters=2, kernel_len=4, seed=1)
-        a = small_conv().init_params()
-        b = build_model(cfg).init_params()
+        a = small_conv().init_params(0)
+        b = small_conv().init_params(1)
         assert not np.array_equal(a.vector, b.vector)
 
 
@@ -234,11 +232,11 @@ class TestCrossEntropy:
             with pytest.raises(ValueError, match="whole-number"):
                 loss_at([0.0, 0.0], bad)
             with pytest.raises(ValueError, match="whole-number"):
-                loss_and_gradient(model, model.init_params(), x, bad)
+                loss_and_gradient(model, model.init_params(0), x, bad)
 
     def test_empty_batch_rejected(self):
         for model in (small_mlp(), small_conv()):
-            params = model.init_params()
+            params = model.init_params(0)
             x = np.zeros((0, model.config.n_channels, model.config.n_timepoints))
             with pytest.raises(EmptyInputError):
                 loss_and_gradient(model, params, x, [])
@@ -253,11 +251,11 @@ class TestForward:
         for model in (small_mlp(), small_conv()):
             x = np.zeros((0, model.config.n_channels, model.config.n_timepoints))
             with pytest.raises(EmptyInputError, match="at least one trial"):
-                model.forward(model.init_params(), x)
+                model.forward(model.init_params(0), x)
 
     def test_zeroed_head_gives_constant_logits(self):
         for model in (small_mlp(), small_conv()):
-            params = model.init_params()
+            params = model.init_params(0)
             last = model.layout[-2].name, model.layout[-1].name
             for name in last:
                 params.view(name)[:] = 0.0
@@ -267,7 +265,7 @@ class TestForward:
 
     def test_single_trial_matches_batch_row(self):
         for model in (small_mlp(), small_conv()):
-            params = model.init_params()
+            params = model.init_params(0)
             x, _ = batch_for(model, n=5)
             batch_logits = model.forward(params, x)
             for i in range(5):
@@ -276,13 +274,13 @@ class TestForward:
 
     def test_forward_is_deterministic(self):
         for model in (small_mlp(), small_conv()):
-            params = model.init_params()
+            params = model.init_params(0)
             x, _ = batch_for(model)
             assert np.array_equal(model.forward(params, x), model.forward(params, x))
 
     def test_output_shape(self):
         for model in (small_mlp(), small_conv()):
-            params = model.init_params()
+            params = model.init_params(0)
             x, _ = batch_for(model, n=7)
             assert model.forward(params, x).shape == (7, 2)
 
@@ -292,17 +290,17 @@ class TestForward:
             for t in (8, 64, 128):
                 cfg = ModelConfig(
                     architecture="shallow_conv", n_channels=c, n_timepoints=t,
-                    n_classes=3, n_filters=2, kernel_len=min(16, t), seed=0,
+                    n_classes=3, n_filters=2, kernel_len=min(16, t),
                 )
                 model = build_model(cfg)
                 x = rng.standard_normal((2, c, t))
-                logits = model.forward(model.init_params(), x)
+                logits = model.forward(model.init_params(0), x)
                 assert logits.shape == (2, 3)
                 assert np.all(np.isfinite(logits))
 
     def test_wrong_input_shape_rejected(self):
         model = small_conv()
-        params = model.init_params()
+        params = model.init_params(0)
         with pytest.raises(ShapeError):
             model.forward(params, np.zeros((2, 3, 8)))  # wrong channel count
         with pytest.raises(ShapeError):
@@ -312,7 +310,7 @@ class TestForward:
 class TestGradients:
     def test_matches_central_difference(self):
         for model in (small_mlp(), small_conv()):
-            params = model.init_params()
+            params = model.init_params(0)
             x, labels = batch_for(model)
 
             def f(vec):
@@ -325,7 +323,7 @@ class TestGradients:
 
     def test_batch_gradient_is_mean_of_per_sample(self):
         for model in (small_mlp(), small_conv()):
-            params = model.init_params()
+            params = model.init_params(0)
             x, labels = batch_for(model, n=6)
             full = gradient(model, params, x, labels)
             rows = gradient(model, params, x, labels, per_sample=True)
@@ -340,7 +338,7 @@ class TestGradients:
 
     def test_saturated_model_has_tiny_gradient(self):
         model = small_conv()
-        params = model.init_params()
+        params = model.init_params(0)
         params.view("head_bias")[:] = np.array([100.0, -100.0])
         x, _ = batch_for(model)
         labels = np.zeros(len(x), dtype=int)  # class 0 predicted with ~certainty
@@ -348,7 +346,7 @@ class TestGradients:
 
     def test_zero_penalty_hook_changes_nothing(self):
         model = small_mlp()
-        params = model.init_params()
+        params = model.init_params(0)
         x, labels = batch_for(model)
         plain_loss, plain_grad = loss_and_gradient(model, params, x, labels)
         hook = lambda vec: (0.0, np.zeros_like(vec))
@@ -358,7 +356,7 @@ class TestGradients:
 
     def test_penalty_adds_to_loss_and_gradient(self):
         model = small_mlp()
-        params = model.init_params()
+        params = model.init_params(0)
         x, labels = batch_for(model)
         plain_loss, plain_grad = loss_and_gradient(model, params, x, labels)
         hook = lambda vec: (2.5, np.ones_like(vec))
@@ -368,7 +366,7 @@ class TestGradients:
 
     def test_gradient_matches_loss_and_gradient(self):
         model = small_conv()
-        params = model.init_params()
+        params = model.init_params(0)
         x, labels = batch_for(model)
         assert np.array_equal(
             gradient(model, params, x, labels),
@@ -430,18 +428,18 @@ def check_against_filter_then_mix(model, params, x, labels):
 class TestSpatialFirstConv:
     @pytest.mark.parametrize("kernel_len", [16, 1, 64], ids=["default", "k1", "k_full"])
     def test_matches_filter_then_mix(self, kernel_len):
-        model = build_model(ModelConfig(kernel_len=kernel_len, seed=3))
+        model = build_model(ModelConfig(kernel_len=kernel_len))
         x, labels = batch_for(model, n=32, seed=kernel_len)
-        check_against_filter_then_mix(model, model.init_params(), x, labels)
+        check_against_filter_then_mix(model, model.init_params(3), x, labels)
 
     def test_non_contiguous_batch(self):
-        model = build_model(ModelConfig(seed=3))
+        model = build_model(ModelConfig())
         x, labels = batch_for(model, n=32, seed=5)
         x = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
         assert not x.flags.c_contiguous
-        check_against_filter_then_mix(model, model.init_params(), x, labels)
+        check_against_filter_then_mix(model, model.init_params(3), x, labels)
 
     def test_float32_batch(self):
-        model = build_model(ModelConfig(seed=3))
+        model = build_model(ModelConfig())
         x, labels = batch_for(model, n=32, seed=6)
-        check_against_filter_then_mix(model, model.init_params(), x.astype(np.float32), labels)
+        check_against_filter_then_mix(model, model.init_params(3), x.astype(np.float32), labels)

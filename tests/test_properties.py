@@ -12,7 +12,7 @@ match that decoder's message and byte offset.
 import copy
 import json
 import struct
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -216,8 +216,7 @@ PARAMS_LAYOUT = build_model(PARAMS_CONFIG).layout
 
 
 def _valid_params_blobs():
-    return [params_to_bytes(build_model(replace(PARAMS_CONFIG, seed=seed)).init_params())
-            for seed in range(2)]
+    return [params_to_bytes(build_model(PARAMS_CONFIG).init_params(seed)) for seed in range(2)]
 
 
 def check_params_bytes(blob):

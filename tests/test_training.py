@@ -12,17 +12,17 @@ from eegcl.training import Adam, EpochStats, Sgd, evaluate_arrays, train
 from helpers import separable_subject, tiny_arrays
 
 
-def tiny_model(seed=0):
+def tiny_model():
     return build_model(
         ModelConfig(architecture="mlp", n_channels=2, n_timepoints=4,
-                    n_classes=2, hidden=(4,), seed=seed)
+                    n_classes=2, hidden=(4,))
     )
 
 
-def tiny_conv(seed=0):
+def tiny_conv():
     return build_model(
         ModelConfig(architecture="shallow_conv", n_channels=2, n_timepoints=4,
-                    n_classes=2, n_filters=3, kernel_len=2, seed=seed)
+                    n_classes=2, n_filters=3, kernel_len=2)
     )
 
 
@@ -30,13 +30,13 @@ def split_sets(subject):
     return subject.arrays(Split.TRAIN), subject.arrays(Split.VAL)
 
 
-def reference_train(model, params, train_set, val_set, cfg, penalty=None):
+def reference_train(model, params, train_set, val_set, cfg, seed, penalty=None):
     """train() as a plain loop over the public API: the split checked
     sample-major, and each step loss_and_gradient on a fancy-indexed batch
     followed by an optimizer step."""
     x, y = check_batch(model, *train_set)
     x_val, y_val = check_batch(model, *val_set)
-    rng = np.random.default_rng(cfg.shuffle_seed)
+    rng = np.random.default_rng(seed)
     work = params.copy()
     if cfg.optimizer == "adam":
         optimizer = Adam.fresh(cfg.learning_rate, work.n_params)
@@ -123,7 +123,7 @@ class TestCheckBatch:
 class TestEvaluate:
     def test_all_correct_scores_one(self):
         model = tiny_model()
-        params = model.init_params()
+        params = model.init_params(0)
         x, _ = tiny_arrays(np.random.default_rng(1), 8)
         logits = model.forward(params, x)
         y = np.argmax(logits, axis=1)
@@ -131,7 +131,7 @@ class TestEvaluate:
 
     def test_single_trial_is_zero_or_one(self):
         model = tiny_model()
-        params = model.init_params()
+        params = model.init_params(0)
         x, y = tiny_arrays(np.random.default_rng(2), 1)
         assert evaluate_arrays(model, params, x, y) in (0.0, 1.0)
 
@@ -139,7 +139,7 @@ class TestEvaluate:
         # zeroed head makes every logit row constant, so ties resolve to
         # class 0 and accuracy equals the fraction of 0-labels
         model = tiny_model()
-        params = model.init_params()
+        params = model.init_params(0)
         params.view("w1")[:] = 0.0
         params.view("b1")[:] = 0.0
         x, y = tiny_arrays(np.random.default_rng(3), 10)
@@ -147,21 +147,21 @@ class TestEvaluate:
 
     def test_random_params_near_chance_on_balanced_data(self):
         model = tiny_model()
-        params = model.init_params()
+        params = model.init_params(0)
         acc = evaluate_arrays(model, params, *tiny_arrays(np.random.default_rng(4), 2000))
         assert 0.4 <= acc <= 0.6
 
     def test_empty_rejected(self):
         model = tiny_model()
         with pytest.raises(EmptyInputError):
-            evaluate_arrays(model, model.init_params(), np.empty((0, 2, 4)), np.empty(0))
+            evaluate_arrays(model, model.init_params(0), np.empty((0, 2, 4)), np.empty(0))
 
     def test_label_count_must_match(self):
         model = tiny_model()
         x, y = tiny_arrays(np.random.default_rng(5), 4)
         for bad in ([1], y[:3], y[:, None]):
             with pytest.raises(ShapeError):
-                evaluate_arrays(model, model.init_params(), x, bad)
+                evaluate_arrays(model, model.init_params(0), x, bad)
 
     def test_labels_must_be_class_indices(self):
         # Out-of-range or fractional labels raise instead of counting as
@@ -171,7 +171,7 @@ class TestEvaluate:
         for bad, match in (([0, 1, 2, 0], r"lie in \[0, 2\)"), ([0, -1, 0, 1], r"lie in \[0, 2\)"),
                            ([0.0, 0.5, 1.0, 1.0], "whole-number")):
             with pytest.raises(ValueError, match=match):
-                evaluate_arrays(model, model.init_params(), x, bad)
+                evaluate_arrays(model, model.init_params(0), x, bad)
 
 
 class TestTrain:
@@ -185,7 +185,7 @@ class TestTrain:
         train_set, val_set = self.separable_sets()
         model = tiny_model()
         cfg = TrainConfig(learning_rate=0.01, max_epochs=60, batch_size=8, patience=10)
-        best, history = train(model, model.init_params(), train_set, val_set, cfg)
+        best, history = train(model, model.init_params(0), train_set, val_set, cfg, 0)
         assert evaluate_arrays(model, best, *train_set) == 1.0
         assert history[-1].val_accuracy == 1.0
 
@@ -193,21 +193,21 @@ class TestTrain:
         train_set, (x_val, y_val) = self.separable_sets()
         model = tiny_model()
         with pytest.raises(ValueError, match="lie in"):
-            train(model, model.init_params(), train_set, (x_val, y_val + 2), TrainConfig())
+            train(model, model.init_params(0), train_set, (x_val, y_val + 2), TrainConfig(), 0)
 
     def test_patience_zero_runs_exactly_one_epoch(self):
         train_set, val_set = self.separable_sets()
         model = tiny_model()
         cfg = TrainConfig(max_epochs=50, patience=0)
-        _, history = train(model, model.init_params(), train_set, val_set, cfg)
+        _, history = train(model, model.init_params(0), train_set, val_set, cfg, 0)
         assert len(history) == 1
 
     def test_same_config_reproduces_run(self):
         train_set, val_set = self.separable_sets()
         model = tiny_model()
         cfg = TrainConfig(learning_rate=0.01, max_epochs=10, batch_size=8, patience=10)
-        best_a, hist_a = train(model, model.init_params(), train_set, val_set, cfg)
-        best_b, hist_b = train(model, model.init_params(), train_set, val_set, cfg)
+        best_a, hist_a = train(model, model.init_params(0), train_set, val_set, cfg, 0)
+        best_b, hist_b = train(model, model.init_params(0), train_set, val_set, cfg, 0)
         assert hist_a == hist_b
         assert np.array_equal(best_a.vector, best_b.vector)
 
@@ -219,7 +219,7 @@ class TestTrain:
         (x, y), (x_val, y_val) = (check_batch(model, *s) for s in self.separable_sets())
         x32 = x.astype(np.float32)
         cfg = TrainConfig(learning_rate=0.01, max_epochs=5, batch_size=8, patience=5)
-        runs = [train(model, model.init_params(), (xs, y), (x_val, y_val), cfg)
+        runs = [train(model, model.init_params(0), (xs, y), (x_val, y_val), cfg, 0)
                 for xs in (x32, x32.astype(np.float64))]
         assert runs[0][1] == runs[1][1]
         assert np.array_equal(runs[0][0].vector, runs[1][0].vector)
@@ -232,12 +232,12 @@ class TestTrain:
         model = tiny_model()
         base = dict(learning_rate=0.05, batch_size=8, patience=10)
         long_best, long_hist = train(
-            model, model.init_params(), train_set, val_set,
-            TrainConfig(max_epochs=5, **base),
+            model, model.init_params(0), train_set, val_set,
+            TrainConfig(max_epochs=5, **base), 0,
         )
         short_best, short_hist = train(
-            model, model.init_params(), train_set, val_set,
-            TrainConfig(max_epochs=1, **base),
+            model, model.init_params(0), train_set, val_set,
+            TrainConfig(max_epochs=1, **base), 0,
         )
         assert short_hist[0].val_accuracy == 1.0
         assert max(h.val_accuracy for h in long_hist) == 1.0
@@ -246,9 +246,9 @@ class TestTrain:
     def test_input_params_never_mutated(self):
         train_set, val_set = self.separable_sets()
         model = tiny_model()
-        params = model.init_params()
+        params = model.init_params(0)
         before = params.vector.copy()
-        train(model, params, train_set, val_set, TrainConfig(max_epochs=3, patience=5))
+        train(model, params, train_set, val_set, TrainConfig(max_epochs=3, patience=5), 0)
         assert np.array_equal(params.vector, before)
 
     def test_divergence_raises(self):
@@ -257,8 +257,8 @@ class TestTrain:
         poison = lambda vec: (np.nan, np.zeros_like(vec))
         with pytest.raises(TrainingDivergedError):
             train(
-                model, model.init_params(), train_set, val_set,
-                TrainConfig(max_epochs=3), penalty=poison,
+                model, model.init_params(0), train_set, val_set,
+                TrainConfig(max_epochs=3), 0, penalty=poison,
             )
 
     def test_zero_penalty_equals_no_penalty(self):
@@ -266,9 +266,9 @@ class TestTrain:
         model = tiny_model()
         cfg = TrainConfig(learning_rate=0.01, max_epochs=5, batch_size=8, patience=10)
         hook = lambda vec: (0.0, np.zeros_like(vec))
-        best_a, hist_a = train(model, model.init_params(), train_set, val_set, cfg)
+        best_a, hist_a = train(model, model.init_params(0), train_set, val_set, cfg, 0)
         best_b, hist_b = train(
-            model, model.init_params(), train_set, val_set, cfg, penalty=hook
+            model, model.init_params(0), train_set, val_set, cfg, 0, penalty=hook
         )
         assert hist_a == hist_b
         assert np.array_equal(best_a.vector, best_b.vector)
@@ -277,8 +277,8 @@ class TestTrain:
         train_set, val_set = self.separable_sets()
         model = tiny_model()
         _, history = train(
-            model, model.init_params(), train_set, val_set,
-            TrainConfig(max_epochs=3, patience=5),
+            model, model.init_params(0), train_set, val_set,
+            TrainConfig(max_epochs=3, patience=5), 0,
         )
         assert [h.epoch for h in history] == list(range(1, len(history) + 1))
 
@@ -290,11 +290,11 @@ class TestTrain:
         train_set, val_set = self.separable_sets(seed=2)
         model = make_model()
         cfg = TrainConfig(learning_rate=0.02, max_epochs=6, batch_size=7, patience=3,
-                          optimizer=optimizer, shuffle_seed=11)
+                          optimizer=optimizer)
         hook = (lambda vec: (0.05 * float(vec @ vec), 0.1 * vec)) if penalized else None
-        params = model.init_params()
-        best, history = train(model, params, train_set, val_set, cfg, penalty=hook)
-        ref_best, ref_history = reference_train(model, params, train_set, val_set, cfg, hook)
+        params = model.init_params(0)
+        best, history = train(model, params, train_set, val_set, cfg, 11, penalty=hook)
+        ref_best, ref_history = reference_train(model, params, train_set, val_set, cfg, 11, hook)
         assert history == ref_history
         assert np.array_equal(best.vector, ref_best.vector)
 
@@ -303,5 +303,5 @@ class TestTrain:
         model = tiny_model()
         cfg = TrainConfig(learning_rate=0.05, max_epochs=30, batch_size=8,
                           patience=10, optimizer="sgd")
-        best, _ = train(model, model.init_params(), train_set, val_set, cfg)
+        best, _ = train(model, model.init_params(0), train_set, val_set, cfg, 0)
         assert evaluate_arrays(model, best, *train_set) > 0.9
