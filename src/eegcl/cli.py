@@ -51,7 +51,7 @@ from .errors import (
     integer,
     integers,
 )
-from .ewc import DEFAULT_LAMBDA, LAMBDA
+from .ewc import DEFAULT_LAMBDA
 from .harness import (
     MemoryConfig,
     RunRecord,
@@ -82,42 +82,33 @@ _MODEL_DIMS = ("n_channels", "n_timepoints", "n_classes")
 class ExperimentConfig:
     """One experiment: a stream source, strategies, the model's JSON object,
     a train config, and the seeds, one independent run per strategy per
-    seed. The seeds are seed_list, else 0 .. repeat - 1, else 0 alone."""
+    seed. It checks its stream source and seeds when built."""
 
     stream_path: str | None
     generator: StreamConfig | None
     strategies: tuple
     model: dict
     train: TrainConfig
-    seed_list: list | None = None
-    repeat: int | None = None
+    seeds: tuple = (0,)
 
-    @property
-    def seeds(self) -> tuple:
-        if self.seed_list is not None:
-            return tuple(self.seed_list)
-        return tuple(range(1 if self.repeat is None else self.repeat))
+    def __post_init__(self):
+        self.validate()
+        object.__setattr__(self, "seeds", tuple(self.seeds))
 
+    # The body of __post_init__'s check, kept by name because bench/
+    # calls parse_experiment_config(...).validate().
     def validate(self):
         """Check what parse_experiment_config copies raw from the JSON:
-        the stream source, seeds and repeat."""
+        the stream source and the seeds."""
         if (self.stream_path is None) == (self.generator is None):
             raise ConfigError(
                 "stream must specify exactly one of 'path' or 'generator'"
             )
         if self.generator is None:
             STRING.check(self.stream_path, "stream path")
-        if self.seed_list is not None:
-            integers(0).check(self.seed_list, "seeds")
-            if len(set(self.seed_list)) != len(self.seed_list):
-                raise ConfigError(f"seeds must be unique, got {self.seed_list!r}")
-        if self.repeat is not None:
-            integer(1).check(self.repeat, "repeat")
-            if self.seed_list is not None and self.repeat != len(self.seed_list):
-                raise ConfigError(
-                    f"repeat ({self.repeat}) disagrees with the seed list length "
-                    f"({len(self.seed_list)})"
-                )
+        integers(0).check(self.seeds, "seeds")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be unique, got {list(self.seeds)}")
 
 
 def _load_json(path) -> dict:
@@ -148,7 +139,7 @@ def _parse_memory(data, default: MemoryConfig) -> MemoryConfig:
     return _build_dataclass(MemoryConfig, data, "memory config")
 
 
-def _parse_strategy(item, default_memory: MemoryConfig, default_lam: float) -> Strategy:
+def _parse_strategy(item, default_memory: MemoryConfig) -> Strategy:
     """A strategy entry; the memory and lambda it gives are checked even
     when its kind does not use them."""
     if isinstance(item, str):
@@ -160,15 +151,14 @@ def _parse_strategy(item, default_memory: MemoryConfig, default_lam: float) -> S
         raise ConfigError(f"unknown strategy keys: {unknown}")
     return Strategy(str(item.get("kind", "")).upper(),
                     _parse_memory(item.get("memory"), default_memory),
-                    item.get("lambda", default_lam))
+                    item.get("lambda", DEFAULT_LAMBDA))
 
 
 def parse_experiment_config(data: dict) -> ExperimentConfig:
     """Map an experiment config's JSON object onto an ExperimentConfig. The
-    configs it builds check themselves; cmd_run builds the ModelConfig
-    over the stream's dimensions."""
-    unknown = sorted(set(data) - {"stream", "strategies", "memory", "ewc_lambda", "model",
-                                  "train", "seeds", "repeat"})
+    configs it builds, this one included, check themselves; cmd_run builds
+    the ModelConfig over the stream's dimensions."""
+    unknown = sorted(set(data) - {"stream", "strategies", "memory", "model", "train", "seeds"})
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
     stream = data.get("stream")
@@ -180,9 +170,7 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
     if not isinstance(strategies, list) or not strategies:
         raise ConfigError("config needs a non-empty 'strategies' list")
     default_memory = _parse_memory(data.get("memory"), MemoryConfig())
-    default_lam = data.get("ewc_lambda", DEFAULT_LAMBDA)
-    LAMBDA.check(default_lam, "ewc lambda")
-    parsed = tuple(_parse_strategy(i, default_memory, default_lam) for i in strategies)
+    parsed = tuple(_parse_strategy(i, default_memory) for i in strategies)
     kinds = [strategy.kind for strategy in parsed]
     if len(set(kinds)) != len(kinds):
         raise ConfigError(f"strategies must list each kind at most once, got {kinds}")
@@ -198,8 +186,7 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
         strategies=parsed,
         model=model,
         train=_build_dataclass(TrainConfig, data.get("train", {}), "train config"),
-        seed_list=data.get("seeds"),
-        repeat=data.get("repeat"),
+        seeds=data.get("seeds", ExperimentConfig.seeds),
     )
 
 
@@ -297,7 +284,6 @@ def _bold(text: str) -> str:
 def cmd_run(args) -> int:
     integer(1).check(args.jobs, "--jobs")
     config = parse_experiment_config(_load_json(args.config))
-    config.validate()
     if config.generator is not None:
         stream = gen_stream(config.generator)
     else:

@@ -276,8 +276,10 @@ class Stream:
                 )
 
     def require_splits(self, *splits: Split) -> None:
-        """Raise StreamFormatError naming the first subject with no trials
-        in one of splits."""
+        """Raise StreamFormatError for a stream with no subjects, or naming
+        the first subject with no trials in one of splits."""
+        if not self.subjects:
+            raise StreamFormatError("stream has no subjects")
         for ds, split in ((ds, split) for ds in self.subjects for split in splits):
             if not (ds.split == split).any():
                 raise StreamFormatError(
@@ -359,6 +361,7 @@ def _draw_mixing(rng: np.random.Generator, n_channels: int, scale: float) -> np.
     return symmetrize((v * np.exp(eig.eigenvalues)) @ v.T)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is a ConfigError below
 def gen_stream(config: StreamConfig) -> Stream:
     """Generate a synthetic subject stream with controllable domain shift.
 
@@ -392,20 +395,28 @@ def gen_stream(config: StreamConfig) -> Stream:
     noise = np.empty((n, c, t))
     subjects = []
     for k in range(config.n_subjects):
-        mixing = _draw_mixing(rng, c, config.mixing_scale)
-        # The draws interleave per trial (gain, then noise), as the stream's
-        # definition fixes them; the arithmetic then runs once per subject.
-        for i in range(n):
-            if config.randomize_polarity:
-                gains[i] = 1.0 if rng.random() < 0.5 else -1.0
-            rng.standard_normal(out=noise[i])
-        # In place, in the order of mixing @ (gain * pattern + sigma * noise).
-        x = patterns[labels]
-        x *= gains[:, None, None]
-        noise *= config.noise_sigma
-        x += noise
-        x = np.matmul(mixing, x, out=noise).astype(np.float32)
-        ds = SubjectDataset(k, x, labels, np.arange(n), np.zeros(n))
+        # Checked scales can still overflow: then the mixing's eigendecomposition
+        # or the subject's finiteness check raises, and the config is at fault.
+        try:
+            mixing = _draw_mixing(rng, c, config.mixing_scale)
+            # The draws interleave per trial (gain, then noise), as the stream's
+            # definition fixes them; the arithmetic then runs once per subject.
+            for i in range(n):
+                if config.randomize_polarity:
+                    gains[i] = 1.0 if rng.random() < 0.5 else -1.0
+                rng.standard_normal(out=noise[i])
+            # In place, in the order of mixing @ (gain * pattern + sigma * noise).
+            x = patterns[labels]
+            x *= gains[:, None, None]
+            noise *= config.noise_sigma
+            x += noise
+            x = np.matmul(mixing, x, out=noise).astype(np.float32)
+            ds = SubjectDataset(k, x, labels, np.arange(n), np.zeros(n))
+        except ValueError as exc:
+            raise ConfigError(
+                f"generator mixing_scale {config.mixing_scale} and noise_sigma "
+                f"{config.noise_sigma} give samples that are not finite float32 ({exc})"
+            ) from exc
         split_seed = int(rng.integers(0, 2**32 - 1))
         subjects.append(split_subject(ds, TRAIN_FRAC, split_seed))
     return Stream(

@@ -26,7 +26,7 @@ import numpy as np
 
 from .alignment import whiten_subject
 from .alignment import compute_whitener, reference_covariance  # noqa: F401  traced by bench/
-from .data import Split
+from .data import Split, Stream
 from .errors import EmptyInputError, ShapeError, UndefinedMetricError, check_fields, one_of
 from .ewc import DEFAULT_LAMBDA, LAMBDA, OnlineEwc
 from .models import ModelConfig, build_model
@@ -210,7 +210,7 @@ def derive_run_seeds(run_seed: int) -> tuple:
 
 
 def run_continual(
-    stream,
+    stream: Stream,
     strategy: Strategy,
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
@@ -223,12 +223,19 @@ def run_continual(
     seeds, exemplar selection seeds and the memory's eviction seed are all
     derived.
     """
-    model_seed, train_seed = derive_run_seeds(run_seed)
-    subjects = list(stream)
-    if not subjects:
+    if not isinstance(stream, Stream):
+        raise TypeError(f"run_continual needs a Stream, got {type(stream).__name__}")
+    n = len(stream)
+    if not n:
         raise EmptyInputError("cannot run on an empty stream")
-    shape = (model_cfg.n_channels, model_cfg.n_timepoints)
-    n = len(subjects)
+    # A Stream holds every non-empty subject to its trial shape.
+    shape = (stream.n_channels, stream.n_timepoints)
+    if shape != (model_cfg.n_channels, model_cfg.n_timepoints):
+        raise ShapeError(
+            f"stream trial shape {shape} does not match model input "
+            f"{(model_cfg.n_channels, model_cfg.n_timepoints)}"
+        )
+    model_seed, train_seed = derive_run_seeds(run_seed)
     shuffle_seeds, store_seeds, memory_seed = _derive_stage_seeds(train_seed, n)
 
     model = build_model(model_cfg)
@@ -257,13 +264,8 @@ def run_continual(
 
     for stage in range(1, n + 1):
         started = time.perf_counter()
-        ds = subjects[stage - 1]
+        ds = stream[stage - 1]
         stage_subjects.append(ds.subject_id)
-        if ds.block.shape[1:] != shape:
-            raise ShapeError(
-                f"subject {ds.subject_id} trial shape {ds.block.shape[1:]} "
-                f"does not match model input {shape}"
-            )
         if strategy.alignment_enabled:
             # The whitener comes from the training split alone; val and
             # test trials are whitened with it, never fed back into it.
@@ -303,7 +305,7 @@ def run_continual(
 
     return RunRecord(
         strategy=strategy,
-        seeds={"stream": getattr(stream, "seed", None), "model": model_seed,
+        seeds={"stream": stream.seed, "model": model_seed,
                "train": train_seed, "run": run_seed},
         matrix=matrix,
         acc=final_acc(matrix),

@@ -15,6 +15,7 @@ import eegcl.cli
 from eegcl.alignment import compute_whitener, reference_covariance
 from eegcl.cli import main, parse_experiment_config
 from eegcl.data import Split, load_stream, save_stream
+from eegcl.errors import ConfigError
 from eegcl.linalg import covariance
 
 
@@ -46,6 +47,25 @@ def gen_stream_dir(tmp_path):
     config = write_json(tmp_path / "gen.json", gen_config())
     assert main(["gen", "--config", str(config), "--out", str(tmp_path / "stream")]) == 0
     return tmp_path / "stream"
+
+
+def empty_stream_dir(tmp_path):
+    """A stream directory whose manifest lists no subjects."""
+    stream_dir = gen_stream_dir(tmp_path)
+    manifest = json.loads((stream_dir / "manifest.json").read_text())
+    write_json(stream_dir / "manifest.json", {**manifest, "n_subjects": 0, "subjects": []})
+    return stream_dir
+
+
+# Generator values that pass their rules but scale samples past float32.
+OVERFLOWS = pytest.mark.parametrize("overflow", [
+    {"mixing_scale": 60}, {"noise_sigma": 1e300}, {"mixing_scale": 1e308},
+], ids=["mixing_scale", "noise_sigma", "mixing_past_float64"])
+
+
+def assert_overflow_refused(err):
+    assert err.startswith("error: generator mixing_scale ") and err.count("\n") == 1
+    assert " and noise_sigma " in err
 
 
 def retag_split(stream_dir, subject, old, new):
@@ -104,6 +124,13 @@ class TestGen:
         config = write_json(tmp_path / "gen.json", gen_config(**{field: value}))
         assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
         assert f"error: generator {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @OVERFLOWS
+    def test_overflowing_samples_exit_2(self, tmp_path, capsys, overflow):
+        config = write_json(tmp_path / "gen.json", {"n_subjects": 1, **overflow})
+        assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
+        assert_overflow_refused(capsys.readouterr().err)
         assert not (tmp_path / "s").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path):
@@ -201,6 +228,13 @@ class TestAlign:
         rc = main(["align", "--stream", str(stream_dir), "--out", str(tmp_path / "aligned")])
         assert rc == 3
         assert "error: subject 1 has no train trials" in capsys.readouterr().err
+        assert not (tmp_path / "aligned").exists()
+
+    def test_stream_without_subjects_exits_3(self, tmp_path, capsys):
+        stream_dir = empty_stream_dir(tmp_path)
+        rc = main(["align", "--stream", str(stream_dir), "--out", str(tmp_path / "aligned")])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: stream has no subjects\n"
         assert not (tmp_path / "aligned").exists()
 
 
@@ -345,8 +379,7 @@ class TestRunCommand:
         {"strategies": [{"kind": "EWC", "lambda": float("inf")}]},
         {"strategies": [{"kind": "EWC", "lambda": float("nan")}]},
         {"strategies": [{"kind": "EWC", "lambda": 10**400}]},
-        {"strategies": ["EWC"], "ewc_lambda": -5},
-        {"strategies": ["EWC"], "ewc_lambda": True},
+        {"strategies": [{"kind": "EWC", "lambda": True}]},
         {"strategies": ["ER"], "memory": {"capacity": "x"}},
         {"strategies": [{"kind": "ER", "memory": {"capacity": -1}}]},
         {"strategies": [{"kind": "PCED", "memory": {"capacity": 1.5}}]},
@@ -354,7 +387,7 @@ class TestRunCommand:
         {"strategies": [{"kind": "ER", "memory": {"policy": "fifo"}}]},
     ], ids=[
         "lambda_negative", "lambda_string", "lambda_null", "lambda_inf", "lambda_nan",
-        "lambda_huge_int", "ewc_lambda_negative", "ewc_lambda_bool", "capacity_string",
+        "lambda_huge_int", "lambda_bool", "capacity_string",
         "capacity_negative", "capacity_fraction", "per_class_null", "policy_unknown",
     ])
     def test_bad_strategy_config_exits_2(self, tmp_path, capsys, overrides):
@@ -399,7 +432,9 @@ class TestRunCommand:
         ({"seeds": [-1]}, "seeds must be a non-empty list of integers >= 0, got [-1]"),
         ({"seeds": [1.7]}, "seeds must be a non-empty list of integers >= 0, got [1.7]"),
         ({"seeds": [True]}, "seeds must be a non-empty list of integers >= 0, got [True]"),
-        ({"seeds": None, "repeat": "x"}, "repeat must be an integer >= 1, got 'x'"),
+        ({"seeds": None}, "seeds must be a non-empty list of integers >= 0, got None"),
+        ({"stream": {"generator": gen_config(), "path": "x"}},
+         "stream must specify exactly one of 'path' or 'generator'"),
         ({"strategies": ["ER", {"kind": "er", "memory": {"capacity": 4}}]},
          "strategies must list each kind at most once, got ['ER', 'ER']"),
     ], ids=[
@@ -409,7 +444,8 @@ class TestRunCommand:
         "max_epochs_fraction", "learning_rate_null", "batch_size_bool", "shuffle_seed_negative",
         "shuffle_seed_given", "n_filters_string", "kernel_len_fraction", "model_seed_negative",
         "model_seed_given", "model_not_object", "hidden_not_list", "seed_string",
-        "seed_negative", "seed_fraction", "seed_bool", "repeat_string", "kind_listed_twice",
+        "seed_negative", "seed_fraction", "seed_bool", "seeds_null", "two_stream_sources",
+        "kind_listed_twice",
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides, message):
         config = write_json(tmp_path / "exp.json", experiment_config(**overrides))
@@ -475,9 +511,14 @@ class TestRunCommand:
         config = write_json(tmp_path / "exp.json", experiment_config(extra=1))
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
 
-    def test_repeat_seed_mismatch_exits_2(self, tmp_path):
-        config = write_json(tmp_path / "exp.json", experiment_config(repeat=3))
+    @pytest.mark.parametrize("key, value", [("repeat", 2), ("ewc_lambda", 7)],
+                             ids=["repeat", "ewc_lambda"])
+    def test_respelled_key_exits_2(self, tmp_path, capsys, key, value):
+        # "seeds" and an EWC entry's "lambda" are each setting's one spelling
+        config = write_json(tmp_path / "exp.json", experiment_config(**{key: value}))
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: unknown config keys: [{key!r}]\n"
+        assert not (tmp_path / "out").exists()
 
     def test_duplicate_seeds_exit_2(self, tmp_path):
         config = write_json(tmp_path / "exp.json", experiment_config(seeds=[0, 0]))
@@ -513,6 +554,23 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--out", str(out), "--jobs", "2"]) == 3
         assert f"error: subject 1 has no {old.name.lower()} trials" in capsys.readouterr().err
         assert not list(out.glob("report_*"))
+
+    def test_stream_without_subjects_exits_3(self, tmp_path, capsys):
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            stream={"path": str(empty_stream_dir(tmp_path))}
+        ))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "error: stream has no subjects\n"
+        assert not (tmp_path / "out").exists()
+
+    @OVERFLOWS
+    def test_overflowing_generator_exits_2(self, tmp_path, capsys, overflow):
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            stream={"generator": gen_config(**overflow)}
+        ))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert_overflow_refused(capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
 
     def test_nan_sample_exits_3(self, tmp_path, capsys):
         gen_cfg = write_json(tmp_path / "gen.json", gen_config())
@@ -554,17 +612,23 @@ class TestParseExperimentConfig:
 
     def test_integers_count_as_numbers(self):
         cfg = parse_experiment_config(experiment_config(
-            strategies=[{"kind": "EWC", "lambda": 7}], ewc_lambda=3,
+            strategies=[{"kind": "EWC", "lambda": 7}],
             train={"learning_rate": 1},
             stream={"generator": gen_config(mixing_scale=0, noise_sigma=2)},
         ))
-        cfg.validate()
         assert cfg.strategies[0].lam == 7
         assert cfg.train.learning_rate == 1
 
-    def test_repeat_expands_seeds(self):
-        cfg = parse_experiment_config(experiment_config(seeds=None, repeat=3))
-        assert cfg.seeds == (0, 1, 2)
+    @pytest.mark.parametrize("stream, message", [
+        ({"generator": {}, "path": "x"},
+         "stream must specify exactly one of 'path' or 'generator'"),
+        ({"generator": {}}, "seeds must be unique, got [0, 0]"),
+    ], ids=["two_stream_sources", "repeated_seed"])
+    def test_parsed_config_is_checked(self, stream, message):
+        data = {"stream": stream, "strategies": ["SFT"], "seeds": [0, 0]}
+        with pytest.raises(ConfigError) as info:
+            parse_experiment_config(data)
+        assert str(info.value) == message
 
     def test_default_single_seed(self):
         data = experiment_config()

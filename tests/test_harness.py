@@ -209,14 +209,15 @@ class TestRunContinual:
         assert record.bwt is None
         assert record.acc == record.matrix[0, 0]
 
-    def test_plain_subject_list_is_accepted(self):
+    def test_plain_subject_list_is_refused(self):
         subjects = list(small_stream())[:1]
-        record = run_continual(subjects, sft_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=0)
-        assert record.seeds["stream"] is None
+        with pytest.raises(TypeError, match="needs a Stream, got list"):
+            run_continual(subjects, sft_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=0)
 
     def test_empty_stream_rejected(self):
+        empty = Stream(subjects=(), n_channels=4, n_timepoints=32, n_classes=2, seed=0)
         with pytest.raises(EmptyInputError):
-            run_continual([], sft_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=0)
+            run_continual(empty, sft_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=0)
 
     def test_model_stream_shape_mismatch(self):
         cfg = replace(small_model_cfg(), n_channels=3)
@@ -232,10 +233,10 @@ class TestRunContinual:
         # A subject is one block, so the ragged subject cannot even be built...
         with pytest.raises(ValueError):
             replace(first, block=rows)
-        # ...and a later subject of another trial shape is refused at its stage.
+        # ...and a stream refuses a later subject of another trial shape.
         narrow = replace(first, subject_id=1, block=first.block[:, :, :-1])
-        with pytest.raises(ShapeError, match=r"subject 1 trial shape \(4, 31\)"):
-            run_continual([first, narrow], sft_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=0)
+        with pytest.raises(ValueError, match=r"subject 1 trial shape \(4, 31\)"):
+            Stream(subjects=(first, narrow), n_channels=4, n_timepoints=32, n_classes=2, seed=1)
 
     def test_repeated_subject_does_not_lose_accuracy(self):
         # training twice on the same subject must keep its test accuracy

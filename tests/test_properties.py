@@ -28,7 +28,7 @@ from eegcl import (  # noqa: E402
     TrainConfig,
     gen_stream,
 )
-from eegcl.cli import parse_experiment_config  # noqa: E402
+from eegcl.cli import ExperimentConfig, parse_experiment_config  # noqa: E402
 from eegcl.data import (  # noqa: E402
     LabeledTrial,
     SubjectDataset,
@@ -307,7 +307,6 @@ VALID_EXPERIMENT = {
     "stream": {"generator": {"n_subjects": 2, "seed": 4}},
     "strategies": ["SFT", {"kind": "ER", "memory": {"capacity": 20}}, {"kind": "EWC", "lambda": 5}],
     "memory": {"capacity": 12, "per_class": 3, "policy": "class_balanced"},
-    "ewc_lambda": 50.0,
     "model": {"architecture": "mlp", "hidden": [4, 2]},
     "train": {"learning_rate": 0.01, "max_epochs": 2},
     "seeds": [0, 1],
@@ -316,7 +315,7 @@ VALID_EXPERIMENT = {
 
 def _field_paths():
     """Every field an experiment config can set, as a path of keys."""
-    paths = [(key,) for key in (*VALID_EXPERIMENT, "repeat")] + [
+    paths = [(key,) for key in VALID_EXPERIMENT] + [
         ("stream", "path"), ("seeds", 0), ("model", "hidden", 0),
         *(("strategies", i, key) for i in (1, 2) for key in ("kind", "memory", "lambda")),
     ]
@@ -340,7 +339,8 @@ def changed_config(changes):
             except (KeyError, IndexError, TypeError):
                 break
         else:
-            if isinstance(obj, list) and (value is DROP or path[-1] >= len(obj)):
+            if isinstance(obj, list) and (value is DROP or not isinstance(path[-1], int)
+                                          or path[-1] >= len(obj)):
                 continue
             if isinstance(obj, dict) and value is DROP:
                 obj.pop(path[-1], None)
@@ -359,6 +359,24 @@ config_values = st.one_of(
                         min_size=1, max_size=3))
 def test_experiment_config_validates_or_raises_config_error(changes):
     try:
-        parse_experiment_config(changed_config(changes)).validate()
+        config = parse_experiment_config(changed_config(changes))
     except ConfigError:
-        pass
+        return
+    # parsing alone checked the stream source and the seeds
+    assert (config.stream_path is None) != (config.generator is None)
+    assert config.generator is not None or isinstance(config.stream_path, str)
+    assert config.seeds and len(set(config.seeds)) == len(config.seeds)
+    assert all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in config.seeds)
+
+
+def test_valid_experiment_parses():
+    # were it refused, every generated example would raise and pass vacuously
+    config = parse_experiment_config(copy.deepcopy(VALID_EXPERIMENT))
+    assert config.seeds == (0, 1)
+    assert [s.kind for s in config.strategies] == ["SFT", "ER", "EWC"]
+
+
+def test_experiment_config_with_two_stream_sources_is_refused():
+    with pytest.raises(ConfigError, match="exactly one of 'path' or 'generator'"):
+        ExperimentConfig(stream_path="x", generator=StreamConfig(), strategies=(),
+                         model={}, train=TrainConfig())
