@@ -635,6 +635,14 @@ class TestParseExperimentConfig:
         del data["seeds"]
         assert parse_experiment_config(data).seeds == (0,)
 
+    def test_repeat_key_is_unknown(self):
+        # "seeds": [0, ..., N-1] is the one way to ask for N seeds
+        data = experiment_config(repeat=3)
+        del data["seeds"]
+        with pytest.raises(ConfigError) as info:
+            parse_experiment_config(data)
+        assert str(info.value) == "unknown config keys: ['repeat']"
+
 
 class TestReportCommand:
     def test_writes_mean_curve(self, run_dir, capsys):
