@@ -106,14 +106,3 @@ def whiten_subject(dataset: SubjectDataset, eps: float | None = None) -> tuple:
     aligned = np.matmul(report.whitener, dataset.block.astype(np.float64))
     return replace(dataset, block=aligned.astype(np.float32)), report
 
-
-def align_subject(trials, eps: float | None = None):
-    """Whiten trials against their own mean covariance.
-
-    Returns (aligned float64 trials, AlignmentReport). Each aligned trial has
-    the same shape as its input, and the mean covariance of the aligned set
-    is the identity whenever the reference covariance is well conditioned.
-    """
-    trials = list(trials)
-    report = compute_whitener(reference_covariance(trials), eps)
-    return list(np.matmul(report.whitener, np.array(trials, dtype=np.float64))), report

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from pathlib import Path
@@ -191,9 +190,6 @@ class SubjectDataset:
     def trials_for(self, split: Split) -> tuple:
         """Trials carrying the given split tag, in timestamp order."""
         return self.trials_at(np.flatnonzero(self.split == split))
-
-    def class_counts(self) -> dict:
-        return dict(Counter(self.labels.tolist()))
 
 
 def datasets_equal(a: SubjectDataset, b: SubjectDataset) -> bool:

@@ -223,54 +223,68 @@ def run_continual(
     seeds, exemplar selection seeds and the memory's eviction seed are all
     derived.
     """
-    if not isinstance(stream, Stream):
-        raise TypeError(f"run_continual needs a Stream, got {type(stream).__name__}")
-    n = len(stream)
-    if not n:
-        raise EmptyInputError("cannot run on an empty stream")
-    # A Stream holds every non-empty subject to its trial shape.
-    shape = (stream.n_channels, stream.n_timepoints)
-    if shape != (model_cfg.n_channels, model_cfg.n_timepoints):
-        raise ShapeError(
-            f"stream trial shape {shape} does not match model input "
-            f"{(model_cfg.n_channels, model_cfg.n_timepoints)}"
-        )
-    model_seed, train_seed = derive_run_seeds(run_seed)
-    shuffle_seeds, store_seeds, memory_seed = _derive_stage_seeds(train_seed, n)
+    state = RunState(stream, strategy, model_cfg, train_cfg, run_seed)
+    for ds in stream:
+        state.advance(ds)
+    return state.record()
 
-    model = build_model(model_cfg)
-    params = model.init_params(model_seed)
-    memory = None
-    if strategy.uses_memory:
-        memory = ReplayMemory(
-            capacity=strategy.memory.capacity,
-            policy=strategy.memory.policy,
-            seed=memory_seed,
-        )
-    ewc_state = OnlineEwc(lam=strategy.lam) if strategy.uses_ewc else None
 
-    matrix = new_matrix(n)
-    events = []
-    eval_cache = []
-    stage_epochs = []
-    stage_memory = []
-    stage_seconds = []
-    stage_subjects = []
+class RunState:
+    """One continual run between its stages. The constructor checks the
+    stream (a subject lacking a split is refused before stage 1) and derives
+    every seed; advance(ds) runs subject ds's stage; record() returns the
+    finished run's RunRecord."""
 
-    def take(stage, ds, split):
+    def __init__(self, stream: Stream, strategy: Strategy, model_cfg: ModelConfig,
+                 train_cfg: TrainConfig, run_seed: int):
+        if not isinstance(stream, Stream):
+            raise TypeError(f"run_continual needs a Stream, got {type(stream).__name__}")
+        n = len(stream)
+        if not n:
+            raise EmptyInputError("cannot run on an empty stream")
+        # A Stream holds every non-empty subject to its trial shape.
+        shape = (stream.n_channels, stream.n_timepoints)
+        if shape != (model_cfg.n_channels, model_cfg.n_timepoints):
+            raise ShapeError(
+                f"stream trial shape {shape} does not match model input "
+                f"{(model_cfg.n_channels, model_cfg.n_timepoints)}"
+            )
+        stream.require_splits(*Split)
+        model_seed, train_seed = derive_run_seeds(run_seed)
+        self.shuffle_seeds, self.store_seeds, memory_seed = _derive_stage_seeds(train_seed, n)
+        self.strategy, self.train_cfg = strategy, train_cfg
+        self.seeds = {"stream": stream.seed, "model": model_seed,
+                      "train": train_seed, "run": run_seed}
+
+        self.model = build_model(model_cfg)
+        self.params = self.model.init_params(model_seed)
+        self.memory = ReplayMemory(
+            capacity=strategy.memory.capacity, policy=strategy.memory.policy, seed=memory_seed
+        ) if strategy.uses_memory else None
+        self.ewc_state = OnlineEwc(lam=strategy.lam) if strategy.uses_ewc else None
+
+        self.matrix = new_matrix(n)
+        self.events, self.eval_cache = [], []
+        # One entry per finished stage.
+        self.stage_subjects, self.stage_epochs = [], []
+        self.stage_memory, self.stage_seconds = [], []
+
+    def _take(self, stage, ds, split):
         x, y = ds.arrays(split)
-        events.append(AccessEvent(stage, ds.subject_id, split.name.lower(), len(y)))
+        self.events.append(AccessEvent(stage, ds.subject_id, split.name.lower(), len(y)))
         return x, y
 
-    for stage in range(1, n + 1):
+    def advance(self, ds) -> None:
+        """Run the next stage on subject ds, the stream's next subject."""
         started = time.perf_counter()
-        ds = stream[stage - 1]
-        stage_subjects.append(ds.subject_id)
+        strategy, memory = self.strategy, self.memory
+        self.stage_subjects.append(ds.subject_id)
+        stage = len(self.stage_subjects)
         if strategy.alignment_enabled:
             # The whitener comes from the training split alone; val and
             # test trials are whitened with it, never fed back into it.
             ds, _ = whiten_subject(ds)
-        train_set, val_set, test_set = (take(stage, ds, split) for split in Split)
+        train_set, val_set, test_set = (self._take(stage, ds, split) for split in Split)
 
         fit_set = train_set
         replayed = memory.snapshot() if memory is not None else ()
@@ -279,44 +293,45 @@ def run_continual(
                 np.concatenate([train_set[0], [t.trial for t in replayed]]),
                 np.concatenate([train_set[1], [t.class_label for t in replayed]]),
             )
-        penalty_hook = ewc_state.penalty_hook() if ewc_state is not None else None
-        params, history = train(
-            model, params, fit_set, val_set, train_cfg, shuffle_seeds[stage - 1],
-            penalty=penalty_hook,
+        penalty_hook = self.ewc_state.penalty_hook() if self.ewc_state is not None else None
+        self.params, history = train(
+            self.model, self.params, fit_set, val_set, self.train_cfg,
+            self.shuffle_seeds[stage - 1], penalty=penalty_hook,
         )
-        stage_epochs.append(len(history))
+        self.stage_epochs.append(len(history))
 
-        if ewc_state is not None:
-            ewc_state.update(model, params, train_set)
+        if self.ewc_state is not None:
+            self.ewc_state.update(self.model, self.params, train_set)
         if memory is not None:
             if memory.policy == "class_balanced":
                 store_class_balanced(
-                    memory, ds, strategy.memory.per_class, store_seeds[stage - 1]
+                    memory, ds, strategy.memory.per_class, self.store_seeds[stage - 1]
                 )
             else:
                 memory.offer_many(ds.trials_for(Split.TRAIN))
-        stage_memory.append(len(memory) if memory is not None else 0)
+        self.stage_memory.append(len(memory) if memory is not None else 0)
 
         # Test blocks stay float32; the model upcasts them exactly when used.
-        eval_cache.append(test_set)
-        for i in range(stage):
-            matrix[stage - 1, i] = evaluate_arrays(model, params, *eval_cache[i])
-        stage_seconds.append(time.perf_counter() - started)
+        self.eval_cache.append(test_set)
+        for i, test in enumerate(self.eval_cache):
+            self.matrix[stage - 1, i] = evaluate_arrays(self.model, self.params, *test)
+        self.stage_seconds.append(time.perf_counter() - started)
 
-    return RunRecord(
-        strategy=strategy,
-        seeds={"stream": stream.seed, "model": model_seed,
-               "train": train_seed, "run": run_seed},
-        matrix=matrix,
-        acc=final_acc(matrix),
-        bwt=bwt(matrix) if n >= 2 else None,
-        stage_subjects=tuple(stage_subjects),
-        stage_epochs=tuple(stage_epochs),
-        stage_memory=tuple(stage_memory),
-        stage_seconds=tuple(stage_seconds),
-        access_events=tuple(events),
-        final_params=params,
-    )
+    def record(self) -> RunRecord:
+        """The finished run's RunRecord; it holds no memory, cache or model."""
+        return RunRecord(
+            strategy=self.strategy,
+            seeds=self.seeds,
+            matrix=self.matrix,
+            acc=final_acc(self.matrix),
+            bwt=bwt(self.matrix) if len(self.matrix) >= 2 else None,
+            stage_subjects=tuple(self.stage_subjects),
+            stage_epochs=tuple(self.stage_epochs),
+            stage_memory=tuple(self.stage_memory),
+            stage_seconds=tuple(self.stage_seconds),
+            access_events=tuple(self.events),
+            final_params=self.params,
+        )
 
 
 def foreign_reads(record: RunRecord) -> list:

@@ -1,9 +1,11 @@
 """Shared builders for the test suite: tiny trials, subjects, a
-central-difference gradient oracle, and reference log-softmax and
-cross-entropy for the gradient oracles."""
+central-difference gradient oracle, reference log-softmax and
+cross-entropy for the gradient oracles, and align_subject for whitening a
+bare list of trials."""
 
 import numpy as np
 
+from eegcl.alignment import compute_whitener, reference_covariance
 from eegcl.data import LabeledTrial, Split, SubjectDataset
 
 
@@ -80,3 +82,15 @@ def cross_entropy(logits, labels):
     """Reference mean negative log softmax probability of the true class."""
     ls = log_softmax(logits)
     return float(-ls[np.arange(len(labels)), labels].mean())
+
+
+def align_subject(trials, eps=None):
+    """Whiten trials against their own mean covariance.
+
+    Returns (aligned float64 trials, AlignmentReport). Each aligned trial has
+    the same shape as its input, and the mean covariance of the aligned set
+    is the identity whenever the reference covariance is well conditioned.
+    """
+    trials = list(trials)
+    report = compute_whitener(reference_covariance(trials), eps)
+    return list(np.matmul(report.whitener, np.array(trials, dtype=np.float64))), report

@@ -40,13 +40,15 @@ from eegcl import (
     run_continual,
     sft_strategy,
 )
-from eegcl.alignment import align_subject, reference_covariance
+from eegcl.alignment import reference_covariance
 from eegcl.cli import main
 from eegcl.data import LabeledTrial
 from eegcl.harness import bwt, er_strategy, ewc_strategy, final_acc, foreign_reads
 from eegcl.linalg import inv_sqrt
 from eegcl.models import Params, build_model, gradient, loss_and_gradient
 from eegcl.replay import ReplayMemory
+
+from helpers import align_subject
 
 SEEDS = (0, 1, 2)
 

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from eegcl import StreamConfig, gen_stream
-from eegcl.alignment import align_subject, compute_whitener, reference_covariance, whiten_subject
+from eegcl.alignment import compute_whitener, reference_covariance, whiten_subject
 from eegcl.data import Split
 from eegcl.errors import EmptyInputError, ShapeError
 from eegcl.linalg import covariance
 
-from helpers import balanced_subject
+from helpers import align_subject, balanced_subject
 
 
 def harmonic_trial(n_channels=4, n_timepoints=16):

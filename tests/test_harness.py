@@ -1,4 +1,6 @@
+import io
 import json
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -16,10 +18,13 @@ from eegcl import (
     run_continual,
     sft_strategy,
 )
+from eegcl import harness
 from eegcl.data import Split, Stream
-from eegcl.errors import EmptyInputError, ShapeError
+from eegcl.errors import EmptyInputError, ShapeError, StreamFormatError
+from eegcl.ewc import OnlineEwc
 from eegcl.harness import (
     MemoryConfig,
+    RunState,
     Strategy,
     bwt,
     derive_run_seeds,
@@ -31,11 +36,13 @@ from eegcl.harness import (
     new_matrix,
     record_to_json_dict,
 )
+from eegcl.models import ShallowConvNet
+from eegcl.replay import ReplayMemory
 
 
-def small_stream(seed=1):
+def small_stream(seed=1, n_subjects=3):
     return gen_stream(
-        StreamConfig(n_subjects=3, n_channels=4, n_timepoints=32, n_classes=2,
+        StreamConfig(n_subjects=n_subjects, n_channels=4, n_timepoints=32, n_classes=2,
                      trials_per_subject=40, seed=seed)
     )
 
@@ -47,6 +54,12 @@ def small_model_cfg():
 
 def fast_train_cfg():
     return TrainConfig(learning_rate=0.005, max_epochs=4, batch_size=16, patience=4)
+
+
+def report_without_seconds(record):
+    report = record_to_json_dict(record)
+    del report["stage_seconds"]
+    return report
 
 
 def triangular(values):
@@ -238,6 +251,19 @@ class TestRunContinual:
         with pytest.raises(ValueError, match=r"subject 1 trial shape \(4, 31\)"):
             Stream(subjects=(first, narrow), n_channels=4, n_timepoints=32, n_classes=2, seed=1)
 
+    def test_missing_split_refused_before_stage_one(self, monkeypatch):
+        stream = small_stream()
+        last = stream[2]
+        retagged = replace(last, split=np.where(last.split == Split.TEST, Split.VAL, last.split))
+        stream = replace(stream, subjects=(stream[0], stream[1], retagged))
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train was called")
+
+        monkeypatch.setattr(harness, "train", no_training)
+        with pytest.raises(StreamFormatError, match="subject 2 has no test trials"):
+            run_continual(stream, er_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=0)
+
     def test_repeated_subject_does_not_lose_accuracy(self):
         # training twice on the same subject must keep its test accuracy
         # within tolerance of the first stage's result
@@ -308,6 +334,47 @@ class TestRunContinual:
         assert record_to_json_dict(record)["seeds"] == {
             "stream": 1, "model": 2968811710, "train": 3677149159, "run": 0,
         }
+
+
+KINDS = (sft_strategy(), er_strategy(), ewc_strategy(), pced_strategy())
+
+
+class TestRunState:
+    @pytest.mark.parametrize("strategy", KINDS, ids=lambda s: s.kind)
+    def test_advance_runs_one_stage_at_a_time(self, strategy):
+        stream = small_stream(n_subjects=4)
+        state = RunState(stream, strategy, small_model_cfg(), fast_train_cfg(), run_seed=3)
+        for k, ds in enumerate(stream, start=1):
+            before = len(state.events)
+            state.advance(ds)
+            assert np.isnan(state.matrix[k:]).all()
+            assert np.isfinite(state.matrix[k - 1, :k]).all()
+            new = state.events[before:]
+            assert len(new) == 3
+            assert {(e.stage, e.subject_id) for e in new} == {(k, ds.subject_id)}
+        record = state.record()
+        whole = run_continual(stream, strategy, small_model_cfg(), fast_train_cfg(), run_seed=3)
+        assert record.matrix.tobytes() == whole.matrix.tobytes()
+        assert record.final_params.vector.tobytes() == whole.final_params.vector.tobytes()
+        assert report_without_seconds(record) == report_without_seconds(whole)
+
+    @pytest.mark.parametrize("strategy", (er_strategy(), ewc_strategy()), ids=lambda s: s.kind)
+    def test_record_pickles_without_the_run_state(self, strategy):
+        # The record a pool worker sends back holds no memory, EWC state,
+        # model or cached test set: its only arrays are the matrix and the
+        # final parameter vector.
+        seen = []
+
+        class Collect(pickle.Pickler):
+            def persistent_id(self, obj):
+                seen.append(obj)
+
+        record = run_continual(small_stream(), strategy, small_model_cfg(), fast_train_cfg(), run_seed=0)
+        Collect(io.BytesIO()).dump(record)
+        kinds = {type(obj) for obj in seen}
+        assert not kinds & {ReplayMemory, OnlineEwc, ShallowConvNet}
+        arrays = [obj for obj in seen if isinstance(obj, np.ndarray)]
+        assert [a.shape for a in arrays] == [record.matrix.shape, record.final_params.vector.shape]
 
 
 class TestDeriveRunSeeds:

@@ -2,7 +2,9 @@
 single-byte mutations and truncations of valid files, a binary decoder
 either returns what its encoder writes back byte for byte or raises its
 documented error; load_stream does the same for generated manifest fields,
-and an experiment config for generated values in its fields.
+and an experiment config for generated values in its fields. A continual
+run on a generated stream keeps its matrix, audit, memory and seed
+invariants.
 
 decode_subject reads all records of a subject at once; the per-trial
 decoder it replaced is kept here as its reference, and every error must
@@ -18,7 +20,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from eegcl import (  # noqa: E402
     ConfigError,
@@ -39,7 +41,16 @@ from eegcl.data import (  # noqa: E402
     streams_equal,
     trials_equal,
 )
-from eegcl.harness import MemoryConfig  # noqa: E402
+from eegcl.harness import (  # noqa: E402
+    MemoryConfig,
+    er_strategy,
+    ewc_strategy,
+    foreign_reads,
+    pced_strategy,
+    record_to_json_dict,
+    run_continual,
+    sft_strategy,
+)
 from eegcl.models import build_model, params_from_bytes, params_to_bytes  # noqa: E402
 from eegcl.replay import (  # noqa: E402
     ReplayMemory,
@@ -380,3 +391,44 @@ def test_experiment_config_with_two_stream_sources_is_refused():
     with pytest.raises(ConfigError, match="exactly one of 'path' or 'generator'"):
         ExperimentConfig(stream_path="x", generator=StreamConfig(), strategies=(),
                          model={}, train=TrainConfig())
+
+
+def run_strategies(capacity):
+    """The four kinds, plus ER on a standard reservoir, with a memory of
+    the given capacity."""
+    balanced = MemoryConfig(capacity=capacity, per_class=2)
+    return (sft_strategy(), er_strategy(balanced), ewc_strategy(), pced_strategy(balanced),
+            er_strategy(MemoryConfig(capacity=capacity, policy="reservoir_standard")))
+
+
+@settings(max_examples=25)
+@given(n_subjects=st.integers(1, 4), n_channels=st.integers(2, 3),
+       n_timepoints=st.integers(8, 12), n_classes=st.integers(2, 3),
+       per_class=st.integers(3, 5), epochs=st.integers(1, 2),
+       capacity=st.integers(0, 8), seed=st.integers(0, 2**16))
+def test_run_keeps_its_invariants(n_subjects, n_channels, n_timepoints, n_classes,
+                                  per_class, epochs, capacity, seed):
+    stream = gen_stream(StreamConfig(
+        n_subjects=n_subjects, n_channels=n_channels, n_timepoints=n_timepoints,
+        n_classes=n_classes, trials_per_subject=per_class * n_classes, seed=seed,
+    ))
+    model_cfg = ModelConfig(n_channels=n_channels, n_timepoints=n_timepoints,
+                            n_classes=n_classes, n_filters=2, kernel_len=4)
+    train_cfg = TrainConfig(learning_rate=0.01, max_epochs=epochs, batch_size=8,
+                            patience=epochs)
+    upper = np.triu(np.ones((n_subjects, n_subjects), dtype=bool), k=1)
+    for strategy in run_strategies(capacity):
+        record = run_continual(stream, strategy, model_cfg, train_cfg, run_seed=seed)
+        assert np.isnan(record.matrix[upper]).all()
+        lower = record.matrix[~upper]
+        assert ((lower >= 0) & (lower <= 1)).all()
+        per_stage = [sum(e.stage == k for e in record.access_events)
+                     for k in range(1, n_subjects + 1)]
+        assert per_stage == [3] * n_subjects
+        assert foreign_reads(record) == []
+        assert max(record.stage_memory) <= capacity
+        assert (record.bwt is None) == (n_subjects == 1)
+        again = run_continual(stream, strategy, model_cfg, train_cfg, run_seed=seed)
+        first, second = record_to_json_dict(record), record_to_json_dict(again)
+        del first["stage_seconds"], second["stage_seconds"]
+        assert first == second
