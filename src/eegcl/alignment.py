@@ -48,25 +48,24 @@ class AlignmentReport:
 def reference_covariance(trials) -> np.ndarray:
     """Elementwise mean of the per-trial covariances.
 
-    Trials must be non-empty, finite and share one (channels, time) shape;
-    a trial of another shape is a ShapeError naming its index. The trials
-    are stacked once and all their covariances come from one batched
-    matmul (linalg.covariances); they are then summed in input-index order
-    in float64, which is bitwise the mean of the per-trial covariances.
+    trials is an (n, channels, time) array, or a list of equal-shape
+    (channels, time) trials, read once as float64; anything else, a ragged
+    list included, is a ShapeError, and no trials an EmptyInputError. Every
+    covariance comes from one batched matmul (linalg.covariances); they
+    are then summed in input-index order in float64, which is bitwise the
+    mean of the per-trial covariances.
     """
-    trials = list(trials)
-    if not trials:
-        raise EmptyInputError("reference covariance of an empty trial list")
-    shape = np.shape(trials[0])
-    if len(shape) != 2:
-        raise ShapeError(f"trial must be 2-D, got shape {shape}")
-    for i, t in enumerate(trials):
-        if np.shape(t) != shape:
-            raise ShapeError(f"trial {i} has shape {np.shape(t)}, expected {shape}")
-    x = np.array(trials, dtype=np.float64)
+    try:
+        x = np.asarray(trials, dtype=np.float64)
+    except ValueError as exc:
+        raise ShapeError(f"trials must share one (channels, time) shape ({exc})") from exc
+    if x.shape[:1] == (0,):
+        raise EmptyInputError("reference covariance of no trials")
+    if x.ndim != 3:
+        raise ShapeError(f"trials must form an (n, channels, time) array, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("trial contains non-finite entries")
-    return covariances(x).sum(axis=0) / len(trials)
+    return covariances(x).sum(axis=0) / len(x)
 
 
 def compute_whitener(

@@ -390,7 +390,8 @@ def _is_cell(value) -> bool:
 
 def _load_report(path: Path) -> tuple:
     """A report's strategy kind and its accuracy matrix, NaN for null; a
-    malformed report is a ConfigError that names its file."""
+    malformed report, or a matrix no run can produce (an entry above the
+    diagonal or outside [0, 1]), is a ConfigError that names its file."""
     try:
         report = json.loads(path.read_text())
     except ValueError as exc:
@@ -404,7 +405,14 @@ def _load_report(path: Path) -> tuple:
             and all(isinstance(row, list) and len(row) == len(rows) for row in rows)
             and all(_is_cell(v) for row in rows for v in row)):
         raise ConfigError(f"{path}: report matrix must be a square list of numbers and nulls")
-    return strategy["kind"], np.array([[np.nan if v is None else v for v in row] for row in rows])
+    matrix = np.array([[np.nan if v is None else v for v in row] for row in rows])
+    defined = ~np.isnan(matrix)
+    values = matrix[defined]
+    if np.triu(defined, 1).any() or (values < 0).any() or (values > 1).any():
+        raise ConfigError(
+            f"{path}: report matrix must hold accuracies in [0, 1] on and below the diagonal only"
+        )
+    return strategy["kind"], matrix
 
 
 def cmd_report(args) -> int:

@@ -231,7 +231,8 @@ def run_continual(
 
 class RunState:
     """One continual run between its stages. The constructor checks the
-    stream (a subject lacking a split is refused before stage 1) and derives
+    stream against the model (trial shape and class count) and its splits
+    (a subject lacking one is refused before stage 1), and derives
     every seed; advance(ds) runs subject ds's stage; record() returns the
     finished run's RunRecord."""
 
@@ -248,6 +249,11 @@ class RunState:
             raise ShapeError(
                 f"stream trial shape {shape} does not match model input "
                 f"{(model_cfg.n_channels, model_cfg.n_timepoints)}"
+            )
+        if stream.n_classes != model_cfg.n_classes:
+            raise ShapeError(
+                f"stream has {stream.n_classes} classes but the model "
+                f"outputs {model_cfg.n_classes}"
             )
         stream.require_splits(*Split)
         model_seed, train_seed = derive_run_seeds(run_seed)

@@ -71,8 +71,17 @@ class TestReferenceCovariance:
     def test_time_mismatch_rejected(self):
         rng = np.random.default_rng(8)
         trials = [rng.standard_normal((3, 8)), rng.standard_normal((3, 8)), rng.standard_normal((3, 9))]
-        with pytest.raises(ShapeError, match="trial 2"):
+        with pytest.raises(ShapeError, match=r"share one \(channels, time\) shape"):
             reference_covariance(trials)
+
+    def test_block_equals_trial_list(self):
+        block = np.random.default_rng(9).standard_normal((6, 3, 10)).astype(np.float32)
+        assert np.array_equal(reference_covariance(block), reference_covariance(list(block)))
+
+    @pytest.mark.parametrize("shape", [(3, 8), (2, 2, 3, 8), ()])
+    def test_not_three_d_rejected(self, shape):
+        with pytest.raises(ShapeError, match=r"\(n, channels, time\)"):
+            reference_covariance(np.ones(shape))
 
     def test_non_finite_rejected(self):
         trials = [np.ones((2, 4)), np.array([[0.0, 1.0, 2.0, np.nan], [1.0, 2.0, 3.0, 4.0]])]
@@ -106,6 +115,8 @@ class TestReferenceCovariance:
     def test_empty_list_rejected(self):
         with pytest.raises(EmptyInputError):
             reference_covariance([])
+        with pytest.raises(EmptyInputError):
+            reference_covariance(np.empty((0, 3, 8)))
 
     def test_channel_mismatch_rejected(self):
         rng = np.random.default_rng(3)

@@ -700,7 +700,16 @@ class TestReportCommand:
          "report matrix must be"),
         (json.dumps({"strategy": {"kind": "SFT"}, "matrix": [["0.5"]]}),
          "report matrix must be"),
-    ], ids=["invalid_json", "no_matrix", "no_kind", "ragged", "not_square", "not_numeric"])
+        (json.dumps({"strategy": {"kind": "SFT"}, "matrix": [[0.5, 0.9], [0.6, 0.7]]}),
+         "report matrix must hold accuracies"),
+        ('{"strategy": {"kind": "SFT"}, "matrix": [[1e400]]}',
+         "report matrix must hold accuracies"),
+        (json.dumps({"strategy": {"kind": "SFT"}, "matrix": [[0.5, None], [-0.1, 0.6]]}),
+         "report matrix must hold accuracies"),
+        (json.dumps({"strategy": {"kind": "SFT"}, "matrix": [[1.5]]}),
+         "report matrix must hold accuracies"),
+    ], ids=["invalid_json", "no_matrix", "no_kind", "ragged", "not_square", "not_numeric",
+            "above_diagonal", "infinite", "negative", "above_one"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "report_sft_0.json"
         path.write_text(text)

@@ -18,7 +18,7 @@ from eegcl import (
     run_continual,
     sft_strategy,
 )
-from eegcl import harness
+from eegcl import ewc, harness
 from eegcl.data import Split, Stream
 from eegcl.errors import EmptyInputError, ShapeError, StreamFormatError
 from eegcl.ewc import OnlineEwc
@@ -36,13 +36,13 @@ from eegcl.harness import (
     new_matrix,
     record_to_json_dict,
 )
-from eegcl.models import ShallowConvNet
+from eegcl.models import ShallowConvNet, build_model
 from eegcl.replay import ReplayMemory
 
 
-def small_stream(seed=1, n_subjects=3):
+def small_stream(seed=1, n_subjects=3, n_classes=2):
     return gen_stream(
-        StreamConfig(n_subjects=n_subjects, n_channels=4, n_timepoints=32, n_classes=2,
+        StreamConfig(n_subjects=n_subjects, n_channels=4, n_timepoints=32, n_classes=n_classes,
                      trials_per_subject=40, seed=seed)
     )
 
@@ -237,6 +237,18 @@ class TestRunContinual:
         with pytest.raises(ShapeError):
             run_continual(small_stream(), sft_strategy(), cfg, fast_train_cfg(), run_seed=0)
 
+    @pytest.mark.parametrize("stream_classes, model_classes", [(2, 3), (3, 2)])
+    def test_model_stream_class_count_mismatch(self, monkeypatch, stream_classes, model_classes):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train was called")
+
+        monkeypatch.setattr(harness, "train", no_training)
+        cfg = replace(small_model_cfg(), n_classes=model_classes)
+        stream = small_stream(n_classes=stream_classes)
+        match = f"stream has {stream_classes} classes but the model outputs {model_classes}"
+        with pytest.raises(ShapeError, match=match):
+            run_continual(stream, pced_strategy(), cfg, fast_train_cfg(), run_seed=0)
+
     @pytest.mark.parametrize("split", list(Split), ids=lambda s: s.name.lower())
     def test_every_trial_shape_is_checked(self, split):
         first = small_stream()[0]
@@ -375,6 +387,42 @@ class TestRunState:
         assert not kinds & {ReplayMemory, OnlineEwc, ShallowConvNet}
         arrays = [obj for obj in seen if isinstance(obj, np.ndarray)]
         assert [a.shape for a in arrays] == [record.matrix.shape, record.final_params.vector.shape]
+
+
+class TestEwcWiring:
+    def test_each_stage_gets_the_penalty_of_the_stages_before(self, monkeypatch):
+        # Stage k trains under the hook for the anchor after stage k-1 and
+        # the left-to-right sum of the Fisher diagonals after stages 1..k-1.
+        stages = []
+        real_train = harness.train
+
+        def recording_train(model, params, *args, penalty=None):
+            out, history = real_train(model, params, *args, penalty=penalty)
+            stages.append((params.copy(), out.copy(), penalty))
+            return out, history
+
+        monkeypatch.setattr(harness, "train", recording_train)
+        stream, strategy = small_stream(), ewc_strategy()
+        run_continual(stream, strategy, small_model_cfg(), fast_train_cfg(), run_seed=0)
+        assert len(stages) == 3
+        assert stages[0][2] is None
+        model = build_model(small_model_cfg())
+        fishers = [
+            ewc.fisher_diagonal(model, out, ds.arrays(Split.TRAIN))
+            for (_, out, _), ds in zip(stages, stream)
+        ]
+        for k in (2, 3):
+            params_in, params_out, hook = stages[k - 1]
+            anchor = stages[k - 2][1].vector
+            assert params_in.vector.tobytes() == anchor.tobytes()
+            fisher = fishers[0]
+            for f in fishers[1 : k - 1]:
+                fisher = fisher + f
+            value, grad = hook(params_out.vector)
+            want_value, want_grad = ewc.penalty(params_out.vector, anchor, fisher, strategy.lam)
+            assert value > 0.0
+            assert value == want_value
+            assert grad.tobytes() == want_grad.tobytes()
 
 
 class TestDeriveRunSeeds:
