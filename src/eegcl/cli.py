@@ -391,7 +391,8 @@ def _is_cell(value) -> bool:
 def _load_report(path: Path) -> tuple:
     """A report's strategy kind and its accuracy matrix, NaN for null; a
     malformed report, or a matrix no run can produce (an entry above the
-    diagonal or outside [0, 1]), is a ConfigError that names its file."""
+    diagonal, or one that is not a number in [0, 1], NaN included), is a
+    ConfigError that names its file."""
     try:
         report = json.loads(path.read_text())
     except ValueError as exc:
@@ -406,9 +407,10 @@ def _load_report(path: Path) -> tuple:
             and all(_is_cell(v) for row in rows for v in row)):
         raise ConfigError(f"{path}: report matrix must be a square list of numbers and nulls")
     matrix = np.array([[np.nan if v is None else v for v in row] for row in rows])
-    defined = ~np.isnan(matrix)
+    # null alone is undefined; a NaN or infinite number is no accuracy
+    defined = np.array([[v is not None for v in row] for row in rows], dtype=bool)
     values = matrix[defined]
-    if np.triu(defined, 1).any() or (values < 0).any() or (values > 1).any():
+    if np.triu(defined, 1).any() or not ((values >= 0) & (values <= 1)).all():
         raise ConfigError(
             f"{path}: report matrix must hold accuracies in [0, 1] on and below the diagonal only"
         )

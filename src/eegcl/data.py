@@ -345,9 +345,15 @@ def _draw_mixing(rng: np.random.Generator, n_channels: int, scale: float) -> np.
     positive-definite mixing matters: whitening a subject against their own
     mean covariance then cancels the mixing exactly instead of leaving a
     residual channel rotation behind.
+
+    The draw's spectrum widens like sqrt(n_channels), and the mixing's
+    condition number with its exponential, so above 8 channels the draw is
+    scaled by sqrt(8 / n_channels): scale means the same spread at every
+    channel count, and at 8 channels or fewer it is used as given.
     """
     if scale == 0.0:
         return np.eye(n_channels)
+    scale *= math.sqrt(8 / max(n_channels, 8))
     while True:
         g = rng.standard_normal((n_channels, n_channels))
         eig = sym_eig(symmetrize(g) * scale)

@@ -49,7 +49,8 @@ _CHANNEL_LIMIT = 0xFFFF
 class ReplayMemory:
     """Bounded exemplar buffer: at most `capacity` labeled trials of one
     shape, each (subject_id, timestamp) key at most once. offer_many inserts
-    under the reservoir policies, store under class_balanced."""
+    under the reservoir policies, store_class_balanced under class_balanced,
+    both through _insert."""
 
     def __init__(self, capacity: int, policy: str = "reservoir_standard", seed: int = 0):
         MEMORY_RULES["capacity"].check(capacity, "memory capacity")
@@ -65,40 +66,34 @@ class ReplayMemory:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def _check_entry(self, entry: LabeledTrial) -> tuple:
-        """Check an entry against the memory's shape and keys; returns its key."""
-        if self._shape is None:
-            self._shape = entry.trial.shape
-        elif entry.trial.shape != self._shape:
-            raise ShapeError(
-                f"entry shape {entry.trial.shape} does not match "
-                f"memory shape {self._shape}"
-            )
-        key = (entry.subject_id, entry.timestamp)
-        if key in self._keys:
-            raise ValueError(f"exemplar {key} is already in memory")
-        return key
-
     def offer_many(self, entries) -> int:
-        """Offer streamed items in order; returns how many were stored.
-
-        Free slots fill in arrival order. Once full, each offer draws one
-        random() against the policy's replacement probability (module
-        docstring) and, if accepted, a randrange for its slot. A bad entry
-        raises after every earlier one was offered; the loop inlines
-        _check_entry, since a call per item costs ~10% more.
-        """
+        """Offer streamed items in order under a reservoir policy; returns
+        how many were stored (see _insert)."""
         if self.policy == "class_balanced":
             raise ConfigError(
                 "offer_many() requires a reservoir policy; "
                 "use store_class_balanced with policy='class_balanced'"
             )
+        return self._insert(entries)
+
+    def _insert(self, entries) -> int:
+        """The memory's one insertion loop; returns how many entries were
+        stored.
+
+        Free slots fill in arrival order. Once full, a reservoir policy draws
+        one random() per entry against its replacement probability (module
+        docstring) and, if accepted, a randrange for the slot it overwrites;
+        class_balanced evicts a randrange-drawn exemplar of the oldest
+        subject and appends. A bad entry raises after every earlier one was
+        inserted. The checks are inline, since a call per item costs ~10%.
+        """
         stored_list = self.entries
         keys = self._keys
         rand = self._rng.random
         randrange = self._rng.randrange
         capacity = self.capacity
         standard = self.policy == "reservoir_standard"
+        balanced = self.policy == "class_balanced"
         seen = self.seen
         accepted = 0
         shape = self._shape
@@ -120,44 +115,24 @@ class ReplayMemory:
                 continue
             if len(stored_list) < capacity:
                 stored_list.append(entry)
-                keys.add(key)
-                accepted += 1
-                continue
-            p = capacity / seen if standard else 0.5
-            if rand() < p:
+            elif balanced:
+                # this branch only appends, so entry 0 is the oldest subject's
+                oldest = stored_list[0].subject_id
+                slots = [i for i, e in enumerate(stored_list) if e.subject_id == oldest]
+                old = stored_list.pop(slots[randrange(len(slots))])
+                keys.discard((old.subject_id, old.timestamp))
+                stored_list.append(entry)
+            elif rand() < (capacity / seen if standard else 0.5):
                 slot = randrange(capacity)
                 old = stored_list[slot]
                 keys.discard((old.subject_id, old.timestamp))
                 stored_list[slot] = entry
-                keys.add(key)
-                accepted += 1
+            else:
+                continue
+            keys.add(key)
+            accepted += 1
         self.seen = seen
         return accepted
-
-    def store(self, entries) -> int:
-        """Store every entry, in order; returns how many were stored. While
-        the memory is full, one entry is evicted, uniformly at random via
-        the memory's own rng, among those of the oldest subject still
-        present. This is the class_balanced policy's insertion."""
-        stored = 0
-        for entry in entries:
-            key = self._check_entry(entry)
-            self.seen += 1
-            if self.capacity == 0:
-                continue
-            while len(self.entries) >= self.capacity:
-                self._evict_from_oldest_subject()
-            self.entries.append(entry)
-            self._keys.add(key)
-            stored += 1
-        return stored
-
-    def _evict_from_oldest_subject(self):
-        # store appends, so entries stay in arrival order whatever the ids
-        oldest = self.entries[0].subject_id
-        slots = [i for i, e in enumerate(self.entries) if e.subject_id == oldest]
-        victim = self.entries.pop(slots[self._rng.randrange(len(slots))])
-        self._keys.discard((victim.subject_id, victim.timestamp))
 
     def snapshot(self) -> tuple:
         """Immutable copy of the current contents, in storage order."""
@@ -173,8 +148,8 @@ def store_class_balanced(
     """Store up to `per_class` training trials per class from one subject.
 
     Selection is uniform without replacement using the rng argument (an int
-    seed or a numpy Generator); the chosen trials go to memory.store in
-    class order, each class's picks sorted by timestamp, so that overflow
+    seed or a numpy Generator); the chosen trials go to the memory's
+    insertion loop in class order, each class's picks sorted by timestamp, so that overflow
     evicts from the oldest subject.
     """
     if memory.policy != "class_balanced":
@@ -191,7 +166,7 @@ def store_class_balanced(
         pool = train[labels == label]
         picks = rng.choice(len(pool), size=min(per_class, len(pool)), replace=False)
         chosen.extend(pool[np.sort(picks)])
-    return memory.store(dataset.trials_at(chosen))
+    return memory._insert(dataset.trials_at(chosen))
 
 
 _POLICY_CODES = {name: i for i, name in enumerate(POLICIES)}
@@ -273,6 +248,6 @@ def memory_from_bytes(buf: bytes, seed: int = 0) -> ReplayMemory:
             key = int(twice[0])
             raise ValueError(f"memory blob holds exemplar {(key >> 32, key & 0xFFFFFFFF)} twice")
         fields = (records[n].tolist() for n in ("class_label", "subject_id", "timestamp"))
-        memory.store(LabeledTrial(*entry) for entry in zip(records["trial"], *fields))
+        memory._insert(LabeledTrial(*entry) for entry in zip(records["trial"], *fields))
     memory.seen = seen
     return memory

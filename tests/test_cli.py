@@ -708,8 +708,15 @@ class TestReportCommand:
          "report matrix must hold accuracies"),
         (json.dumps({"strategy": {"kind": "SFT"}, "matrix": [[1.5]]}),
          "report matrix must hold accuracies"),
+        ('{"strategy": {"kind": "SFT"}, "matrix": [[NaN, null], [0.5, 0.6]]}',
+         "report matrix must hold accuracies"),
+        ('{"strategy": {"kind": "SFT"}, "matrix": [[0.5, null], [0.5, NaN]]}',
+         "report matrix must hold accuracies"),
+        ('{"strategy": {"kind": "SFT"}, "matrix": [[0.5, NaN], [0.5, 0.6]]}',
+         "report matrix must hold accuracies"),
     ], ids=["invalid_json", "no_matrix", "no_kind", "ragged", "not_square", "not_numeric",
-            "above_diagonal", "infinite", "negative", "above_one"])
+            "above_diagonal", "infinite", "negative", "above_one", "nan_on_curve",
+            "nan_off_curve", "nan_above_diagonal"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "report_sft_0.json"
         path.write_text(text)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from eegcl import ConfigError, StratificationError, StreamConfig, StreamFormatError, gen_stream
+from eegcl.alignment import compute_whitener, reference_covariance
 from eegcl.data import (
     LabeledTrial,
     Split,
@@ -411,6 +412,22 @@ class TestGenStream:
             for i, a in enumerate(aligned):
                 target = pure[k].trials[i].trial
                 assert np.max(np.abs(a - target)) < 1e-5
+
+    def test_conditioning_does_not_grow_with_channel_count(self):
+        # above 8 channels the mixing draw is scaled by sqrt(8 / channels), so
+        # every subject stays alignable without the eigenvalue floor
+        medians = {}
+        for c in (8, 16, 20, 32):
+            reports = [
+                compute_whitener(reference_covariance(ds.block[ds.split == Split.TRAIN]))
+                for seed in range(3)
+                for ds in gen_stream(StreamConfig(n_subjects=8, n_channels=c,
+                                                  trials_per_subject=60, seed=seed))
+            ]
+            assert not any(r.eigenvalue_floor_applied for r in reports), c
+            medians[c] = float(np.median([r.condition_number for r in reports]))
+        for c in (16, 20, 32):
+            assert medians[8] / 10 < medians[c] < medians[8] * 10, medians
 
     def test_stream_metadata(self):
         cfg = StreamConfig(n_subjects=2, n_channels=5, n_timepoints=20,

@@ -1,7 +1,11 @@
 import io
 import json
+import os
 import pickle
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -479,3 +483,35 @@ class TestReportFormats:
         assert first[2] == "" and first[3] == ""
         last = lines[3].split(",")
         assert [float(v) for v in last[1:]] == list(record.matrix[2])
+
+
+# One EWC and one PCED run on a 4-subject stream at the default shape;
+# prints the SHA-256 of each run's final parameters and matrix.
+_DIGEST_PROBE = """
+import hashlib
+from eegcl import ModelConfig, StreamConfig, TrainConfig, gen_stream, pced_strategy, run_continual
+from eegcl.harness import ewc_strategy
+stream = gen_stream(StreamConfig(n_subjects=4))
+for strategy in (ewc_strategy(), pced_strategy()):
+    record = run_continual(stream, strategy, ModelConfig(), TrainConfig(max_epochs=2), run_seed=0)
+    for array in (record.final_params.vector, record.matrix):
+        print(hashlib.sha256(array.tobytes()).hexdigest())
+"""
+
+
+def test_results_do_not_depend_on_blas_thread_count():
+    # Identical seeds must give identical results on any machine: one BLAS
+    # thread and the library's default thread count give the same bytes.
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("one CPU: one BLAS thread is the default, so the runs cannot differ")
+    src = str(Path(harness.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    digests = [
+        subprocess.run([sys.executable, "-c", _DIGEST_PROBE], capture_output=True, text=True,
+                       env=settings, timeout=120, check=True).stdout.split()
+        for settings in ({**env, "OPENBLAS_NUM_THREADS": "1"}, env)
+    ]
+    assert len(digests[0]) == 4
+    assert digests[0] == digests[1]

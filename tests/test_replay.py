@@ -321,6 +321,68 @@ class TestStoreClassBalanced:
         assert mem.seen == 6
 
 
+def reference_store(memory, entries) -> int:
+    """ReplayMemory.store as it was before class_balanced insertion joined
+    the memory's one insertion loop, kept as its reference: one checked
+    entry at a time, evicting a random exemplar of the oldest subject while
+    the memory is full."""
+    stored = 0
+    for entry in entries:
+        if memory._shape is None:
+            memory._shape = entry.trial.shape
+        elif entry.trial.shape != memory._shape:
+            raise ShapeError(
+                f"entry shape {entry.trial.shape} does not match memory shape {memory._shape}"
+            )
+        key = (entry.subject_id, entry.timestamp)
+        if key in memory._keys:
+            raise ValueError(f"exemplar {key} is already in memory")
+        memory.seen += 1
+        if memory.capacity == 0:
+            continue
+        while len(memory.entries) >= memory.capacity:
+            oldest = memory.entries[0].subject_id
+            slots = [i for i, e in enumerate(memory.entries) if e.subject_id == oldest]
+            victim = memory.entries.pop(slots[memory._rng.randrange(len(slots))])
+            memory._keys.discard((victim.subject_id, victim.timestamp))
+        memory.entries.append(entry)
+        memory._keys.add(key)
+        stored += 1
+    return stored
+
+
+@pytest.fixture(scope="module")
+def six_subject_stream():
+    # 4 classes of about 4 training trials each: 24 or more picks overflow
+    # every tested capacity
+    return gen_stream(StreamConfig(n_subjects=6, n_channels=2, n_timepoints=8, n_classes=4,
+                                   trials_per_subject=24, seed=1))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("per_class", [1, 3])
+@pytest.mark.parametrize("capacity", [0, 1, 7, 20])
+def test_class_balanced_store_matches_reference(six_subject_stream, capacity, per_class, seed):
+    memory = ReplayMemory(capacity, "class_balanced", seed=seed)
+    reference = ReplayMemory(capacity, "class_balanced", seed=seed)
+    batches = []
+
+    def recorded(entries, insert=memory._insert):
+        batches.append(list(entries))
+        return insert(batches[-1])
+
+    memory._insert = recorded
+    for ds in six_subject_stream:
+        stored = store_class_balanced(memory, ds, per_class, rng=seed * 10 + ds.subject_id)
+        assert stored == reference_store(reference, batches[-1])
+        assert memory.seen == reference.seen
+        assert len(memory) == len(reference)
+        assert all(a is b for a, b in zip(memory.entries, reference.entries))
+        assert memory._keys == reference._keys
+    assert memory.seen > capacity
+    assert memory_to_bytes(memory) == memory_to_bytes(reference)
+
+
 class TestSerialization:
     def test_round_trip(self):
         mem = ReplayMemory(capacity=8, policy="reservoir_standard", seed=4)
