@@ -76,10 +76,10 @@ def compute_whitener(
     eps is the eigenvalue floor; when omitted it defaults to
     1e-10 x max(largest eigenvalue, 1).
     """
-    eig = sym_eig(ref_cov)
-    whitener, eps = inv_sqrt_of_eig(eig, eps)
-    floored = bool(eig.eigenvalues[0] < eps)
-    condition = max(1.0, float(eig.eigenvalues[-1]) / max(float(eig.eigenvalues[0]), eps))
+    w, v = sym_eig(ref_cov)
+    whitener, eps = inv_sqrt_of_eig(w, v, eps)
+    floored = bool(w[0] < eps)
+    condition = max(1.0, float(w[-1]) / max(float(w[0]), eps))
     if condition > CONDITION_WARN:
         logger.warning(
             "reference covariance is ill-conditioned (condition number %.3e); "

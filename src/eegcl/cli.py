@@ -13,7 +13,8 @@ Subcommands:
   generated or decoded once; every run, in process or in one of at most K
   pool workers (never more than there are runs), uses that decoded stream.
   A run that fails numerically is named on stderr and left out; the others
-  are still written, and the command exits 4.
+  are still written, and the command exits 4. An --out that already holds
+  an earlier run's reports, matrix CSVs or summary exits 2 untouched.
 - ``report DIR [--curve subject=I]``: aggregate existing reports into a
   per-strategy forgetting-curve CSV for one subject.
 
@@ -72,6 +73,9 @@ _NUMERICAL_ERRORS = (TrainingDivergedError, DegenerateInputError, UndefinedMetri
 
 _CURVE_RE = re.compile(r"^subject=(\d+)$")
 _REPORT_RE = re.compile(r"^report_[a-z]+_\d+\.json$")
+# What an `eegcl run` writes into --out; a later run refuses a directory
+# holding any of these rather than mix its outputs with an earlier run's.
+_RUN_OUTPUT_RE = re.compile(r"^(report_.*\.json|matrix_.*\.csv|summary\.csv)$")
 
 
 # The model dimensions that come from the stream; a config may only restate them.
@@ -284,6 +288,12 @@ def _bold(text: str) -> str:
 def cmd_run(args) -> int:
     integer(1).check(args.jobs, "--jobs")
     config = parse_experiment_config(_load_json(args.config))
+    out = Path(args.out)
+    if out.is_dir():
+        earlier = sorted(p.name for p in out.iterdir() if _RUN_OUTPUT_RE.match(p.name))
+        if earlier:
+            raise ConfigError(f"--out {out} already holds an earlier run's outputs "
+                              f"({earlier[0]}); choose a new or empty directory")
     if config.generator is not None:
         stream = gen_stream(config.generator)
     else:
@@ -299,7 +309,6 @@ def cmd_run(args) -> int:
             raise ConfigError(f"model {name} {config.model[name]!r} does not match "
                               f"the stream's {value}")
 
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if config.generator is not None:
         save_stream(stream, out / "stream")

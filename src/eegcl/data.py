@@ -356,11 +356,10 @@ def _draw_mixing(rng: np.random.Generator, n_channels: int, scale: float) -> np.
     scale *= math.sqrt(8 / max(n_channels, 8))
     while True:
         g = rng.standard_normal((n_channels, n_channels))
-        eig = sym_eig(symmetrize(g) * scale)
-        if float(np.sum(eig.eigenvalues)) > _LOG_DET_MIN:  # log|det| of the exponential
+        w, v = sym_eig(symmetrize(g) * scale)
+        if float(np.sum(w)) > _LOG_DET_MIN:  # log|det| of the exponential
             break
-    v = eig.eigenvectors
-    return symmetrize((v * np.exp(eig.eigenvalues)) @ v.T)
+    return symmetrize((v * np.exp(w)) @ v.T)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is a ConfigError below
@@ -581,10 +580,18 @@ def load_stream(path) -> Stream:
             f"{manifest_path}: manifest declares {manifest['n_subjects']} subjects "
             f"but lists {len(entries)} files"
         )
+    # save_stream writes each subject to a bare name in the stream
+    # directory; any other name is refused before a subject file is opened.
+    for i, entry in enumerate(entries):
+        name = entry.get("file") if isinstance(entry, dict) else None
+        if not isinstance(name, str):
+            raise StreamFormatError(f"{manifest_path}: subjects[{i}] needs a 'file' name")
+        if name in ("", ".", "..") or Path(name).name != name:
+            raise StreamFormatError(
+                f"{manifest_path}: subjects[{i}] file {name!r} is not a bare file name"
+            )
     subjects = []
     for i, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not isinstance(entry.get("file"), str):
-            raise StreamFormatError(f"{manifest_path}: subjects[{i}] needs a 'file' name")
         subject_id = entry.get("subject_id")
         integer(0).check(subject_id, f"{manifest_path}: subjects[{i}] subject_id",
                          StreamFormatError)

@@ -9,8 +9,6 @@ contract are symmetrized explicitly, so ``a == a.T`` holds bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateInputError, ShapeError, number
@@ -71,20 +69,10 @@ def covariances(x: np.ndarray) -> np.ndarray:
     return symmetrize(cov)
 
 
-@dataclass(frozen=True)
-class SymEigResult:
-    """Eigendecomposition of a symmetric matrix.
-
-    eigenvalues are sorted ascending; eigenvectors has orthonormal columns,
-    so V @ diag(w) @ V.T reconstructs the input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def sym_eig(a) -> SymEigResult:
-    """Eigendecomposition of a symmetric matrix.
+def sym_eig(a) -> tuple:
+    """Eigendecomposition of a symmetric matrix: the (eigenvalues,
+    eigenvectors) pair, eigenvalues ascending and eigenvectors orthonormal
+    columns, so V @ diag(w) @ V.T reconstructs the input.
 
     The input must be square and symmetric within SYMMETRY_RTOL (relative
     to its largest entry); it is averaged with its transpose before
@@ -97,7 +85,7 @@ def sym_eig(a) -> SymEigResult:
     if float(np.abs(m - m.T).max()) > SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     w, v = np.linalg.eigh(symmetrize(m))
-    return SymEigResult(eigenvalues=w, eigenvectors=v)
+    return w, v
 
 
 def default_eig_floor(eigenvalues: np.ndarray) -> float:
@@ -113,14 +101,13 @@ def inv_sqrt(a, eps: float | None = None) -> np.ndarray:
     rank-deficient input. When eps is omitted it defaults to
     1e-10 x max(largest eigenvalue, 1).
     """
-    return inv_sqrt_of_eig(sym_eig(a), eps)[0]
+    return inv_sqrt_of_eig(*sym_eig(a), eps)[0]
 
 
-def inv_sqrt_of_eig(eig: SymEigResult, eps: float | None = None) -> tuple:
-    """inv_sqrt from an eigendecomposition: returns (matrix, floor used)."""
+def inv_sqrt_of_eig(w: np.ndarray, v: np.ndarray, eps: float | None = None) -> tuple:
+    """inv_sqrt from an eigendecomposition w, v: returns (matrix, floor used)."""
     if eps is None:
-        eps = default_eig_floor(eig.eigenvalues)
+        eps = default_eig_floor(w)
     else:
         EIG_FLOOR.check(eps, "eps")
-    v = eig.eigenvectors
-    return symmetrize((v / np.sqrt(np.maximum(eig.eigenvalues, eps))) @ v.T), eps
+    return symmetrize((v / np.sqrt(np.maximum(w, eps))) @ v.T), eps

@@ -70,40 +70,25 @@ class ModelConfig:
             )
 
 
-@dataclass(frozen=True)
-class LayoutEntry:
-    """One named parameter block: its slice of the flat vector and its
-    Glorot fan pair (None means the block initializes to zero)."""
-
-    name: str
-    shape: tuple
-    offset: int
-    size: int
-    fan: tuple | None
-
-
 class Layout(tuple):
-    """Parameter blocks in vector order, built from (name, shape, fan)
-    triples. Each block's slice and shape, looked up by name, and the total
+    """Parameter blocks in vector order, as (name, shape, fan) triples; fan
+    is the block's Glorot fan pair, None for a block that initializes to
+    zero. Each block's slice and shape, looked up by name, and the total
     size are computed once."""
 
     def __new__(cls, blocks):
-        entries = []
+        self = super().__new__(cls, ((name, tuple(shape), fan) for name, shape, fan in blocks))
+        self.slices = {}
         offset = 0
-        for name, shape, fan in blocks:
-            shape = tuple(shape)
+        for name, shape, _ in self:
             size = math.prod(shape)
-            entries.append(LayoutEntry(name=name, shape=shape, offset=offset, size=size, fan=fan))
+            self.slices[name] = (slice(offset, offset + size), shape)
             offset += size
-        self = super().__new__(cls, entries)
         self.size = offset
-        self.slices = {
-            e.name: (slice(e.offset, e.offset + e.size), e.shape) for e in entries
-        }
         return self
 
     def __reduce__(self):
-        return Layout, ([(e.name, e.shape, e.fan) for e in self],)
+        return Layout, (tuple(self),)
 
     def views(self, vectors: np.ndarray) -> dict:
         """Name -> view of that block in an array of flat vectors, shape
@@ -391,11 +376,12 @@ def _dense_grad(d: np.ndarray, a: np.ndarray, per_sample: bool, w_out, b_out):
 def _glorot_init(layout: Layout, seed: int) -> Params:
     rng = np.random.default_rng(seed)
     vec = np.zeros(layout.size)
-    for e in layout:
-        if e.fan is not None:
-            fan_in, fan_out = e.fan
+    for name, _, fan in layout:
+        if fan is not None:
+            block, _ = layout.slices[name]
+            fan_in, fan_out = fan
             lim = math.sqrt(6.0 / (fan_in + fan_out))
-            vec[e.offset : e.offset + e.size] = rng.uniform(-lim, lim, e.size)
+            vec[block] = rng.uniform(-lim, lim, block.stop - block.start)
     return Params(vector=vec, layout=layout)
 
 

@@ -372,6 +372,45 @@ class TestRunCommand:
                      "--jobs", "1"]) == 0
         assert len(calls) == (0 if stream_kind == "generator" else 1)
 
+    def test_reused_out_exits_2_and_keeps_the_earlier_outputs(self, tmp_path, capsys,
+                                                              monkeypatch):
+        out = tmp_path / "out"
+        first = write_json(tmp_path / "first.json",
+                           experiment_config(strategies=["SFT"], seeds=[0, 1]))
+        assert main(["run", "--config", str(first), "--out", str(out)]) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+
+        def refused(*args):
+            raise AssertionError("the stream was generated or decoded")
+
+        monkeypatch.setattr(eegcl.cli, "gen_stream", refused)
+        monkeypatch.setattr(eegcl.cli, "load_stream", refused)
+        second = write_json(tmp_path / "second.json",
+                            experiment_config(strategies=["SFT"], seeds=[0]))
+        assert main(["run", "--config", str(second), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --out {out} ") and "matrix_sft_0.csv" in err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("name", ["report_er_3.json", "matrix_old.csv", "summary.csv"])
+    def test_out_holding_any_run_output_exits_2(self, tmp_path, capsys, name):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / name).write_text("earlier\n")
+        config = write_json(tmp_path / "exp.json", experiment_config())
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert name in capsys.readouterr().err
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [name]
+
+    def test_out_holding_other_files_is_used(self, tmp_path):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "notes.txt").write_text("kept\n")
+        config = write_json(tmp_path / "exp.json",
+                            experiment_config(strategies=["SFT"], seeds=[0]))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "notes.txt").read_text() == "kept\n"
+        assert (tmp_path / "out" / "report_sft_0.json").is_file()
+
     @pytest.mark.parametrize("overrides", [
         {"strategies": [{"kind": "EWC", "lambda": -1}]},
         {"strategies": [{"kind": "EWC", "lambda": "abc"}]},

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import eegcl.data
 from eegcl import ConfigError, StratificationError, StreamConfig, StreamFormatError, gen_stream
 from eegcl.alignment import compute_whitener, reference_covariance
 from eegcl.data import (
@@ -650,6 +651,28 @@ class TestStreamIO:
         path.write_text(json.dumps(manifest))
         with pytest.raises(StreamFormatError):
             load_stream(tmp_path / "s")
+
+    @pytest.mark.parametrize("name", ["../x.eegc", "absolute", "sub/x.eegc", ".", "..", ""])
+    def test_file_outside_the_stream_directory_rejected(self, tmp_path, monkeypatch, name):
+        # Each name points at a valid subject file, yet none is a bare name
+        # in the stream directory, so none is opened.
+        stream = self.small_stream()
+        save_stream(stream, tmp_path / "s")
+        blob = (tmp_path / "s" / "subject_002.eegc").read_bytes()
+        (tmp_path / "x.eegc").write_bytes(blob)
+        (tmp_path / "s" / "sub").mkdir()
+        (tmp_path / "s" / "sub" / "x.eegc").write_bytes(blob)
+        if name == "absolute":
+            name = str(tmp_path / "x.eegc")
+        path = tmp_path / "s" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["subjects"][2]["file"] = name
+        path.write_text(json.dumps(manifest))
+        decoded = []
+        monkeypatch.setattr(eegcl.data, "decode_subject", lambda *args: decoded.append(args))
+        with pytest.raises(StreamFormatError, match=r"subjects\[2\] file .* is not a bare file name"):
+            load_stream(tmp_path / "s")
+        assert decoded == []
 
     def test_listed_file_missing(self, tmp_path):
         stream = self.small_stream()

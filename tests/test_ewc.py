@@ -90,7 +90,8 @@ class TestFisherDiagonal:
         # near-zero gradients, hence near-zero importance everywhere
         for model in tiny_models():
             params = model.init_params(0)
-            params.view(model.layout[-1].name)[:] = np.array([100.0, -100.0])
+            head_bias, _, _ = model.layout[-1]
+            params.view(head_bias)[:] = np.array([100.0, -100.0])
             x, y = tiny_arrays(np.random.default_rng(4), 10)
             fisher = fisher_diagonal(model, params, (x[y == 0], y[y == 0]))
             assert float(np.max(fisher)) < 1e-8

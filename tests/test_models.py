@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 
@@ -139,12 +140,12 @@ class TestInitialization:
     def test_weights_within_glorot_bounds_biases_zero(self):
         for model in (small_mlp(), small_conv()):
             params = model.init_params(0)
-            for entry in model.layout:
-                block = params.view(entry.name)
-                if entry.fan is None:
+            for name, _, fan in model.layout:
+                block = params.view(name)
+                if fan is None:
                     assert np.all(block == 0.0)
                 else:
-                    fan_in, fan_out = entry.fan
+                    fan_in, fan_out = fan
                     lim = math.sqrt(6.0 / (fan_in + fan_out))
                     assert np.all(np.abs(block) <= lim)
                     assert np.any(block != 0.0)
@@ -158,6 +159,24 @@ class TestInitialization:
         a = small_conv().init_params(0)
         b = small_conv().init_params(1)
         assert not np.array_equal(a.vector, b.vector)
+
+    # SHA-256 of the little-endian float64 initial vector at the default
+    # sizes. The bounds test above cannot see a change in block order, draw
+    # order or draw sizes; these digests can.
+    INIT_SHA256 = {
+        ("mlp", 0): "bc6788ef36ad351534f47a834bd5a38bd833ade3537c8c1ffc5af77bc2cc66a0",
+        ("mlp", 1): "f2e98b6d9bb3ad5b29b714b87553ca45f3ebcfed7a198770fc918bd97148d756",
+        ("mlp", 2): "39ca90e5f72d8fa8edfc4f20d25b4113fed43b682cb5df115397ae1d0af4c966",
+        ("shallow_conv", 0): "d67961a555bffd675b3bb1c3774d12802938462332e98f9cf9ba3968bc84e3a8",
+        ("shallow_conv", 1): "027e596d077568b97d4859c410197a8ad61eb9d98534c2d19b0beecd8f829a8f",
+        ("shallow_conv", 2): "37cdb460bd4de78888657b6c3b36008585241ce289d8e75dfa345ecc7092e099",
+    }
+
+    @pytest.mark.parametrize("architecture, seed", sorted(INIT_SHA256))
+    def test_initial_values_pinned(self, architecture, seed):
+        params = build_model(ModelConfig(architecture=architecture)).init_params(seed)
+        blob = params.vector.astype("<f8").tobytes()
+        assert hashlib.sha256(blob).hexdigest() == self.INIT_SHA256[architecture, seed]
 
 
 def bias_logits_model(logits):
@@ -256,8 +275,8 @@ class TestForward:
     def test_zeroed_head_gives_constant_logits(self):
         for model in (small_mlp(), small_conv()):
             params = model.init_params(0)
-            last = model.layout[-2].name, model.layout[-1].name
-            for name in last:
+            (head, _, _), (head_bias, _, _) = model.layout[-2:]
+            for name in (head, head_bias):
                 params.view(name)[:] = 0.0
             x, _ = batch_for(model)
             logits = model.forward(params, x)
