@@ -26,6 +26,7 @@ only on interactive terminals and NO_COLOR disables that too.
 from __future__ import annotations
 
 import argparse
+import csv
 import gc
 import json
 import logging
@@ -54,6 +55,7 @@ from .errors import (
 )
 from .ewc import DEFAULT_LAMBDA
 from .harness import (
+    STRATEGY_KINDS,
     MemoryConfig,
     RunRecord,
     Strategy,
@@ -361,30 +363,23 @@ def cmd_run(args) -> int:
 
     rows = _summarize(by_strategy)
     header = ["strategy", "runs", "acc_mean", "acc_sd", "bwt_mean", "bwt_sd"]
-    csv_lines = [",".join(header)]
     print(_bold(
         f"{'strategy':<10} {'runs':>4} {'acc_mean':>9} {'acc_sd':>8} "
         f"{'bwt_mean':>9} {'bwt_sd':>8}"
     ))
-    for row in rows:
-        print(
-            f"{row['strategy']:<10} {row['runs']:>4} "
-            f"{row['acc_mean']:>9.4f} {row['acc_sd']:>8.4f} "
-            f"{_format_cell(row['bwt_mean']):>9} {_format_cell(row['bwt_sd']):>8}"
-        )
-        csv_lines.append(
-            ",".join(
-                [
-                    row["strategy"],
-                    str(row["runs"]),
-                    repr(row["acc_mean"]),
-                    repr(row["acc_sd"]),
-                    "" if row["bwt_mean"] is None else repr(row["bwt_mean"]),
-                    "" if row["bwt_mean"] is None else repr(row["bwt_sd"]),
-                ]
+    with open(out / "summary.csv", "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            print(
+                f"{row['strategy']:<10} {row['runs']:>4} "
+                f"{row['acc_mean']:>9.4f} {row['acc_sd']:>8.4f} "
+                f"{_format_cell(row['bwt_mean']):>9} {_format_cell(row['bwt_sd']):>8}"
             )
-        )
-    (out / "summary.csv").write_text("\n".join(csv_lines) + "\n")
+            # a run without a BWT has no spread of it either
+            undefined = row["bwt_mean"] is None
+            writer.writerow([None if undefined and name == "bwt_sd" else row[name]
+                             for name in header])
     print(f"reports written to {out}")
     for failure in failures:
         print(f"error: {failure}", file=sys.stderr)
@@ -408,8 +403,8 @@ def _load_report(path: Path) -> tuple:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     report = report if isinstance(report, dict) else {}
     strategy = report.get("strategy")
-    if not isinstance(strategy, dict) or not isinstance(strategy.get("kind"), str):
-        raise ConfigError(f"{path}: report needs a strategy kind")
+    if not isinstance(strategy, dict) or strategy.get("kind") not in STRATEGY_KINDS:
+        raise ConfigError(f"{path}: report needs a strategy kind, one of {list(STRATEGY_KINDS)}")
     rows = report.get("matrix")
     if not (isinstance(rows, list)
             and all(isinstance(row, list) and len(row) == len(rows) for row in rows)

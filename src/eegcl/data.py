@@ -43,7 +43,6 @@ _HEADER = struct.Struct("<4sHIHIH")  # magic, version, n_trials, channels, timep
 # A subject header stores the channel count and the class count in two bytes.
 CHANNEL_LIMIT = 0xFFFF
 CLASS_LIMIT = 0xFFFF
-_TRIAL_PREFIX = struct.Struct("<IBB")  # timestamp, class_label, split tag
 
 # Redraw threshold for the per-subject mixing matrix determinant.
 _LOG_DET_MIN = math.log(1e-3)
@@ -429,21 +428,15 @@ def gen_stream(config: StreamConfig) -> Stream:
     )
 
 
-def _need(buf: bytes, offset: int, n: int, what: str, path):
-    if offset + n > len(buf):
-        raise StreamFormatError(
-            f"{path}: truncated while reading {what} "
-            f"(need {n} bytes at offset {offset}, have {len(buf) - offset})",
-            offset=offset,
-        )
-
-
 def _record_dtype(c: int, t: int) -> np.dtype:
-    """One trial record of a subject file: the _TRIAL_PREFIX fields, then
-    the samples."""
+    """One trial record of a subject file: timestamp, class label and split
+    tag, then the samples."""
     return np.dtype(
         [("timestamp", "<u4"), ("label", "u1"), ("tag", "u1"), ("samples", "<f4", (c, t))]
     )
+
+
+_RECORD_PREFIX = _record_dtype(0, 0).itemsize  # bytes of a trial record before its samples
 
 
 def encode_subject(dataset: SubjectDataset, n_classes: int) -> bytes:
@@ -467,12 +460,18 @@ def encode_subject(dataset: SubjectDataset, n_classes: int) -> bytes:
 def decode_subject(buf: bytes, subject_id: int, path="<memory>") -> tuple:
     """Parse one subject file; returns (SubjectDataset, n_classes).
 
-    All whole records are read at once and checked with array operations.
-    Raises StreamFormatError carrying the byte offset of the first
-    malformed field; only once a check has failed are the records searched
-    for the first bad one, which is then re-read field by field.
+    The file must be exactly its header plus n_trials records, as an EEGM
+    blob is; all records are then parsed at once and checked with array
+    operations. Raises StreamFormatError carrying the byte offset of the
+    first malformed field: for a file of another length, its first missing
+    or first extra byte; else the first bad field of the first bad record.
     """
-    _need(buf, 0, _HEADER.size, "header", path)
+    if len(buf) < _HEADER.size:
+        raise StreamFormatError(
+            f"{path}: truncated while reading header "
+            f"(need {_HEADER.size} bytes at offset 0, have {len(buf)})",
+            offset=0,
+        )
     magic, version, n_trials, c, t, n_classes = _HEADER.unpack_from(buf, 0)
     if magic != SUBJECT_MAGIC:
         raise StreamFormatError(
@@ -486,41 +485,41 @@ def decode_subject(buf: bytes, subject_id: int, path="<memory>") -> tuple:
         raise StreamFormatError(
             f"{path}: invalid trial dimensions {c}x{t}", offset=10
         )
-    size = _TRIAL_PREFIX.size + 4 * c * t
-    n_whole = min(n_trials, (len(buf) - _HEADER.size) // size)
-    # Only a record that fits in buf is sure to fit in a dtype.
-    dtype = _record_dtype(c, t) if n_whole else _record_dtype(0, 0)
-    records = np.frombuffer(buf, dtype, n_whole, _HEADER.size)
-    block = np.array(records["samples"], dtype=np.float32).reshape(n_whole, c, t)
-    bad = (records["label"] >= n_classes) | (records["tag"] > max(Split))
-    if n_whole == n_trials and not bad.any():
+    # In Python integers: only a record that fits in buf is sure to fit in a dtype.
+    size = _RECORD_PREFIX + 4 * c * t
+    expected = _HEADER.size + n_trials * size
+    if len(buf) != expected:
+        raise StreamFormatError(
+            f"{path}: file holds {len(buf)} bytes, but its header and "
+            f"{n_trials} trials of {c}x{t} take {expected}",
+            offset=min(len(buf), expected),
+        )
+    dtype = _record_dtype(c, t) if n_trials else _record_dtype(0, 0)
+    records = np.frombuffer(buf, dtype, n_trials, _HEADER.size)
+    block = np.array(records["samples"], dtype=np.float32).reshape(n_trials, c, t)
+    labels, tags = records["label"], records["tag"]
+    bad = (labels >= n_classes) | (tags > max(Split))
+    if not bad.any():
         try:  # the constructor's finiteness check is the only pass over the samples
-            return SubjectDataset(
-                subject_id, block, records["label"], records["timestamp"], records["tag"]
-            ), n_classes
+            return SubjectDataset(subject_id, block, labels, records["timestamp"], tags), n_classes
         except ValueError as exc:
             if np.isfinite(block).all():
                 raise StreamFormatError(f"{path}: {exc}", offset=_HEADER.size) from exc
-    # A record is bad or missing: find the first, then its first bad field.
-    bad |= ~np.isfinite(block).all(axis=(1, 2))
-    i = int(bad.argmax()) if bad.any() else n_whole
+    # A record is bad: find the first, then its first bad field.
+    i = int((bad | ~np.isfinite(block).all(axis=(1, 2))).argmax())
     offset = _HEADER.size + i * size
-    _need(buf, offset, _TRIAL_PREFIX.size, f"trial {i} prefix", path)
-    _, label, tag = _TRIAL_PREFIX.unpack_from(buf, offset)
-    if label >= n_classes:
+    if labels[i] >= n_classes:
         raise StreamFormatError(
-            f"{path}: trial {i} class_label {label} >= n_classes {n_classes}",
+            f"{path}: trial {i} class_label {labels[i]} >= n_classes {n_classes}",
             offset=offset + 4,
         )
-    if tag not in (0, 1, 2):
+    if tags[i] > max(Split):
         raise StreamFormatError(
-            f"{path}: trial {i} split tag {tag} not in {{0, 1, 2}}",
+            f"{path}: trial {i} split tag {tags[i]} not in {{0, 1, 2}}",
             offset=offset + 5,
         )
-    offset += _TRIAL_PREFIX.size
-    _need(buf, offset, 4 * c * t, f"trial {i} samples", path)
     raise StreamFormatError(
-        f"{path}: trial {i}: trial contains non-finite values", offset=offset
+        f"{path}: trial {i}: trial contains non-finite values", offset=offset + _RECORD_PREFIX
     )
 
 

@@ -40,7 +40,6 @@ _MEMORY_MAGIC = b"EEGM"
 _MEMORY_VERSION = 1
 _MEMORY_HEADER = struct.Struct("<4sHIQBIHI")
 # magic, version, capacity, seen, policy code, n_entries, channels, timepoints
-_RECORD_PREFIX = 9  # bytes of an exemplar record before its samples
 _ENTRY_LIMITS = (("subject_id", 2**32 - 1), ("timestamp", 2**32 - 1), ("class_label", 255))
 _CAPACITY_LIMIT = 2**32 - 1
 _CHANNEL_LIMIT = 0xFFFF
@@ -179,6 +178,9 @@ def _record_dtype(c: int, t: int) -> np.dtype:
         ("subject_id", "<u4"), ("timestamp", "<u4"), ("class_label", "u1"),
         ("trial", "<f4", (c, t)),
     ])
+
+
+_RECORD_PREFIX = _record_dtype(0, 0).itemsize  # bytes of an exemplar record before its samples
 
 
 def memory_to_bytes(memory: ReplayMemory) -> bytes:

@@ -279,15 +279,20 @@ class TestRunCommand:
         assert "\x1b" not in capsys.readouterr().out
 
     def test_parallel_jobs_match_sequential_reports(self, tmp_path):
+        # every file but each report's stage_seconds is the same byte for byte
         config = write_json(tmp_path / "exp.json", experiment_config())
-        main(["run", "--config", str(config), "--out", str(tmp_path / "seq")])
-        main(["run", "--config", str(config), "--out", str(tmp_path / "par"), "--jobs", "2"])
-        for name in ("report_sft_0.json", "report_pced_1.json"):
-            seq = json.loads((tmp_path / "seq" / name).read_text())
-            par = json.loads((tmp_path / "par" / name).read_text())
-            seq.pop("stage_seconds")
-            par.pop("stage_seconds")
-            assert seq == par
+        for out, jobs in (("seq", "1"), ("par", "2")):
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / out),
+                         "--jobs", jobs]) == 0
+            for report in (tmp_path / out).glob("report_*.json"):
+                data = json.loads(report.read_text())
+                del data["stage_seconds"]
+                report.write_text(json.dumps(data, sort_keys=True))
+        files = {p.relative_to(tmp_path / "seq") for p in (tmp_path / "seq").rglob("*")}
+        assert files == {p.relative_to(tmp_path / "par") for p in (tmp_path / "par").rglob("*")}
+        assert len([f for f in files if f.suffix in (".json", ".csv")]) == 10
+        for name in sorted(files - {Path("stream")}):
+            assert (tmp_path / "par" / name).read_bytes() == (tmp_path / "seq" / name).read_bytes()
 
     def test_pool_never_outnumbers_the_tasks(self, tmp_path, monkeypatch):
         # The pool is a spy that records its size and runs each task in
@@ -628,6 +633,26 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.count("trial 0: trial contains non-finite values (at byte 24)") == 2
 
+    @pytest.mark.parametrize("resize", [
+        lambda buf: buf + b"\0",
+        lambda buf: buf[:6] + struct.pack("<I", 9) + buf[10:],
+        lambda buf: buf[:6] + struct.pack("<I", 11) + buf[10:],
+    ], ids=["byte_appended", "one_trial_fewer", "one_trial_more"])
+    def test_subject_file_of_another_length_exits_3(self, tmp_path, capsys, resize):
+        # gen_config writes 10 trials per subject; the count is bytes 6-10
+        stream_dir = gen_stream_dir(tmp_path)
+        path = stream_dir / "subject_001.eegc"
+        path.write_bytes(resize(path.read_bytes()))
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            stream={"path": str(stream_dir)}, strategies=["SFT"], seeds=[0]
+        ))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert main(["align", "--stream", str(stream_dir),
+                     "--out", str(tmp_path / "aligned")]) == 3
+        assert capsys.readouterr().err.count(f"error: {path}: file holds") == 2
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "aligned").exists()
+
 
 class TestParseExperimentConfig:
     def test_strategy_objects_with_overrides(self):
@@ -753,9 +778,11 @@ class TestReportCommand:
          "report matrix must hold accuracies"),
         ('{"strategy": {"kind": "SFT"}, "matrix": [[0.5, NaN], [0.5, 0.6]]}',
          "report matrix must hold accuracies"),
+        (json.dumps({"strategy": {"kind": "SFT,EXTRA"}, "matrix": [[0.5]]}),
+         "report needs a strategy kind"),
     ], ids=["invalid_json", "no_matrix", "no_kind", "ragged", "not_square", "not_numeric",
             "above_diagonal", "infinite", "negative", "above_one", "nan_on_curve",
-            "nan_off_curve", "nan_above_diagonal"])
+            "nan_off_curve", "nan_above_diagonal", "unknown_kind"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "report_sft_0.json"
         path.write_text(text)

@@ -36,6 +36,13 @@ HEADER = struct.Struct("<4sHIHIH")
 TRIAL_PREFIX = struct.Struct("<IBB")
 
 
+def with_trial_count(buf, change):
+    """A subject file with its header's trial count moved by change."""
+    fields = list(HEADER.unpack_from(buf))
+    fields[2] += change
+    return HEADER.pack(*fields) + buf[HEADER.size:]
+
+
 def rand_trial(seed=0, n_channels=2, n_timepoints=8, label=0, timestamp=0):
     rng = np.random.default_rng(seed)
     return make_trial(
@@ -540,6 +547,18 @@ class TestSubjectCodec:
             decode_subject(buf[:-1], 0)
         assert exc.value.offset >= HEADER.size
 
+    @pytest.mark.parametrize("resize, records_short", [
+        (lambda buf: buf + b"\0", 0),
+        (lambda buf: with_trial_count(buf, -1), 1),
+        (lambda buf: with_trial_count(buf, +1), 0),
+    ], ids=["byte_appended", "one_trial_fewer", "one_trial_more"])
+    def test_length_must_match_the_trial_count(self, resize, records_short):
+        # the error is at the first extra byte, or at the first missing one
+        buf = encode_subject(balanced(2), 2)
+        with pytest.raises(StreamFormatError, match="file holds") as exc:
+            decode_subject(resize(buf), 0)
+        assert exc.value.offset == len(buf) - records_short * (TRIAL_PREFIX.size + 4 * 2 * 4)
+
     def test_nan_sample_offset(self):
         data = np.zeros((2, 4), "<f4").tobytes()
         nan = np.full((2, 4), np.nan, "<f4").tobytes()
@@ -586,6 +605,17 @@ class TestStreamIO:
             for t in ds.trials:
                 assert t.trial.dtype == np.float32
                 assert not t.trial.flags.writeable
+
+    @pytest.mark.parametrize("resize", [
+        lambda buf: buf + b"\0", lambda buf: with_trial_count(buf, -1),
+        lambda buf: with_trial_count(buf, +1),
+    ], ids=["byte_appended", "one_trial_fewer", "one_trial_more"])
+    def test_load_refuses_a_subject_file_of_another_length(self, tmp_path, resize):
+        save_stream(self.small_stream(), tmp_path / "s")
+        path = tmp_path / "s" / "subject_001.eegc"
+        path.write_bytes(resize(path.read_bytes()))
+        with pytest.raises(StreamFormatError, match=f"^{path}: file holds"):
+            load_stream(tmp_path / "s")
 
     def test_save_writes_the_per_trial_encoding(self, tmp_path):
         stream = gen_stream(StreamConfig(n_subjects=2, n_channels=3, n_timepoints=12,

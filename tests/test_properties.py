@@ -7,7 +7,8 @@ run on a generated stream keeps its matrix, audit, memory and seed
 invariants.
 
 decode_subject reads all records of a subject at once; the per-trial
-decoder it replaced is kept here as its reference, and every error must
+decoder it replaced is kept here as its reference, with the same rule
+that a file is exactly its header plus its records, and every error must
 match that decoder's message and byte offset.
 """
 
@@ -67,20 +68,16 @@ TRIAL_PREFIX = struct.Struct("<IBB")
 MEMORY_HEADER_BEFORE_DIMS = 23
 
 
-def _need(buf, offset, n, what, path):
-    if offset + n > len(buf):
-        raise StreamFormatError(
-            f"{path}: truncated while reading {what} "
-            f"(need {n} bytes at offset {offset}, have {len(buf) - offset})",
-            offset=offset,
-        )
-
-
 def per_trial_decode(buf, path="<memory>"):
     """The per-trial subject decoder: returns (trials, split tags,
-    n_classes, bytes read), or raises the StreamFormatError the block
-    decoder must reproduce."""
-    _need(buf, 0, HEADER.size, "header", path)
+    n_classes), or raises the StreamFormatError the block decoder must
+    reproduce. A file must be exactly its header plus n_trials records."""
+    if len(buf) < HEADER.size:
+        raise StreamFormatError(
+            f"{path}: truncated while reading header "
+            f"(need {HEADER.size} bytes at offset 0, have {len(buf)})",
+            offset=0,
+        )
     magic, version, n_trials, c, t, n_classes = HEADER.unpack_from(buf, 0)
     if magic != b"EEGC":
         raise StreamFormatError(f"{path}: bad magic {magic!r}, expected {b'EEGC'!r}", offset=0)
@@ -88,10 +85,16 @@ def per_trial_decode(buf, path="<memory>"):
         raise StreamFormatError(f"{path}: unsupported format version {version}", offset=4)
     if n_trials > 0 and (c < 1 or t < 1):
         raise StreamFormatError(f"{path}: invalid trial dimensions {c}x{t}", offset=10)
+    expected = HEADER.size + n_trials * (TRIAL_PREFIX.size + 4 * c * t)
+    if len(buf) != expected:
+        raise StreamFormatError(
+            f"{path}: file holds {len(buf)} bytes, but its header and "
+            f"{n_trials} trials of {c}x{t} take {expected}",
+            offset=min(len(buf), expected),
+        )
     offset = HEADER.size
     trials, tags = [], []
     for i in range(n_trials):
-        _need(buf, offset, TRIAL_PREFIX.size, f"trial {i} prefix", path)
         timestamp, label, tag = TRIAL_PREFIX.unpack_from(buf, offset)
         if label >= n_classes:
             raise StreamFormatError(
@@ -103,7 +106,6 @@ def per_trial_decode(buf, path="<memory>"):
                 f"{path}: trial {i} split tag {tag} not in {{0, 1, 2}}", offset=offset + 5
             )
         offset += TRIAL_PREFIX.size
-        _need(buf, offset, 4 * c * t, f"trial {i} samples", path)
         try:
             trial = LabeledTrial(
                 trial=np.frombuffer(buf, "<f4", c * t, offset).reshape(c, t), class_label=label,
@@ -123,7 +125,7 @@ def per_trial_decode(buf, path="<memory>"):
                 offset=HEADER.size,
             )
         last = trial.timestamp
-    return trials, tags, n_classes, offset
+    return trials, tags, n_classes
 
 
 def _valid_subject_files():
@@ -150,13 +152,14 @@ def set_byte(buf, pos, byte):
 
 def damaged(valid, magic):
     """Arbitrary bytes, bytes after a valid magic and version, and valid
-    files with one byte changed or cut short."""
+    files with one byte changed, cut short or with bytes appended."""
     pick = st.sampled_from(valid)
     return st.one_of(
         st.binary(max_size=80),
         st.binary(max_size=160).map(lambda b: magic + b"\x01\x00" + b),
         st.builds(set_byte, pick, st.integers(0, 10**6), st.integers(0, 255)),
         st.builds(lambda buf, n: buf[: n % len(buf)], pick, st.integers(0, 10**6)),
+        st.builds(lambda buf, tail: buf + tail, pick, st.binary(min_size=1, max_size=40)),
     )
 
 
@@ -166,7 +169,10 @@ EDGE_BYTES = (0x00, 0x01, 0x02, 0x03, 0x7F, 0x80, 0xFE, 0xFF)
 
 
 def every_single_byte_damage(buf):
-    """Every truncation of buf, and buf with each byte set to each edge value."""
+    """Every truncation of buf, buf with each edge value appended, and buf
+    with each byte set to each edge value."""
+    for byte in EDGE_BYTES:
+        yield buf + bytes([byte])
     for pos in range(len(buf)):
         yield buf[:pos]
         for byte in EDGE_BYTES:
@@ -175,7 +181,7 @@ def every_single_byte_damage(buf):
 
 def check_subject_bytes(buf):
     try:
-        trials, tags, n_classes, used = per_trial_decode(buf)
+        trials, tags, n_classes = per_trial_decode(buf)
     except StreamFormatError as expected:
         with pytest.raises(StreamFormatError) as got:
             decode_subject(buf, 0)
@@ -186,7 +192,7 @@ def check_subject_bytes(buf):
     assert len(ds.trials) == len(trials)
     assert all(trials_equal(a, b) for a, b in zip(ds.trials, trials))
     assert ds.split.tolist() == tags
-    assert encode_subject(ds, n) == buf[:used]
+    assert encode_subject(ds, n) == buf
 
 
 def check_memory_bytes(blob):
