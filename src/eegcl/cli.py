@@ -60,7 +60,6 @@ from .harness import (
     RunRecord,
     Strategy,
     forgetting_curve,
-    matrix_to_csv,
     record_to_json_dict,
     run_continual,
 )
@@ -269,7 +268,8 @@ def _summarize(records_by_strategy: dict) -> list:
             "acc_mean": float(accs.mean()),
             "acc_sd": float(accs.std(ddof=1)) if len(accs) > 1 else 0.0,
             "bwt_mean": float(np.mean(bwts)) if bwts else None,
-            "bwt_sd": float(np.std(bwts, ddof=1)) if len(bwts) > 1 else 0.0,
+            # no BWT, no spread of it either
+            "bwt_sd": (float(np.std(bwts, ddof=1)) if len(bwts) > 1 else 0.0) if bwts else None,
         }
         rows.append(row)
     rows.sort(key=lambda r: -r["acc_mean"])
@@ -278,6 +278,13 @@ def _summarize(records_by_strategy: dict) -> list:
 
 def _format_cell(value) -> str:
     return "" if value is None else f"{value:.4f}"
+
+
+def _write_csv(path: Path, rows) -> None:
+    """Write rows as CSV. None is an empty cell, and csv writes a float with
+    str, which is its shortest round-trip form."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def _bold(text: str) -> str:
@@ -347,11 +354,15 @@ def cmd_run(args) -> int:
             failures.append(f"{strategy.kind} seed {seed}: {record}")
             continue
         kind = strategy.kind.lower()
-        report_path = out / f"report_{kind}_{seed}.json"
-        report_path.write_text(
-            json.dumps(record_to_json_dict(record), sort_keys=True, indent=2) + "\n"
+        report = record_to_json_dict(record)
+        (out / f"report_{kind}_{seed}.json").write_text(
+            json.dumps(report, sort_keys=True, indent=2) + "\n"
         )
-        (out / f"matrix_{kind}_{seed}.csv").write_text(matrix_to_csv(record.matrix))
+        # the report's own cells, so that the JSON and the CSV cannot disagree
+        n = report["n_subjects"]
+        _write_csv(out / f"matrix_{kind}_{seed}.csv",
+                   [["stage", *(f"subject{i}" for i in range(1, n + 1))],
+                    *([stage, *row] for stage, row in enumerate(report["matrix"], 1))])
         by_strategy.setdefault(strategy.kind, []).append(record)
         logger.info(
             "%s seed %d: acc %.4f bwt %s",
@@ -367,19 +378,13 @@ def cmd_run(args) -> int:
         f"{'strategy':<10} {'runs':>4} {'acc_mean':>9} {'acc_sd':>8} "
         f"{'bwt_mean':>9} {'bwt_sd':>8}"
     ))
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            print(
-                f"{row['strategy']:<10} {row['runs']:>4} "
-                f"{row['acc_mean']:>9.4f} {row['acc_sd']:>8.4f} "
-                f"{_format_cell(row['bwt_mean']):>9} {_format_cell(row['bwt_sd']):>8}"
-            )
-            # a run without a BWT has no spread of it either
-            undefined = row["bwt_mean"] is None
-            writer.writerow([None if undefined and name == "bwt_sd" else row[name]
-                             for name in header])
+    for row in rows:
+        print(
+            f"{row['strategy']:<10} {row['runs']:>4} "
+            f"{row['acc_mean']:>9.4f} {row['acc_sd']:>8.4f} "
+            f"{_format_cell(row['bwt_mean']):>9} {_format_cell(row['bwt_sd']):>8}"
+        )
+    _write_csv(out / "summary.csv", [header, *([row[name] for name in header] for row in rows)])
     print(f"reports written to {out}")
     for failure in failures:
         print(f"error: {failure}", file=sys.stderr)
@@ -451,16 +456,11 @@ def cmd_report(args) -> int:
         curves.setdefault(kind, []).append([acc for _, acc in series])
 
     kinds = sorted(curves)
-    stages = list(range(subject, n_subjects + 1))
-    lines = ["stage," + ",".join(kinds)]
-    for row_idx, stage in enumerate(stages):
-        cells = [str(stage)]
-        for kind in kinds:
-            values = [runs[row_idx] for runs in curves[kind]]
-            cells.append(repr(float(np.mean(values))))
-        lines.append(",".join(cells))
+    means = [[float(np.mean([runs[i] for runs in curves[kind]])) for kind in kinds]
+             for i in range(n_subjects - subject + 1)]
     out_path = directory / f"curve_subject{subject}.csv"
-    out_path.write_text("\n".join(lines) + "\n")
+    _write_csv(out_path, [["stage", *kinds],
+                          *([stage, *row] for stage, row in enumerate(means, subject))])
     print(f"wrote {out_path}")
     return 0
 

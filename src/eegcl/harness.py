@@ -374,16 +374,3 @@ def record_to_json_dict(record: RunRecord) -> dict:
         "stage_seconds": list(record.stage_seconds),
     }
 
-
-def matrix_to_csv(matrix: np.ndarray) -> str:
-    """Lower-triangular accuracy matrix as CSV; undefined cells left empty."""
-    matrix = _check_square(matrix)
-    n = matrix.shape[0]
-    lines = ["stage," + ",".join(f"subject{i}" for i in range(1, n + 1))]
-    for j in range(n):
-        cells = [str(j + 1)]
-        for i in range(n):
-            v = matrix[j, i]
-            cells.append(repr(float(v)) if np.isfinite(v) else "")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ import os
 import pickle
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from eegcl import (
     sft_strategy,
 )
 from eegcl import ewc, harness
+from eegcl.cli import main
 from eegcl.data import Split, Stream
 from eegcl.errors import EmptyInputError, ShapeError, StreamFormatError
 from eegcl.ewc import OnlineEwc
@@ -36,7 +37,6 @@ from eegcl.harness import (
     ewc_strategy,
     final_acc,
     foreign_reads,
-    matrix_to_csv,
     new_matrix,
     record_to_json_dict,
 )
@@ -471,10 +471,20 @@ class TestReportFormats:
         assert d["acc"] == record.acc
         assert d["bwt"] == record.bwt
 
-    def test_matrix_csv_layout(self):
+    def test_matrix_csv_layout(self, tmp_path):
+        # The matrix CSV that `eegcl run` writes for the run self.record() makes.
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({
+            "stream": {"generator": {"n_subjects": 3, "n_channels": 4, "n_timepoints": 32,
+                                     "n_classes": 2, "trials_per_subject": 40, "seed": 1}},
+            "strategies": ["ER"],
+            "model": {"architecture": "shallow_conv", "n_filters": 4, "kernel_len": 8},
+            "train": asdict(fast_train_cfg()),
+            "seeds": [1],
+        }))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         record = self.record()
-        text = matrix_to_csv(record.matrix)
-        lines = text.splitlines()
+        lines = (tmp_path / "out" / "matrix_er_1.csv").read_text().splitlines()
         assert lines[0] == "stage,subject1,subject2,subject3"
         assert len(lines) == 4
         first = lines[1].split(",")
