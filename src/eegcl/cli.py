@@ -67,7 +67,8 @@ from .linalg import EIG_FLOOR
 from .models import ModelConfig
 from .training import TrainConfig
 
-logger = logging.getLogger(__name__)
+# Named, not __name__: under `python3 -m eegcl.cli` that would be __main__.
+logger = logging.getLogger("eegcl.cli")
 
 # Failures that exit 4; in `run` they fail one task, not the whole sweep.
 _NUMERICAL_ERRORS = (TrainingDivergedError, DegenerateInputError, UndefinedMetricError)
@@ -399,9 +400,9 @@ def _is_cell(value) -> bool:
 
 def _load_report(path: Path) -> tuple:
     """A report's strategy kind and its accuracy matrix, NaN for null; a
-    malformed report, or a matrix no run can produce (an entry above the
-    diagonal, or one that is not a number in [0, 1], NaN included), is a
-    ConfigError that names its file."""
+    malformed report, or a matrix no run can produce (no rows, an entry
+    above the diagonal, a null on or below it, or an entry that is not a
+    number in [0, 1], NaN included), is a ConfigError that names its file."""
     try:
         report = json.loads(path.read_text())
     except ValueError as exc:
@@ -411,18 +412,20 @@ def _load_report(path: Path) -> tuple:
     if not isinstance(strategy, dict) or strategy.get("kind") not in STRATEGY_KINDS:
         raise ConfigError(f"{path}: report needs a strategy kind, one of {list(STRATEGY_KINDS)}")
     rows = report.get("matrix")
-    if not (isinstance(rows, list)
+    if not (isinstance(rows, list) and rows
             and all(isinstance(row, list) and len(row) == len(rows) for row in rows)
             and all(_is_cell(v) for row in rows for v in row)):
-        raise ConfigError(f"{path}: report matrix must be a square list of numbers and nulls")
+        raise ConfigError(
+            f"{path}: report matrix must be a non-empty square list of numbers and nulls"
+        )
     matrix = np.array([[np.nan if v is None else v for v in row] for row in rows])
     # null alone is undefined; a NaN or infinite number is no accuracy
     defined = np.array([[v is not None for v in row] for row in rows], dtype=bool)
     values = matrix[defined]
-    if np.triu(defined, 1).any() or not ((values >= 0) & (values <= 1)).all():
-        raise ConfigError(
-            f"{path}: report matrix must hold accuracies in [0, 1] on and below the diagonal only"
-        )
+    if not (np.array_equal(defined, np.tri(len(rows), dtype=bool))
+            and ((values >= 0) & (values <= 1)).all()):
+        raise ConfigError(f"{path}: report matrix must hold accuracies in [0, 1] on and below "
+                          "the diagonal, and nulls above it")
     return strategy["kind"], matrix
 
 

@@ -70,7 +70,7 @@ def run_digests() -> dict:
         "ewc": ewc_strategy(),
         "pced": pced_strategy(),
         "er_reservoir": er_strategy(MemoryConfig(policy="reservoir_standard")),
-        # 10 a class from each 2-class subject: full after stage 1, evicting from stage 2
+        # 10 exemplars a class, 20 a subject, against room for 30: evicts from stage 2
         "er_evicting": er_strategy(MemoryConfig(capacity=30, per_class=10)),
     }
     digests = {}

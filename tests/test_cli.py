@@ -270,6 +270,21 @@ class TestRunCommand:
         means = [float(line.split(",")[2]) for line in lines[1:]]
         assert means == sorted(means, reverse=True)
 
+    def test_summary_without_bwt_leaves_both_bwt_cells_blank(self, tmp_path, capsys):
+        # One subject: no run has a BWT, so neither its mean nor its spread
+        # is printed or written.
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            stream={"generator": gen_config(n_subjects=1)}
+        ))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        written = (tmp_path / "out" / "summary.csv").read_text().splitlines()
+        assert printed[0].split()[-1] == "bwt_sd" and len(printed) == 4
+        for line in printed[1:3]:
+            assert line[-8:].isspace() and len(line.split()) == 4
+        for line in written[1:]:
+            assert line.split(",")[-2:] == ["", ""]
+
     def test_no_escape_codes_in_output(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("NO_COLOR", "1")
         config = write_json(tmp_path / "exp.json", experiment_config(
@@ -780,24 +795,21 @@ class TestReportCommand:
          "report matrix must hold accuracies"),
         (json.dumps({"strategy": {"kind": "SFT,EXTRA"}, "matrix": [[0.5]]}),
          "report needs a strategy kind"),
+        (json.dumps({"strategy": {"kind": "SFT"}, "matrix": []}), "report matrix must be"),
+        (json.dumps({"strategy": {"kind": "SFT"}, "matrix": [[0.5, None], [0.4, None]]}),
+         "report matrix must hold accuracies"),
+        (json.dumps({"strategy": {"kind": "SFT"}, "matrix": [[0.5, None], [None, 0.6]]}),
+         "report matrix must hold accuracies"),
     ], ids=["invalid_json", "no_matrix", "no_kind", "ragged", "not_square", "not_numeric",
             "above_diagonal", "infinite", "negative", "above_one", "nan_on_curve",
-            "nan_off_curve", "nan_above_diagonal", "unknown_kind"])
+            "nan_off_curve", "nan_above_diagonal", "unknown_kind", "no_rows",
+            "undefined_on_diagonal", "undefined_below_diagonal"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "report_sft_0.json"
         path.write_text(text)
         assert main(["report", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
         assert not (tmp_path / "curve_subject1.csv").exists()
-
-    def test_undefined_curve_entry_exits_4(self, tmp_path):
-        report = {
-            "strategy": {"kind": "SFT", "alignment_enabled": False,
-                         "memory": None, "ewc": None},
-            "matrix": [[0.5, None], [None, 0.6]],
-        }
-        write_json(tmp_path / "report_sft_0.json", report)
-        assert main(["report", str(tmp_path), "--curve", "subject=1"]) == 4
 
 
 class TestProcessEntry:
@@ -824,3 +836,17 @@ class TestProcessEntry:
             capture_output=True, text=True, env=env, timeout=60, check=True,
         ).stdout
         assert out.splitlines()[-1] == "0 True False"
+
+    def test_module_entry_logs_under_the_package_name(self, tmp_path):
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            strategies=["SFT"], seeds=[0]
+        ))
+        src = str(Path(eegcl.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        err = subprocess.run(
+            [sys.executable, "-m", "eegcl.cli", "run", "--config", str(config),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+            timeout=60, check=True,
+        ).stderr
+        assert err.startswith("INFO eegcl.cli: generated stream of 2 subjects")
