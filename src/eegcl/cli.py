@@ -41,7 +41,8 @@ import numpy as np
 
 from .alignment import whiten_subject
 from .alignment import compute_whitener, reference_covariance  # noqa: F401  traced by bench/
-from .data import Split, Stream, StreamConfig, gen_stream, load_stream, save_stream
+from .data import (Split, Stream, StreamConfig, gen_stream, load_stream, read_json_object,
+                   save_stream)
 from .errors import (
     STRING,
     ConfigError,
@@ -115,19 +116,6 @@ class ExperimentConfig:
         integers(0).check(self.seeds, "seeds")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be unique, got {list(self.seeds)}")
-
-
-def _load_json(path) -> dict:
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        loaded = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON ({exc})") from exc
-    if not isinstance(loaded, dict):
-        raise ConfigError(f"{p}: top-level JSON value must be an object")
-    return loaded
 
 
 def _build_dataclass(cls, data: dict, what: str):
@@ -222,7 +210,8 @@ def _outcome(call):
 
 
 def cmd_gen(args) -> int:
-    config = _build_dataclass(StreamConfig, _load_json(args.config), "stream config")
+    data = read_json_object(args.config, "config", ConfigError)
+    config = _build_dataclass(StreamConfig, data, "stream config")
     stream = gen_stream(config)  # config was checked when built, before any output
     save_stream(stream, args.out)
     print(
@@ -297,7 +286,7 @@ def _bold(text: str) -> str:
 
 def cmd_run(args) -> int:
     integer(1).check(args.jobs, "--jobs")
-    config = parse_experiment_config(_load_json(args.config))
+    config = parse_experiment_config(read_json_object(args.config, "config", ConfigError))
     out = Path(args.out)
     if out.is_dir():
         earlier = sorted(p.name for p in out.iterdir() if _RUN_OUTPUT_RE.match(p.name))
@@ -403,11 +392,7 @@ def _load_report(path: Path) -> tuple:
     malformed report, or a matrix no run can produce (no rows, an entry
     above the diagonal, a null on or below it, or an entry that is not a
     number in [0, 1], NaN included), is a ConfigError that names its file."""
-    try:
-        report = json.loads(path.read_text())
-    except ValueError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-    report = report if isinstance(report, dict) else {}
+    report = read_json_object(path, "report", ConfigError)
     strategy = report.get("strategy")
     if not isinstance(strategy, dict) or strategy.get("kind") not in STRATEGY_KINDS:
         raise ConfigError(f"{path}: report needs a strategy kind, one of {list(STRATEGY_KINDS)}")

@@ -527,6 +527,23 @@ def _subject_filename(subject_id: int) -> str:
     return f"subject_{subject_id:03d}.eegc"
 
 
+def read_json_object(path, what: str, error) -> dict:
+    """The JSON object in the file at path, read as UTF-8; every JSON file
+    eegcl reads comes through here. A missing file, bytes that do not
+    decode (nesting past the recursion limit included) or a value that is
+    not an object raise error, naming the file; what names its role."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"{path}: {what} not found")
+    try:
+        value = json.loads(path.read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise error(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(value, dict):
+        raise error(f"{path}: {what} must be a JSON object")
+    return value
+
+
 def save_stream(stream: Stream, path) -> None:
     """Write a stream as manifest.json plus one binary file per subject."""
     root = Path(path)
@@ -553,14 +570,7 @@ def load_stream(path) -> Stream:
     malformed manifest or subject file is a StreamFormatError."""
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
-    if not manifest_path.is_file():
-        raise StreamFormatError(f"{manifest_path}: manifest not found")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise StreamFormatError(f"{manifest_path}: invalid JSON ({exc})") from exc
-    if not isinstance(manifest, dict):
-        raise StreamFormatError(f"{manifest_path}: manifest must be a JSON object")
+    manifest = read_json_object(manifest_path, "manifest", StreamFormatError)
     for key in ("version", "n_subjects", "n_channels", "n_timepoints", "n_classes", "seed", "subjects"):
         if key not in manifest:
             raise StreamFormatError(f"{manifest_path}: missing key {key!r}")

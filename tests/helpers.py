@@ -1,7 +1,7 @@
 """Shared builders for the test suite: tiny trials, subjects, a
 central-difference gradient oracle, reference log-softmax and
-cross-entropy for the gradient oracles, and align_subject for whitening a
-bare list of trials."""
+cross-entropy for the gradient oracles, align_subject for whitening a
+bare list of trials, and JSON files that do not decode."""
 
 import numpy as np
 
@@ -94,3 +94,12 @@ def align_subject(trials, eps=None):
     trials = list(trials)
     report = compute_whitener(reference_covariance(trials), eps)
     return list(np.matmul(report.whitener, np.array(trials, dtype=np.float64))), report
+
+
+# The bytes of JSON files that do not decode, by name: broken syntax, bytes
+# that are not UTF-8, and nesting far past the recursion limit.
+UNDECODABLE_JSON = {
+    "broken": b"{broken",
+    "not_utf8": b'{"seed": "\xff"}',
+    "nested_too_deep": b"[" * 100_000 + b"]" * 100_000,
+}

@@ -18,6 +18,8 @@ from eegcl.data import Split, load_stream, save_stream
 from eegcl.errors import ConfigError
 from eegcl.linalg import covariance
 
+from helpers import UNDECODABLE_JSON
+
 
 def write_json(path, data):
     path.write_text(json.dumps(data, indent=2))
@@ -61,6 +63,14 @@ def empty_stream_dir(tmp_path):
 OVERFLOWS = pytest.mark.parametrize("overflow", [
     {"mixing_scale": 60}, {"noise_sigma": 1e300}, {"mixing_scale": 1e308},
 ], ids=["mixing_scale", "noise_sigma", "mixing_past_float64"])
+
+
+UNDECODABLE = pytest.mark.parametrize("text", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON)
+
+
+def assert_invalid_json_refused(err, path):
+    """One error line naming path, and no traceback."""
+    assert err.startswith(f"error: {path}: invalid JSON (") and err.count("\n") == 1
 
 
 def assert_overflow_refused(err):
@@ -137,10 +147,16 @@ class TestGen:
         config = write_json(tmp_path / "gen.json", gen_config(bogus=1))
         assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
 
-    def test_malformed_json_exits_2(self, tmp_path):
+    def test_malformed_json_exits_2(self, tmp_path, capsys):
         config = tmp_path / "gen.json"
-        config.write_text("{broken")
+        for text in UNDECODABLE_JSON.values():
+            config.write_bytes(text)
+            assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
+            assert_invalid_json_refused(capsys.readouterr().err, config)
+        config.write_text("[]")
         assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
+        assert capsys.readouterr().err == f"error: {config}: config must be a JSON object\n"
+        assert not (tmp_path / "s").exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         missing = tmp_path / "nope.json"
@@ -412,6 +428,28 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: --out {out} ") and "matrix_sft_0.csv" in err
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    @UNDECODABLE
+    def test_undecodable_config_exits_2(self, tmp_path, capsys, text):
+        config = tmp_path / "exp.json"
+        config.write_bytes(text)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        assert_invalid_json_refused(capsys.readouterr().err, config)
+        assert not (tmp_path / "out").exists()
+
+    @UNDECODABLE
+    def test_undecodable_manifest_exits_3(self, tmp_path, capsys, text):
+        manifest = gen_stream_dir(tmp_path) / "manifest.json"
+        manifest.write_bytes(text)
+        config = write_json(tmp_path / "exp.json",
+                            experiment_config(stream={"path": str(manifest.parent)}))
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert_invalid_json_refused(capsys.readouterr().err, manifest)
+        assert main(["align", "--stream", str(manifest.parent),
+                     "--out", str(tmp_path / "aligned")]) == 3
+        assert_invalid_json_refused(capsys.readouterr().err, manifest)
+        assert not (tmp_path / "out").exists() and not (tmp_path / "aligned").exists()
 
     @pytest.mark.parametrize("name", ["report_er_3.json", "matrix_old.csv", "summary.csv"])
     def test_out_holding_any_run_output_exits_2(self, tmp_path, capsys, name):
@@ -771,6 +809,10 @@ class TestReportCommand:
 
     @pytest.mark.parametrize("text, message", [
         ("{", "invalid JSON"),
+        (b'{"strategy": {"kind": "SFT"}, "matrix": [[0.5]], "note": "\xff"}', "invalid JSON"),
+        (b'{"strategy": {"kind": "SFT"}, "matrix": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+         "invalid JSON"),
+        ("[]", "report must be a JSON object"),
         (json.dumps({"strategy": {"kind": "SFT"}}), "report matrix must be"),
         (json.dumps({"strategy": {}, "matrix": [[0.5]]}), "report needs a strategy kind"),
         (json.dumps({"strategy": {"kind": "SFT"}, "matrix": [[0.5], [0.4, 0.6]]}),
@@ -800,13 +842,13 @@ class TestReportCommand:
          "report matrix must hold accuracies"),
         (json.dumps({"strategy": {"kind": "SFT"}, "matrix": [[0.5, None], [None, 0.6]]}),
          "report matrix must hold accuracies"),
-    ], ids=["invalid_json", "no_matrix", "no_kind", "ragged", "not_square", "not_numeric",
-            "above_diagonal", "infinite", "negative", "above_one", "nan_on_curve",
+    ], ids=["invalid_json", "not_utf8", "nested_too_deep", "not_an_object", "no_matrix",
+            "no_kind", "ragged", "not_square", "not_numeric", "above_diagonal", "infinite", "negative", "above_one", "nan_on_curve",
             "nan_off_curve", "nan_above_diagonal", "unknown_kind", "no_rows",
             "undefined_on_diagonal", "undefined_below_diagonal"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "report_sft_0.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         assert main(["report", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: {message}")
         assert not (tmp_path / "curve_subject1.csv").exists()

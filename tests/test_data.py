@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import pickle
+import re
 import struct
 from collections import Counter
 from dataclasses import replace
@@ -30,7 +31,7 @@ from eegcl.data import (
 from eegcl.errors import ShapeError
 from eegcl.linalg import covariance, inv_sqrt
 
-from helpers import align_subject, balanced_subject, make_trial
+from helpers import UNDECODABLE_JSON, align_subject, balanced_subject, make_trial
 
 HEADER = struct.Struct("<4sHIHIH")
 TRIAL_PREFIX = struct.Struct("<IBB")
@@ -658,8 +659,13 @@ class TestStreamIO:
             load_stream(tmp_path)
 
     def test_invalid_manifest_json(self, tmp_path):
-        (tmp_path / "manifest.json").write_text("{not json")
-        with pytest.raises(StreamFormatError):
+        path = tmp_path / "manifest.json"
+        for text in [b"{not json", *UNDECODABLE_JSON.values()]:
+            path.write_bytes(text)
+            with pytest.raises(StreamFormatError, match=f"^{re.escape(str(path))}: invalid JSON"):
+                load_stream(tmp_path)
+        path.write_text("[1]")
+        with pytest.raises(StreamFormatError, match="manifest must be a JSON object$"):
             load_stream(tmp_path)
 
     def test_manifest_missing_key(self, tmp_path):

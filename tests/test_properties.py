@@ -1,10 +1,10 @@
 """Property tests for the decoders: on arbitrary bytes, and on
 single-byte mutations and truncations of valid files, a binary decoder
 either returns what its encoder writes back byte for byte or raises its
-documented error; load_stream does the same for generated manifest fields,
-and an experiment config for generated values in its fields. A continual
-run on a generated stream keeps its matrix, audit, memory and seed
-invariants.
+documented error; load_stream does the same for generated manifest fields
+and damaged manifest bytes, and an experiment config for generated values
+in its fields. A continual run on a generated stream keeps its matrix,
+audit, memory and seed invariants.
 
 decode_subject reads all records of a subject at once; the per-trial
 decoder it replaced is kept here as its reference, with the same rule
@@ -318,6 +318,24 @@ def test_load_stream_round_trips_or_raises_stream_format_error(stream_dir, manif
     assert [ds.subject_id for ds in stream] == [e["subject_id"] for e in manifest["subjects"]]
     save_stream(stream, stream_dir / "copy")
     assert streams_equal(load_stream(stream_dir / "copy"), stream)
+
+
+def test_load_stream_on_every_single_byte_damage_of_its_manifest(stream_dir):
+    # bytes past 0x7F among the edge values make the file invalid UTF-8
+    source = stream_dir / "stream"
+    valid = (json.dumps(VALID_MANIFEST, indent=2, sort_keys=True) + "\n").encode()
+    try:
+        for buf in every_single_byte_damage(valid):
+            (source / "manifest.json").write_bytes(buf)
+            try:
+                stream = load_stream(source)
+            except StreamFormatError:
+                continue
+            manifest = json.loads(buf)
+            assert [ds.subject_id for ds in stream] == [e["subject_id"]
+                                                        for e in manifest["subjects"]]
+    finally:
+        (source / "manifest.json").write_text(json.dumps(VALID_MANIFEST))
 
 
 VALID_EXPERIMENT = {
