@@ -1,6 +1,6 @@
 """Trainable classifiers over channels x time trials, with analytic gradients.
 
-Two small architectures share one interface: an MLP over flattened trials
+Two small architectures share one base, Network: an MLP over flattened trials
 and a shallow convolutional net (per-filter spatial weights -> temporal
 filters -> square -> mean-pool over time -> log -> dense head), whose convs
 run as matmuls, the temporal one against banded filter matrices. Parameters
@@ -37,8 +37,9 @@ _PARAMS_HEADER = struct.Struct("<4sI")
 class ModelConfig:
     """Architecture choice plus every size the networks need.
 
-    hidden applies to the mlp; n_filters/kernel_len to shallow_conv. The
-    weight-initialization seed is init_params' argument.
+    hidden applies to the mlp and n_filters/kernel_len to shallow_conv,
+    but every field is checked against its rule whatever the
+    architecture. The weight-initialization seed is init_params' argument.
     """
 
     architecture: str = "shallow_conv"
@@ -54,16 +55,14 @@ class ModelConfig:
         "n_channels": integer(1),
         "n_timepoints": integer(1),
         "n_classes": integer(2),
+        "hidden": integers(1),
         "n_filters": integer(1),
         "kernel_len": integer(1),
     }
-    HIDDEN = integers(1)
 
     def __post_init__(self):
         check_fields(self, "model", self.RULES)
-        if self.architecture == "mlp":
-            self.HIDDEN.check(self.hidden, "model hidden")
-        elif self.kernel_len > self.n_timepoints:
+        if self.architecture == "shallow_conv" and self.kernel_len > self.n_timepoints:
             raise ConfigError(
                 f"model kernel_len must be <= n_timepoints {self.n_timepoints}, "
                 f"got {self.kernel_len}"
@@ -86,9 +85,6 @@ class Layout(tuple):
             offset += size
         self.size = offset
         return self
-
-    def __reduce__(self):
-        return Layout, (tuple(self),)
 
     def views(self, vectors: np.ndarray) -> dict:
         """Name -> view of that block in an array of flat vectors, shape
@@ -174,23 +170,15 @@ def _check_trials(x: np.ndarray, config: ModelConfig, dtype=np.float64) -> np.nd
     return x
 
 
-class MlpNet:
-    """Fully connected tanh network over flattened trials."""
+class Network:
+    """What both networks share: their config, the parameter layout built
+    from their blocks, and a forward that checks its batch before running
+    the subclass's forward_cached. Each subclass defines forward_cached and
+    backward itself."""
 
-    # train() keeps a stage's trials sample-major, (n, channels, time), so
-    # that flattening a gathered batch is a free reshape.
-    trial_axis = 0
-
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, blocks):
         self.config = config
-        sizes = [config.n_channels * config.n_timepoints, *config.hidden, config.n_classes]
-        blocks = []
-        for i in range(len(sizes) - 1):
-            fan_in, fan_out = sizes[i], sizes[i + 1]
-            blocks.append((f"w{i}", (fan_out, fan_in), (fan_in, fan_out)))
-            blocks.append((f"b{i}", (fan_out,), None))
         self.layout = Layout(blocks)
-        self._n_layers = len(sizes) - 1
 
     @property
     def n_params(self) -> int:
@@ -198,6 +186,27 @@ class MlpNet:
 
     def init_params(self, seed: int) -> Params:
         return _glorot_init(self.layout, seed)
+
+    def forward(self, params: Params, x: np.ndarray) -> np.ndarray:
+        return self.forward_cached(params, _check_trials(x, self.config))[0]
+
+
+class MlpNet(Network):
+    """Fully connected tanh network over flattened trials."""
+
+    # train() keeps a stage's trials sample-major, (n, channels, time), so
+    # that flattening a gathered batch is a free reshape.
+    trial_axis = 0
+
+    def __init__(self, config: ModelConfig):
+        sizes = [config.n_channels * config.n_timepoints, *config.hidden, config.n_classes]
+        blocks = []
+        for i in range(len(sizes) - 1):
+            fan_in, fan_out = sizes[i], sizes[i + 1]
+            blocks.append((f"w{i}", (fan_out, fan_in), (fan_in, fan_out)))
+            blocks.append((f"b{i}", (fan_out,), None))
+        super().__init__(config, blocks)
+        self._n_layers = len(sizes) - 1
 
     def forward_cached(self, params: Params, x: np.ndarray):
         """Logits and the cache backward needs, for a float64 batch of
@@ -210,9 +219,6 @@ class MlpNet:
         last = self._n_layers - 1
         logits = a @ params.view(f"w{last}").T + params.view(f"b{last}")
         return logits, acts
-
-    def forward(self, params: Params, x: np.ndarray) -> np.ndarray:
-        return self.forward_cached(params, _check_trials(x, self.config))[0]
 
     def backward(
         self, params: Params, cache, dlogits: np.ndarray, per_sample: bool = False
@@ -232,7 +238,7 @@ class MlpNet:
         return grad
 
 
-class ShallowConvNet:
+class ShallowConvNet(Network):
     """Per-filter spatial weights, temporal filters, square, mean-pool, log.
 
     The squared-then-log band-power pipeline makes the features scale like
@@ -254,26 +260,16 @@ class ShallowConvNet:
     trial_axis = 1
 
     def __init__(self, config: ModelConfig):
-        self.config = config
         k, length = config.n_filters, config.kernel_len
         c, n_classes = config.n_channels, config.n_classes
-        self.layout = Layout(
-            [
-                ("temporal", (k, length), (length, k)),
-                ("spatial", (k, c), (c, k)),
-                ("spatial_bias", (k,), None),
-                ("head", (n_classes, k), (k, n_classes)),
-                ("head_bias", (n_classes,), None),
-            ]
-        )
+        super().__init__(config, [
+            ("temporal", (k, length), (length, k)),
+            ("spatial", (k, c), (c, k)),
+            ("spatial_bias", (k,), None),
+            ("head", (n_classes, k), (k, n_classes)),
+            ("head_bias", (n_classes,), None),
+        ])
         self.n_windows = config.n_timepoints - config.kernel_len + 1
-
-    @property
-    def n_params(self) -> int:
-        return self.layout.size
-
-    def init_params(self, seed: int) -> Params:
-        return _glorot_init(self.layout, seed)
 
     def forward_cached(self, params: Params, x: np.ndarray):
         """Logits and the cache backward needs, for a float64 batch of
@@ -289,9 +285,6 @@ class ShallowConvNet:
         feats = np.log(power + LOG_EPS)
         logits = feats @ params.view("head").T + params.view("head_bias")
         return logits, (xc, z, band, s, power, feats)
-
-    def forward(self, params: Params, x: np.ndarray) -> np.ndarray:
-        return self.forward_cached(params, _check_trials(x, self.config))[0]
 
     def backward(
         self, params: Params, cache, dlogits: np.ndarray, per_sample: bool = False

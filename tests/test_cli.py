@@ -525,6 +525,8 @@ class TestRunCommand:
         ({"model": 5}, "model config must be a JSON object, got int"),
         ({"model": {"architecture": "mlp", "hidden": 5}},
          "model hidden must be a non-empty list of integers >= 1, got 5"),
+        ({"model": {"hidden": "abc"}},
+         "model hidden must be a non-empty list of integers >= 1, got 'abc'"),
         ({"seeds": ["a"]}, "seeds must be a non-empty list of integers >= 0, got ['a']"),
         ({"seeds": [-1]}, "seeds must be a non-empty list of integers >= 0, got [-1]"),
         ({"seeds": [1.7]}, "seeds must be a non-empty list of integers >= 0, got [1.7]"),
@@ -540,7 +542,8 @@ class TestRunCommand:
         "stream_key_unknown", "max_epochs_string",
         "max_epochs_fraction", "learning_rate_null", "batch_size_bool", "shuffle_seed_negative",
         "shuffle_seed_given", "n_filters_string", "kernel_len_fraction", "model_seed_negative",
-        "model_seed_given", "model_not_object", "hidden_not_list", "seed_string",
+        "model_seed_given", "model_not_object", "hidden_not_list",
+        "hidden_not_list_for_shallow_conv", "seed_string",
         "seed_negative", "seed_fraction", "seed_bool", "seeds_null", "two_stream_sources",
         "kind_listed_twice",
     ])
