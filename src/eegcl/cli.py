@@ -14,7 +14,8 @@ Subcommands:
   pool workers (never more than there are runs), uses that decoded stream.
   A run that fails numerically is named on stderr and left out; the others
   are still written, and the command exits 4. An --out that already holds
-  an earlier run's reports, matrix CSVs or summary exits 2 untouched.
+  an earlier run's reports, matrix CSVs or summary, or that names an
+  existing file, exits 2 untouched.
 - ``report DIR [--curve subject=I]``: aggregate existing reports into a
   per-strategy forgetting-curve CSV for one subject.
 
@@ -293,6 +294,9 @@ def cmd_run(args) -> int:
         if earlier:
             raise ConfigError(f"--out {out} already holds an earlier run's outputs "
                               f"({earlier[0]}); choose a new or empty directory")
+    elif out.exists():
+        raise ConfigError(f"--out {out} exists and is not a directory; "
+                          "choose a new or empty directory")
     if config.generator is not None:
         stream = gen_stream(config.generator)
     else:

@@ -429,6 +429,26 @@ class TestRunCommand:
         assert err.startswith(f"error: --out {out} ") and "matrix_sft_0.csv" in err
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
+    @pytest.mark.parametrize("stream_kind", ["generator", "path"])
+    def test_out_naming_a_file_exits_2_before_the_stream_is_read(self, tmp_path, capsys,
+                                                                 monkeypatch, stream_kind):
+        stream = ({"generator": gen_config()} if stream_kind == "generator"
+                  else {"path": str(gen_stream_dir(tmp_path))})
+        config = write_json(tmp_path / "exp.json", experiment_config(stream=stream))
+        out = tmp_path / "results"
+        out.write_text("kept\n")
+
+        def refused(*args):
+            raise AssertionError("the stream was generated or decoded")
+
+        monkeypatch.setattr(eegcl.cli, "gen_stream", refused)
+        monkeypatch.setattr(eegcl.cli, "load_stream", refused)
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: --out {out} exists and is not a directory; "
+                                           "choose a new or empty directory\n")
+        assert out.read_text() == "kept\n"
+
     @UNDECODABLE
     def test_undecodable_config_exits_2(self, tmp_path, capsys, text):
         config = tmp_path / "exp.json"
