@@ -11,15 +11,16 @@ the default shape, run seed 0, 2 epochs a stage:
   and PCED writes on the same stream, and the curve CSV that
   ``eegcl report --curve subject=2`` then writes.
 
-The bits depend on the numpy and BLAS build, so ``golden_runs.json`` keeps
-the build that made them beside the digests, and ``test_golden_runs.py``
-skips on any other build. A change that alters results on purpose refreshes
-both in one step:
+The bits depend on the numpy and BLAS build and on the CPU kernel OpenBLAS
+picks at run time, so ``golden_runs.json`` keeps the build and kernel that
+made them beside the digests, and ``test_golden_runs.py`` skips on any
+other. A change that alters results on purpose refreshes both in one step:
 
     PYTHONPATH=src python3 tests/golden_runs.py > tests/golden_runs.json
 """
 
 import contextlib
+import ctypes
 import hashlib
 import json
 import sys
@@ -46,10 +47,27 @@ TRAIN = {"max_epochs": 2}
 SEED = 0
 
 
+def blas_core():
+    """The CPU kernel numpy's bundled OpenBLAS picked at run time (for
+    example "SkylakeX"), or None without that library or its query. The
+    build-time config that np.show_config reports does not name it, and
+    gemm bits follow the kernel."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
 def build_stamp() -> dict:
-    """The numpy version and the BLAS name and version numpy was built with."""
+    """The numpy version, the BLAS name and version numpy was built with,
+    and the BLAS kernel that runs."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__, "blas": blas["name"], "blas_version": blas["version"]}
+    return {"numpy": np.__version__, "blas": blas["name"], "blas_version": blas["version"],
+            "blas_core": blas_core()}
 
 
 def sha256(data: bytes) -> str:

@@ -24,8 +24,9 @@ def same_build():
     stamp = build_stamp()
     if stamp != made_with:
         pytest.skip(f"golden digests were made with {made_with['blas']} "
-                    f"{made_with['blas_version']}, this numpy uses {stamp['blas']} "
-                    f"{stamp['blas_version']}")
+                    f"{made_with['blas_version']} running its {made_with['blas_core']} "
+                    f"kernel, this numpy uses {stamp['blas']} {stamp['blas_version']} "
+                    f"running {stamp['blas_core']}")
 
 
 def expected(prefix):
