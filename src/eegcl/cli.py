@@ -9,15 +9,17 @@ Subcommands:
   stream.
 - ``run --config PATH --out DIR [--jobs K]``: run an experiment config
   (strategies x seeds) over a stream, writing one JSON report and one
-  accuracy-matrix CSV per run plus an aggregate summary. The stream is
-  generated or decoded once; every run, in process or in one of at most K
-  pool workers (never more than there are runs), uses that decoded stream.
-  A run that fails numerically is named on stderr and left out; the others
-  are still written, and the command exits 4. An --out that already holds
-  an earlier run's reports, matrix CSVs or summary, or that names an
-  existing file, exits 2 untouched.
+  accuracy-matrix CSV per run, each once it and every earlier run have
+  finished, then an aggregate summary. The stream is generated or decoded
+  once; every run, in process or in one of at most K pool workers (never
+  more than there are runs), uses that decoded stream. A run that fails
+  numerically is named on stderr and left out; the others are still
+  written, and the command exits 4.
 - ``report DIR [--curve subject=I]``: aggregate existing reports into a
   per-strategy forgetting-curve CSV for one subject.
+
+An --out that is or lies under a file, or, for ``run``, that holds an
+earlier run's reports, matrix CSVs or summary, exits 2 before any work.
 
 Exit codes: 0 success, 2 usage/config error, 3 I/O or format error,
 4 numerical failure. Output is plain text; the summary header is bolded
@@ -34,6 +36,7 @@ import logging
 import os
 import re
 import sys
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -196,21 +199,29 @@ def _share_stream(stream: Stream) -> None:
     _worker_stream = stream
 
 
-def _run_task(strategy: Strategy, model_cfg: ModelConfig, train_cfg: TrainConfig,
-              run_seed: int) -> RunRecord:
-    return run_continual(_worker_stream, strategy, model_cfg, train_cfg, run_seed=run_seed)
-
-
-def _outcome(call):
-    """call()'s result, or the numerical error that stopped it, so that one
-    failed run leaves the others' reports standing."""
+def _run_task(strategy: Strategy, seed: int, model_cfg: ModelConfig, train_cfg: TrainConfig,
+              stream: Stream | None = None) -> RunRecord | Exception:
+    """One `run` task over stream, or over this pool worker's stream when
+    none is given: its RunRecord, or the numerical error that stopped it,
+    so that one failed run leaves the others' reports standing."""
     try:
-        return call()
+        return run_continual(_worker_stream if stream is None else stream, strategy,
+                             model_cfg, train_cfg, run_seed=seed)
     except _NUMERICAL_ERRORS as exc:
         return exc
 
 
+def _check_out(out: Path) -> None:
+    """Refuse, before any work, an --out that is or lies under a file."""
+    nearest = next(path for path in (out, *out.parents) if path.exists())
+    if not nearest.is_dir():
+        under = "" if nearest == out else f"is under {nearest}, which "
+        raise ConfigError(f"--out {out} {under}exists and is not a directory; "
+                          "choose a new or empty directory")
+
+
 def cmd_gen(args) -> int:
+    _check_out(Path(args.out))
     data = read_json_object(args.config, "config", ConfigError)
     config = _build_dataclass(StreamConfig, data, "stream config")
     stream = gen_stream(config)  # config was checked when built, before any output
@@ -230,6 +241,7 @@ def cmd_align(args) -> int:
     trials; val and test trials are whitened with the same matrix. The
     aligned stream is written in the normal stream format.
     """
+    _check_out(Path(args.out))
     if args.eps is not None:
         EIG_FLOOR.check(args.eps, "--eps")
     stream = load_stream(args.stream)
@@ -286,17 +298,15 @@ def _bold(text: str) -> str:
 
 
 def cmd_run(args) -> int:
-    integer(1).check(args.jobs, "--jobs")
-    config = parse_experiment_config(read_json_object(args.config, "config", ConfigError))
     out = Path(args.out)
+    _check_out(out)
     if out.is_dir():
         earlier = sorted(p.name for p in out.iterdir() if _RUN_OUTPUT_RE.match(p.name))
         if earlier:
             raise ConfigError(f"--out {out} already holds an earlier run's outputs "
                               f"({earlier[0]}); choose a new or empty directory")
-    elif out.exists():
-        raise ConfigError(f"--out {out} exists and is not a directory; "
-                          "choose a new or empty directory")
+    integer(1).check(args.jobs, "--jobs")
+    config = parse_experiment_config(read_json_object(args.config, "config", ConfigError))
     if config.generator is not None:
         stream = gen_stream(config.generator)
     else:
@@ -317,54 +327,40 @@ def cmd_run(args) -> int:
         save_stream(stream, out / "stream")
         logger.info("generated stream of %d subjects at %s", len(stream), out / "stream")
 
-    tasks = [
-        (strategy, seed) for strategy in config.strategies for seed in config.seeds
-    ]
-    if args.jobs == 1 or len(tasks) == 1:
-        outcomes = [
-            _outcome(partial(run_continual, stream, strategy, model_cfg, config.train,
-                             run_seed=seed))
-            for strategy, seed in tasks
-        ]
-    else:
-        # Imported here: only this branch needs the pool and its
-        # multiprocessing machinery.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=min(args.jobs, len(tasks)), initializer=_share_stream,
-            initargs=(stream,),
-        ) as pool:
-            futures = [
-                pool.submit(_run_task, strategy, model_cfg, config.train, seed)
-                for strategy, seed in tasks
-            ]
-            outcomes = [_outcome(f.result) for f in futures]
-
+    tasks = [(strategy, seed) for strategy in config.strategies for seed in config.seeds]
     by_strategy: dict = {}
     failures = []
-    for (strategy, seed), record in zip(tasks, outcomes):
-        if isinstance(record, Exception):
-            failures.append(f"{strategy.kind} seed {seed}: {record}")
-            continue
-        kind = strategy.kind.lower()
-        report = record_to_json_dict(record)
-        (out / f"report_{kind}_{seed}.json").write_text(
-            json.dumps(report, sort_keys=True, indent=2) + "\n"
-        )
-        # the report's own cells, so that the JSON and the CSV cannot disagree
-        n = report["n_subjects"]
-        _write_csv(out / f"matrix_{kind}_{seed}.csv",
-                   [["stage", *(f"subject{i}" for i in range(1, n + 1))],
-                    *([stage, *row] for stage, row in enumerate(report["matrix"], 1))])
-        by_strategy.setdefault(strategy.kind, []).append(record)
-        logger.info(
-            "%s seed %d: acc %.4f bwt %s",
-            strategy.kind,
-            seed,
-            record.acc,
-            "n/a" if record.bwt is None else f"{record.bwt:+.4f}",
-        )
+    run = partial(_run_task, model_cfg=model_cfg, train_cfg=config.train)
+    with ExitStack() as stack:
+        if args.jobs == 1 or len(tasks) == 1:
+            outcomes = map(partial(run, stream=stream), *zip(*tasks))
+        else:
+            # Imported here: only this branch needs the pool and its
+            # multiprocessing machinery.
+            from concurrent.futures import ProcessPoolExecutor
+
+            outcomes = stack.enter_context(ProcessPoolExecutor(
+                max_workers=min(args.jobs, len(tasks)), initializer=_share_stream,
+                initargs=(stream,),
+            )).map(run, *zip(*tasks))
+        # in task order: a run's files are written once every earlier task ends
+        for (strategy, seed), record in zip(tasks, outcomes):
+            if isinstance(record, Exception):
+                failures.append(f"{strategy.kind} seed {seed}: {record}")
+                continue
+            kind = strategy.kind.lower()
+            report = record_to_json_dict(record)
+            (out / f"report_{kind}_{seed}.json").write_text(
+                json.dumps(report, sort_keys=True, indent=2) + "\n"
+            )
+            # the report's own cells, so that the JSON and the CSV cannot disagree
+            n = report["n_subjects"]
+            _write_csv(out / f"matrix_{kind}_{seed}.csv",
+                       [["stage", *(f"subject{i}" for i in range(1, n + 1))],
+                        *([stage, *row] for stage, row in enumerate(report["matrix"], 1))])
+            by_strategy.setdefault(strategy.kind, []).append(record)
+            logger.info("%s seed %d: acc %.4f bwt %s", strategy.kind, seed, record.acc,
+                        "n/a" if record.bwt is None else f"{record.bwt:+.4f}")
 
     rows = _summarize(by_strategy)
     header = ["strategy", "runs", "acc_mean", "acc_sd", "bwt_mean", "bwt_sd"]

@@ -21,6 +21,11 @@ from eegcl.linalg import covariance
 from helpers import UNDECODABLE_JSON
 
 
+class Interrupted(Exception):
+    """Stops a sweep part way; defined at module level so that a pool
+    worker's raise pickles back to the parent."""
+
+
 def write_json(path, data):
     path.write_text(json.dumps(data, indent=2))
     return path
@@ -341,10 +346,8 @@ class TestRunCommand:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = concurrent.futures.Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(eegcl.cli, "_worker_stream", None)
@@ -386,6 +389,38 @@ class TestRunCommand:
             a.pop("stage_seconds")
             b.pop("stage_seconds")
             assert a == b
+
+    def test_interrupted_sweep_keeps_the_runs_before_it(self, tmp_path, monkeypatch):
+        # The tasks run as SFT 0, SFT 1, PCED 0, PCED 1; the third raises,
+        # in this process at --jobs 1 and in a forked worker at --jobs 2.
+        config = write_json(tmp_path / "exp.json", experiment_config())
+        full = tmp_path / "full"
+        assert main(["run", "--config", str(config), "--out", str(full)]) == 0
+        run_continual = eegcl.cli.run_continual
+
+        def interrupted(stream, strategy, *args, run_seed):
+            if (strategy.kind, run_seed) == ("PCED", 0):
+                raise Interrupted
+            return run_continual(stream, strategy, *args, run_seed=run_seed)
+
+        def without_stage_seconds(path):
+            data = json.loads(path.read_text())
+            del data["stage_seconds"]
+            return json.dumps(data, sort_keys=True)
+
+        monkeypatch.setattr(eegcl.cli, "run_continual", interrupted)
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            with pytest.raises(Interrupted):
+                main(["run", "--config", str(config), "--out", str(out), "--jobs", jobs])
+            assert sorted(p.name for p in out.iterdir()) == [
+                "matrix_sft_0.csv", "matrix_sft_1.csv", "report_sft_0.json",
+                "report_sft_1.json", "stream",
+            ]
+            for name in ("matrix_sft_0.csv", "matrix_sft_1.csv"):
+                assert (out / name).read_bytes() == (full / name).read_bytes()
+            for name in ("report_sft_0.json", "report_sft_1.json"):
+                assert without_stage_seconds(out / name) == without_stage_seconds(full / name)
 
     @pytest.mark.parametrize("stream_kind", ["generator", "path"])
     def test_stream_is_decoded_at_most_once(self, tmp_path, monkeypatch, stream_kind):
@@ -730,6 +765,38 @@ class TestRunCommand:
         assert not (tmp_path / "aligned").exists()
 
 
+class TestOutPath:
+    @pytest.mark.parametrize("where", ["file", "under_file"])
+    @pytest.mark.parametrize("command", ["gen", "align", "run"])
+    def test_out_that_cannot_be_a_directory_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch, command, where):
+        stream_dir = gen_stream_dir(tmp_path)
+        argv = {
+            "gen": ["gen", "--config", str(tmp_path / "gen.json")],
+            "align": ["align", "--stream", str(stream_dir)],
+            "run": ["run", "--config", str(write_json(tmp_path / "exp.json", experiment_config(
+                stream={"path": str(stream_dir)})))],
+        }[command]
+        file = tmp_path / "results"
+        file.write_text("kept\n")
+        out = file if where == "file" else file / "sub"
+
+        def refused(*args):
+            raise AssertionError("the stream was generated or decoded")
+
+        monkeypatch.setattr(eegcl.cli, "gen_stream", refused)
+        monkeypatch.setattr(eegcl.cli, "load_stream", refused)
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err == (f"error: --out {out} exists and is not a directory; "
+                               "choose a new or empty directory\n" if where == "file" else
+                               f"error: --out {out} is under {file}, which exists and is "
+                               "not a directory; choose a new or empty directory\n")
+        assert file.read_text() == "kept\n"
+
+
 class TestParseExperimentConfig:
     def test_strategy_objects_with_overrides(self):
         cfg = parse_experiment_config(experiment_config(
@@ -885,22 +952,29 @@ class TestProcessEntry:
         assert gc.get_freeze_count() == frozen
 
     def test_process_entry_freezes_and_skips_the_pool_import(self, tmp_path):
-        config = write_json(tmp_path / "gen.json", gen_config())
+        # `run` at the default --jobs 1 runs its task in process, without the pool
+        configs = {
+            "gen": write_json(tmp_path / "gen.json", gen_config()),
+            "run": write_json(tmp_path / "exp.json", experiment_config(
+                strategies=["SFT"], seeds=[0]
+            )),
+        }
         probe = (
             "import gc, sys\n"
             "import eegcl.cli\n"
-            "sys.argv = ['eegcl', 'gen', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+            "sys.argv = ['eegcl', *sys.argv[1:2], '--config', sys.argv[2], '--out', sys.argv[3]]\n"
             "code = eegcl.cli.main()\n"
             "print(code, gc.get_freeze_count() > 0, 'concurrent.futures.process' in sys.modules)\n"
         )
         src = str(Path(eegcl.cli.__file__).resolve().parents[1])
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "PYTHONPATH": path}
-        out = subprocess.run(
-            [sys.executable, "-c", probe, str(config), str(tmp_path / "s")],
-            capture_output=True, text=True, env=env, timeout=60, check=True,
-        ).stdout
-        assert out.splitlines()[-1] == "0 True False"
+        for command, config in configs.items():
+            out = subprocess.run(
+                [sys.executable, "-c", probe, command, str(config), str(tmp_path / command)],
+                capture_output=True, text=True, env=env, timeout=60, check=True,
+            ).stdout
+            assert out.splitlines()[-1] == "0 True False"
 
     def test_module_entry_logs_under_the_package_name(self, tmp_path):
         config = write_json(tmp_path / "exp.json", experiment_config(
