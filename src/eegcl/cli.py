@@ -339,10 +339,14 @@ def cmd_run(args) -> int:
             # multiprocessing machinery.
             from concurrent.futures import ProcessPoolExecutor
 
-            outcomes = stack.enter_context(ProcessPoolExecutor(
+            pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=min(args.jobs, len(tasks)), initializer=_share_stream,
                 initargs=(stream,),
-            )).map(run, *zip(*tasks))
+            ))
+            # Runs before the pool's own exit, so a loop that stops early (a
+            # write that fails) cancels the tasks no worker has taken yet.
+            stack.callback(pool.shutdown, cancel_futures=True)
+            outcomes = pool.map(run, *zip(*tasks))
         # in task order: a run's files are written once every earlier task ends
         for (strategy, seed), record in zip(tasks, outcomes):
             if isinstance(record, Exception):

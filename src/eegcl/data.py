@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
 
@@ -24,7 +24,6 @@ import numpy as np
 from .errors import (
     BOOL,
     ConfigError,
-    EmptyInputError,
     ShapeError,
     StratificationError,
     StreamFormatError,
@@ -46,7 +45,7 @@ CLASS_LIMIT = 0xFFFF
 
 # Redraw threshold for the per-subject mixing matrix determinant.
 _LOG_DET_MIN = math.log(1e-3)
-# Share of each class gen_stream tags train; split_subject splits the rest.
+# Share of each class gen_stream tags train; val and test split the rest.
 TRAIN_FRAC = 0.7
 
 
@@ -300,40 +299,28 @@ def streams_equal(a: Stream, b: Stream) -> bool:
     )
 
 
-def split_subject(dataset: SubjectDataset, train_frac: float, seed: int) -> SubjectDataset:
-    """Retag a subject's trials with a stratified train/val/test split.
-
-    Per class, floor(train_frac * n) trials go to train; the leftovers
-    alternate val, test. The alternation counter starts at val and carries
-    across classes so that val and test end up the same size overall
-    (a per-class restart would bias the totals toward val whenever the
-    per-class remainder is odd). Trials keep their order; only tags change.
-    """
-    if not 0.0 < train_frac < 1.0:
-        raise ConfigError(f"train_frac must be in (0, 1), got {train_frac}")
-    if not dataset.n_trials:
-        raise EmptyInputError("cannot split a subject with no trials")
+def _split_tags(labels: np.ndarray, seed: int) -> np.ndarray:
+    """A generated subject's uint8 split tags: per class, a shuffled
+    floor(TRAIN_FRAC * n) trials go to train and the rest alternate val,
+    test. The alternation carries across classes, starting at val, so val
+    and test end up the same size overall (a per-class restart would bias
+    the totals toward val whenever a class's remainder is odd)."""
     rng = np.random.default_rng(seed)
-    tags = np.full(dataset.n_trials, Split.TRAIN, dtype=np.uint8)
+    tags = np.full(len(labels), Split.TRAIN, dtype=np.uint8)
     next_is_val = True
-    for label in sorted(set(dataset.labels.tolist())):
-        order = np.flatnonzero(dataset.labels == label)
+    for label in sorted(set(labels.tolist())):
+        order = np.flatnonzero(labels == label)
         if len(order) < 3:
             raise StratificationError(
                 f"class {label} has only {len(order)} trials; "
                 f"need at least 3 to cover train/val/test"
             )
         rng.shuffle(order)
-        n_train = int(math.floor(train_frac * len(order)))
-        if n_train == 0:
-            raise StratificationError(
-                f"train_frac {train_frac} leaves class {label} with no training trials"
-            )
-        rest = order[n_train:]
+        rest = order[int(math.floor(TRAIN_FRAC * len(order))):]
         is_val = np.arange(len(rest)) % 2 == (0 if next_is_val else 1)
         tags[rest] = np.where(is_val, Split.VAL, Split.TEST)
         next_is_val ^= len(rest) % 2 == 1
-    return replace(dataset, split=tags)
+    return tags
 
 
 def _draw_mixing(rng: np.random.Generator, n_channels: int, scale: float) -> np.ndarray:
@@ -411,14 +398,16 @@ def gen_stream(config: StreamConfig) -> Stream:
             noise *= config.noise_sigma
             x += noise
             x = np.matmul(mixing, x, out=noise).astype(np.float32)
-            ds = SubjectDataset(k, x, labels, np.arange(n), np.zeros(n))
+            # The split seed is drawn after the subject's samples.
+            tags = _split_tags(labels, int(rng.integers(0, 2**32 - 1)))
+            subjects.append(SubjectDataset(k, x, labels, np.arange(n), tags))
+        except StratificationError:
+            raise  # a class too small to split, not a mixing or noise fault
         except ValueError as exc:
             raise ConfigError(
                 f"generator mixing_scale {config.mixing_scale} and noise_sigma "
                 f"{config.noise_sigma} give samples that are not finite float32 ({exc})"
             ) from exc
-        split_seed = int(rng.integers(0, 2**32 - 1))
-        subjects.append(split_subject(ds, TRAIN_FRAC, split_seed))
     return Stream(
         subjects=tuple(subjects),
         n_channels=c,

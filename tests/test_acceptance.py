@@ -162,6 +162,7 @@ def test_03_analytic_gradients_match_finite_differences():
     )
 
 
+@pytest.mark.slow
 def test_04_reservoir_retention_is_uniform_and_literal_rule_is_not():
     capacity, n_items, n_reps = 10, 1000, 20000
     data = np.zeros((1, 1), dtype=np.float32)

@@ -1,10 +1,12 @@
 import concurrent.futures
+import errno
 import gc
 import json
 import os
 import struct
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -146,6 +148,13 @@ class TestGen:
         config = write_json(tmp_path / "gen.json", {"n_subjects": 1, **overflow})
         assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
         assert_overflow_refused(capsys.readouterr().err)
+        assert not (tmp_path / "s").exists()
+
+    def test_class_too_small_to_split_exits_2(self, tmp_path, capsys):
+        config = write_json(tmp_path / "gen.json", gen_config(trials_per_subject=4))
+        assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: class 0 has only 2 trials;") and err.count("\n") == 1
         assert not (tmp_path / "s").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path):
@@ -349,6 +358,9 @@ class TestRunCommand:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                pass
+
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(eegcl.cli, "_worker_stream", None)
         config = write_json(tmp_path / "exp.json", experiment_config())  # 2 x 2 tasks
@@ -421,6 +433,35 @@ class TestRunCommand:
                 assert (out / name).read_bytes() == (full / name).read_bytes()
             for name in ("report_sft_0.json", "report_sft_1.json"):
                 assert without_stage_seconds(out / name) == without_stage_seconds(full / name)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_failed_write_starts_no_further_runs(self, tmp_path, capsys, monkeypatch, jobs):
+        # 12 tasks of 0.1 s each; the first run's matrix CSV cannot be
+        # written. Each task marks its start with a file, so that a forked
+        # worker's start is seen here too.
+        started = tmp_path / "started"
+        started.mkdir()
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            strategies=["SFT", "ER", "EWC", "PCED"], seeds=[0, 1, 2]
+        ))
+        run_continual = eegcl.cli.run_continual
+
+        def slow(stream, strategy, *args, run_seed):
+            (started / f"{strategy.kind}_{run_seed}").touch()
+            time.sleep(0.1)
+            return run_continual(stream, strategy, *args, run_seed=run_seed)
+
+        def disk_full(path, rows):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(eegcl.cli, "run_continual", slow)
+        monkeypatch.setattr(eegcl.cli, "_write_csv", disk_full)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out), "--jobs", jobs]) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        # --jobs 1 runs its tasks lazily; the pool has a few queued ahead
+        n_started = len(list(started.iterdir()))
+        assert n_started == 1 if jobs == "1" else n_started < 12
 
     @pytest.mark.parametrize("stream_kind", ["generator", "path"])
     def test_stream_is_decoded_at_most_once(self, tmp_path, monkeypatch, stream_kind):

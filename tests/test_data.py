@@ -23,8 +23,8 @@ from eegcl.data import (
     decode_subject,
     encode_subject,
     load_stream,
+    _split_tags,
     save_stream,
-    split_subject,
     streams_equal,
     trials_equal,
 )
@@ -65,7 +65,7 @@ def counts_by_split(dataset):
 
 
 def per_trial_split(labels, train_frac, seed):
-    """split_subject's tags as the per-class loop over trial indices that
+    """_split_tags's tags as the per-class loop over trial indices that
     the index-array version replaced."""
     by_class = {}
     for idx, label in enumerate(labels):
@@ -222,7 +222,7 @@ class TestSubjectDataset:
         assert not block.flags.writeable
 
     def test_trials_are_built_from_the_rows(self):
-        ds = split_subject(balanced(5, n_classes=3, n_channels=3, n_timepoints=6), 0.6, seed=1)
+        ds = generator_split(balanced(5, n_classes=3, n_channels=3, n_timepoints=6), seed=1)
         trials = ds.trials
         assert len(trials) == 15
         for i, t in enumerate(trials):
@@ -251,16 +251,21 @@ class TestSubjectDataset:
             replace(ds, split=[Split.TRAIN] * 3)
 
 
+def generator_split(ds, seed):
+    """ds retagged as gen_stream tags a subject."""
+    return replace(ds, split=_split_tags(ds.labels, seed))
+
+
 class TestSplitSubject:
     def test_hundred_trials_give_70_15_15(self):
-        out = split_subject(balanced(50), 0.7, seed=0)
+        out = generator_split(balanced(50), seed=0)
         assert counts_by_split(out) == {Split.TRAIN: 70, Split.VAL: 15, Split.TEST: 15}
 
     def test_ten_per_class_counts(self):
         # floor gives 7 train per class; the leftover alternation starts at
         # val and carries across classes, so class 0 gets 2 val / 1 test and
         # class 1 gets 1 val / 2 test.
-        out = split_subject(balanced(10), 0.7, seed=0)
+        out = generator_split(balanced(10), seed=0)
         per_class = {0: {}, 1: {}}
         for t, s in zip(out.trials, out.split):
             per_class[t.class_label][s] = per_class[t.class_label].get(s, 0) + 1
@@ -270,37 +275,27 @@ class TestSplitSubject:
 
     def test_same_seed_same_tags(self):
         ds = balanced(10, n_classes=3)
-        a, b = split_subject(ds, 0.6, seed=9), split_subject(ds, 0.6, seed=9)
-        assert np.array_equal(a.split, b.split)
+        a, b = _split_tags(ds.labels, seed=9), _split_tags(ds.labels, seed=9)
+        assert a.dtype == np.uint8 and np.array_equal(a, b)
 
     def test_trials_untouched_only_tags_change(self):
         ds = balanced(6)
-        out = split_subject(ds, 0.5, seed=4)
+        out = generator_split(ds, seed=4)
         assert out.subject_id == ds.subject_id
         assert len(out.trials) == len(ds.trials)
         for a, b in zip(ds.trials, out.trials):
             assert trials_equal(a, b)
 
     def test_every_class_reaches_train(self):
-        out = split_subject(balanced(3, n_classes=3), 0.4, seed=1)
+        out = generator_split(balanced(3, n_classes=3), seed=1)
         train_labels = {t.class_label for t in out.trials_for(Split.TRAIN)}
         assert train_labels == {0, 1, 2}
 
     def test_class_below_three_trials_rejected(self):
         # labels cycle 0,1,0,1,0 so class 1 ends up with only two trials
         ds = subject(5)
-        with pytest.raises(StratificationError):
-            split_subject(ds, 0.7, seed=0)
-
-    def test_zero_train_fraction_for_a_class_rejected(self):
-        with pytest.raises(StratificationError):
-            split_subject(balanced(3), 0.2, seed=0)  # floor(0.2 * 3) == 0
-
-    def test_bad_train_frac_rejected(self):
-        ds = balanced(5)
-        for frac in (0.0, 1.0, -0.5, 1.5):
-            with pytest.raises(ConfigError):
-                split_subject(ds, frac, seed=0)
+        with pytest.raises(StratificationError, match="class 1 has only 2 trials"):
+            _split_tags(ds.labels, seed=0)
 
 
 class TestStreamConfig:
@@ -449,6 +444,24 @@ class TestGenStream:
         assert stream.seed == 11
         assert [ds.subject_id for ds in stream] == [0, 1]
 
+    def test_each_subject_is_built_once(self, monkeypatch):
+        calls = []
+        post_init = SubjectDataset.__post_init__
+
+        def counting(ds):
+            calls.append(ds.subject_id)
+            post_init(ds)
+
+        monkeypatch.setattr(SubjectDataset, "__post_init__", counting)
+        gen_stream(StreamConfig(n_subjects=3))
+        assert calls == [0, 1, 2]
+
+    def test_class_too_small_to_split_is_a_stratification_error(self):
+        # Labels 0, 1, 0, 1: the StratificationError is a ValueError, and
+        # must not surface as the mixing/noise ConfigError.
+        with pytest.raises(StratificationError, match="class 0 has only 2 trials"):
+            gen_stream(StreamConfig(trials_per_subject=4))
+
     def test_all_splits_present_per_subject(self):
         stream = gen_stream(
             StreamConfig(n_subjects=2, n_channels=3, n_timepoints=12,
@@ -479,7 +492,7 @@ class TestStreamValidation:
 
 class TestSubjectCodec:
     def test_round_trip(self):
-        ds = split_subject(balanced(5), 0.7, seed=0)
+        ds = generator_split(balanced(5), seed=0)
         out, n_classes = decode_subject(encode_subject(ds, 2), ds.subject_id)
         assert n_classes == 2
         assert np.array_equal(out.split, ds.split)
