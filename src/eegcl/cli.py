@@ -14,12 +14,14 @@ Subcommands:
   once; every run, in process or in one of at most K pool workers (never
   more than there are runs), uses that decoded stream. A run that fails
   numerically is named on stderr and left out; the others are still
-  written, and the command exits 4.
+  written, and the command exits 4. A pool worker that dies stops the
+  sweep with exit 3, naming the first run whose result never came.
 - ``report DIR [--curve subject=I]``: aggregate existing reports into a
   per-strategy forgetting-curve CSV for one subject.
 
-An --out that is or lies under a file, or, for ``run``, that holds an
-earlier run's reports, matrix CSVs or summary, exits 2 before any work.
+An --out that is or lies under a file, for ``align``, that is the --stream
+directory, or, for ``run``, that holds an earlier run's reports, matrix CSVs
+or summary, exits 2 before any work.
 
 Exit codes: 0 success, 2 usage/config error, 3 I/O or format error,
 4 numerical failure. Output is plain text; the summary header is bolded
@@ -242,6 +244,9 @@ def cmd_align(args) -> int:
     aligned stream is written in the normal stream format.
     """
     _check_out(Path(args.out))
+    if Path(args.out).resolve() == Path(args.stream).resolve():
+        raise ConfigError(f"--out {args.out} is the --stream directory {args.stream}; "
+                          "choose another directory for the aligned stream")
     if args.eps is not None:
         EIG_FLOOR.check(args.eps, "--eps")
     stream = load_stream(args.stream)
@@ -331,6 +336,9 @@ def cmd_run(args) -> int:
     by_strategy: dict = {}
     failures = []
     run = partial(_run_task, model_cfg=model_cfg, train_cfg=config.train)
+    # What the outcomes raise once a pool worker has died (the OS killed it,
+    # say); nothing in process.
+    worker_died: tuple = ()
     with ExitStack() as stack:
         if args.jobs == 1 or len(tasks) == 1:
             outcomes = map(partial(run, stream=stream), *zip(*tasks))
@@ -338,6 +346,9 @@ def cmd_run(args) -> int:
             # Imported here: only this branch needs the pool and its
             # multiprocessing machinery.
             from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
+
+            worker_died = (BrokenProcessPool,)
 
             pool = stack.enter_context(ProcessPoolExecutor(
                 max_workers=min(args.jobs, len(tasks)), initializer=_share_stream,
@@ -348,7 +359,15 @@ def cmd_run(args) -> int:
             stack.callback(pool.shutdown, cancel_futures=True)
             outcomes = pool.map(run, *zip(*tasks))
         # in task order: a run's files are written once every earlier task ends
-        for (strategy, seed), record in zip(tasks, outcomes):
+        for strategy, seed in tasks:
+            try:
+                record = next(outcomes)
+            except worker_died:
+                # an OSError, so it exits 3 as a failed write does
+                raise ChildProcessError(
+                    f"a pool worker died before the {strategy.kind} seed {seed} run returned; "
+                    "the runs before it are written, and no summary.csv"
+                ) from None
             if isinstance(record, Exception):
                 failures.append(f"{strategy.kind} seed {seed}: {record}")
                 continue

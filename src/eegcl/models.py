@@ -420,26 +420,10 @@ def check_batch(model, x: np.ndarray, labels, dtype=np.float64) -> tuple:
     return x, _check_labels(labels, model.config.n_classes, x.shape[0])
 
 
-def loss_and_gradient(model, params: Params, x: np.ndarray, labels, penalty=None):
-    """Cross-entropy loss and its flat gradient for one batch.
-
-    penalty, when given, is called with the flat parameter vector and must
-    return (scalar, gradient vector); both are added to the loss terms.
-    """
+def loss_and_gradient(model, params: Params, x: np.ndarray, labels):
+    """Mean cross-entropy loss and its flat gradient for one batch."""
     x, labels = check_batch(model, x, labels)
-    return unchecked_loss_and_gradient(model, params, x, labels, penalty)
-
-
-def unchecked_loss_and_gradient(model, params: Params, x: np.ndarray, labels, penalty=None):
-    """loss_and_gradient of a batch that check_batch has already passed:
-    x a float64 (n, channels, time) array, possibly a transposed view, and
-    labels int64 class indices. The arithmetic is loss_and_gradient's."""
-    loss, grad = _cross_entropy_backward(model, params, x, labels, per_sample=False)
-    if penalty is not None:
-        p_loss, p_grad = penalty(params.vector)
-        loss = loss + float(p_loss)
-        grad += p_grad
-    return loss, grad
+    return unchecked_loss_and_gradient(model, params, x, labels)
 
 
 def gradient(
@@ -451,10 +435,14 @@ def gradient(
     trial i's own cross-entropy, from one batched forward/backward pass.
     """
     x, labels = check_batch(model, x, labels)
-    return _cross_entropy_backward(model, params, x, labels, per_sample)[1]
+    return unchecked_loss_and_gradient(model, params, x, labels, per_sample)[1]
 
 
-def _cross_entropy_backward(model, params: Params, x, labels, per_sample: bool):
+def unchecked_loss_and_gradient(model, params: Params, x, labels, per_sample: bool = False):
+    """loss_and_gradient of a batch that check_batch has already passed:
+    x a float64 (n, channels, time) array, possibly a transposed view, and
+    labels int64 class indices. With per_sample the gradient is gradient's
+    (n, n_params) per-trial array."""
     logits, cache = model.forward_cached(params, x)
     ls = _log_softmax(logits)
     n = logits.shape[0]

@@ -1,11 +1,13 @@
 """Mini-batch training with early stopping, plus evaluation helpers.
 
-The loop optimizes mean cross-entropy (optionally plus a penalty hook) with
-Adam or plain SGD, tracks validation accuracy each epoch, and returns the
-parameters from the best validation epoch. Everything is seeded and
-single-threaded so identical configs reproduce identical histories. Input
-checks and layout changes run once per stage; a step only gathers a batch
-and does the model's arithmetic and the optimizer update.
+The loop optimizes mean cross-entropy with Adam or plain SGD. The model
+computes only that data term (models.unchecked_loss_and_gradient); train()
+adds an optional penalty hook, such as EWC's, to each step's loss and
+gradient right after it. The loop tracks validation accuracy each epoch and
+returns the parameters from the best validation epoch. Everything is seeded
+and single-threaded so identical configs reproduce identical histories.
+Input checks and layout changes run once per stage; a step only gathers a
+batch and does the model's arithmetic, the penalty and the optimizer update.
 """
 
 from __future__ import annotations
@@ -118,8 +120,8 @@ def train(model, params: Params, train_set, val_set, cfg: TrainConfig, seed: int
     accuracy, earliest epoch on ties; the loop stops once `patience` epochs
     in a row fail to improve it (patience 0 therefore stops after the first
     epoch). The input params object is left untouched. penalty, when given,
-    maps the flat parameter vector to (extra loss, extra gradient) and is
-    applied every batch.
+    maps the flat parameter vector to (extra loss, extra gradient); every
+    step adds both to the model's cross-entropy loss and gradient.
 
     Once per stage: both splits are checked (check_batch), and the
     training split is stored, in its own dtype (float32 for a subject's
@@ -146,7 +148,11 @@ def train(model, params: Params, train_set, val_set, cfg: TrainConfig, seed: int
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             x = np.take(x_train, idx, axis=axis).astype(np.float64).swapaxes(0, axis)
-            loss, grad = unchecked_loss_and_gradient(model, work, x, y_train[idx], penalty)
+            loss, grad = unchecked_loss_and_gradient(model, work, x, y_train[idx])
+            if penalty is not None:
+                p_loss, p_grad = penalty(work.vector)
+                loss = loss + float(p_loss)
+                grad += p_grad
             if not math.isfinite(loss):
                 raise TrainingDivergedError(
                     f"training loss became {loss} at epoch {epoch}, "

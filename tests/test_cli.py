@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,21 @@ from helpers import UNDECODABLE_JSON
 class Interrupted(Exception):
     """Stops a sweep part way; defined at module level so that a pool
     worker's raise pickles back to the parent."""
+
+
+RUN_TASK = eegcl.cli._run_task
+
+
+def dying_run_task(wait_for, strategy, seed, *args, **kwargs):
+    """cli._run_task, except that ER seed 0 ends its process, as an OOM kill
+    would, once wait_for exists. Defined at module level so that a forked
+    pool worker unpickles the patched task."""
+    if (strategy.kind, seed) == ("ER", 0):
+        deadline = time.monotonic() + 30
+        while not wait_for.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os._exit(9)
+    return RUN_TASK(strategy, seed, *args, **kwargs)
 
 
 def write_json(path, data):
@@ -221,6 +237,28 @@ class TestAlign:
         err = capsys.readouterr().err
         assert f"error: --eps must be a finite number > 0, got {float(eps)}" in err
         assert not (tmp_path / "aligned").exists()
+
+    @pytest.mark.parametrize("spelling", ["same", "trailing_slash", "dotted"])
+    def test_out_that_is_the_stream_exits_2_and_keeps_the_stream(
+            self, tmp_path, capsys, spelling):
+        # the raw stream that SFT, ER and EWC train on must survive alignment
+        stream_dir = gen_stream_dir(tmp_path)
+        before = {p.name: p.read_bytes() for p in stream_dir.iterdir()}
+        out = {"same": str(stream_dir), "trailing_slash": f"{stream_dir}/",
+               "dotted": str(stream_dir / ".." / "stream")}[spelling]
+        capsys.readouterr()
+        rc = main(["align", "--stream", str(stream_dir), "--out", out])
+        assert {p.name: p.read_bytes() for p in stream_dir.iterdir()} == before
+        assert rc == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""  # no subject was whitened
+        assert printed.err == (f"error: --out {out} is the --stream directory {stream_dir}; "
+                               "choose another directory for the aligned stream\n")
+
+    def test_out_that_is_the_stream_is_refused_before_any_read(self, tmp_path, monkeypatch):
+        stream_dir = gen_stream_dir(tmp_path)
+        monkeypatch.setattr(eegcl.cli, "load_stream", None)
+        assert main(["align", "--stream", str(stream_dir), "--out", str(stream_dir)]) == 2
 
     def test_missing_stream_exits_3(self, tmp_path):
         rc = main(["align", "--stream", str(tmp_path / "void"),
@@ -433,6 +471,26 @@ class TestRunCommand:
                 assert (out / name).read_bytes() == (full / name).read_bytes()
             for name in ("report_sft_0.json", "report_sft_1.json"):
                 assert without_stage_seconds(out / name) == without_stage_seconds(full / name)
+
+    def test_dead_pool_worker_exits_3_and_keeps_the_runs_before_it(
+            self, tmp_path, capsys, monkeypatch):
+        # The tasks run as SFT 0, SFT 1, ER 0, ...; ER 0's worker dies once
+        # SFT 1's files are written, so that no earlier result is lost.
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            strategies=["SFT", "ER", "EWC", "PCED"], seeds=[0, 1]
+        ))
+        out = tmp_path / "out"
+        monkeypatch.setattr(eegcl.cli, "_run_task",
+                            partial(dying_run_task, out / "matrix_sft_1.csv"))
+        assert main(["run", "--config", str(config), "--out", str(out), "--jobs", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "error: a pool worker died before the ER seed 0 run returned; "
+            "the runs before it are written, and no summary.csv\n"
+        )
+        assert sorted(p.name for p in out.iterdir()) == [
+            "matrix_sft_0.csv", "matrix_sft_1.csv", "report_sft_0.json",
+            "report_sft_1.json", "stream",
+        ]
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_failed_write_starts_no_further_runs(self, tmp_path, capsys, monkeypatch, jobs):

@@ -363,26 +363,6 @@ class TestGradients:
         labels = np.zeros(len(x), dtype=int)  # class 0 predicted with ~certainty
         assert np.max(np.abs(gradient(model, params, x, labels))) < 1e-4
 
-    def test_zero_penalty_hook_changes_nothing(self):
-        model = small_mlp()
-        params = model.init_params(0)
-        x, labels = batch_for(model)
-        plain_loss, plain_grad = loss_and_gradient(model, params, x, labels)
-        hook = lambda vec: (0.0, np.zeros_like(vec))
-        hooked_loss, hooked_grad = loss_and_gradient(model, params, x, labels, penalty=hook)
-        assert hooked_loss == plain_loss
-        assert np.array_equal(hooked_grad, plain_grad)
-
-    def test_penalty_adds_to_loss_and_gradient(self):
-        model = small_mlp()
-        params = model.init_params(0)
-        x, labels = batch_for(model)
-        plain_loss, plain_grad = loss_and_gradient(model, params, x, labels)
-        hook = lambda vec: (2.5, np.ones_like(vec))
-        loss, grad = loss_and_gradient(model, params, x, labels, penalty=hook)
-        assert loss == pytest.approx(plain_loss + 2.5, abs=1e-12)
-        np.testing.assert_allclose(grad, plain_grad + 1.0, rtol=0, atol=0)
-
     def test_gradient_matches_loss_and_gradient(self):
         model = small_conv()
         params = model.init_params(0)

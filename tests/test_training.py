@@ -32,8 +32,8 @@ def split_sets(subject):
 
 def reference_train(model, params, train_set, val_set, cfg, seed, penalty=None):
     """train() as a plain loop over the public API: the split checked
-    sample-major, and each step loss_and_gradient on a fancy-indexed batch
-    followed by an optimizer step."""
+    sample-major, and each step loss_and_gradient on a fancy-indexed batch,
+    plus the penalty when given, followed by an optimizer step."""
     x, y = check_batch(model, *train_set)
     x_val, y_val = check_batch(model, *val_set)
     rng = np.random.default_rng(seed)
@@ -48,7 +48,10 @@ def reference_train(model, params, train_set, val_set, cfg, seed, penalty=None):
         loss_sum = 0.0
         for start in range(0, len(x), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            loss, grad = loss_and_gradient(model, work, x[idx], y[idx], penalty)
+            loss, grad = loss_and_gradient(model, work, x[idx], y[idx])
+            if penalty is not None:
+                p_loss, p_grad = penalty(work.vector)
+                loss, grad = loss + float(p_loss), grad + p_grad
             optimizer.step(work.vector, grad)
             loss_sum += loss * len(idx)
         val_acc = evaluate_arrays(model, work, x_val, y_val)
