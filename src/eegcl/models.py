@@ -18,7 +18,6 @@ vector, so a step allocates no per-block copies.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +27,6 @@ from .errors import check_fields, integer, integers, one_of
 
 # Added inside the log of the pooled power so zero-power features stay finite.
 LOG_EPS = 1e-6
-
-_PARAMS_MAGIC = b"EEGP"
-_PARAMS_HEADER = struct.Struct("<4sI")
 
 
 @dataclass(frozen=True)
@@ -137,25 +133,6 @@ class Params:
 
     def copy(self) -> "Params":
         return Params(vector=self.vector.copy(), layout=self.layout)
-
-
-def params_to_bytes(params: Params) -> bytes:
-    """Little-endian float64 blob with a small magic/count header."""
-    vec = np.ascontiguousarray(params.vector, dtype="<f8")
-    return _PARAMS_HEADER.pack(_PARAMS_MAGIC, vec.size) + vec.tobytes()
-
-
-def params_from_bytes(buf: bytes, layout: Layout) -> Params:
-    if len(buf) < _PARAMS_HEADER.size:
-        raise ValueError("parameter blob too short for header")
-    magic, n = _PARAMS_HEADER.unpack_from(buf, 0)
-    if magic != _PARAMS_MAGIC:
-        raise ValueError(f"bad parameter blob magic {magic!r}")
-    expected = _PARAMS_HEADER.size + 8 * n
-    if len(buf) != expected:
-        raise ValueError(f"parameter blob length {len(buf)} != expected {expected}")
-    vec = np.frombuffer(buf, dtype="<f8", count=n, offset=_PARAMS_HEADER.size).copy()
-    return Params(vector=vec, layout=layout)
 
 
 def _check_trials(x: np.ndarray, config: ModelConfig, dtype=np.float64) -> np.ndarray:
@@ -303,7 +280,11 @@ class ShallowConvNet(Network):
         out = self.layout.views(grad)
         if per_sample:
             t = self.config.n_timepoints
-            zwin = np.lib.stride_tricks.sliding_window_view(z, self.config.kernel_len, axis=2)
+            # zwin[f, i, u, l] is z[f, i, u + l], the window under filter tap l.
+            s0, s1, s2 = z.strides
+            zwin = _read_only_view(
+                z, (*z.shape[:2], self.n_windows, self.config.kernel_len), 0, (s0, s1, s2, s2)
+            )
             np.einsum("fnu,fnul->nfl", ds, zwin, out=out["temporal"])
             np.matmul(
                 dz.transpose(1, 0, 2), xc.reshape(-1, n, t).transpose(1, 2, 0),

@@ -13,8 +13,6 @@ from eegcl.models import (
     build_model,
     gradient,
     loss_and_gradient,
-    params_from_bytes,
-    params_to_bytes,
 )
 
 from helpers import central_difference, cross_entropy, gradients_close, log_softmax
@@ -114,26 +112,6 @@ class TestParams:
         model = build_model(ModelConfig())
         # 8x16 temporal + 8x8 spatial + 8 bias + 2x8 head + 2 bias
         assert model.n_params == 218
-
-    def test_bytes_round_trip(self):
-        model = small_mlp()
-        params = model.init_params(0)
-        out = params_from_bytes(params_to_bytes(params), model.layout)
-        assert np.array_equal(out.vector, params.vector)
-
-    def test_bytes_bad_magic(self):
-        model = small_mlp()
-        blob = params_to_bytes(model.init_params(0))
-        with pytest.raises(ValueError):
-            params_from_bytes(b"XXXX" + blob[4:], model.layout)
-
-    def test_bytes_bad_length(self):
-        model = small_mlp()
-        blob = params_to_bytes(model.init_params(0))
-        with pytest.raises(ValueError):
-            params_from_bytes(blob[:-8], model.layout)
-        with pytest.raises(ValueError):
-            params_from_bytes(blob[:3], model.layout)
 
 
 class TestInitialization:

@@ -52,7 +52,6 @@ from eegcl.harness import (  # noqa: E402
     run_continual,
     sft_strategy,
 )
-from eegcl.models import build_model, params_from_bytes, params_to_bytes  # noqa: E402
 from eegcl.replay import (  # noqa: E402
     ReplayMemory,
     memory_from_bytes,
@@ -226,32 +225,6 @@ def test_memory_from_bytes_round_trips_or_raises_value_error(blob):
 def test_memory_from_bytes_on_every_single_byte_damage():
     for blob in every_single_byte_damage(_valid_memory_blobs()[0]):
         check_memory_bytes(blob)
-
-
-PARAMS_CONFIG = ModelConfig(architecture="mlp", n_channels=2, n_timepoints=2, hidden=(2,))
-PARAMS_LAYOUT = build_model(PARAMS_CONFIG).layout
-
-
-def _valid_params_blobs():
-    return [params_to_bytes(build_model(PARAMS_CONFIG).init_params(seed)) for seed in range(2)]
-
-
-def check_params_bytes(blob):
-    try:
-        params = params_from_bytes(blob, PARAMS_LAYOUT)
-    except ValueError:
-        return
-    assert params_to_bytes(params) == blob
-
-
-@given(blob=damaged(_valid_params_blobs(), b"EEGP"))
-def test_params_from_bytes_round_trips_or_raises_value_error(blob):
-    check_params_bytes(blob)
-
-
-def test_params_from_bytes_on_every_single_byte_damage():
-    for blob in every_single_byte_damage(_valid_params_blobs()[0]):
-        check_params_bytes(blob)
 
 
 # A manifest field's replacement: a JSON value of another type, an

@@ -1,14 +1,18 @@
 """The package root exports what the README documents: the names its Quick
 start imports from eegcl and the error types its Exit codes table names.
-Everything else is imported from its module."""
+Everything else is imported from its module, and some module of the
+program or the benchmark reaches it."""
 
+import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import eegcl
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def section(title):
@@ -39,3 +43,35 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from eegcl import *", namespace)
     assert set(eegcl.__all__) <= set(namespace)
+
+
+def names_used(node):
+    """Every name node mentions: as a name, an attribute or an import."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub.name.rpartition(".")[2]
+
+
+def test_every_public_name_is_reached():
+    """Every top-level function and class in src/eegcl whose name does not
+    start with "_" is named in some src/eegcl or bench/ file outside its own
+    definition, or is exported in eegcl.__all__. bench/ counts as a reacher
+    until ROADMAP items 15 and 6 move its helpers out of the package."""
+    public, uses = [], Counter()
+    for path in sorted((ROOT / "src" / "eegcl").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            uses.update(names_used(node))
+            if (path.parent.name == "eegcl"
+                    and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")):
+                public.append((f"{path.stem}.{node.name}", node))
+    unreached = [
+        qualified for qualified, node in public
+        if node.name not in eegcl.__all__
+        and uses[node.name] == Counter(names_used(node))[node.name]
+    ]
+    assert unreached == []
