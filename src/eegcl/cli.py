@@ -141,7 +141,8 @@ def _parse_memory(data, default: MemoryConfig) -> MemoryConfig:
 
 def _parse_strategy(item, default_memory: MemoryConfig) -> Strategy:
     """A strategy entry; the memory and lambda it gives are checked even
-    when its kind does not use them."""
+    when its kind does not use them. Only an ASCII kind is upper-cased, so
+    that Strategy's check names any other kind as written."""
     if isinstance(item, str):
         item = {"kind": item}
     elif not isinstance(item, dict):
@@ -149,7 +150,8 @@ def _parse_strategy(item, default_memory: MemoryConfig) -> Strategy:
     unknown = sorted(set(item) - {"kind", "memory", "lambda"})
     if unknown:
         raise ConfigError(f"unknown strategy keys: {unknown}")
-    return Strategy(str(item.get("kind", "")).upper(),
+    kind = item.get("kind", "")
+    return Strategy(kind.upper() if isinstance(kind, str) and kind.isascii() else kind,
                     _parse_memory(item.get("memory"), default_memory),
                     item.get("lambda", DEFAULT_LAMBDA))
 
@@ -213,12 +215,13 @@ def _run_task(strategy: Strategy, seed: int, model_cfg: ModelConfig, train_cfg: 
         return exc
 
 
-def _check_out(out: Path) -> None:
-    """Refuse, before any work, an --out that is or lies under a file."""
+def _check_out(out: Path, what: str = "--out") -> None:
+    """Refuse, before any work, an output directory that is or lies under
+    a file; what names it in the message."""
     nearest = next(path for path in (out, *out.parents) if path.exists())
     if not nearest.is_dir():
         under = "" if nearest == out else f"is under {nearest}, which "
-        raise ConfigError(f"--out {out} {under}exists and is not a directory; "
+        raise ConfigError(f"{what} {out} {under}exists and is not a directory; "
                           "choose a new or empty directory")
 
 
@@ -313,6 +316,7 @@ def cmd_run(args) -> int:
     integer(1).check(args.jobs, "--jobs")
     config = parse_experiment_config(read_json_object(args.config, "config", ConfigError))
     if config.generator is not None:
+        _check_out(out / "stream", "generated stream directory")
         stream = gen_stream(config.generator)
     else:
         stream_path = Path(config.stream_path)

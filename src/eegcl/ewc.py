@@ -13,14 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import number
-from .models import Params, gradient
+from .models import gradient
 
 DEFAULT_LAMBDA = 100.0
 # The rule for the penalty strength; harness.Strategy checks its lam with it.
 LAMBDA = number(0)
 
 
-def fisher_diagonal(model, params: Params, xy) -> np.ndarray:
+def fisher_diagonal(model, params: np.ndarray, xy) -> np.ndarray:
     """Mean squared per-sample gradient of the negative log-likelihood over
     an (x, y) pair of arrays, with every trial's gradient taken from one
     batched backward pass."""
@@ -48,13 +48,13 @@ class OnlineEwc:
         self.anchor = None
         self.fisher = None
 
-    def update(self, model, params: Params, xy):
+    def update(self, model, params: np.ndarray, xy):
         """Fold one finished stage in: re-anchor and add the Fisher of its
         (x, y) training arrays. The sum is a new array, so a hook made
         earlier keeps the arrays it closed over."""
         fisher = fisher_diagonal(model, params, xy)
         self.fisher = fisher if self.fisher is None else self.fisher + fisher
-        self.anchor = params.vector.copy()
+        self.anchor = params.copy()
 
     def penalty_hook(self):
         """Callable for the training loop over the current anchor and

@@ -123,9 +123,9 @@ class AccessEvent:
 class RunRecord:
     """Everything one continual run produced.
 
-    final_params holds the parameter vector after the last stage (useful
-    for checkpointing and for comparing two runs exactly); it stays out of
-    the JSON report, which carries only the metrics and telemetry.
+    final_params holds the float64 parameter vector after the last stage
+    (useful for checkpointing and for comparing two runs exactly); it stays
+    out of the JSON report, which carries only the metrics and telemetry.
     """
 
     strategy: Strategy
@@ -138,7 +138,7 @@ class RunRecord:
     stage_memory: tuple
     stage_seconds: tuple
     access_events: tuple
-    final_params: object | None = None
+    final_params: np.ndarray | None = None
 
 
 def new_matrix(n_subjects: int) -> np.ndarray:

@@ -10,9 +10,10 @@ which keeps optimizers, penalties, and finite-difference checks trivial.
 The public entry points (forward, loss_and_gradient, gradient) check their
 input and then run the unchecked core: forward_cached, backward and
 unchecked_loss_and_gradient. A training stage runs those checks once
-(check_batch) and the core every step. A Params builds its block views once,
-and backward writes each gradient block straight into its slice of one flat
-vector, so a step allocates no per-block copies.
+(check_params, check_batch) and the core every step. Each forward pass reads
+the blocks of the vector it is given through the model's Layout and hands
+those views to backward, which writes each gradient block straight into its
+slice of one flat vector, so a step allocates no per-block copies.
 """
 
 from __future__ import annotations
@@ -93,48 +94,6 @@ class Layout(tuple):
         }
 
 
-@dataclass
-class Params:
-    """Flat trainable-parameter vector plus its layer layout.
-
-    The block views are built once, over the vector the Params is created
-    with: update that array in place, never rebind it.
-    """
-
-    vector: np.ndarray
-    layout: Layout
-
-    def __post_init__(self):
-        self.vector = np.asarray(self.vector, dtype=np.float64)
-        if self.vector.ndim != 1:
-            raise ShapeError(f"params vector must be 1-D, got shape {self.vector.shape}")
-        if self.layout.size != self.vector.size:
-            raise ShapeError(
-                f"layout covers {self.layout.size} entries but vector has "
-                f"{self.vector.size}"
-            )
-        self._views = self.layout.views(self.vector)
-
-    def __reduce__(self):
-        # The views would unpickle as copies of their own; rebuild them
-        # over the unpickled vector instead.
-        return Params, (self.vector, self.layout)
-
-    @property
-    def n_params(self) -> int:
-        return self.vector.size
-
-    def view(self, name: str) -> np.ndarray:
-        """Writable reshaped view of one named block."""
-        try:
-            return self._views[name]
-        except KeyError:
-            raise KeyError(f"no parameter block named {name!r}") from None
-
-    def copy(self) -> "Params":
-        return Params(vector=self.vector.copy(), layout=self.layout)
-
-
 def _check_trials(x: np.ndarray, config: ModelConfig, dtype=np.float64) -> np.ndarray:
     x = np.asarray(x, dtype=dtype)
     if x.ndim != 3 or x.shape[1:] != (config.n_channels, config.n_timepoints):
@@ -147,10 +106,23 @@ def _check_trials(x: np.ndarray, config: ModelConfig, dtype=np.float64) -> np.nd
     return x
 
 
+def check_params(model, params) -> np.ndarray:
+    """The check the public entry points run on a parameter vector: it must
+    be a float64 array of shape (model.layout.size,). Returns it as an
+    ndarray, else raises ShapeError."""
+    params = np.asarray(params)
+    if params.dtype != np.float64 or params.shape != (model.layout.size,):
+        raise ShapeError(
+            f"params must be a float64 vector of shape ({model.layout.size},), "
+            f"got {params.dtype} of shape {params.shape}"
+        )
+    return params
+
+
 class Network:
     """What both networks share: their config, the parameter layout built
-    from their blocks, and a forward that checks its batch before running
-    the subclass's forward_cached. Each subclass defines forward_cached and
+    from their blocks, and a forward that checks its parameters and batch
+    before running the subclass's forward_cached. Each subclass defines forward_cached and
     backward itself."""
 
     def __init__(self, config: ModelConfig, blocks):
@@ -161,10 +133,11 @@ class Network:
     def n_params(self) -> int:
         return self.layout.size
 
-    def init_params(self, seed: int) -> Params:
+    def init_params(self, seed: int) -> np.ndarray:
         return _glorot_init(self.layout, seed)
 
-    def forward(self, params: Params, x: np.ndarray) -> np.ndarray:
+    def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        params = check_params(self, params)
         return self.forward_cached(params, _check_trials(x, self.config))[0]
 
 
@@ -185,32 +158,31 @@ class MlpNet(Network):
         super().__init__(config, blocks)
         self._n_layers = len(sizes) - 1
 
-    def forward_cached(self, params: Params, x: np.ndarray):
-        """Logits and the cache backward needs, for a float64 batch of
-        shape (n, channels, time) that the caller has checked."""
+    def forward_cached(self, params: np.ndarray, x: np.ndarray):
+        """Logits and the cache backward needs, for parameters and a float64
+        batch of shape (n, channels, time) that the caller has checked."""
+        p = self.layout.views(params)
         a = x.reshape(x.shape[0], -1)
         acts = [a]
         for i in range(self._n_layers - 1):
-            a = np.tanh(a @ params.view(f"w{i}").T + params.view(f"b{i}"))
+            a = np.tanh(a @ p[f"w{i}"].T + p[f"b{i}"])
             acts.append(a)
         last = self._n_layers - 1
-        logits = a @ params.view(f"w{last}").T + params.view(f"b{last}")
-        return logits, acts
+        logits = a @ p[f"w{last}"].T + p[f"b{last}"]
+        return logits, (p, acts)
 
-    def backward(
-        self, params: Params, cache, dlogits: np.ndarray, per_sample: bool = False
-    ) -> np.ndarray:
+    def backward(self, cache, dlogits: np.ndarray, per_sample: bool = False) -> np.ndarray:
         """Flat gradient summed over the batch, or with per_sample one row
         per trial, of the loss whose logit gradient is dlogits. Each block
         is written straight into its slice of the result."""
-        acts = cache
+        p, acts = cache
         d = np.asarray(dlogits, dtype=np.float64)
         grad = np.empty((d.shape[0], self.layout.size) if per_sample else self.layout.size)
         out = self.layout.views(grad)
         last = self._n_layers - 1
         for i in range(last, -1, -1):
             if i < last:
-                d = (d @ params.view(f"w{i + 1}")) * (1.0 - acts[i + 1] ** 2)
+                d = (d @ p[f"w{i + 1}"]) * (1.0 - acts[i + 1] ** 2)
             _dense_grad(d, acts[i], per_sample, out[f"w{i}"], out[f"b{i}"])
         return grad
 
@@ -248,30 +220,29 @@ class ShallowConvNet(Network):
         ])
         self.n_windows = config.n_timepoints - config.kernel_len + 1
 
-    def forward_cached(self, params: Params, x: np.ndarray):
-        """Logits and the cache backward needs, for a float64 batch of
-        shape (n, channels, time) that the caller has checked."""
+    def forward_cached(self, params: np.ndarray, x: np.ndarray):
+        """Logits and the cache backward needs, for parameters and a float64
+        batch of shape (n, channels, time) that the caller has checked."""
         cfg = self.config
+        p = self.layout.views(params)
         n, t = x.shape[0], cfg.n_timepoints
         xc = x.transpose(1, 0, 2).reshape(cfg.n_channels, n * t)
-        z = (params.view("spatial") @ xc).reshape(cfg.n_filters, n, t)
-        band = _band(params.view("temporal"), t)
+        z = (p["spatial"] @ xc).reshape(cfg.n_filters, n, t)
+        band = _band(p["temporal"], t)
         s = z @ band  # (filters, n, windows)
-        s += params.view("spatial_bias")[:, None, None]
+        s += p["spatial_bias"][:, None, None]
         power = (s * s).sum(axis=2).T / self.n_windows  # mean over windows, (n, filters)
         feats = np.log(power + LOG_EPS)
-        logits = feats @ params.view("head").T + params.view("head_bias")
-        return logits, (xc, z, band, s, power, feats)
+        logits = feats @ p["head"].T + p["head_bias"]
+        return logits, (p, xc, z, band, s, power, feats)
 
-    def backward(
-        self, params: Params, cache, dlogits: np.ndarray, per_sample: bool = False
-    ) -> np.ndarray:
+    def backward(self, cache, dlogits: np.ndarray, per_sample: bool = False) -> np.ndarray:
         """Flat gradient summed over the batch, or with per_sample one row
         per trial, of the loss whose logit gradient is dlogits. Each block
         is written straight into its slice of the result."""
-        xc, z, band, s, power, feats = cache
+        p, xc, z, band, s, power, feats = cache
         d = np.asarray(dlogits, dtype=np.float64)
-        dpower = (d @ params.view("head")) / (power + LOG_EPS)
+        dpower = (d @ p["head"]) / (power + LOG_EPS)
         ds = (2.0 / self.n_windows) * s
         ds *= dpower.T[:, :, None]
         dz = ds @ band.transpose(0, 2, 1)  # transposed temporal conv, (filters, n, time)
@@ -347,7 +318,7 @@ def _dense_grad(d: np.ndarray, a: np.ndarray, per_sample: bool, w_out, b_out):
         d.sum(axis=0, out=b_out)
 
 
-def _glorot_init(layout: Layout, seed: int) -> Params:
+def _glorot_init(layout: Layout, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     vec = np.zeros(layout.size)
     for name, _, fan in layout:
@@ -356,7 +327,7 @@ def _glorot_init(layout: Layout, seed: int) -> Params:
             fan_in, fan_out = fan
             lim = math.sqrt(6.0 / (fan_in + fan_out))
             vec[block] = rng.uniform(-lim, lim, block.stop - block.start)
-    return Params(vector=vec, layout=layout)
+    return vec
 
 
 def build_model(config: ModelConfig):
@@ -401,29 +372,31 @@ def check_batch(model, x: np.ndarray, labels, dtype=np.float64) -> tuple:
     return x, _check_labels(labels, model.config.n_classes, x.shape[0])
 
 
-def loss_and_gradient(model, params: Params, x: np.ndarray, labels):
+def loss_and_gradient(model, params: np.ndarray, x: np.ndarray, labels):
     """Mean cross-entropy loss and its flat gradient for one batch."""
+    params = check_params(model, params)
     x, labels = check_batch(model, x, labels)
     return unchecked_loss_and_gradient(model, params, x, labels)
 
 
 def gradient(
-    model, params: Params, x: np.ndarray, labels, per_sample: bool = False
+    model, params: np.ndarray, x: np.ndarray, labels, per_sample: bool = False
 ) -> np.ndarray:
     """Flat gradient of the mean cross-entropy over the batch.
 
     With per_sample, an (n, n_params) array whose row i is the gradient of
     trial i's own cross-entropy, from one batched forward/backward pass.
     """
+    params = check_params(model, params)
     x, labels = check_batch(model, x, labels)
     return unchecked_loss_and_gradient(model, params, x, labels, per_sample)[1]
 
 
-def unchecked_loss_and_gradient(model, params: Params, x, labels, per_sample: bool = False):
-    """loss_and_gradient of a batch that check_batch has already passed:
-    x a float64 (n, channels, time) array, possibly a transposed view, and
-    labels int64 class indices. With per_sample the gradient is gradient's
-    (n, n_params) per-trial array."""
+def unchecked_loss_and_gradient(model, params: np.ndarray, x, labels, per_sample: bool = False):
+    """loss_and_gradient of parameters and a batch that check_params and
+    check_batch have already passed: x a float64 (n, channels, time) array,
+    possibly a transposed view, and labels int64 class indices. With
+    per_sample the gradient is gradient's (n, n_params) per-trial array."""
     logits, cache = model.forward_cached(params, x)
     ls = _log_softmax(logits)
     n = logits.shape[0]
@@ -433,4 +406,4 @@ def unchecked_loss_and_gradient(model, params: Params, x, labels, per_sample: bo
     dlogits[rows, labels] -= 1.0
     if not per_sample:
         dlogits /= n
-    return loss, model.backward(params, cache, dlogits, per_sample)
+    return loss, model.backward(cache, dlogits, per_sample)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TrainingDivergedError, check_fields, integer, number, one_of
-from .models import Params, check_batch, unchecked_loss_and_gradient
+from .models import check_batch, check_params, unchecked_loss_and_gradient
 from .models import loss_and_gradient  # noqa: F401  traced as training.loss_and_gradient by bench/
 
 ADAM_BETA1 = 0.9
@@ -101,16 +101,17 @@ def _make_optimizer(cfg: TrainConfig, n_params: int):
     return Sgd(learning_rate=cfg.learning_rate)
 
 
-def evaluate_arrays(model, params: Params, x: np.ndarray, y: np.ndarray) -> float:
+def evaluate_arrays(model, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of argmax-correct predictions; argmax ties go to the lowest
-    class index. The batch passes check_batch first, so an empty batch or
-    labels that are not class indices raise."""
+    class index. check_params and check_batch run first, so a misshapen
+    vector, an empty batch or labels that are not class indices raise."""
+    params = check_params(model, params)
     x, y = check_batch(model, x, y)
     predictions = np.argmax(model.forward_cached(params, x)[0], axis=1)
     return float(np.mean(predictions == y))
 
 
-def train(model, params: Params, train_set, val_set, cfg: TrainConfig, seed: int,
+def train(model, params: np.ndarray, train_set, val_set, cfg: TrainConfig, seed: int,
           penalty=None):
     """Early-stopped mini-batch training.
 
@@ -119,25 +120,25 @@ def train(model, params: Params, train_set, val_set, cfg: TrainConfig, seed: int
     Returns (best params, per-epoch history). Best means highest validation
     accuracy, earliest epoch on ties; the loop stops once `patience` epochs
     in a row fail to improve it (patience 0 therefore stops after the first
-    epoch). The input params object is left untouched. penalty, when given,
-    maps the flat parameter vector to (extra loss, extra gradient); every
-    step adds both to the model's cross-entropy loss and gradient.
+    epoch). The input vector is left untouched. penalty, when given, maps
+    the flat parameter vector to (extra loss, extra gradient); every step
+    adds both to the model's cross-entropy loss and gradient.
 
-    Once per stage: both splits are checked (check_batch), and the
-    training split is stored, in its own dtype (float32 for a subject's
-    block), in the layout the model reads without a copy (its
-    trial_axis). Each step only gathers a batch from it with np.take,
-    casts it to float64 and runs the forward/backward arithmetic and the
-    optimizer update.
+    Once per stage: the parameters (check_params) and both splits
+    (check_batch) are checked, and the training split is stored, in its own
+    dtype (float32 for a subject's block), in the layout the model reads
+    without a copy (its trial_axis). Each step only gathers a batch from it
+    with np.take, casts it to float64 and runs the forward/backward
+    arithmetic and the optimizer update.
     """
+    work = np.array(check_params(model, params))
     x_train, y_train = check_batch(model, *train_set, dtype=None)
     x_val, y_val = check_batch(model, *val_set)
     n = len(x_train)
     axis = model.trial_axis
     x_train = np.ascontiguousarray(x_train.swapaxes(0, axis))
     rng = np.random.default_rng(seed)
-    work = params.copy()
-    optimizer = _make_optimizer(cfg, work.n_params)
+    optimizer = _make_optimizer(cfg, work.size)
     best = work.copy()
     best_acc = -math.inf
     bad_epochs = 0
@@ -150,7 +151,7 @@ def train(model, params: Params, train_set, val_set, cfg: TrainConfig, seed: int
             x = np.take(x_train, idx, axis=axis).astype(np.float64).swapaxes(0, axis)
             loss, grad = unchecked_loss_and_gradient(model, work, x, y_train[idx])
             if penalty is not None:
-                p_loss, p_grad = penalty(work.vector)
+                p_loss, p_grad = penalty(work)
                 loss = loss + float(p_loss)
                 grad += p_grad
             if not math.isfinite(loss):
@@ -158,7 +159,7 @@ def train(model, params: Params, train_set, val_set, cfg: TrainConfig, seed: int
                     f"training loss became {loss} at epoch {epoch}, "
                     f"batch starting at sample {start}"
                 )
-            optimizer.step(work.vector, grad)
+            optimizer.step(work, grad)
             loss_sum += loss * len(idx)
         val_acc = evaluate_arrays(model, work, x_val, y_val)
         history.append(

@@ -95,7 +95,7 @@ def run_digests() -> dict:
     for name, strategy in strategies.items():
         record = run_continual(stream, strategy, ModelConfig(), TrainConfig(**TRAIN),
                                run_seed=SEED)
-        digests[f"run/{name}/final_params"] = sha256(record.final_params.vector.tobytes())
+        digests[f"run/{name}/final_params"] = sha256(record.final_params.tobytes())
         digests[f"run/{name}/matrix"] = sha256(record.matrix.tobytes())
         digests[f"run/{name}/report"] = sha256(canonical_report(record_to_json_dict(record)))
     return digests

@@ -45,7 +45,7 @@ from eegcl.cli import main
 from eegcl.data import LabeledTrial
 from eegcl.harness import bwt, er_strategy, ewc_strategy, final_acc, foreign_reads
 from eegcl.linalg import inv_sqrt
-from eegcl.models import Params, build_model, gradient, loss_and_gradient
+from eegcl.models import build_model, gradient, loss_and_gradient
 from eegcl.replay import ReplayMemory
 
 from helpers import align_subject
@@ -143,17 +143,14 @@ def test_03_analytic_gradients_match_finite_differences():
         model = build_model(cfg)
         assert model.n_params <= 500
         largest = max(largest, model.n_params)
-        vector = model.init_params(i).vector + 0.2 * rng.standard_normal(model.n_params)
-        params = Params(vector=vector, layout=model.layout)
+        params = model.init_params(i) + 0.2 * rng.standard_normal(model.n_params)
         x = rng.standard_normal((4, cfg.n_channels, cfg.n_timepoints))
         labels = rng.integers(0, n_classes, size=4)
 
         analytic = gradient(model, params, x, labels)
         numeric = helpers.central_difference(
-            lambda v: loss_and_gradient(
-                model, Params(vector=v, layout=model.layout), x, labels
-            )[0],
-            vector,
+            lambda v: loss_and_gradient(model, v, x, labels)[0],
+            params,
         )
         assert helpers.gradients_close(analytic, numeric)
     print(

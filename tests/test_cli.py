@@ -623,6 +623,25 @@ class TestRunCommand:
         assert (tmp_path / "out" / "notes.txt").read_text() == "kept\n"
         assert (tmp_path / "out" / "report_sft_0.json").is_file()
 
+    def test_generated_stream_target_that_is_a_file_exits_2_before_any_work(
+            self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "stream").write_text("kept\n")
+        config = write_json(tmp_path / "exp.json", experiment_config())
+
+        def refused(*args):
+            raise AssertionError("the stream was generated")
+
+        monkeypatch.setattr(eegcl.cli, "gen_stream", refused)
+        capsys.readouterr()
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: generated stream directory {out / 'stream'} exists and is not a "
+            "directory; choose a new or empty directory\n")
+        assert [p.name for p in out.iterdir()] == ["stream"]
+        assert (out / "stream").read_text() == "kept\n"
+
     @pytest.mark.parametrize("overrides", [
         {"strategies": [{"kind": "EWC", "lambda": -1}]},
         {"strategies": [{"kind": "EWC", "lambda": "abc"}]},
@@ -690,6 +709,16 @@ class TestRunCommand:
          "stream must specify exactly one of 'path' or 'generator'"),
         ({"strategies": ["ER", {"kind": "er", "memory": {"capacity": 4}}]},
          "strategies must list each kind at most once, got ['ER', 'ER']"),
+        # A kind is named as written: only an ASCII kind is upper-cased, and
+        # "\u017f" (long s) would upper-case to "S".
+        ({"strategies": [{"kind": None}]},
+         "strategy kind must be one of ('SFT', 'ER', 'EWC', 'PCED'), got None"),
+        ({"strategies": [{"kind": 1}]},
+         "strategy kind must be one of ('SFT', 'ER', 'EWC', 'PCED'), got 1"),
+        ({"strategies": [{"kind": ["SFT"]}]},
+         "strategy kind must be one of ('SFT', 'ER', 'EWC', 'PCED'), got ['SFT']"),
+        ({"strategies": [{"kind": "\u017fft"}]},
+         "strategy kind must be one of ('SFT', 'ER', 'EWC', 'PCED'), got '\u017fft'"),
     ], ids=[
         "n_subjects_string", "generator_seed_string", "generator_seed_negative",
         "polarity_string", "n_classes_above_a_byte", "generator_not_object", "path_not_string",
@@ -699,7 +728,7 @@ class TestRunCommand:
         "model_seed_given", "model_not_object", "hidden_not_list",
         "hidden_not_list_for_shallow_conv", "seed_string",
         "seed_negative", "seed_fraction", "seed_bool", "seeds_null", "two_stream_sources",
-        "kind_listed_twice",
+        "kind_listed_twice", "kind_null", "kind_number", "kind_list", "kind_long_s",
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides, message):
         config = write_json(tmp_path / "exp.json", experiment_config(**overrides))

@@ -303,7 +303,9 @@ class TestRunContinual:
         a = run_continual(stream, pced_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=5)
         b = run_continual(stream, pced_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=5)
         assert np.array_equal(a.matrix, b.matrix, equal_nan=True)
-        assert np.array_equal(a.final_params.vector, b.final_params.vector)
+        assert np.array_equal(a.final_params, b.final_params)
+        assert a.final_params.dtype == np.float64
+        assert a.final_params.shape == (build_model(small_model_cfg()).n_params,)
         assert a.stage_epochs == b.stage_epochs
 
     def test_disabled_mechanisms_reduce_to_plain_finetuning(self):
@@ -315,7 +317,7 @@ class TestRunContinual:
         a = run_continual(stream, sft_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=2)
         b = run_continual(stream, neutered, small_model_cfg(), fast_train_cfg(), run_seed=2)
         assert np.array_equal(a.matrix, b.matrix, equal_nan=True)
-        assert np.array_equal(a.final_params.vector, b.final_params.vector)
+        assert np.array_equal(a.final_params, b.final_params)
 
     def test_no_strategy_reads_foreign_raw_trials(self):
         stream = small_stream()
@@ -371,7 +373,7 @@ class TestRunState:
         record = state.record()
         whole = run_continual(stream, strategy, small_model_cfg(), fast_train_cfg(), run_seed=3)
         assert record.matrix.tobytes() == whole.matrix.tobytes()
-        assert record.final_params.vector.tobytes() == whole.final_params.vector.tobytes()
+        assert record.final_params.tobytes() == whole.final_params.tobytes()
         assert report_without_seconds(record) == report_without_seconds(whole)
 
     @pytest.mark.parametrize("strategy", (er_strategy(), ewc_strategy()), ids=lambda s: s.kind)
@@ -390,7 +392,7 @@ class TestRunState:
         kinds = {type(obj) for obj in seen}
         assert not kinds & {ReplayMemory, OnlineEwc, ShallowConvNet}
         arrays = [obj for obj in seen if isinstance(obj, np.ndarray)]
-        assert [a.shape for a in arrays] == [record.matrix.shape, record.final_params.vector.shape]
+        assert [a.shape for a in arrays] == [record.matrix.shape, record.final_params.shape]
 
 
 class TestEwcWiring:
@@ -417,13 +419,13 @@ class TestEwcWiring:
         ]
         for k in (2, 3):
             params_in, params_out, hook = stages[k - 1]
-            anchor = stages[k - 2][1].vector
-            assert params_in.vector.tobytes() == anchor.tobytes()
+            anchor = stages[k - 2][1]
+            assert params_in.tobytes() == anchor.tobytes()
             fisher = fishers[0]
             for f in fishers[1 : k - 1]:
                 fisher = fisher + f
-            value, grad = hook(params_out.vector)
-            want_value, want_grad = ewc.penalty(params_out.vector, anchor, fisher, strategy.lam)
+            value, grad = hook(params_out)
+            want_value, want_grad = ewc.penalty(params_out, anchor, fisher, strategy.lam)
             assert value > 0.0
             assert value == want_value
             assert grad.tobytes() == want_grad.tobytes()
@@ -504,7 +506,7 @@ from eegcl.harness import ewc_strategy
 stream = gen_stream(StreamConfig(n_subjects=4))
 for strategy in (ewc_strategy(), pced_strategy()):
     record = run_continual(stream, strategy, ModelConfig(), TrainConfig(max_epochs=2), run_seed=0)
-    for array in (record.final_params.vector, record.matrix):
+    for array in (record.final_params, record.matrix):
         print(hashlib.sha256(array.tobytes()).hexdigest())
 """
 

@@ -1,19 +1,18 @@
 import hashlib
 import math
-import pickle
 
 import numpy as np
 import pytest
 
-from eegcl import ConfigError, ModelConfig
+from eegcl import ConfigError, ModelConfig, TrainConfig
 from eegcl.errors import EmptyInputError, ShapeError
 from eegcl.models import (
     LOG_EPS,
-    Params,
     build_model,
     gradient,
     loss_and_gradient,
 )
+from eegcl.training import evaluate_arrays, train
 
 from helpers import central_difference, cross_entropy, gradients_close, log_softmax
 
@@ -67,59 +66,77 @@ class TestModelConfig:
             ModelConfig(n_filters=0)
 
 
+def checked_entry_points(model):
+    """Each public entry point that checks its parameter vector, as a
+    function of that vector over one valid batch."""
+    x, labels = batch_for(model)
+    data = (x, labels)
+    return {
+        "forward": lambda p: model.forward(p, x),
+        "loss_and_gradient": lambda p: loss_and_gradient(model, p, x, labels),
+        "gradient": lambda p: gradient(model, p, x, labels),
+        "evaluate_arrays": lambda p: evaluate_arrays(model, p, x, labels),
+        "train": lambda p: train(model, p, data, data, TrainConfig(max_epochs=1), 0),
+    }
+
+
+def assert_params_rejected(vector_for):
+    """Every checked entry point of both architectures raises ShapeError
+    on vector_for(model) and accepts the model's own initial vector."""
+    for model in (small_mlp(), small_conv()):
+        for call in checked_entry_points(model).values():
+            call(model.init_params(0))
+            with pytest.raises(ShapeError, match="params must be a float64 vector"):
+                call(vector_for(model))
+
+
 class TestParams:
+    """Parameters are one flat float64 vector, read through the model's
+    Layout and checked by every public entry point."""
+
     def test_layout_size_must_match_vector(self):
-        model = small_conv()
-        with pytest.raises(ShapeError):
-            Params(vector=np.zeros(model.n_params + 1), layout=model.layout)
+        assert_params_rejected(lambda model: np.zeros(model.n_params + 1))
 
     def test_vector_must_be_1d(self):
-        model = small_conv()
-        with pytest.raises(ShapeError):
-            Params(vector=np.zeros((model.n_params, 1)), layout=model.layout)
+        assert_params_rejected(lambda model: np.zeros((model.n_params, 1)))
+
+    def test_vector_must_be_float64(self):
+        assert_params_rejected(lambda model: model.init_params(0).astype(np.float32))
 
     def test_view_is_writable_alias(self):
-        params = small_conv().init_params(0)
-        params.view("head_bias")[:] = 7.0
-        assert np.all(params.view("head_bias") == 7.0)
+        model = small_conv()
+        params = model.init_params(0)
+        model.layout.views(params)["head_bias"][:] = 7.0
+        block, _ = model.layout.slices["head_bias"]
         # the block is a view into the flat vector, not a copy
-        assert np.any(params.vector == 7.0)
+        assert np.all(params[block] == 7.0)
 
-    def test_unknown_block_name(self):
-        params = small_conv().init_params(0)
-        with pytest.raises(KeyError):
-            params.view("nonexistent")
+    def test_forward_reads_the_vector_it_is_given(self):
+        model = small_conv()
+        params = model.init_params(0)
+        x, _ = batch_for(model)
+        assert np.any(model.forward(params, x) != 0.0)
+        assert np.all(model.forward(np.zeros_like(params), x) == 0.0)
 
-    def test_pickle_round_trip(self):
-        params = small_conv().init_params(0)
-        out = pickle.loads(pickle.dumps(params))
-        assert out.layout == params.layout
-        assert np.array_equal(out.view("spatial"), params.view("spatial"))
 
-    def test_views_write_into_vector_after_pickle(self):
-        out = pickle.loads(pickle.dumps(small_conv().init_params(0)))
-        out.view("spatial")[0, 0] = 123.0
-        block, _ = out.layout.slices["spatial"]
-        assert out.vector[block][0] == 123.0
-
-    def test_copy_is_independent(self):
-        params = small_conv().init_params(0)
-        dup = params.copy()
-        dup.vector[0] += 1.0
-        assert params.vector[0] != dup.vector[0]
+class TestInitialization:
+    def test_init_params_is_a_flat_float64_vector(self):
+        for model in (small_mlp(), small_conv()):
+            params = model.init_params(0)
+            assert isinstance(params, np.ndarray)
+            assert params.dtype == np.float64
+            assert params.shape == (model.n_params,)
 
     def test_default_conv_parameter_count(self):
         model = build_model(ModelConfig())
         # 8x16 temporal + 8x8 spatial + 8 bias + 2x8 head + 2 bias
         assert model.n_params == 218
 
-
-class TestInitialization:
     def test_weights_within_glorot_bounds_biases_zero(self):
         for model in (small_mlp(), small_conv()):
-            params = model.init_params(0)
+            views = model.layout.views(model.init_params(0))
             for name, _, fan in model.layout:
-                block = params.view(name)
+                block = views[name]
                 if fan is None:
                     assert np.all(block == 0.0)
                 else:
@@ -131,12 +148,12 @@ class TestInitialization:
     def test_same_seed_same_params(self):
         a = small_conv().init_params(0)
         b = small_conv().init_params(0)
-        assert np.array_equal(a.vector, b.vector)
+        assert np.array_equal(a, b)
 
     def test_different_seed_differs(self):
         a = small_conv().init_params(0)
         b = small_conv().init_params(1)
-        assert not np.array_equal(a.vector, b.vector)
+        assert not np.array_equal(a, b)
 
     # SHA-256 of the little-endian float64 initial vector at the default
     # sizes. The bounds test above cannot see a change in block order, draw
@@ -153,7 +170,7 @@ class TestInitialization:
     @pytest.mark.parametrize("architecture, seed", sorted(INIT_SHA256))
     def test_initial_values_pinned(self, architecture, seed):
         params = build_model(ModelConfig(architecture=architecture)).init_params(seed)
-        blob = params.vector.astype("<f8").tobytes()
+        blob = params.astype("<f8").tobytes()
         assert hashlib.sha256(blob).hexdigest() == self.INIT_SHA256[architecture, seed]
 
 
@@ -162,8 +179,8 @@ def bias_logits_model(logits):
     that every trial's logits are logits."""
     model = build_model(ModelConfig(architecture="mlp", n_channels=1, n_timepoints=1,
                                     n_classes=len(logits), hidden=(1,)))
-    params = Params(vector=np.zeros(model.n_params), layout=model.layout)
-    params.view("b1")[:] = logits
+    params = np.zeros(model.n_params)
+    model.layout.views(params)["b1"][:] = logits
     return model, params
 
 
@@ -254,8 +271,9 @@ class TestForward:
         for model in (small_mlp(), small_conv()):
             params = model.init_params(0)
             (head, _, _), (head_bias, _, _) = model.layout[-2:]
+            views = model.layout.views(params)
             for name in (head, head_bias):
-                params.view(name)[:] = 0.0
+                views[name][:] = 0.0
             x, _ = batch_for(model)
             logits = model.forward(params, x)
             assert np.all(logits == 0.0)
@@ -311,11 +329,10 @@ class TestGradients:
             x, labels = batch_for(model)
 
             def f(vec):
-                p = Params(vector=vec, layout=model.layout)
-                return cross_entropy(model.forward(p, x), labels)
+                return cross_entropy(model.forward(vec, x), labels)
 
             analytic = gradient(model, params, x, labels)
-            numeric = central_difference(f, params.vector)
+            numeric = central_difference(f, params)
             assert gradients_close(analytic, numeric)
 
     def test_batch_gradient_is_mean_of_per_sample(self):
@@ -336,7 +353,7 @@ class TestGradients:
     def test_saturated_model_has_tiny_gradient(self):
         model = small_conv()
         params = model.init_params(0)
-        params.view("head_bias")[:] = np.array([100.0, -100.0])
+        model.layout.views(params)["head_bias"][:] = np.array([100.0, -100.0])
         x, _ = batch_for(model)
         labels = np.zeros(len(x), dtype=int)  # class 0 predicted with ~certainty
         assert np.max(np.abs(gradient(model, params, x, labels))) < 1e-4
@@ -356,29 +373,29 @@ def filter_then_mix_loss_and_gradient(model, params, x, labels):
     must match: every channel is filtered in time into an (n, filters,
     channels, windows) tensor before the spatial weights mix it. Returns
     (logits, loss, flat gradient)."""
-    w = params.view("temporal")
-    v = params.view("spatial")
-    head = params.view("head")
+    p = model.layout.views(params)
+    w, v, head = p["temporal"], p["spatial"], p["head"]
     windows = np.lib.stride_tricks.sliding_window_view(x, model.config.kernel_len, axis=2)
     conv = np.einsum("ncul,fl->nfcu", windows, w)
-    s = np.einsum("nfcu,fc->nfu", conv, v) + params.view("spatial_bias")[None, :, None]
+    s = np.einsum("nfcu,fc->nfu", conv, v) + p["spatial_bias"][None, :, None]
     power = np.mean(s * s, axis=2)
     feats = np.log(power + LOG_EPS)
-    logits = feats @ head.T + params.view("head_bias")
+    logits = feats @ head.T + p["head_bias"]
     n = len(x)
     ls = log_softmax(logits)
     loss = float(-ls[np.arange(n), labels].mean())
     d = np.exp(ls)
     d[np.arange(n), labels] -= 1.0
     d /= n
-    grad = Params(vector=np.zeros(model.n_params), layout=model.layout)
-    grad.view("head")[:] = d.T @ feats
-    grad.view("head_bias")[:] = d.sum(axis=0)
+    grad = np.zeros(model.n_params)
+    g = model.layout.views(grad)
+    g["head"][:] = d.T @ feats
+    g["head_bias"][:] = d.sum(axis=0)
     ds = (2.0 / model.n_windows) * s * ((d @ head) / (power + LOG_EPS))[:, :, None]
-    grad.view("spatial_bias")[:] = ds.sum(axis=(0, 2))
-    grad.view("spatial")[:] = np.einsum("nfu,nfcu->fc", ds, conv)
-    grad.view("temporal")[:] = np.einsum("nfu,fc,ncul->fl", ds, v, windows)
-    return logits, loss, grad.vector
+    g["spatial_bias"][:] = ds.sum(axis=(0, 2))
+    g["spatial"][:] = np.einsum("nfu,nfcu->fc", ds, conv)
+    g["temporal"][:] = np.einsum("nfu,fc,ncul->fl", ds, v, windows)
+    return logits, loss, grad
 
 
 def check_against_filter_then_mix(model, params, x, labels):

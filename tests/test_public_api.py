@@ -75,3 +75,30 @@ def test_every_public_name_is_reached():
         and uses[node.name] == Counter(names_used(node))[node.name]
     ]
     assert unreached == []
+
+
+def test_every_top_level_import_is_used():
+    """Every name a top-level import binds in a src/eegcl module is used
+    there, as a name (the base of an attribute is one). Exempt are
+    __init__.py, which imports to re-export, `from __future__` imports and
+    names imported on a line marked "# noqa: F401", which only the
+    benchmark's tracer reads. It stands in for a linter's unused-import
+    check."""
+    unused = []
+    for path in sorted((ROOT / "src" / "eegcl").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                    unused.append(f"{path.name}:{alias.lineno} {bound}")
+    assert unused == []

@@ -39,7 +39,7 @@ def reference_train(model, params, train_set, val_set, cfg, seed, penalty=None):
     rng = np.random.default_rng(seed)
     work = params.copy()
     if cfg.optimizer == "adam":
-        optimizer = Adam.fresh(cfg.learning_rate, work.n_params)
+        optimizer = Adam.fresh(cfg.learning_rate, work.size)
     else:
         optimizer = Sgd(cfg.learning_rate)
     best, best_acc, bad_epochs, history = work.copy(), -math.inf, 0, []
@@ -50,9 +50,9 @@ def reference_train(model, params, train_set, val_set, cfg, seed, penalty=None):
             idx = order[start : start + cfg.batch_size]
             loss, grad = loss_and_gradient(model, work, x[idx], y[idx])
             if penalty is not None:
-                p_loss, p_grad = penalty(work.vector)
+                p_loss, p_grad = penalty(work)
                 loss, grad = loss + float(p_loss), grad + p_grad
-            optimizer.step(work.vector, grad)
+            optimizer.step(work, grad)
             loss_sum += loss * len(idx)
         val_acc = evaluate_arrays(model, work, x_val, y_val)
         history.append(EpochStats(epoch=epoch, train_loss=loss_sum / len(x), val_accuracy=val_acc))
@@ -143,8 +143,9 @@ class TestEvaluate:
         # class 0 and accuracy equals the fraction of 0-labels
         model = tiny_model()
         params = model.init_params(0)
-        params.view("w1")[:] = 0.0
-        params.view("b1")[:] = 0.0
+        views = model.layout.views(params)
+        views["w1"][:] = 0.0
+        views["b1"][:] = 0.0
         x, y = tiny_arrays(np.random.default_rng(3), 10)
         assert evaluate_arrays(model, params, x, y) == pytest.approx(np.mean(y == 0))
 
@@ -189,6 +190,7 @@ class TestTrain:
         model = tiny_model()
         cfg = TrainConfig(learning_rate=0.01, max_epochs=60, batch_size=8, patience=10)
         best, history = train(model, model.init_params(0), train_set, val_set, cfg, 0)
+        assert best.dtype == np.float64 and best.shape == (model.n_params,)
         assert evaluate_arrays(model, best, *train_set) == 1.0
         assert history[-1].val_accuracy == 1.0
 
@@ -212,7 +214,7 @@ class TestTrain:
         best_a, hist_a = train(model, model.init_params(0), train_set, val_set, cfg, 0)
         best_b, hist_b = train(model, model.init_params(0), train_set, val_set, cfg, 0)
         assert hist_a == hist_b
-        assert np.array_equal(best_a.vector, best_b.vector)
+        assert np.array_equal(best_a, best_b)
 
     @pytest.mark.parametrize("make_model", [tiny_model, tiny_conv], ids=["mlp", "conv"])
     def test_float32_stage_matches_float64_input(self, make_model):
@@ -225,7 +227,7 @@ class TestTrain:
         runs = [train(model, model.init_params(0), (xs, y), (x_val, y_val), cfg, 0)
                 for xs in (x32, x32.astype(np.float64))]
         assert runs[0][1] == runs[1][1]
-        assert np.array_equal(runs[0][0].vector, runs[1][0].vector)
+        assert np.array_equal(runs[0][0], runs[1][0])
 
     def test_ties_keep_the_earliest_epoch(self):
         # if epoch 1 already hits the best validation accuracy, later epochs
@@ -244,15 +246,15 @@ class TestTrain:
         )
         assert short_hist[0].val_accuracy == 1.0
         assert max(h.val_accuracy for h in long_hist) == 1.0
-        assert np.array_equal(long_best.vector, short_best.vector)
+        assert np.array_equal(long_best, short_best)
 
     def test_input_params_never_mutated(self):
         train_set, val_set = self.separable_sets()
         model = tiny_model()
         params = model.init_params(0)
-        before = params.vector.copy()
+        before = params.copy()
         train(model, params, train_set, val_set, TrainConfig(max_epochs=3, patience=5), 0)
-        assert np.array_equal(params.vector, before)
+        assert np.array_equal(params, before)
 
     def test_divergence_raises(self):
         train_set, val_set = self.separable_sets()
@@ -274,7 +276,7 @@ class TestTrain:
             model, model.init_params(0), train_set, val_set, cfg, 0, penalty=hook
         )
         assert hist_a == hist_b
-        assert np.array_equal(best_a.vector, best_b.vector)
+        assert np.array_equal(best_a, best_b)
 
     def test_history_epochs_are_one_based(self):
         train_set, val_set = self.separable_sets()
@@ -299,7 +301,7 @@ class TestTrain:
         best, history = train(model, params, train_set, val_set, cfg, 11, penalty=hook)
         ref_best, ref_history = reference_train(model, params, train_set, val_set, cfg, 11, hook)
         assert history == ref_history
-        assert np.array_equal(best.vector, ref_best.vector)
+        assert np.array_equal(best, ref_best)
 
     def test_sgd_optimizer_runs(self):
         train_set, val_set = self.separable_sets()
