@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Split, SubjectDataset
-from .errors import EmptyInputError, ShapeError
+from .errors import DegenerateInputError, EmptyInputError, ShapeError
 from .linalg import covariances, inv_sqrt_of_eig, sym_eig
 from .linalg import covariance  # noqa: F401  traced as alignment.covariance by bench/
 
@@ -99,9 +99,16 @@ def whiten_subject(dataset: SubjectDataset, eps: float | None = None) -> tuple:
 
     Returns (aligned SubjectDataset, AlignmentReport). The whitener comes
     from the training trials alone; every trial of every split is then
-    whitened with it in one matmul and rounded to float32 once.
+    whitened with it in one matmul and rounded to float32 once. Raises
+    DegenerateInputError if a whitened sample overflows float32.
     """
     report = compute_whitener(reference_covariance(dataset.arrays(Split.TRAIN)[0]), eps)
-    aligned = np.matmul(report.whitener, dataset.block.astype(np.float64))
-    return replace(dataset, block=aligned.astype(np.float32)), report
+    with np.errstate(over="ignore"):
+        aligned = np.matmul(report.whitener, dataset.block.astype(np.float64)).astype(np.float32)
+    if not np.isfinite(aligned).all():
+        raise DegenerateInputError(
+            f"subject {dataset.subject_id}: whitened trials overflow float32 "
+            f"(condition number {report.condition_number:.3e})"
+        )
+    return replace(dataset, block=aligned), report
 

@@ -80,8 +80,8 @@ logger = logging.getLogger("eegcl.cli")
 # Failures that exit 4; in `run` they fail one task, not the whole sweep.
 _NUMERICAL_ERRORS = (TrainingDivergedError, DegenerateInputError, UndefinedMetricError)
 
-_CURVE_RE = re.compile(r"^subject=(\d+)$")
-_REPORT_RE = re.compile(r"^report_[a-z]+_\d+\.json$")
+_CURVE_RE = re.compile(r"^subject=([0-9]+)$")
+_REPORT_RE = re.compile(r"^report_[a-z]+_[0-9]+\.json$")
 # What an `eegcl run` writes into --out; a later run refuses a directory
 # holding any of these rather than mix its outputs with an earlier run's.
 _RUN_OUTPUT_RE = re.compile(r"^(report_.*\.json|matrix_.*\.csv|summary\.csv)$")

@@ -10,10 +10,12 @@ which keeps optimizers, penalties, and finite-difference checks trivial.
 The public entry points (forward, loss_and_gradient, gradient) check their
 input and then run the unchecked core: forward_cached, backward and
 unchecked_loss_and_gradient. A training stage runs those checks once
-(check_params, check_batch) and the core every step. Each forward pass reads
-the blocks of the vector it is given through the model's Layout and hands
-those views to backward, which writes each gradient block straight into its
-slice of one flat vector, so a step allocates no per-block copies.
+(check_params, check_batch, which keeps the batch's dtype) and the core
+every step; forward_cached reads the batch as float64, in at most one copy.
+Each forward pass reads the blocks of the vector it is given through the
+model's Layout and hands those views to backward, which writes each gradient
+block straight into its slice of one flat vector, so a step allocates no
+per-block copies.
 """
 
 from __future__ import annotations
@@ -94,8 +96,10 @@ class Layout(tuple):
         }
 
 
-def _check_trials(x: np.ndarray, config: ModelConfig, dtype=np.float64) -> np.ndarray:
-    x = np.asarray(x, dtype=dtype)
+def _check_trials(x: np.ndarray, config: ModelConfig) -> np.ndarray:
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"a batch must be of bool, integer or real float dtype, got {x.dtype}")
     if x.ndim != 3 or x.shape[1:] != (config.n_channels, config.n_timepoints):
         raise ShapeError(
             f"batch must have shape (n, {config.n_channels}, {config.n_timepoints}), "
@@ -129,10 +133,6 @@ class Network:
         self.config = config
         self.layout = Layout(blocks)
 
-    @property
-    def n_params(self) -> int:
-        return self.layout.size
-
     def init_params(self, seed: int) -> np.ndarray:
         return _glorot_init(self.layout, seed)
 
@@ -143,10 +143,6 @@ class Network:
 
 class MlpNet(Network):
     """Fully connected tanh network over flattened trials."""
-
-    # train() keeps a stage's trials sample-major, (n, channels, time), so
-    # that flattening a gathered batch is a free reshape.
-    trial_axis = 0
 
     def __init__(self, config: ModelConfig):
         sizes = [config.n_channels * config.n_timepoints, *config.hidden, config.n_classes]
@@ -159,10 +155,10 @@ class MlpNet(Network):
         self._n_layers = len(sizes) - 1
 
     def forward_cached(self, params: np.ndarray, x: np.ndarray):
-        """Logits and the cache backward needs, for parameters and a float64
-        batch of shape (n, channels, time) that the caller has checked."""
+        """Logits and the cache backward needs, for parameters and a checked
+        (n, channels, time) batch of any real dtype, read as float64."""
         p = self.layout.views(params)
-        a = x.reshape(x.shape[0], -1)
+        a = np.asarray(x, dtype=np.float64).reshape(x.shape[0], -1)
         acts = [a]
         for i in range(self._n_layers - 1):
             a = np.tanh(a @ p[f"w{i}"].T + p[f"b{i}"])
@@ -202,12 +198,6 @@ class ShallowConvNet(Network):
     its gradients in backward.
     """
 
-    # train() keeps a stage's trials channel-major, (channels, n, time): a
-    # gathered batch, passed on as its (n, channels, time) transpose, is
-    # then read by the spatial conv as a (channels, n * time) matrix
-    # without a copy.
-    trial_axis = 1
-
     def __init__(self, config: ModelConfig):
         k, length = config.n_filters, config.kernel_len
         c, n_classes = config.n_channels, config.n_classes
@@ -221,12 +211,12 @@ class ShallowConvNet(Network):
         self.n_windows = config.n_timepoints - config.kernel_len + 1
 
     def forward_cached(self, params: np.ndarray, x: np.ndarray):
-        """Logits and the cache backward needs, for parameters and a float64
-        batch of shape (n, channels, time) that the caller has checked."""
+        """Logits and the cache backward needs, for parameters and a checked
+        (n, channels, time) batch of any real dtype, read as float64."""
         cfg = self.config
         p = self.layout.views(params)
-        n, t = x.shape[0], cfg.n_timepoints
-        xc = x.transpose(1, 0, 2).reshape(cfg.n_channels, n * t)
+        c, n, t = cfg.n_channels, x.shape[0], cfg.n_timepoints
+        xc = np.ascontiguousarray(x.transpose(1, 0, 2), dtype=np.float64).reshape(c, n * t)
         z = (p["spatial"] @ xc).reshape(cfg.n_filters, n, t)
         band = _band(p["temporal"], t)
         s = z @ band  # (filters, n, windows)
@@ -360,15 +350,14 @@ def _check_labels(labels, n_classes: int, n_rows: int) -> np.ndarray:
     return labels
 
 
-def check_batch(model, x: np.ndarray, labels, dtype=np.float64) -> tuple:
+def check_batch(model, x: np.ndarray, labels) -> tuple:
     """The checks loss_and_gradient and gradient run on their input:
-    returns x as a dtype (n, channels, time) batch for the model and
+    returns x as an (n, channels, time) ndarray in its own real dtype and
     labels as int64 class indices, one per trial. Raises ShapeError,
     EmptyInputError (a batch of no trials) or ValueError otherwise.
-    train() runs them once on a stage's training split, with dtype None to
-    keep that split's own dtype, so that its steps can call
-    unchecked_loss_and_gradient."""
-    x = _check_trials(x, model.config, dtype)
+    train() runs them once on a stage's training split, so that its steps
+    can call unchecked_loss_and_gradient."""
+    x = _check_trials(x, model.config)
     return x, _check_labels(labels, model.config.n_classes, x.shape[0])
 
 
@@ -394,9 +383,9 @@ def gradient(
 
 def unchecked_loss_and_gradient(model, params: np.ndarray, x, labels, per_sample: bool = False):
     """loss_and_gradient of parameters and a batch that check_params and
-    check_batch have already passed: x a float64 (n, channels, time) array,
-    possibly a transposed view, and labels int64 class indices. With
-    per_sample the gradient is gradient's (n, n_params) per-trial array."""
+    check_batch have already passed: x an (n, channels, time) array of any
+    real dtype and labels int64 class indices. With per_sample the gradient
+    is gradient's (n, n_params) per-trial array."""
     logits, cache = model.forward_cached(params, x)
     ls = _log_softmax(logits)
     n = logits.shape[0]

@@ -6,8 +6,8 @@ adds an optional penalty hook, such as EWC's, to each step's loss and
 gradient right after it. The loop tracks validation accuracy each epoch and
 returns the parameters from the best validation epoch. Everything is seeded
 and single-threaded so identical configs reproduce identical histories.
-Input checks and layout changes run once per stage; a step only gathers a
-batch and does the model's arithmetic, the penalty and the optimizer update.
+Input checks run once per stage; a step only indexes a batch and does the
+model's arithmetic, the penalty and the optimizer update.
 """
 
 from __future__ import annotations
@@ -124,19 +124,16 @@ def train(model, params: np.ndarray, train_set, val_set, cfg: TrainConfig, seed:
     the flat parameter vector to (extra loss, extra gradient); every step
     adds both to the model's cross-entropy loss and gradient.
 
-    Once per stage: the parameters (check_params) and both splits
-    (check_batch) are checked, and the training split is stored, in its own
-    dtype (float32 for a subject's block), in the layout the model reads
-    without a copy (its trial_axis). Each step only gathers a batch from it
-    with np.take, casts it to float64 and runs the forward/backward
-    arithmetic and the optimizer update.
+    Once per stage, the parameters (check_params) and both splits
+    (check_batch) are checked; the splits keep their own dtype (float32 for
+    a subject's block). Each step indexes its batch's rows and runs the
+    forward/backward arithmetic, which casts the batch to float64, and the
+    optimizer update.
     """
     work = np.array(check_params(model, params))
-    x_train, y_train = check_batch(model, *train_set, dtype=None)
+    x_train, y_train = check_batch(model, *train_set)
     x_val, y_val = check_batch(model, *val_set)
     n = len(x_train)
-    axis = model.trial_axis
-    x_train = np.ascontiguousarray(x_train.swapaxes(0, axis))
     rng = np.random.default_rng(seed)
     optimizer = _make_optimizer(cfg, work.size)
     best = work.copy()
@@ -148,8 +145,7 @@ def train(model, params: np.ndarray, train_set, val_set, cfg: TrainConfig, seed:
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            x = np.take(x_train, idx, axis=axis).astype(np.float64).swapaxes(0, axis)
-            loss, grad = unchecked_loss_and_gradient(model, work, x, y_train[idx])
+            loss, grad = unchecked_loss_and_gradient(model, work, x_train[idx], y_train[idx])
             if penalty is not None:
                 p_loss, p_grad = penalty(work)
                 loss = loss + float(p_loss)

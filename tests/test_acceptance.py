@@ -141,9 +141,9 @@ def test_03_analytic_gradients_match_finite_differences():
                 kernel_len=int(rng.integers(3, 7)),
             )
         model = build_model(cfg)
-        assert model.n_params <= 500
-        largest = max(largest, model.n_params)
-        params = model.init_params(i) + 0.2 * rng.standard_normal(model.n_params)
+        assert model.layout.size <= 500
+        largest = max(largest, model.layout.size)
+        params = model.init_params(i) + 0.2 * rng.standard_normal(model.layout.size)
         x = rng.standard_normal((4, cfg.n_channels, cfg.n_timepoints))
         labels = rng.integers(0, n_classes, size=4)
 

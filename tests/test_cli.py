@@ -111,6 +111,18 @@ def retag_split(stream_dir, subject, old, new):
     return stream_dir
 
 
+def flatten_channel(stream_dir, subject, channel, value):
+    """Rewrite a stream directory with one channel of one subject set to a
+    constant value in every trial."""
+    stream = load_stream(stream_dir)
+    subjects = list(stream)
+    block = subjects[subject].block.copy()
+    block[:, channel] = value
+    subjects[subject] = replace(subjects[subject], block=block)
+    save_stream(replace(stream, subjects=subjects), stream_dir)
+    return stream_dir
+
+
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):
     """One completed `run` invocation shared by the report tests."""
@@ -226,6 +238,22 @@ class TestAlign:
         save_stream(replace(stream, subjects=subjects), tmp_path / "reference")
         for path in sorted((tmp_path / "reference").iterdir()):
             assert (tmp_path / "aligned" / path.name).read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "value, eps", [(1e36, []), (1e3, ["--eps", "1e-300"])], ids=["default_eps", "tiny_eps"]
+    )
+    def test_whitening_overflow_exits_4(self, tmp_path, capsys, value, eps):
+        # A constant channel leaves the reference covariance singular, so the
+        # floored whitener scales it past float32: 1e36 at the default floor,
+        # 1e3 at a floor of 1e-300.
+        stream_dir = flatten_channel(gen_stream_dir(tmp_path), 0, 1, value)
+        assert main(["align", "--stream", str(stream_dir),
+                     "--out", str(tmp_path / "aligned"), *eps]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: subject 0: whitened trials overflow float32 "
+                              "(condition number ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "aligned").exists()
 
     @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
     def test_bad_eps_exits_2(self, tmp_path, capsys, eps, monkeypatch):
@@ -439,6 +467,19 @@ class TestRunCommand:
             a.pop("stage_seconds")
             b.pop("stage_seconds")
             assert a == b
+
+    def test_whitening_overflow_fails_only_the_aligned_run(self, tmp_path, capsys):
+        stream_dir = flatten_channel(gen_stream_dir(tmp_path), 0, 1, 1e36)
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            stream={"path": str(stream_dir)}, seeds=[0]
+        ))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 4
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "matrix_sft_0.csv", "report_sft_0.json", "summary.csv",
+        ]
+        assert "error: PCED seed 0: subject 0: whitened trials overflow float32" in (
+            capsys.readouterr().err
+        )
 
     def test_interrupted_sweep_keeps_the_runs_before_it(self, tmp_path, monkeypatch):
         # The tasks run as SFT 0, SFT 1, PCED 0, PCED 1; the third raises,
@@ -1021,6 +1062,14 @@ class TestReportCommand:
 
     def test_directory_without_reports_exits_2(self, tmp_path):
         assert main(["report", str(tmp_path)]) == 2
+
+    def test_only_ascii_digits_count(self, run_dir, tmp_path):
+        # "١" is ARABIC-INDIC DIGIT ONE, which a Unicode \d would match.
+        for path in run_dir.glob("report_*.json"):
+            (tmp_path / path.name).write_bytes(path.read_bytes())
+        assert main(["report", str(tmp_path), "--curve", "subject=\u0661"]) == 2
+        (tmp_path / "report_sft_\u0661.json").write_text("{")
+        assert main(["report", str(tmp_path), "--curve", "subject=1"]) == 0
 
     def test_missing_directory_exits_2(self, tmp_path):
         assert main(["report", str(tmp_path / "void")]) == 2

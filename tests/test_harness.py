@@ -305,7 +305,7 @@ class TestRunContinual:
         assert np.array_equal(a.matrix, b.matrix, equal_nan=True)
         assert np.array_equal(a.final_params, b.final_params)
         assert a.final_params.dtype == np.float64
-        assert a.final_params.shape == (build_model(small_model_cfg()).n_params,)
+        assert a.final_params.shape == (build_model(small_model_cfg()).layout.size,)
         assert a.stage_epochs == b.stage_epochs
 
     def test_disabled_mechanisms_reduce_to_plain_finetuning(self):

@@ -95,10 +95,10 @@ class TestParams:
     Layout and checked by every public entry point."""
 
     def test_layout_size_must_match_vector(self):
-        assert_params_rejected(lambda model: np.zeros(model.n_params + 1))
+        assert_params_rejected(lambda model: np.zeros(model.layout.size + 1))
 
     def test_vector_must_be_1d(self):
-        assert_params_rejected(lambda model: np.zeros((model.n_params, 1)))
+        assert_params_rejected(lambda model: np.zeros((model.layout.size, 1)))
 
     def test_vector_must_be_float64(self):
         assert_params_rejected(lambda model: model.init_params(0).astype(np.float32))
@@ -125,12 +125,12 @@ class TestInitialization:
             params = model.init_params(0)
             assert isinstance(params, np.ndarray)
             assert params.dtype == np.float64
-            assert params.shape == (model.n_params,)
+            assert params.shape == (model.layout.size,)
 
     def test_default_conv_parameter_count(self):
         model = build_model(ModelConfig())
         # 8x16 temporal + 8x8 spatial + 8 bias + 2x8 head + 2 bias
-        assert model.n_params == 218
+        assert model.layout.size == 218
 
     def test_weights_within_glorot_bounds_biases_zero(self):
         for model in (small_mlp(), small_conv()):
@@ -179,7 +179,7 @@ def bias_logits_model(logits):
     that every trial's logits are logits."""
     model = build_model(ModelConfig(architecture="mlp", n_channels=1, n_timepoints=1,
                                     n_classes=len(logits), hidden=(1,)))
-    params = np.zeros(model.n_params)
+    params = np.zeros(model.layout.size)
     model.layout.views(params)["b1"][:] = logits
     return model, params
 
@@ -313,6 +313,13 @@ class TestForward:
                 assert logits.shape == (2, 3)
                 assert np.all(np.isfinite(logits))
 
+    def test_mlp_float32_batch_equals_float64(self):
+        model = small_mlp()
+        params = model.init_params(0)
+        x32 = batch_for(model, n=5)[0].astype(np.float32)
+        logits = model.forward(params, x32)
+        assert np.array_equal(logits, model.forward(params, x32.astype(np.float64)))
+
     def test_wrong_input_shape_rejected(self):
         model = small_conv()
         params = model.init_params(0)
@@ -341,7 +348,7 @@ class TestGradients:
             x, labels = batch_for(model, n=6)
             full = gradient(model, params, x, labels)
             rows = gradient(model, params, x, labels, per_sample=True)
-            assert rows.shape == (6, model.n_params)
+            assert rows.shape == (6, model.layout.size)
             acc = np.zeros_like(full)
             for i in range(6):
                 single = gradient(model, params, x[i : i + 1], labels[i : i + 1])
@@ -387,7 +394,7 @@ def filter_then_mix_loss_and_gradient(model, params, x, labels):
     d = np.exp(ls)
     d[np.arange(n), labels] -= 1.0
     d /= n
-    grad = np.zeros(model.n_params)
+    grad = np.zeros(model.layout.size)
     g = model.layout.views(grad)
     g["head"][:] = d.T @ feats
     g["head_bias"][:] = d.sum(axis=0)

@@ -102,3 +102,24 @@ def test_every_top_level_import_is_used():
                 if bound not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                     unused.append(f"{path.name}:{alias.lineno} {bound}")
     assert unused == []
+
+
+def test_every_parameter_is_used():
+    """Every parameter of every function and lambda in a src/eegcl module,
+    self and cls aside, is read as a name somewhere in its body. It stands
+    in for a linter's unused-argument check, so a parameter that no longer
+    does anything is deleted rather than left in the signature."""
+    unused = []
+    for path in sorted((ROOT / "src" / "eegcl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            used = {sub.id for stmt in body for sub in ast.walk(stmt) if isinstance(sub, ast.Name)}
+            unused += [
+                f"{path.name}:{node.lineno} {param.arg}" for param in params
+                if param is not None and param.arg not in {"self", "cls"} | used
+            ]
+    assert unused == []

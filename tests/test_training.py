@@ -109,14 +109,20 @@ class TestOptimizers:
 
 class TestCheckBatch:
     def test_shapes_and_dtypes(self):
+        # An ndarray batch comes back as the same object, in its own dtype.
         model = tiny_model()
         x32 = tiny_arrays(np.random.default_rng(0), 5)[0].astype(np.float32)
         x, y = check_batch(model, x32, [0, 1, 0, 1, 0])
-        assert x.shape == (5, 2, 4)
-        assert x.dtype == np.float64
+        assert x is x32
         assert y.dtype == np.int64
         assert list(y) == [0, 1, 0, 1, 0]
-        assert check_batch(model, x32, y, dtype=None)[0] is x32
+        assert check_batch(model, x32.tolist(), y)[0].dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.str_])
+    def test_non_real_batch_rejected(self, dtype):
+        x = tiny_arrays(np.random.default_rng(0), 5)[0].astype(dtype)
+        with pytest.raises(ValueError, match="real float dtype"):
+            check_batch(tiny_model(), x, [0, 1, 0, 1, 0])
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyInputError):
@@ -190,7 +196,7 @@ class TestTrain:
         model = tiny_model()
         cfg = TrainConfig(learning_rate=0.01, max_epochs=60, batch_size=8, patience=10)
         best, history = train(model, model.init_params(0), train_set, val_set, cfg, 0)
-        assert best.dtype == np.float64 and best.shape == (model.n_params,)
+        assert best.dtype == np.float64 and best.shape == (model.layout.size,)
         assert evaluate_arrays(model, best, *train_set) == 1.0
         assert history[-1].val_accuracy == 1.0
 
@@ -218,16 +224,20 @@ class TestTrain:
 
     @pytest.mark.parametrize("make_model", [tiny_model, tiny_conv], ids=["mlp", "conv"])
     def test_float32_stage_matches_float64_input(self, make_model):
-        # A float32 training split is kept as float32 and each batch is cast
-        # to float64: the run equals one on the same values in float64.
+        # The model casts each float32 batch to float64 itself: the run
+        # equals one on the same values in float64, and one on a
+        # non-contiguous view of them.
         model = make_model()
         (x, y), (x_val, y_val) = (check_batch(model, *s) for s in self.separable_sets())
         x32 = x.astype(np.float32)
+        strided = np.ascontiguousarray(x32.transpose(2, 0, 1)).transpose(1, 2, 0)
+        assert not strided.flags.c_contiguous
         cfg = TrainConfig(learning_rate=0.01, max_epochs=5, batch_size=8, patience=5)
         runs = [train(model, model.init_params(0), (xs, y), (x_val, y_val), cfg, 0)
-                for xs in (x32, x32.astype(np.float64))]
-        assert runs[0][1] == runs[1][1]
-        assert np.array_equal(runs[0][0], runs[1][0])
+                for xs in (x32, x32.astype(np.float64), strided)]
+        for best, history in runs[1:]:
+            assert history == runs[0][1]
+            assert np.array_equal(best, runs[0][0])
 
     def test_ties_keep_the_earliest_epoch(self):
         # if epoch 1 already hits the best validation accuracy, later epochs
