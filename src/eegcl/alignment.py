@@ -32,14 +32,12 @@ CONDITION_WARN = 1e8
 class AlignmentReport:
     """What one alignment pass computed.
 
-    reference_covariance: mean of the per-trial covariances (C x C).
-    whitener: its inverse square root; symmetric.
+    whitener: inverse square root of the reference covariance; symmetric.
     condition_number: max eigenvalue over floored min eigenvalue of the
         reference covariance, clamped to >= 1.
     eigenvalue_floor_applied: whether any eigenvalue had to be clamped.
     """
 
-    reference_covariance: np.ndarray
     whitener: np.ndarray
     condition_number: float
     eigenvalue_floor_applied: bool
@@ -68,33 +66,26 @@ def reference_covariance(trials) -> np.ndarray:
     return covariances(x).sum(axis=0) / len(x)
 
 
-def compute_whitener(
-    ref_cov: np.ndarray, eps: float | None = None
-) -> AlignmentReport:
+def compute_whitener(ref_cov: np.ndarray) -> AlignmentReport:
     """Inverse square root of a reference covariance, with conditioning info.
 
-    eps is the eigenvalue floor; when omitted it defaults to
-    1e-10 x max(largest eigenvalue, 1).
+    Eigenvalues are floored at linalg.EIG_FLOOR_REL x max(largest
+    eigenvalue, 1).
     """
     w, v = sym_eig(ref_cov)
-    whitener, eps = inv_sqrt_of_eig(w, v, eps)
-    floored = bool(w[0] < eps)
-    condition = max(1.0, float(w[-1]) / max(float(w[0]), eps))
+    whitener, floor = inv_sqrt_of_eig(w, v)
+    floored = bool(w[0] < floor)
+    condition = max(1.0, float(w[-1]) / max(float(w[0]), floor))
     if condition > CONDITION_WARN:
         logger.warning(
             "reference covariance is ill-conditioned (condition number %.3e); "
             "whitened data may be unreliable",
             condition,
         )
-    return AlignmentReport(
-        reference_covariance=ref_cov,
-        whitener=whitener,
-        condition_number=condition,
-        eigenvalue_floor_applied=floored,
-    )
+    return AlignmentReport(whitener, condition, floored)
 
 
-def whiten_subject(dataset: SubjectDataset, eps: float | None = None) -> tuple:
+def whiten_subject(dataset: SubjectDataset) -> tuple:
     """Whiten a subject against their own training split.
 
     Returns (aligned SubjectDataset, AlignmentReport). The whitener comes
@@ -102,7 +93,7 @@ def whiten_subject(dataset: SubjectDataset, eps: float | None = None) -> tuple:
     whitened with it in one matmul and rounded to float32 once. Raises
     DegenerateInputError if a whitened sample overflows float32.
     """
-    report = compute_whitener(reference_covariance(dataset.arrays(Split.TRAIN)[0]), eps)
+    report = compute_whitener(reference_covariance(dataset.arrays(Split.TRAIN)[0]))
     with np.errstate(over="ignore"):
         aligned = np.matmul(report.whitener, dataset.block.astype(np.float64)).astype(np.float32)
     if not np.isfinite(aligned).all():

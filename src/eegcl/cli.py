@@ -4,9 +4,8 @@ Subcommands:
 
 - ``gen --config PATH --out DIR``: generate a synthetic subject stream from
   a StreamConfig JSON and write it to a stream directory.
-- ``align --stream DIR --out DIR [--eps E]``: whiten each subject of a
-  stream against their own training-split covariance and write the aligned
-  stream.
+- ``align --stream DIR --out DIR``: whiten each subject of a stream
+  against their own training-split covariance and write the aligned stream.
 - ``run --config PATH --out DIR [--jobs K]``: run an experiment config
   (strategies x seeds) over a stream, writing one JSON report and one
   accuracy-matrix CSV per run, each once it and every earlier run have
@@ -70,7 +69,6 @@ from .harness import (
     record_to_json_dict,
     run_continual,
 )
-from .linalg import EIG_FLOOR
 from .models import ModelConfig
 from .training import TrainConfig
 
@@ -133,13 +131,7 @@ def _build_dataclass(cls, data: dict, what: str):
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
-def _parse_memory(data, default: MemoryConfig) -> MemoryConfig:
-    if data is None:
-        return default
-    return _build_dataclass(MemoryConfig, data, "memory config")
-
-
-def _parse_strategy(item, default_memory: MemoryConfig) -> Strategy:
+def _parse_strategy(item) -> Strategy:
     """A strategy entry; the memory and lambda it gives are checked even
     when its kind does not use them. Only an ASCII kind is upper-cased, so
     that Strategy's check names any other kind as written."""
@@ -150,9 +142,11 @@ def _parse_strategy(item, default_memory: MemoryConfig) -> Strategy:
     unknown = sorted(set(item) - {"kind", "memory", "lambda"})
     if unknown:
         raise ConfigError(f"unknown strategy keys: {unknown}")
-    kind = item.get("kind", "")
+    if "kind" not in item:
+        raise ConfigError(f"strategy entry {item} needs a 'kind'")
+    kind = item["kind"]
     return Strategy(kind.upper() if isinstance(kind, str) and kind.isascii() else kind,
-                    _parse_memory(item.get("memory"), default_memory),
+                    _build_dataclass(MemoryConfig, item.get("memory", {}), "memory config"),
                     item.get("lambda", DEFAULT_LAMBDA))
 
 
@@ -160,7 +154,7 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
     """Map an experiment config's JSON object onto an ExperimentConfig. The
     configs it builds, this one included, check themselves; cmd_run builds
     the ModelConfig over the stream's dimensions."""
-    unknown = sorted(set(data) - {"stream", "strategies", "memory", "model", "train", "seeds"})
+    unknown = sorted(set(data) - {"stream", "strategies", "model", "train", "seeds"})
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
     stream = data.get("stream")
@@ -171,8 +165,7 @@ def parse_experiment_config(data: dict) -> ExperimentConfig:
     strategies = data.get("strategies")
     if not isinstance(strategies, list) or not strategies:
         raise ConfigError("config needs a non-empty 'strategies' list")
-    default_memory = _parse_memory(data.get("memory"), MemoryConfig())
-    parsed = tuple(_parse_strategy(i, default_memory) for i in strategies)
+    parsed = tuple(_parse_strategy(i) for i in strategies)
     kinds = [strategy.kind for strategy in parsed]
     if len(set(kinds)) != len(kinds):
         raise ConfigError(f"strategies must list each kind at most once, got {kinds}")
@@ -250,13 +243,11 @@ def cmd_align(args) -> int:
     if Path(args.out).resolve() == Path(args.stream).resolve():
         raise ConfigError(f"--out {args.out} is the --stream directory {args.stream}; "
                           "choose another directory for the aligned stream")
-    if args.eps is not None:
-        EIG_FLOOR.check(args.eps, "--eps")
     stream = load_stream(args.stream)
     stream.require_splits(Split.TRAIN)
     aligned_subjects = []
     for ds in stream:
-        aligned, report = whiten_subject(ds, args.eps)
+        aligned, report = whiten_subject(ds)
         aligned_subjects.append(aligned)
         note = " (eigenvalue floor applied)" if report.eigenvalue_floor_applied else ""
         print(
@@ -497,9 +488,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_align.add_argument("--stream", required=True, help="input stream directory")
     p_align.add_argument("--out", required=True, help="aligned stream directory")
-    p_align.add_argument(
-        "--eps", type=float, default=None, help="eigenvalue floor override"
-    )
     p_align.set_defaults(func=cmd_align)
 
     p_run = sub.add_parser("run", help="run strategies over a stream")

@@ -516,16 +516,27 @@ def _subject_filename(subject_id: int) -> str:
     return f"subject_{subject_id:03d}.eegc"
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json.loads object hook: an object that repeats a key is invalid."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"repeated key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def read_json_object(path, what: str, error) -> dict:
     """The JSON object in the file at path, read as UTF-8; every JSON file
     eegcl reads comes through here. A missing file, bytes that do not
-    decode (nesting past the recursion limit included) or a value that is
-    not an object raise error, naming the file; what names its role."""
+    decode (nesting past the recursion limit and a repeated key included)
+    or a value that is not an object raise error, naming the file; what
+    names its role."""
     path = Path(path)
     if not path.is_file():
         raise error(f"{path}: {what} not found")
     try:
-        value = json.loads(path.read_bytes().decode("utf-8"))
+        value = json.loads(path.read_bytes().decode("utf-8"), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise error(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(value, dict):

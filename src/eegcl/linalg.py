@@ -11,15 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateInputError, ShapeError, number
+from .errors import DegenerateInputError, ShapeError
 
 # Largest relative asymmetry accepted before an eigendecomposition.
 SYMMETRY_RTOL = 1e-10
 
-# Relative eigenvalue floor used when the caller does not supply one.
-DEFAULT_EIG_FLOOR_REL = 1e-10
-# An eigenvalue floor given explicitly (inv_sqrt's eps, `eegcl align --eps`).
-EIG_FLOOR = number(0, exclusive=True)
+# Eigenvalues below EIG_FLOOR_REL x max(largest eigenvalue, 1) are clamped
+# to that floor before an inverse square root; every whitener uses it.
+EIG_FLOOR_REL = 1e-10
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -88,26 +87,18 @@ def sym_eig(a) -> tuple:
     return w, v
 
 
-def default_eig_floor(eigenvalues: np.ndarray) -> float:
-    """Relative eigenvalue floor: 1e-10 x max(largest eigenvalue, 1)."""
-    return DEFAULT_EIG_FLOOR_REL * max(float(eigenvalues[-1]), 1.0)
-
-
-def inv_sqrt(a, eps: float | None = None) -> np.ndarray:
+def inv_sqrt(a) -> np.ndarray:
     """Inverse matrix square root of a symmetric PSD matrix.
 
-    Computed as V @ diag(max(w, eps))^(-1/2) @ V.T. Eigenvalues below the
-    floor are clamped to it, which keeps the result finite for
-    rank-deficient input. When eps is omitted it defaults to
-    1e-10 x max(largest eigenvalue, 1).
+    Computed as V @ diag(max(w, floor))^(-1/2) @ V.T with floor
+    EIG_FLOOR_REL x max(largest eigenvalue, 1). Eigenvalues below the floor
+    are clamped to it, which keeps the result finite for rank-deficient
+    input.
     """
-    return inv_sqrt_of_eig(*sym_eig(a), eps)[0]
+    return inv_sqrt_of_eig(*sym_eig(a))[0]
 
 
-def inv_sqrt_of_eig(w: np.ndarray, v: np.ndarray, eps: float | None = None) -> tuple:
+def inv_sqrt_of_eig(w: np.ndarray, v: np.ndarray) -> tuple:
     """inv_sqrt from an eigendecomposition w, v: returns (matrix, floor used)."""
-    if eps is None:
-        eps = default_eig_floor(w)
-    else:
-        EIG_FLOOR.check(eps, "eps")
-    return symmetrize((v / np.sqrt(np.maximum(w, eps))) @ v.T), eps
+    floor = EIG_FLOOR_REL * max(float(w[-1]), 1.0)
+    return symmetrize((v / np.sqrt(np.maximum(w, floor))) @ v.T), floor

@@ -111,6 +111,7 @@ def evaluate_arrays(model, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> 
     return float(np.mean(predictions == y))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite loss raises below
 def train(model, params: np.ndarray, train_set, val_set, cfg: TrainConfig, seed: int,
           penalty=None):
     """Early-stopped mini-batch training.

@@ -84,7 +84,7 @@ def cross_entropy(logits, labels):
     return float(-ls[np.arange(len(labels)), labels].mean())
 
 
-def align_subject(trials, eps=None):
+def align_subject(trials):
     """Whiten trials against their own mean covariance.
 
     Returns (aligned float64 trials, AlignmentReport). Each aligned trial has
@@ -92,14 +92,16 @@ def align_subject(trials, eps=None):
     is the identity whenever the reference covariance is well conditioned.
     """
     trials = list(trials)
-    report = compute_whitener(reference_covariance(trials), eps)
+    report = compute_whitener(reference_covariance(trials))
     return list(np.matmul(report.whitener, np.array(trials, dtype=np.float64))), report
 
 
 # The bytes of JSON files that do not decode, by name: broken syntax, bytes
-# that are not UTF-8, and nesting far past the recursion limit.
+# that are not UTF-8, nesting far past the recursion limit, and an object
+# that gives one key twice.
 UNDECODABLE_JSON = {
     "broken": b"{broken",
     "not_utf8": b'{"seed": "\xff"}',
     "nested_too_deep": b"[" * 100_000 + b"]" * 100_000,
+    "repeated_key": b'{"seed": 1, "seed": 2}',
 }

@@ -132,7 +132,6 @@ class TestComputeWhitener:
         trials = [rng.standard_normal((3, 20)) for _ in range(5)]
         ref = reference_covariance(trials)
         report = compute_whitener(ref)
-        assert np.array_equal(report.reference_covariance, ref)
         assert np.array_equal(report.whitener, report.whitener.T)
         assert report.condition_number >= 1.0
         assert report.eigenvalue_floor_applied is False
@@ -151,10 +150,6 @@ class TestComputeWhitener:
         with caplog.at_level(logging.WARNING, logger="eegcl.alignment"):
             compute_whitener(np.diag([2.0, 1.0]))
         assert not caplog.records
-
-    def test_bad_eps_rejected(self):
-        with pytest.raises(ValueError):
-            compute_whitener(np.eye(2), eps=-1.0)
 
 
 class TestAlignSubject:
@@ -186,10 +181,10 @@ class TestAlignSubject:
         rng = np.random.default_rng(7)
         trials = [rng.standard_normal((3, 16)) for _ in range(8)]
         perm = [5, 2, 7, 0, 3, 6, 1, 4]
-        aligned, report = align_subject(trials)
-        aligned_p, report_p = align_subject([trials[i] for i in perm])
+        aligned, _ = align_subject(trials)
+        aligned_p, _ = align_subject([trials[i] for i in perm])
         np.testing.assert_allclose(
-            report_p.reference_covariance, report.reference_covariance,
+            reference_covariance([trials[i] for i in perm]), reference_covariance(trials),
             rtol=0, atol=1e-12,
         )
         for out_index, in_index in enumerate(perm):
@@ -201,11 +196,11 @@ class TestAlignSubject:
         rng = np.random.default_rng(8)
         trials = [rng.standard_normal((3, 16)) for _ in range(6)]
         scaled = [3.0 * t for t in trials]
-        aligned, report = align_subject(trials)
-        aligned_s, report_s = align_subject(scaled)
+        aligned, _ = align_subject(trials)
+        aligned_s, _ = align_subject(scaled)
         np.testing.assert_allclose(
-            report_s.reference_covariance,
-            9.0 * report.reference_covariance,
+            reference_covariance(scaled),
+            9.0 * reference_covariance(trials),
             rtol=1e-9,
             atol=1e-12,
         )
@@ -227,7 +222,6 @@ class TestAlignSubject:
         ds = replace(ds, split=[Split.TRAIN, Split.VAL, Split.TEST] * 4)
         aligned, report = whiten_subject(ds)
         train = [t.trial for t in ds.trials_for(Split.TRAIN)]
-        assert np.array_equal(report.reference_covariance, reference_covariance(train))
         whitener = compute_whitener(reference_covariance(train)).whitener
         assert np.array_equal(report.whitener, whitener)
         assert aligned.block.dtype == np.float32 and not aligned.block.flags.writeable

@@ -19,6 +19,7 @@ from eegcl.alignment import compute_whitener, reference_covariance
 from eegcl.cli import main, parse_experiment_config
 from eegcl.data import Split, load_stream, save_stream
 from eegcl.errors import ConfigError
+from eegcl.harness import MemoryConfig
 from eegcl.linalg import covariance
 
 from helpers import UNDECODABLE_JSON
@@ -227,43 +228,41 @@ class TestAlign:
         config = write_json(tmp_path / "gen.json", gen_config(n_classes=3, trials_per_subject=15))
         main(["gen", "--config", str(config), "--out", str(tmp_path / "stream")])
         assert main(["align", "--stream", str(tmp_path / "stream"),
-                     "--out", str(tmp_path / "aligned"), "--eps", "0.01"]) == 0
+                     "--out", str(tmp_path / "aligned")]) == 0
         stream = load_stream(tmp_path / "stream")
         subjects = []
         for ds in stream:
             train = [t.trial for t in ds.trials_for(Split.TRAIN)]
-            w = compute_whitener(reference_covariance(train), 0.01).whitener
+            w = compute_whitener(reference_covariance(train)).whitener
             block = np.array([w @ t.trial.astype(np.float64) for t in ds.trials], np.float32)
             subjects.append(replace(ds, block=block))
         save_stream(replace(stream, subjects=subjects), tmp_path / "reference")
         for path in sorted((tmp_path / "reference").iterdir()):
             assert (tmp_path / "aligned" / path.name).read_bytes() == path.read_bytes()
 
-    @pytest.mark.parametrize(
-        "value, eps", [(1e36, []), (1e3, ["--eps", "1e-300"])], ids=["default_eps", "tiny_eps"]
-    )
-    def test_whitening_overflow_exits_4(self, tmp_path, capsys, value, eps):
+    def test_whitening_overflow_exits_4(self, tmp_path, capsys):
         # A constant channel leaves the reference covariance singular, so the
-        # floored whitener scales it past float32: 1e36 at the default floor,
-        # 1e3 at a floor of 1e-300.
-        stream_dir = flatten_channel(gen_stream_dir(tmp_path), 0, 1, value)
+        # floored whitener scales a constant of 1e36 past float32.
+        stream_dir = flatten_channel(gen_stream_dir(tmp_path), 0, 1, 1e36)
         assert main(["align", "--stream", str(stream_dir),
-                     "--out", str(tmp_path / "aligned"), *eps]) == 4
+                     "--out", str(tmp_path / "aligned")]) == 4
         err = capsys.readouterr().err
         assert err.startswith("error: subject 0: whitened trials overflow float32 "
                               "(condition number ")
         assert err.count("\n") == 1
         assert not (tmp_path / "aligned").exists()
 
-    @pytest.mark.parametrize("eps", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("eps", ["0.1", "0", "-1", "nan", "inf"])
     def test_bad_eps_exits_2(self, tmp_path, capsys, eps, monkeypatch):
+        # align whitens as PCED does, with linalg's one eigenvalue floor, so
+        # it takes no --eps at all
         stream_dir = gen_stream_dir(tmp_path)
         monkeypatch.setattr(eegcl.cli, "load_stream", None)  # refused before any read
-        rc = main(["align", "--stream", str(stream_dir), "--out", str(tmp_path / "aligned"),
-                   "--eps", eps])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"error: --eps must be a finite number > 0, got {float(eps)}" in err
+        with pytest.raises(SystemExit) as exit_info:
+            main(["align", "--stream", str(stream_dir), "--out", str(tmp_path / "aligned"),
+                  "--eps", eps])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --eps" in capsys.readouterr().err
         assert not (tmp_path / "aligned").exists()
 
     @pytest.mark.parametrize("spelling", ["same", "trailing_slash", "dotted"])
@@ -436,8 +435,6 @@ class TestRunCommand:
             assert (tmp_path / jobs / "report_pced_1.json").is_file()
         assert sizes == [3, 4]
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_diverged_run_keeps_finished_reports_and_exits_4(self, tmp_path, capsys):
         # With the largest finite EWC lambda, lambda * F overflows to inf on
         # the convnet's Fisher entries above 1, so the first penalty gradient
@@ -457,6 +454,7 @@ class TestRunCommand:
             err = capsys.readouterr().err
             assert "error: EWC seed 0: training loss became nan" in err
             assert "error: EWC seed 1: training loss became nan" in err
+            assert "RuntimeWarning" not in err
         seq, par = tmp_path / "jobs1", tmp_path / "jobs2"
         lines = (seq / "summary.csv").read_text().splitlines()
         assert [line.split(",")[:2] for line in lines[1:]] == [["SFT", "2"]]
@@ -691,14 +689,15 @@ class TestRunCommand:
         {"strategies": [{"kind": "EWC", "lambda": float("nan")}]},
         {"strategies": [{"kind": "EWC", "lambda": 10**400}]},
         {"strategies": [{"kind": "EWC", "lambda": True}]},
-        {"strategies": ["ER"], "memory": {"capacity": "x"}},
+        {"strategies": [{"kind": "ER", "memory": {"capacity": "x"}}]},
+        {"strategies": [{"kind": "ER", "memory": None}]},
         {"strategies": [{"kind": "ER", "memory": {"capacity": -1}}]},
         {"strategies": [{"kind": "PCED", "memory": {"capacity": 1.5}}]},
         {"strategies": [{"kind": "PCED", "memory": {"per_class": None}}]},
         {"strategies": [{"kind": "ER", "memory": {"policy": "fifo"}}]},
     ], ids=[
         "lambda_negative", "lambda_string", "lambda_null", "lambda_inf", "lambda_nan",
-        "lambda_huge_int", "lambda_bool", "capacity_string",
+        "lambda_huge_int", "lambda_bool", "capacity_string", "memory_null",
         "capacity_negative", "capacity_fraction", "per_class_null", "policy_unknown",
     ])
     def test_bad_strategy_config_exits_2(self, tmp_path, capsys, overrides):
@@ -760,6 +759,9 @@ class TestRunCommand:
          "strategy kind must be one of ('SFT', 'ER', 'EWC', 'PCED'), got ['SFT']"),
         ({"strategies": [{"kind": "\u017fft"}]},
          "strategy kind must be one of ('SFT', 'ER', 'EWC', 'PCED'), got '\u017fft'"),
+        ({"strategies": [{"memory": {}}]}, "strategy entry {'memory': {}} needs a 'kind'"),
+        # a memory is set on the ER or PCED entry that uses it, nowhere else
+        ({"memory": {"capacity": 4}}, "unknown config keys: ['memory']"),
     ], ids=[
         "n_subjects_string", "generator_seed_string", "generator_seed_negative",
         "polarity_string", "n_classes_above_a_byte", "generator_not_object", "path_not_string",
@@ -770,6 +772,7 @@ class TestRunCommand:
         "hidden_not_list_for_shallow_conv", "seed_string",
         "seed_negative", "seed_fraction", "seed_bool", "seeds_null", "two_stream_sources",
         "kind_listed_twice", "kind_null", "kind_number", "kind_list", "kind_long_s",
+        "kind_missing", "top_level_memory",
     ])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, overrides, message):
         config = write_json(tmp_path / "exp.json", experiment_config(**overrides))
@@ -980,11 +983,13 @@ class TestParseExperimentConfig:
         assert ewc.lam == 7.5
 
     def test_shared_defaults_apply(self):
+        # an entry without a memory gets MemoryConfig's defaults; a memory is
+        # set only on its own entry
         cfg = parse_experiment_config(experiment_config(
-            strategies=["ER", "PCED"],
-            memory={"capacity": 12, "per_class": 3},
+            strategies=["ER", {"kind": "PCED", "memory": {"capacity": 12, "per_class": 3}}],
         ))
-        assert all(s.memory.capacity == 12 for s in cfg.strategies)
+        assert [s.memory for s in cfg.strategies] == [MemoryConfig(),
+                                                      MemoryConfig(capacity=12, per_class=3)]
 
     def test_integers_count_as_numbers(self):
         cfg = parse_experiment_config(experiment_config(
@@ -1109,10 +1114,12 @@ class TestReportCommand:
          "report matrix must hold accuracies"),
         (json.dumps({"strategy": {"kind": "SFT"}, "matrix": [[0.5, None], [None, 0.6]]}),
          "report matrix must hold accuracies"),
+        ('{"strategy": {"kind": "SFT"}, "matrix": [[0.5]], "matrix": [[0.5]]}',
+         "invalid JSON (repeated key 'matrix')"),
     ], ids=["invalid_json", "not_utf8", "nested_too_deep", "not_an_object", "no_matrix",
             "no_kind", "ragged", "not_square", "not_numeric", "above_diagonal", "infinite", "negative", "above_one", "nan_on_curve",
             "nan_off_curve", "nan_above_diagonal", "unknown_kind", "no_rows",
-            "undefined_on_diagonal", "undefined_below_diagonal"])
+            "undefined_on_diagonal", "undefined_below_diagonal", "repeated_key"])
     def test_malformed_report_exits_2(self, tmp_path, capsys, text, message):
         path = tmp_path / "report_sft_0.json"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())

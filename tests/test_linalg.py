@@ -3,7 +3,7 @@ import pytest
 
 from eegcl import DegenerateInputError
 from eegcl.errors import ShapeError
-from eegcl.linalg import as_matrix, covariance, default_eig_floor, inv_sqrt, sym_eig, symmetrize
+from eegcl.linalg import as_matrix, covariance, inv_sqrt, inv_sqrt_of_eig, sym_eig, symmetrize
 
 
 def brute_force_covariance(x):
@@ -145,20 +145,6 @@ class TestInvSqrt:
         # the zero eigenvalue is floored at 1e-10 * max(lambda, 1)
         assert r[1, 1] == pytest.approx(1.0 / np.sqrt(1e-10), rel=1e-10)
 
-    def test_explicit_eps(self):
-        a = np.diag([1.0, 0.0])
-        r = inv_sqrt(a, eps=0.25)
-        assert r[1, 1] == pytest.approx(2.0)
-
-    def test_bad_eps_rejected(self):
-        with pytest.raises(ValueError):
-            inv_sqrt(np.eye(2), eps=0.0)
-        with pytest.raises(ValueError):
-            inv_sqrt(np.eye(2), eps=-1.0)
-        for eps in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="eps must be a finite number > 0"):
-                inv_sqrt(np.eye(2), eps=eps)
-
 
 class TestHelpers:
     def test_symmetrize_is_exactly_symmetric(self):
@@ -175,5 +161,6 @@ class TestHelpers:
             as_matrix([[np.inf, 0.0], [0.0, 1.0]])
 
     def test_default_eig_floor(self):
-        assert default_eig_floor(np.array([0.5, 2.0])) == pytest.approx(2e-10)
-        assert default_eig_floor(np.array([0.1, 0.5])) == pytest.approx(1e-10)
+        # the floor is 1e-10 x max(largest eigenvalue, 1)
+        for w, floor in (([0.5, 2.0], 2e-10), ([0.1, 0.5], 1e-10)):
+            assert inv_sqrt_of_eig(np.array(w), np.eye(2))[1] == pytest.approx(floor)

@@ -313,8 +313,9 @@ def test_load_stream_on_every_single_byte_damage_of_its_manifest(stream_dir):
 
 VALID_EXPERIMENT = {
     "stream": {"generator": {"n_subjects": 2, "seed": 4}},
-    "strategies": ["SFT", {"kind": "ER", "memory": {"capacity": 20}}, {"kind": "EWC", "lambda": 5}],
-    "memory": {"capacity": 12, "per_class": 3, "policy": "class_balanced"},
+    "strategies": ["SFT", {"kind": "ER", "memory": {"capacity": 20, "per_class": 3,
+                                                    "policy": "class_balanced"}},
+                   {"kind": "EWC", "lambda": 5}],
     "model": {"architecture": "mlp", "hidden": [4, 2]},
     "train": {"learning_rate": 0.01, "max_epochs": 2},
     "seeds": [0, 1],
@@ -328,8 +329,7 @@ def _field_paths():
         *(("strategies", i, key) for i in (1, 2) for key in ("kind", "memory", "lambda")),
     ]
     for prefix, cls in ((("stream", "generator"), StreamConfig), (("model",), ModelConfig),
-                        (("train",), TrainConfig), (("memory",), MemoryConfig),
-                        (("strategies", 1, "memory"), MemoryConfig)):
+                        (("train",), TrainConfig), (("strategies", 1, "memory"), MemoryConfig)):
         paths += [(*prefix, f.name) for f in fields(cls)]
     return paths
 

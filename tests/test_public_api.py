@@ -1,8 +1,10 @@
 """The package root exports what the README documents: the names its Quick
 start imports from eegcl and the error types its Exit codes table names.
 Everything else is imported from its module, and some module of the
-program or the benchmark reaches it."""
+program or the benchmark reaches it. The CLI takes the options its
+docstring and the README's CLI section document."""
 
+import argparse
 import ast
 import importlib
 import re
@@ -10,6 +12,7 @@ from collections import Counter
 from pathlib import Path
 
 import eegcl
+import eegcl.cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text()
@@ -123,3 +126,22 @@ def test_every_parameter_is_used():
                 if param is not None and param.arg not in {"self", "cls"} | used
             ]
     assert unused == []
+
+
+def test_cli_options_are_the_documented_ones():
+    """Each subcommand's options are the --options on its line of the
+    eegcl.cli docstring, and each appears in the README's CLI section."""
+    documented = {
+        name: set(re.findall(r"--[\w-]+", usage))
+        for name, usage in re.findall(r"^- ``(\w+)([^`]*)``", eegcl.cli.__doc__, re.M)
+    }
+    (subcommands,) = [action.choices for action in eegcl.cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction)]
+    parsed = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in subcommands.items()
+    }
+    assert parsed == documented
+    cli_section = section("CLI")
+    assert [opt for opts in parsed.values() for opt in sorted(opts)
+            if not re.search(rf"{opt}\b", cli_section)] == []
