@@ -22,9 +22,9 @@ An --out that is or lies under a file, for ``align``, that is the --stream
 directory, or, for ``run``, that holds an earlier run's reports, matrix CSVs
 or summary, exits 2 before any work.
 
-Exit codes: 0 success, 2 usage/config error, 3 I/O or format error,
-4 numerical failure. Output is plain text; the summary header is bolded
-only on interactive terminals and NO_COLOR disables that too.
+Exit codes: 0 success, 2 usage/config error, 3 I/O, format or memory
+error, 4 numerical failure. Output is plain text; the summary header is
+bolded only on interactive terminals and NO_COLOR disables that too.
 """
 
 from __future__ import annotations
@@ -524,6 +524,9 @@ def main(argv=None) -> int:
         return 2
     except (StreamFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 3
     except _NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

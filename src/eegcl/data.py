@@ -39,9 +39,11 @@ SUBJECT_MAGIC = b"EEGC"
 FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sHIHIH")  # magic, version, n_trials, channels, timepoints, n_classes
-# A subject header stores the channel count and the class count in two bytes.
+# A subject header stores the channel count and the class count in two bytes,
+# and the trial count and the timepoint count in four.
 CHANNEL_LIMIT = 0xFFFF
 CLASS_LIMIT = 0xFFFF
+COUNT_LIMIT = 0xFFFFFFFF
 
 # Redraw threshold for the per-subject mixing matrix determinant.
 _LOG_DET_MIN = math.log(1e-3)
@@ -220,14 +222,14 @@ class StreamConfig:
     seed: int = 0
 
     # n_timepoints >= 2, since alignment needs covariance estimates; a
-    # subject file stores each label in one byte, so n_classes <= 256, and
-    # its channel count in two.
+    # subject file stores each label in one byte, so n_classes <= 256, its
+    # channel count in two and its trial and timepoint counts in four.
     RULES = {
         "n_subjects": integer(1),
         "n_channels": integer(1, CHANNEL_LIMIT),
-        "n_timepoints": integer(2),
+        "n_timepoints": integer(2, COUNT_LIMIT),
         "n_classes": integer(2, 256),
-        "trials_per_subject": integer(1),
+        "trials_per_subject": integer(1, COUNT_LIMIT),
         "mixing_scale": number(0),
         "noise_sigma": number(0),
         "randomize_polarity": BOOL,

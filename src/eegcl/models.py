@@ -7,11 +7,12 @@ run as matmuls, the temporal one against banded filter matrices. Parameters
 live in one flat float64 vector with a layout describing each layer's slice,
 which keeps optimizers, penalties, and finite-difference checks trivial.
 
-The public entry points (forward, loss_and_gradient, gradient) check their
-input and then run the unchecked core: forward_cached, backward and
-unchecked_loss_and_gradient. A training stage runs those checks once
-(check_params, check_batch, which keeps the batch's dtype) and the core
-every step; forward_cached reads the batch as float64, in at most one copy.
+The public entry points (loss_and_gradient, gradient) check their input
+with check_params and check_batch, which keeps the batch's dtype, and then
+run the unchecked core: forward_cached, backward and
+unchecked_loss_and_gradient. A training stage runs those checks once and
+the core every step; forward_cached reads the batch as float64, in at most
+one copy.
 Each forward pass reads the blocks of the vector it is given through the
 model's Layout and hands those views to backward, which writes each gradient
 block straight into its slice of one flat vector, so a step allocates no
@@ -68,22 +69,19 @@ class ModelConfig:
             )
 
 
-class Layout(tuple):
-    """Parameter blocks in vector order, as (name, shape, fan) triples; fan
-    is the block's Glorot fan pair, None for a block that initializes to
-    zero. Each block's slice and shape, looked up by name, and the total
+class Layout:
+    """Parameter blocks, given as (name, shape) pairs in vector order. Each
+    block's slice and shape, looked up by name in that order, and the total
     size are computed once."""
 
-    def __new__(cls, blocks):
-        self = super().__new__(cls, ((name, tuple(shape), fan) for name, shape, fan in blocks))
+    def __init__(self, blocks):
         self.slices = {}
         offset = 0
-        for name, shape, _ in self:
+        for name, shape in blocks:
             size = math.prod(shape)
-            self.slices[name] = (slice(offset, offset + size), shape)
+            self.slices[name] = (slice(offset, offset + size), tuple(shape))
             offset += size
         self.size = offset
-        return self
 
     def views(self, vectors: np.ndarray) -> dict:
         """Name -> view of that block in an array of flat vectors, shape
@@ -94,20 +92,6 @@ class Layout(tuple):
             name: vectors[..., block].reshape(lead + shape)
             for name, (block, shape) in self.slices.items()
         }
-
-
-def _check_trials(x: np.ndarray, config: ModelConfig) -> np.ndarray:
-    x = np.asarray(x)
-    if x.dtype.kind not in "biuf":
-        raise ValueError(f"a batch must be of bool, integer or real float dtype, got {x.dtype}")
-    if x.ndim != 3 or x.shape[1:] != (config.n_channels, config.n_timepoints):
-        raise ShapeError(
-            f"batch must have shape (n, {config.n_channels}, {config.n_timepoints}), "
-            f"got {x.shape}"
-        )
-    if not x.shape[0]:
-        raise EmptyInputError("a batch needs at least one trial")
-    return x
 
 
 def check_params(model, params) -> np.ndarray:
@@ -125,20 +109,24 @@ def check_params(model, params) -> np.ndarray:
 
 class Network:
     """What both networks share: their config, the parameter layout built
-    from their blocks, and a forward that checks its parameters and batch
-    before running the subclass's forward_cached. Each subclass defines forward_cached and
-    backward itself."""
+    from their (name, shape) blocks and the initial parameters. Each
+    subclass defines forward_cached and backward itself."""
 
     def __init__(self, config: ModelConfig, blocks):
         self.config = config
         self.layout = Layout(blocks)
 
     def init_params(self, seed: int) -> np.ndarray:
-        return _glorot_init(self.layout, seed)
-
-    def forward(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-        params = check_params(self, params)
-        return self.forward_cached(params, _check_trials(x, self.config))[0]
+        """Glorot-uniform weights: each 2-D block, in block order, draws
+        from U(+-sqrt(6 / (fan_in + fan_out))), whose fans are its two
+        dimensions. Each 1-D block, a bias, is zero."""
+        rng = np.random.default_rng(seed)
+        vec = np.zeros(self.layout.size)
+        for block, shape in self.layout.slices.values():
+            if len(shape) == 2:
+                lim = math.sqrt(6.0 / sum(shape))
+                vec[block] = rng.uniform(-lim, lim, block.stop - block.start)
+        return vec
 
 
 class MlpNet(Network):
@@ -148,9 +136,8 @@ class MlpNet(Network):
         sizes = [config.n_channels * config.n_timepoints, *config.hidden, config.n_classes]
         blocks = []
         for i in range(len(sizes) - 1):
-            fan_in, fan_out = sizes[i], sizes[i + 1]
-            blocks.append((f"w{i}", (fan_out, fan_in), (fan_in, fan_out)))
-            blocks.append((f"b{i}", (fan_out,), None))
+            blocks.append((f"w{i}", (sizes[i + 1], sizes[i])))
+            blocks.append((f"b{i}", (sizes[i + 1],)))
         super().__init__(config, blocks)
         self._n_layers = len(sizes) - 1
 
@@ -202,11 +189,11 @@ class ShallowConvNet(Network):
         k, length = config.n_filters, config.kernel_len
         c, n_classes = config.n_channels, config.n_classes
         super().__init__(config, [
-            ("temporal", (k, length), (length, k)),
-            ("spatial", (k, c), (c, k)),
-            ("spatial_bias", (k,), None),
-            ("head", (n_classes, k), (k, n_classes)),
-            ("head_bias", (n_classes,), None),
+            ("temporal", (k, length)),
+            ("spatial", (k, c)),
+            ("spatial_bias", (k,)),
+            ("head", (n_classes, k)),
+            ("head_bias", (n_classes,)),
         ])
         self.n_windows = config.n_timepoints - config.kernel_len + 1
 
@@ -308,18 +295,6 @@ def _dense_grad(d: np.ndarray, a: np.ndarray, per_sample: bool, w_out, b_out):
         d.sum(axis=0, out=b_out)
 
 
-def _glorot_init(layout: Layout, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    vec = np.zeros(layout.size)
-    for name, _, fan in layout:
-        if fan is not None:
-            block, _ = layout.slices[name]
-            fan_in, fan_out = fan
-            lim = math.sqrt(6.0 / (fan_in + fan_out))
-            vec[block] = rng.uniform(-lim, lim, block.stop - block.start)
-    return vec
-
-
 def build_model(config: ModelConfig):
     if config.architecture == "mlp":
         return MlpNet(config)
@@ -332,24 +307,6 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _check_labels(labels, n_classes: int, n_rows: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.shape != (n_rows,):
-        raise ShapeError(f"labels must have shape ({n_rows},), got {labels.shape}")
-    whole = labels.dtype.kind in "biu" or (
-        labels.dtype.kind == "f" and np.isfinite(labels).all() and (labels == np.floor(labels)).all()
-    )
-    if not whole:
-        raise ValueError(f"labels must be whole-number class indices, got {labels.dtype} values")
-    labels = labels.astype(np.int64, copy=False)
-    if labels.min() < 0 or labels.max() >= n_classes:
-        raise ValueError(
-            f"labels must lie in [0, {n_classes}), got range "
-            f"[{labels.min()}, {labels.max()}]"
-        )
-    return labels
-
-
 def check_batch(model, x: np.ndarray, labels) -> tuple:
     """The checks loss_and_gradient and gradient run on their input:
     returns x as an (n, channels, time) ndarray in its own real dtype and
@@ -357,8 +314,31 @@ def check_batch(model, x: np.ndarray, labels) -> tuple:
     EmptyInputError (a batch of no trials) or ValueError otherwise.
     train() runs them once on a stage's training split, so that its steps
     can call unchecked_loss_and_gradient."""
-    x = _check_trials(x, model.config)
-    return x, _check_labels(labels, model.config.n_classes, x.shape[0])
+    cfg = model.config
+    x = np.asarray(x)
+    if x.dtype.kind not in "biuf":
+        raise ValueError(f"a batch must be of bool, integer or real float dtype, got {x.dtype}")
+    if x.ndim != 3 or x.shape[1:] != (cfg.n_channels, cfg.n_timepoints):
+        raise ShapeError(
+            f"batch must have shape (n, {cfg.n_channels}, {cfg.n_timepoints}), got {x.shape}"
+        )
+    if not x.shape[0]:
+        raise EmptyInputError("a batch needs at least one trial")
+    labels = np.asarray(labels)
+    if labels.shape != (x.shape[0],):
+        raise ShapeError(f"labels must have shape ({x.shape[0]},), got {labels.shape}")
+    whole = labels.dtype.kind in "biu" or (
+        labels.dtype.kind == "f" and np.isfinite(labels).all() and (labels == np.floor(labels)).all()
+    )
+    if not whole:
+        raise ValueError(f"labels must be whole-number class indices, got {labels.dtype} values")
+    labels = labels.astype(np.int64, copy=False)
+    if labels.min() < 0 or labels.max() >= cfg.n_classes:
+        raise ValueError(
+            f"labels must lie in [0, {cfg.n_classes}), got range "
+            f"[{labels.min()}, {labels.max()}]"
+        )
+    return x, labels
 
 
 def loss_and_gradient(model, params: np.ndarray, x: np.ndarray, labels):

@@ -164,12 +164,28 @@ class TestGen:
         config = write_json(tmp_path / "gen.json", gen_config(n_classes=1))
         assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
 
+    # A subject file stores n_timepoints and the trial count in four bytes.
     @pytest.mark.parametrize("field, value", [("seed", "x"), ("n_subjects", 2.5),
-                                              ("n_classes", 300)])
+                                              ("n_classes", 300),
+                                              ("trials_per_subject", 10**19),
+                                              ("n_timepoints", 10**18)])
     def test_bad_config_value_type_exits_2(self, tmp_path, capsys, field, value):
         config = write_json(tmp_path / "gen.json", gen_config(**{field: value}))
         assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
         assert f"error: generator {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_unallocatable_stream_exits_3(self, tmp_path, capsys):
+        # Every field passes its rule, but the class patterns alone would
+        # take 512 PiB, more than any address space, so the allocation fails
+        # at once and nothing is allocated.
+        config = write_json(tmp_path / "gen.json", {
+            "n_subjects": 1, "n_classes": 256, "n_channels": 65535,
+            "n_timepoints": 2**32 - 1, "trials_per_subject": 768,
+        })
+        assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
         assert not (tmp_path / "s").exists()
 
     @OVERFLOWS
@@ -434,6 +450,20 @@ class TestRunCommand:
                          "--jobs", jobs]) == 0
             assert (tmp_path / jobs / "report_pced_1.json").is_file()
         assert sizes == [3, 4]
+
+    def test_unallocatable_model_exits_3(self, tmp_path, capsys):
+        # 10**14 filters take 7 PiB of parameters, more than any address
+        # space, so each run's allocation fails at once.
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            model={"n_filters": 10**14, "kernel_len": 4},
+        ))
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run", "--config", str(config), "--out", str(out),
+                         "--jobs", jobs]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+            assert sorted(p.name for p in out.iterdir()) == ["stream"]
 
     def test_diverged_run_keeps_finished_reports_and_exits_4(self, tmp_path, capsys):
         # With the largest finite EWC lambda, lambda * F overflows to inf on

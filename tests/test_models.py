@@ -72,7 +72,6 @@ def checked_entry_points(model):
     x, labels = batch_for(model)
     data = (x, labels)
     return {
-        "forward": lambda p: model.forward(p, x),
         "loss_and_gradient": lambda p: loss_and_gradient(model, p, x, labels),
         "gradient": lambda p: gradient(model, p, x, labels),
         "evaluate_arrays": lambda p: evaluate_arrays(model, p, x, labels),
@@ -115,8 +114,8 @@ class TestParams:
         model = small_conv()
         params = model.init_params(0)
         x, _ = batch_for(model)
-        assert np.any(model.forward(params, x) != 0.0)
-        assert np.all(model.forward(np.zeros_like(params), x) == 0.0)
+        assert np.any(model.forward_cached(params, x)[0] != 0.0)
+        assert np.all(model.forward_cached(np.zeros_like(params), x)[0] == 0.0)
 
 
 class TestInitialization:
@@ -133,17 +132,25 @@ class TestInitialization:
         assert model.layout.size == 218
 
     def test_weights_within_glorot_bounds_biases_zero(self):
+        # (fan_in, fan_out) of each weight: small_mlp maps 2 x 4 = 8 inputs
+        # through 4 hidden units to 2 classes; small_conv has 4 taps, 2
+        # channels, 2 filters and 2 classes. Every other block is a bias.
+        fans = {
+            "mlp": {"w0": (8, 4), "w1": (4, 2)},
+            "shallow_conv": {"temporal": (4, 2), "spatial": (2, 2), "head": (2, 2)},
+        }
         for model in (small_mlp(), small_conv()):
-            views = model.layout.views(model.init_params(0))
-            for name, _, fan in model.layout:
-                block = views[name]
-                if fan is None:
-                    assert np.all(block == 0.0)
-                else:
-                    fan_in, fan_out = fan
+            weights = fans[model.config.architecture]
+            assert set(weights) < set(model.layout.slices)
+            params = model.init_params(0)
+            for name, (block, _) in model.layout.slices.items():
+                if name in weights:
+                    fan_in, fan_out = weights[name]
                     lim = math.sqrt(6.0 / (fan_in + fan_out))
-                    assert np.all(np.abs(block) <= lim)
-                    assert np.any(block != 0.0)
+                    assert np.all(np.abs(params[block]) <= lim)
+                    assert np.any(params[block] != 0.0)
+                else:
+                    assert np.all(params[block] == 0.0)
 
     def test_same_seed_same_params(self):
         a = small_conv().init_params(0)
@@ -261,43 +268,45 @@ class TestCrossEntropy:
 
 class TestForward:
     def test_empty_batch_rejected(self):
-        # Both architectures reject a (0, channels, time) batch alike.
+        # Both architectures reject a (0, channels, time) batch alike, in
+        # the checked evaluation as in loss_and_gradient and gradient.
         for model in (small_mlp(), small_conv()):
             x = np.zeros((0, model.config.n_channels, model.config.n_timepoints))
             with pytest.raises(EmptyInputError, match="at least one trial"):
-                model.forward(model.init_params(0), x)
+                evaluate_arrays(model, model.init_params(0), x, [])
 
     def test_zeroed_head_gives_constant_logits(self):
         for model in (small_mlp(), small_conv()):
             params = model.init_params(0)
-            (head, _, _), (head_bias, _, _) = model.layout[-2:]
+            head, head_bias = list(model.layout.slices)[-2:]
             views = model.layout.views(params)
             for name in (head, head_bias):
                 views[name][:] = 0.0
             x, _ = batch_for(model)
-            logits = model.forward(params, x)
+            logits = model.forward_cached(params, x)[0]
             assert np.all(logits == 0.0)
 
     def test_single_trial_matches_batch_row(self):
         for model in (small_mlp(), small_conv()):
             params = model.init_params(0)
             x, _ = batch_for(model, n=5)
-            batch_logits = model.forward(params, x)
+            batch_logits = model.forward_cached(params, x)[0]
             for i in range(5):
-                row = model.forward(params, x[i : i + 1])[0]
+                row = model.forward_cached(params, x[i : i + 1])[0][0]
                 np.testing.assert_allclose(batch_logits[i], row, rtol=0, atol=1e-12)
 
     def test_forward_is_deterministic(self):
         for model in (small_mlp(), small_conv()):
             params = model.init_params(0)
             x, _ = batch_for(model)
-            assert np.array_equal(model.forward(params, x), model.forward(params, x))
+            logits = model.forward_cached(params, x)[0]
+            assert np.array_equal(logits, model.forward_cached(params, x)[0])
 
     def test_output_shape(self):
         for model in (small_mlp(), small_conv()):
             params = model.init_params(0)
             x, _ = batch_for(model, n=7)
-            assert model.forward(params, x).shape == (7, 2)
+            assert model.forward_cached(params, x)[0].shape == (7, 2)
 
     def test_conv_handles_many_input_shapes(self):
         rng = np.random.default_rng(3)
@@ -309,7 +318,7 @@ class TestForward:
                 )
                 model = build_model(cfg)
                 x = rng.standard_normal((2, c, t))
-                logits = model.forward(model.init_params(0), x)
+                logits = model.forward_cached(model.init_params(0), x)[0]
                 assert logits.shape == (2, 3)
                 assert np.all(np.isfinite(logits))
 
@@ -317,16 +326,16 @@ class TestForward:
         model = small_mlp()
         params = model.init_params(0)
         x32 = batch_for(model, n=5)[0].astype(np.float32)
-        logits = model.forward(params, x32)
-        assert np.array_equal(logits, model.forward(params, x32.astype(np.float64)))
+        logits = model.forward_cached(params, x32)[0]
+        assert np.array_equal(logits, model.forward_cached(params, x32.astype(np.float64))[0])
 
     def test_wrong_input_shape_rejected(self):
         model = small_conv()
         params = model.init_params(0)
-        with pytest.raises(ShapeError):
-            model.forward(params, np.zeros((2, 3, 8)))  # wrong channel count
-        with pytest.raises(ShapeError):
-            model.forward(params, np.zeros((2, 8)))  # missing batch axis
+        for x in (np.zeros((2, 3, 8)), np.zeros((2, 8))):  # wrong channel count, no batch axis
+            for call in (evaluate_arrays, loss_and_gradient, gradient):
+                with pytest.raises(ShapeError, match="batch must have shape"):
+                    call(model, params, x, [0, 1])
 
 
 class TestGradients:
@@ -336,7 +345,7 @@ class TestGradients:
             x, labels = batch_for(model)
 
             def f(vec):
-                return cross_entropy(model.forward(vec, x), labels)
+                return cross_entropy(model.forward_cached(vec, x)[0], labels)
 
             analytic = gradient(model, params, x, labels)
             numeric = central_difference(f, params)
@@ -413,7 +422,7 @@ def check_against_filter_then_mix(model, params, x, labels):
     few ulps."""
     x64 = np.asarray(x, dtype=np.float64)
     logits, loss, grad = filter_then_mix_loss_and_gradient(model, params, x64, labels)
-    np.testing.assert_allclose(model.forward(params, x), logits, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(model.forward_cached(params, x)[0], logits, rtol=0, atol=1e-12)
     new_loss, new_grad = loss_and_gradient(model, params, x, labels)
     assert abs(new_loss - loss) <= 1e-12
     np.testing.assert_allclose(new_grad, grad, rtol=0, atol=1e-12)

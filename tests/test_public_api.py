@@ -80,6 +80,31 @@ def test_every_public_name_is_reached():
     assert unreached == []
 
 
+def test_every_public_method_is_reached():
+    """Every method of a top-level class in src/eegcl whose name does not
+    start with "_" is named, as an attribute or a name, in some src/eegcl
+    or bench/ file outside its own definition. A method that only the tests
+    call is either wired into the program or deleted."""
+    methods, uses = [], Counter()
+    for path in sorted((ROOT / "src" / "eegcl").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        uses.update(names_used(tree))
+        if path.parent.name != "eegcl":
+            continue
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                methods += [
+                    (f"{path.stem}.{cls.name}.{node.name}", node) for node in cls.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("_")
+                ]
+    unreached = [
+        qualified for qualified, node in methods
+        if uses[node.name] == Counter(names_used(node))[node.name]
+    ]
+    assert unreached == []
+
+
 def test_every_top_level_import_is_used():
     """Every name a top-level import binds in a src/eegcl module is used
     there, as a name (the base of an attribute is one). Exempt are

@@ -134,7 +134,7 @@ class TestEvaluate:
         model = tiny_model()
         params = model.init_params(0)
         x, _ = tiny_arrays(np.random.default_rng(1), 8)
-        logits = model.forward(params, x)
+        logits = model.forward_cached(params, x)[0]
         y = np.argmax(logits, axis=1)
         assert evaluate_arrays(model, params, x, y) == 1.0
 
