@@ -4,8 +4,9 @@ The loop optimizes mean cross-entropy with Adam or plain SGD. The model
 computes only that data term (models.unchecked_loss_and_gradient); train()
 adds an optional penalty hook, such as EWC's, to each step's loss and
 gradient right after it. The loop tracks validation accuracy each epoch and
-returns the parameters from the best validation epoch. Everything is seeded
-and single-threaded so identical configs reproduce identical histories.
+returns the parameters from the best validation epoch. Everything is seeded,
+so identical configs reproduce identical histories on one numpy build, one
+BLAS kernel and one BLAS thread setting (README, "Determinism and seeds").
 Input checks run once per stage; a step only indexes a batch and does the
 model's arithmetic, the penalty and the optimizer update.
 """
@@ -101,14 +102,18 @@ def _make_optimizer(cfg: TrainConfig, n_params: int):
     return Sgd(learning_rate=cfg.learning_rate)
 
 
+def _accuracy(model, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
+    predictions = np.argmax(model.forward_cached(params, x)[0], axis=1)
+    return float(np.mean(predictions == y))
+
+
 def evaluate_arrays(model, params: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
     """Fraction of argmax-correct predictions; argmax ties go to the lowest
     class index. check_params and check_batch run first, so a misshapen
     vector, an empty batch or labels that are not class indices raise."""
     params = check_params(model, params)
     x, y = check_batch(model, x, y)
-    predictions = np.argmax(model.forward_cached(params, x)[0], axis=1)
-    return float(np.mean(predictions == y))
+    return _accuracy(model, params, x, y)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a non-finite loss raises below
@@ -121,15 +126,20 @@ def train(model, params: np.ndarray, train_set, val_set, cfg: TrainConfig, seed:
     Returns (best params, per-epoch history). Best means highest validation
     accuracy, earliest epoch on ties; the loop stops once `patience` epochs
     in a row fail to improve it (patience 0 therefore stops after the first
-    epoch). The input vector is left untouched. penalty, when given, maps
-    the flat parameter vector to (extra loss, extra gradient); every step
-    adds both to the model's cross-entropy loss and gradient.
+    epoch), or once it reaches 1.0, which no later epoch can exceed. That
+    second stop returns the same parameters as running on, with a shorter
+    history; a stage that reaches 1.0 also returns before any later epoch's
+    non-finite loss could raise TrainingDivergedError. The input vector is
+    left untouched. penalty, when given, maps the flat parameter vector to
+    (extra loss, extra gradient); every step adds both to the model's
+    cross-entropy loss and gradient.
 
     Once per stage, the parameters (check_params) and both splits
     (check_batch) are checked; the splits keep their own dtype (float32 for
     a subject's block). Each step indexes its batch's rows and runs the
     forward/backward arithmetic, which casts the batch to float64, and the
-    optimizer update.
+    optimizer update; each epoch's validation pass runs the forward pass
+    alone, on the split checked at the start.
     """
     work = np.array(check_params(model, params))
     x_train, y_train = check_batch(model, *train_set)
@@ -158,7 +168,7 @@ def train(model, params: np.ndarray, train_set, val_set, cfg: TrainConfig, seed:
                 )
             optimizer.step(work, grad)
             loss_sum += loss * len(idx)
-        val_acc = evaluate_arrays(model, work, x_val, y_val)
+        val_acc = _accuracy(model, work, x_val, y_val)
         history.append(
             EpochStats(epoch=epoch, train_loss=loss_sum / n, val_accuracy=val_acc)
         )
@@ -168,6 +178,6 @@ def train(model, params: np.ndarray, train_set, val_set, cfg: TrainConfig, seed:
             bad_epochs = 0
         else:
             bad_epochs += 1
-        if bad_epochs >= cfg.patience:
+        if bad_epochs >= cfg.patience or best_acc == 1.0:
             break
     return best, history

@@ -30,10 +30,13 @@ def split_sets(subject):
     return subject.arrays(Split.TRAIN), subject.arrays(Split.VAL)
 
 
-def reference_train(model, params, train_set, val_set, cfg, seed, penalty=None):
+def reference_train(model, params, train_set, val_set, cfg, seed, penalty=None,
+                    stop_at_perfect=True):
     """train() as a plain loop over the public API: the split checked
     sample-major, and each step loss_and_gradient on a fancy-indexed batch,
-    plus the penalty when given, followed by an optimizer step."""
+    plus the penalty when given, followed by an optimizer step. The loop
+    stops on patience, and with stop_at_perfect also after the first epoch
+    whose validation accuracy is 1.0."""
     x, y = check_batch(model, *train_set)
     x_val, y_val = check_batch(model, *val_set)
     rng = np.random.default_rng(seed)
@@ -61,6 +64,8 @@ def reference_train(model, params, train_set, val_set, cfg, seed, penalty=None):
         else:
             bad_epochs += 1
         if bad_epochs >= cfg.patience:
+            break
+        if stop_at_perfect and any(h.val_accuracy == 1.0 for h in history):
             break
     return best, history
 
@@ -185,9 +190,12 @@ class TestEvaluate:
 
 
 class TestTrain:
-    def separable_sets(self, seed=0):
+    def separable_sets(self, seed=0, gap=6.0):
+        # gap 6 separates the classes widely; at gap 0.15 they overlap, so
+        # validation accuracy stays below 1.0 and a run lasts several epochs.
         subject = separable_subject(
-            np.random.default_rng(seed), 0, 30, splits=(Split.TRAIN, Split.TRAIN, Split.VAL)
+            np.random.default_rng(seed), 0, 30, gap=gap,
+            splits=(Split.TRAIN, Split.TRAIN, Split.VAL),
         )
         return split_sets(subject)
 
@@ -242,8 +250,9 @@ class TestTrain:
     def test_ties_keep_the_earliest_epoch(self):
         # if epoch 1 already hits the best validation accuracy, later epochs
         # tie at most and must not displace it: training longer returns the
-        # same snapshot as stopping after one epoch
-        train_set, val_set = self.separable_sets(seed=5)
+        # same snapshot as stopping after one epoch. The overlapping classes
+        # keep the best below 1.0, so the run goes on through epochs that tie.
+        train_set, val_set = self.separable_sets(seed=0, gap=0.15)
         model = tiny_model()
         base = dict(learning_rate=0.05, batch_size=8, patience=10)
         long_best, long_hist = train(
@@ -254,9 +263,51 @@ class TestTrain:
             model, model.init_params(0), train_set, val_set,
             TrainConfig(max_epochs=1, **base), 0,
         )
-        assert short_hist[0].val_accuracy == 1.0
-        assert max(h.val_accuracy for h in long_hist) == 1.0
+        assert short_hist[0].val_accuracy < 1.0
+        assert max(h.val_accuracy for h in long_hist) == short_hist[0].val_accuracy
+        assert len(long_hist) == 5 and long_hist[1].val_accuracy == short_hist[0].val_accuracy
         assert np.array_equal(long_best, short_best)
+
+    @pytest.mark.parametrize("make_model", [tiny_model, tiny_conv], ids=["mlp", "conv"])
+    def test_perfect_accuracy_stop_cuts_only_the_history(self, make_model):
+        # Once validation accuracy is 1.0 no later epoch can beat it: the
+        # best bytes equal those of a loop that stops on patience alone, and
+        # the history is that loop's, cut after the first epoch at 1.0.
+        train_set, val_set = self.separable_sets()
+        model = make_model()
+        cfg = TrainConfig(learning_rate=0.02, max_epochs=10, batch_size=7, patience=10)
+        params = model.init_params(0)
+        best, history = train(model, params, train_set, val_set, cfg, 11)
+        ref_best, ref_history = reference_train(model, params, train_set, val_set, cfg, 11,
+                                                stop_at_perfect=False)
+        first = next(i for i, h in enumerate(ref_history) if h.val_accuracy == 1.0)
+        assert len(ref_history) == cfg.max_epochs > first + 1
+        assert history == ref_history[: first + 1]
+        assert np.array_equal(best, ref_best)
+
+    def test_perfect_stage_returns_before_a_later_divergence(self):
+        # The penalty turns non-finite from epoch 2 on. The separable stage
+        # reaches 1.0 in epoch 1 and returns before that loss could raise;
+        # the overlapping one trains on into epoch 2 and raises.
+        model = tiny_model()
+        cfg = TrainConfig(learning_rate=0.01, max_epochs=10, batch_size=8, patience=10)
+
+        def run(gap):
+            train_set, val_set = self.separable_sets(gap=gap)
+            steps_per_epoch = math.ceil(len(train_set[1]) / cfg.batch_size)
+            calls = []
+
+            def poison_after_epoch_1(vec):
+                calls.append(1)
+                return (np.nan if len(calls) > steps_per_epoch else 0.0), np.zeros_like(vec)
+
+            return train(model, model.init_params(0), train_set, val_set, cfg, 0,
+                         penalty=poison_after_epoch_1)
+
+        _, history = run(6.0)
+        assert [h.val_accuracy for h in history] == [1.0]
+        with pytest.raises(TrainingDivergedError, match="at epoch 2"):
+            run(0.15)
 
     def test_input_params_never_mutated(self):
         train_set, val_set = self.separable_sets()
@@ -301,17 +352,23 @@ class TestTrain:
     @pytest.mark.parametrize("penalized", [False, True], ids=["plain", "penalty"])
     @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
     def test_matches_reference_loop(self, make_model, penalized, optimizer):
-        # 40 training trials in batches of 7 leave a short last batch.
-        train_set, val_set = self.separable_sets(seed=2)
+        # 40 training trials in batches of 7 leave a short last batch. The
+        # separable sets let a stage stop at 1.0; the overlapping ones stay
+        # below it, so the runs last 4-6 epochs of optimizer state, ties and
+        # the patience stop.
         model = make_model()
         cfg = TrainConfig(learning_rate=0.02, max_epochs=6, batch_size=7, patience=3,
                           optimizer=optimizer)
         hook = (lambda vec: (0.05 * float(vec @ vec), 0.1 * vec)) if penalized else None
         params = model.init_params(0)
-        best, history = train(model, params, train_set, val_set, cfg, 11, penalty=hook)
-        ref_best, ref_history = reference_train(model, params, train_set, val_set, cfg, 11, hook)
-        assert history == ref_history
-        assert np.array_equal(best, ref_best)
+        for gap in (6.0, 0.15):
+            train_set, val_set = self.separable_sets(seed=2, gap=gap)
+            best, history = train(model, params, train_set, val_set, cfg, 11, penalty=hook)
+            ref_best, ref_history = reference_train(model, params, train_set, val_set, cfg, 11,
+                                                    hook)
+            assert history == ref_history
+            assert np.array_equal(best, ref_best)
+        assert len(history) > 1 and max(h.val_accuracy for h in history) < 1.0
 
     def test_sgd_optimizer_runs(self):
         train_set, val_set = self.separable_sets()
