@@ -7,7 +7,8 @@ EWC regularization, a subject-incremental harness with forgetting metrics,
 and a CLI that ties them together.
 
 The package root gives the names of the README's Quick start and the error
-types of its exit codes; everything else is imported from its module
+types of its exit codes (ConfigError exits 2, StreamFormatError 3, the
+numerical errors 4); everything else is imported from its module
 (eegcl.data, eegcl.models, ...).
 """
 
@@ -15,7 +16,6 @@ from .data import StreamConfig, gen_stream
 from .errors import (
     ConfigError,
     DegenerateInputError,
-    StratificationError,
     StreamFormatError,
     TrainingDivergedError,
     UndefinedMetricError,
@@ -36,7 +36,6 @@ __all__ = [
     "pced_strategy",
     "forgetting_curve",
     "ConfigError",
-    "StratificationError",
     "StreamFormatError",
     "TrainingDivergedError",
     "DegenerateInputError",

@@ -52,7 +52,6 @@ from .errors import (
     STRING,
     ConfigError,
     DegenerateInputError,
-    StratificationError,
     StreamFormatError,
     TrainingDivergedError,
     UndefinedMetricError,
@@ -519,7 +518,7 @@ def main(argv=None) -> int:
         gc.freeze()
     try:
         return args.func(args)
-    except (ConfigError, StratificationError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StreamFormatError, OSError) as exc:

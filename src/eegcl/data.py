@@ -1,7 +1,10 @@
 """Trial data model, stratified splits, synthetic subject streams, and disk I/O.
 
-A stream is an ordered list of subjects; each subject owns a set of labeled
-multichannel trials tagged train/val/test. The synthetic generator produces
+A stream is an ordered, non-empty list of subjects; each subject owns one or
+more labeled multichannel trials tagged train/val/test. Stream,
+SubjectDataset and decode_subject each refuse an empty one, and StreamConfig
+a class too small to split, so every generated subject has trials in all
+three splits. The synthetic generator produces
 subjects that share latent class patterns but differ by an invertible
 per-subject channel mixing, which is the kind of inter-subject shift the
 alignment stage is designed to remove.
@@ -25,7 +28,6 @@ from .errors import (
     BOOL,
     ConfigError,
     ShapeError,
-    StratificationError,
     StreamFormatError,
     check_fields,
     integer,
@@ -110,11 +112,11 @@ class SubjectDataset:
     """One subject's trials: a read-only float32 block (n, channels, time)
     with parallel int64 `labels` and `timestamps` and uint8 `split` tags.
 
-    The constructor checks the arrays and makes them read-only. A block
-    that already is C-contiguous float32 is kept, not copied, so
-    dataclasses.replace(ds, split=...) shares it. `trials`, `trials_for`
-    and `trials_at` build LabeledTrials of only the rows asked for, anew
-    on each call.
+    The constructor checks the arrays (one trial or more) and makes them
+    read-only. A block that already is C-contiguous float32 is kept, not
+    copied, so dataclasses.replace(ds, split=...) shares it. `trials`,
+    `trials_for` and `trials_at` build LabeledTrials of only the rows asked
+    for, anew on each call.
     """
 
     subject_id: int
@@ -128,13 +130,14 @@ class SubjectDataset:
         block = np.ascontiguousarray(self.block, dtype=np.float32)
         labels = np.array(self.labels, dtype=np.int64)
         timestamps = np.array(self.timestamps, dtype=np.int64)
-        if block.ndim != 3 or not labels.shape == timestamps.shape == (len(block),):
+        n = len(block) if block.ndim == 3 else 0
+        if not n or not labels.shape == timestamps.shape == (n,):
             raise ShapeError(
-                f"need a (n, channels, time) block with n labels and timestamps, "
+                f"need a (n, channels, time) block, n >= 1, with n labels and timestamps, "
                 f"got shapes {block.shape}, {labels.shape} and {timestamps.shape}"
             )
         sid = self.subject_id
-        if sid < 0 or (labels.size and labels.min() < 0):
+        if sid < 0 or labels.min() < 0:
             raise ValueError(f"subject_id and class labels must be >= 0 (subject {sid})")
         if not np.isfinite(block).all():
             raise ValueError("trial contains non-finite values")
@@ -146,8 +149,8 @@ class SubjectDataset:
                 f"(saw {timestamps[i]} after {timestamps[i - 1] if i else -1})"
             )
         split = np.array(self.split, dtype=np.int64)
-        if split.shape != (len(block),) or ((split < 0) | (split > max(Split))).any():
-            raise ValueError(f"need {len(block)} Split codes, got {split.tolist()}")
+        if split.shape != (n,) or ((split < 0) | (split > max(Split))).any():
+            raise ValueError(f"need {n} Split codes, got {split.tolist()}")
         split = split.astype(np.uint8)
         for name, value in zip(self._ARRAYS, (block, labels, timestamps, split)):
             value.flags.writeable = False
@@ -238,12 +241,20 @@ class StreamConfig:
 
     def __post_init__(self):
         check_fields(self, "generator", self.RULES)
+        # Labels are dealt round-robin, so the smallest class gets
+        # floor(trials_per_subject / n_classes) trials; each needs 3, one per split.
+        if self.trials_per_subject < 3 * self.n_classes:
+            raise ConfigError(
+                f"generator trials_per_subject must be >= 3 * n_classes = "
+                f"{3 * self.n_classes}, so that each class has a train, a val and "
+                f"a test trial, got {self.trials_per_subject}"
+            )
 
 
 @dataclass(frozen=True, eq=False)
 class Stream:
-    """An ordered subject stream plus the shared dimensions and seed; each
-    subject id appears once."""
+    """An ordered, non-empty subject stream plus the shared dimensions and
+    seed; each subject id appears once and has at least one trial."""
 
     subjects: tuple
     n_channels: int
@@ -253,13 +264,13 @@ class Stream:
 
     def __post_init__(self):
         object.__setattr__(self, "subjects", tuple(self.subjects))
+        if not self.subjects:
+            raise ValueError("stream has no subjects")
         seen = set()
         for ds in self.subjects:
             if ds.subject_id in seen:
                 raise ValueError(f"subject {ds.subject_id} is listed twice")
             seen.add(ds.subject_id)
-            if not ds.n_trials:
-                continue
             if ds.block.shape[1:] != (self.n_channels, self.n_timepoints):
                 raise ValueError(
                     f"subject {ds.subject_id} trial shape {ds.block.shape[1:]} "
@@ -272,10 +283,8 @@ class Stream:
                 )
 
     def require_splits(self, *splits: Split) -> None:
-        """Raise StreamFormatError for a stream with no subjects, or naming
-        the first subject with no trials in one of splits."""
-        if not self.subjects:
-            raise StreamFormatError("stream has no subjects")
+        """Raise StreamFormatError naming the first subject with no trials
+        in one of splits."""
         for ds, split in ((ds, split) for ds in self.subjects for split in splits):
             if not (ds.split == split).any():
                 raise StreamFormatError(
@@ -306,17 +315,14 @@ def _split_tags(labels: np.ndarray, seed: int) -> np.ndarray:
     floor(TRAIN_FRAC * n) trials go to train and the rest alternate val,
     test. The alternation carries across classes, starting at val, so val
     and test end up the same size overall (a per-class restart would bias
-    the totals toward val whenever a class's remainder is odd)."""
+    the totals toward val whenever a class's remainder is odd). StreamConfig
+    gives every class at least 3 trials, so with 2 or more classes each
+    split gets a trial."""
     rng = np.random.default_rng(seed)
     tags = np.full(len(labels), Split.TRAIN, dtype=np.uint8)
     next_is_val = True
     for label in sorted(set(labels.tolist())):
         order = np.flatnonzero(labels == label)
-        if len(order) < 3:
-            raise StratificationError(
-                f"class {label} has only {len(order)} trials; "
-                f"need at least 3 to cover train/val/test"
-            )
         rng.shuffle(order)
         rest = order[int(math.floor(TRAIN_FRAC * len(order))):]
         is_val = np.arange(len(rest)) % 2 == (0 if next_is_val else 1)
@@ -403,8 +409,6 @@ def gen_stream(config: StreamConfig) -> Stream:
             # The split seed is drawn after the subject's samples.
             tags = _split_tags(labels, int(rng.integers(0, 2**32 - 1)))
             subjects.append(SubjectDataset(k, x, labels, np.arange(n), tags))
-        except StratificationError:
-            raise  # a class too small to split, not a mixing or noise fault
         except ValueError as exc:
             raise ConfigError(
                 f"generator mixing_scale {config.mixing_scale} and noise_sigma "
@@ -427,7 +431,7 @@ def _record_dtype(c: int, t: int) -> np.dtype:
     )
 
 
-_RECORD_PREFIX = _record_dtype(0, 0).itemsize  # bytes of a trial record before its samples
+_RECORD_PREFIX = _record_dtype(1, 1).fields["samples"][1]  # a record's bytes before its samples
 
 
 def encode_subject(dataset: SubjectDataset, n_classes: int) -> bytes:
@@ -438,8 +442,6 @@ def encode_subject(dataset: SubjectDataset, n_classes: int) -> bytes:
     if n_classes > CLASS_LIMIT:
         raise ValueError(f"n_classes {n_classes} is above EEGC's {CLASS_LIMIT}")
     header = _HEADER.pack(SUBJECT_MAGIC, FORMAT_VERSION, n, c, t, n_classes)
-    if not n:
-        return header
     if dataset.labels.max() > 255 or dataset.timestamps.max() > 0xFFFFFFFF:
         raise ValueError("labels must fit in one byte and timestamps in four")
     records = np.empty(n, _record_dtype(c, t))
@@ -472,7 +474,9 @@ def decode_subject(buf: bytes, subject_id: int, path="<memory>") -> tuple:
         raise StreamFormatError(
             f"{path}: unsupported format version {version}", offset=4
         )
-    if n_trials > 0 and (c < 1 or t < 1):
+    if n_trials < 1:
+        raise StreamFormatError(f"{path}: file holds no trials", offset=6)
+    if c < 1 or t < 1:
         raise StreamFormatError(
             f"{path}: invalid trial dimensions {c}x{t}", offset=10
         )
@@ -485,8 +489,7 @@ def decode_subject(buf: bytes, subject_id: int, path="<memory>") -> tuple:
             f"{n_trials} trials of {c}x{t} take {expected}",
             offset=min(len(buf), expected),
         )
-    dtype = _record_dtype(c, t) if n_trials else _record_dtype(0, 0)
-    records = np.frombuffer(buf, dtype, n_trials, _HEADER.size)
+    records = np.frombuffer(buf, _record_dtype(c, t), n_trials, _HEADER.size)
     block = np.array(records["samples"], dtype=np.float32).reshape(n_trials, c, t)
     labels, tags = records["label"], records["tag"]
     bad = (labels >= n_classes) | (tags > max(Split))
@@ -612,24 +615,14 @@ def load_stream(path) -> Stream:
         if not fpath.is_file():
             raise StreamFormatError(f"{fpath}: listed in manifest but missing")
         ds, n_classes = decode_subject(fpath.read_bytes(), subject_id, fpath)
-        if n_classes != manifest["n_classes"]:
-            raise StreamFormatError(
-                f"{fpath}: file declares {n_classes} classes, "
-                f"manifest says {manifest['n_classes']}",
-                offset=16,
-            )
-        if ds.n_trials and ds.n_channels != manifest["n_channels"]:
-            raise StreamFormatError(
-                f"{fpath}: file has {ds.n_channels} channels, "
-                f"manifest says {manifest['n_channels']}",
-                offset=10,
-            )
-        if ds.n_trials and ds.n_timepoints != manifest["n_timepoints"]:
-            raise StreamFormatError(
-                f"{fpath}: file has {ds.n_timepoints} timepoints, "
-                f"manifest says {manifest['n_timepoints']}",
-                offset=12,
-            )
+        # The header fields the manifest restates, with their byte offsets.
+        for what, have, offset in (("classes", n_classes, 16), ("channels", ds.n_channels, 10),
+                                   ("timepoints", ds.n_timepoints, 12)):
+            if have != manifest[f"n_{what}"]:
+                raise StreamFormatError(
+                    f"{fpath}: file has {have} {what}, manifest says {manifest[f'n_{what}']}",
+                    offset=offset,
+                )
         subjects.append(ds)
     try:
         return Stream(

@@ -2,14 +2,16 @@
 config dataclasses.
 
 The CLI maps these onto its exit-code contract: configuration and usage
-problems exit 2, I/O and file-format problems exit 3, numerical failures
-exit 4.
+problems (ConfigError) exit 2, I/O and file-format problems
+(StreamFormatError) exit 3, numerical failures (TrainingDivergedError,
+DegenerateInputError, UndefinedMetricError) exit 4.
 
 Each config dataclass states its field rules once, as a table of Rules
 (field name -> rule), and its constructor (so dataclasses.replace too)
-applies the table with check_fields. A rule accepts JSON values only: a
-bool is not an integer, and an integer too large for a float is not a
-finite number.
+applies the table with check_fields, then any rule across fields (a
+generator class too small to split, a kernel longer than the trial) as a
+ConfigError. A rule accepts JSON values only: a bool is not an integer,
+and an integer too large for a float is not a finite number.
 """
 
 import math
@@ -29,10 +31,6 @@ class DegenerateInputError(ValueError):
 
 class EmptyInputError(ValueError):
     """An operation that needs at least one element received none."""
-
-
-class StratificationError(ValueError):
-    """A class has too few trials to be split across train/val/test."""
 
 
 class ConfigError(ValueError):

@@ -27,7 +27,7 @@ import numpy as np
 from .alignment import whiten_subject
 from .alignment import compute_whitener, reference_covariance  # noqa: F401  traced by bench/
 from .data import Split, Stream
-from .errors import EmptyInputError, ShapeError, UndefinedMetricError, check_fields, one_of
+from .errors import ShapeError, UndefinedMetricError, check_fields, one_of
 from .ewc import DEFAULT_LAMBDA, LAMBDA, OnlineEwc
 from .models import ModelConfig, build_model
 from .replay import MEMORY_RULES, ReplayMemory, store_class_balanced
@@ -231,8 +231,9 @@ def run_continual(
 
 class RunState:
     """One continual run between its stages. The constructor checks the
-    stream against the model (trial shape and class count) and its splits
-    (a subject lacking one is refused before stage 1), and derives
+    stream (a Stream has at least one subject, each with trials) against
+    the model (trial shape and class count) and its splits (a subject
+    lacking one is refused before stage 1), and derives
     every seed; advance(ds) runs subject ds's stage; record() returns the
     finished run's RunRecord."""
 
@@ -241,9 +242,7 @@ class RunState:
         if not isinstance(stream, Stream):
             raise TypeError(f"run_continual needs a Stream, got {type(stream).__name__}")
         n = len(stream)
-        if not n:
-            raise EmptyInputError("cannot run on an empty stream")
-        # A Stream holds every non-empty subject to its trial shape.
+        # A Stream holds every subject to its trial shape.
         shape = (stream.n_channels, stream.n_timepoints)
         if shape != (model_cfg.n_channels, model_cfg.n_timepoints):
             raise ShapeError(

@@ -83,6 +83,9 @@ def empty_stream_dir(tmp_path):
     return stream_dir
 
 
+# The refusal of a generator that deals a class fewer than 3 trials.
+TOO_FEW_TRIALS = "error: generator trials_per_subject must be >= 3 * n_classes = 6"
+
 # Generator values that pass their rules but scale samples past float32.
 OVERFLOWS = pytest.mark.parametrize("overflow", [
     {"mixing_scale": 60}, {"noise_sigma": 1e300}, {"mixing_scale": 1e308},
@@ -196,10 +199,11 @@ class TestGen:
         assert not (tmp_path / "s").exists()
 
     def test_class_too_small_to_split_exits_2(self, tmp_path, capsys):
+        # two classes of two trials each: refused when the config is built
         config = write_json(tmp_path / "gen.json", gen_config(trials_per_subject=4))
         assert main(["gen", "--config", str(config), "--out", str(tmp_path / "s")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: class 0 has only 2 trials;") and err.count("\n") == 1
+        assert err.startswith(TOO_FEW_TRIALS) and err.count("\n") == 1
         assert not (tmp_path / "s").exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path):
@@ -345,7 +349,7 @@ class TestAlign:
         stream_dir = empty_stream_dir(tmp_path)
         rc = main(["align", "--stream", str(stream_dir), "--out", str(tmp_path / "aligned")])
         assert rc == 3
-        assert capsys.readouterr().err == "error: stream has no subjects\n"
+        assert capsys.readouterr().err == f"error: {stream_dir}: stream has no subjects\n"
         assert not (tmp_path / "aligned").exists()
 
 
@@ -913,11 +917,21 @@ class TestRunCommand:
         assert not list(out.glob("report_*"))
 
     def test_stream_without_subjects_exits_3(self, tmp_path, capsys):
+        stream_dir = empty_stream_dir(tmp_path)
         config = write_json(tmp_path / "exp.json", experiment_config(
-            stream={"path": str(empty_stream_dir(tmp_path))}
+            stream={"path": str(stream_dir)}
         ))
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
-        assert capsys.readouterr().err == "error: stream has no subjects\n"
+        assert capsys.readouterr().err == f"error: {stream_dir}: stream has no subjects\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_class_too_small_to_split_exits_2(self, tmp_path, capsys):
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            stream={"generator": gen_config(trials_per_subject=4)}
+        ))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(TOO_FEW_TRIALS) and err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
     @OVERFLOWS
@@ -963,6 +977,22 @@ class TestRunCommand:
         assert main(["align", "--stream", str(stream_dir),
                      "--out", str(tmp_path / "aligned")]) == 3
         assert capsys.readouterr().err.count(f"error: {path}: file holds") == 2
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "aligned").exists()
+
+    def test_subject_file_without_trials_exits_3(self, tmp_path, capsys):
+        stream_dir = gen_stream_dir(tmp_path)
+        path = stream_dir / "subject_001.eegc"
+        buf = path.read_bytes()  # the header alone, its trial count (bytes 6-10) set to 0
+        path.write_bytes(buf[:6] + struct.pack("<I", 0) + buf[10:18])
+        config = write_json(tmp_path / "exp.json", experiment_config(
+            stream={"path": str(stream_dir)}, strategies=["SFT"], seeds=[0]
+        ))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+        assert main(["align", "--stream", str(stream_dir),
+                     "--out", str(tmp_path / "aligned")]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: file holds no trials (at byte 6)\n" * 2
         assert not (tmp_path / "out").exists()
         assert not (tmp_path / "aligned").exists()
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import eegcl.data
-from eegcl import ConfigError, StratificationError, StreamConfig, StreamFormatError, gen_stream
+from eegcl import ConfigError, StreamConfig, StreamFormatError, gen_stream
 from eegcl.alignment import compute_whitener, reference_covariance
 from eegcl.data import (
     LabeledTrial,
@@ -215,8 +215,8 @@ class TestSubjectDataset:
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             ds.block[0, 0, 0] = 1.0
-        empty = subject(0, block=np.empty((0, 2, 8)))
-        assert empty.n_trials == 0 and empty.trials == ()
+        with pytest.raises(ShapeError, match=r"n >= 1"):
+            subject(0, block=np.empty((0, 2, 8)))
         block = np.zeros((2, 2, 8), dtype=np.float32)  # already float32: kept, not copied
         assert subject(block=block).block is block
         assert not block.flags.writeable
@@ -292,10 +292,13 @@ class TestSplitSubject:
         assert train_labels == {0, 1, 2}
 
     def test_class_below_three_trials_rejected(self):
-        # labels cycle 0,1,0,1,0 so class 1 ends up with only two trials
-        ds = subject(5)
-        with pytest.raises(StratificationError, match="class 1 has only 2 trials"):
-            _split_tags(ds.labels, seed=0)
+        # labels cycle 0,1,0,1,0 so class 1 would get only two trials: the
+        # config that would deal them is refused
+        with pytest.raises(ConfigError, match=r"trials_per_subject must be >= 3 \* n_classes = 6"):
+            StreamConfig(trials_per_subject=5)
+        # at three trials a class still reaches every split
+        tags = _split_tags(subject(6).labels, seed=0)
+        assert sorted(tags.tolist()) == [Split.TRAIN] * 4 + [Split.VAL, Split.TEST]
 
 
 class TestStreamConfig:
@@ -313,6 +316,20 @@ class TestStreamConfig:
             StreamConfig(noise_sigma=-1.0)
         with pytest.raises(ConfigError):
             StreamConfig(n_timepoints=1)
+
+    @pytest.mark.parametrize("n_classes", range(2, 7))
+    def test_class_size_rule_accepts_exactly_what_splits(self, n_classes):
+        # Labels are dealt round-robin, so the smallest class gets
+        # floor(trials / n_classes); every accepted config splits each subject three ways.
+        for trials in range(1, 3 * n_classes + 4):
+            fields = dict(n_subjects=1, n_channels=2, n_timepoints=2,
+                          n_classes=n_classes, trials_per_subject=trials)
+            if trials < 3 * n_classes:
+                with pytest.raises(ConfigError, match="generator trials_per_subject must be"):
+                    StreamConfig(**fields)
+                continue
+            (ds,) = gen_stream(StreamConfig(**fields))
+            assert set(ds.split.tolist()) == set(Split), (n_classes, trials)
 
     def test_channel_count_fits_the_subject_header(self):
         with pytest.raises(ConfigError, match=r"n_channels must be an integer in \[1, 65535\]"):
@@ -456,11 +473,12 @@ class TestGenStream:
         gen_stream(StreamConfig(n_subjects=3))
         assert calls == [0, 1, 2]
 
-    def test_class_too_small_to_split_is_a_stratification_error(self):
-        # Labels 0, 1, 0, 1: the StratificationError is a ValueError, and
-        # must not surface as the mixing/noise ConfigError.
-        with pytest.raises(StratificationError, match="class 0 has only 2 trials"):
-            gen_stream(StreamConfig(trials_per_subject=4))
+    def test_class_too_small_to_split_is_a_config_error(self):
+        # Labels 0, 1, 0, 1: the config is refused when built, naming its
+        # field, before gen_stream draws anything; not as the mixing/noise error.
+        with pytest.raises(ConfigError, match="generator trials_per_subject must be >= 3") as err:
+            StreamConfig(trials_per_subject=4)
+        assert "mixing_scale" not in str(err.value)
 
     def test_all_splits_present_per_subject(self):
         stream = gen_stream(
@@ -530,6 +548,13 @@ class TestSubjectCodec:
         with pytest.raises(StreamFormatError) as exc:
             decode_subject(buf, 0)
         assert exc.value.offset == 4
+
+    @pytest.mark.parametrize("dims", [(2, 4), (0, 0)], ids=["2x4", "0x0"])
+    def test_zero_trials_offset_6(self, dims):
+        # a file holds at least one trial; the count is checked before the dimensions
+        with pytest.raises(StreamFormatError, match="file holds no trials") as exc:
+            decode_subject(HEADER.pack(b"EEGC", 1, 0, *dims, 2), 0)
+        assert exc.value.offset == 6
 
     def test_bad_dimensions_offset_10(self):
         buf = HEADER.pack(b"EEGC", 1, 1, 0, 4, 2)
@@ -723,6 +748,15 @@ class TestStreamIO:
             load_stream(tmp_path / "s")
         assert decoded == []
 
+    def test_subject_file_without_trials_offset_6(self, tmp_path):
+        save_stream(self.small_stream(), tmp_path / "s")
+        path = tmp_path / "s" / "subject_001.eegc"
+        path.write_bytes(HEADER.pack(b"EEGC", 1, 0, 3, 12, 2))
+        with pytest.raises(StreamFormatError) as exc:
+            load_stream(tmp_path / "s")
+        assert exc.value.offset == 6
+        assert str(exc.value) == f"{path}: file holds no trials (at byte 6)"
+
     def test_listed_file_missing(self, tmp_path):
         stream = self.small_stream()
         save_stream(stream, tmp_path / "s")
@@ -740,6 +774,7 @@ class TestStreamIO:
         with pytest.raises(StreamFormatError) as exc:
             load_stream(tmp_path / "s")
         assert exc.value.offset == 16
+        assert "subject_000.eegc: file has 2 classes, manifest says 3" in str(exc.value)
 
     def test_channel_disagreement_offset_10(self, tmp_path):
         stream = self.small_stream()
@@ -753,6 +788,7 @@ class TestStreamIO:
         with pytest.raises(StreamFormatError) as exc:
             load_stream(tmp_path / "s")
         assert exc.value.offset == 10
+        assert "subject_001.eegc: file has 4 channels, manifest says 3" in str(exc.value)
 
     def test_timepoint_disagreement_offset_12(self, tmp_path):
         stream = self.small_stream()
@@ -766,3 +802,4 @@ class TestStreamIO:
         with pytest.raises(StreamFormatError) as exc:
             load_stream(tmp_path / "s")
         assert exc.value.offset == 12
+        assert "subject_001.eegc: file has 16 timepoints, manifest says 12" in str(exc.value)

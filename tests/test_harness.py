@@ -25,7 +25,7 @@ from eegcl import (
 from eegcl import ewc, harness
 from eegcl.cli import main
 from eegcl.data import Split, Stream
-from eegcl.errors import EmptyInputError, ShapeError, StreamFormatError
+from eegcl.errors import ShapeError, StreamFormatError
 from eegcl.ewc import OnlineEwc
 from eegcl.harness import (
     MemoryConfig,
@@ -232,9 +232,11 @@ class TestRunContinual:
             run_continual(subjects, sft_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=0)
 
     def test_empty_stream_rejected(self):
-        empty = Stream(subjects=(), n_channels=4, n_timepoints=32, n_classes=2, seed=0)
-        with pytest.raises(EmptyInputError):
-            run_continual(empty, sft_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=0)
+        # an empty Stream cannot be built, nor emptied by replace, so no run sees one
+        with pytest.raises(ValueError, match="^stream has no subjects$"):
+            Stream(subjects=(), n_channels=4, n_timepoints=32, n_classes=2, seed=0)
+        with pytest.raises(ValueError, match="^stream has no subjects$"):
+            replace(small_stream(), subjects=[])
 
     def test_model_stream_shape_mismatch(self):
         cfg = replace(small_model_cfg(), n_channels=3)

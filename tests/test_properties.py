@@ -7,9 +7,9 @@ in its fields. A continual run on a generated stream keeps its matrix,
 audit, memory and seed invariants.
 
 decode_subject reads all records of a subject at once; the per-trial
-decoder it replaced is kept here as its reference, with the same rule
-that a file is exactly its header plus its records, and every error must
-match that decoder's message and byte offset.
+decoder it replaced is kept here as its reference, with the same rules
+that a file holds at least one trial and is exactly its header plus its
+records, and every error must match that decoder's message and byte offset.
 """
 
 import copy
@@ -34,7 +34,6 @@ from eegcl import (  # noqa: E402
 from eegcl.cli import ExperimentConfig, parse_experiment_config  # noqa: E402
 from eegcl.data import (  # noqa: E402
     LabeledTrial,
-    SubjectDataset,
     decode_subject,
     encode_subject,
     load_stream,
@@ -70,7 +69,8 @@ MEMORY_HEADER_BEFORE_DIMS = 23
 def per_trial_decode(buf, path="<memory>"):
     """The per-trial subject decoder: returns (trials, split tags,
     n_classes), or raises the StreamFormatError the block decoder must
-    reproduce. A file must be exactly its header plus n_trials records."""
+    reproduce. A file must hold n_trials >= 1 records and nothing else
+    after its header."""
     if len(buf) < HEADER.size:
         raise StreamFormatError(
             f"{path}: truncated while reading header "
@@ -82,7 +82,9 @@ def per_trial_decode(buf, path="<memory>"):
         raise StreamFormatError(f"{path}: bad magic {magic!r}, expected {b'EEGC'!r}", offset=0)
     if version != 1:
         raise StreamFormatError(f"{path}: unsupported format version {version}", offset=4)
-    if n_trials > 0 and (c < 1 or t < 1):
+    if n_trials < 1:
+        raise StreamFormatError(f"{path}: file holds no trials", offset=6)
+    if c < 1 or t < 1:
         raise StreamFormatError(f"{path}: invalid trial dimensions {c}x{t}", offset=10)
     expected = HEADER.size + n_trials * (TRIAL_PREFIX.size + 4 * c * t)
     if len(buf) != expected:
@@ -130,8 +132,7 @@ def per_trial_decode(buf, path="<memory>"):
 def _valid_subject_files():
     stream = gen_stream(StreamConfig(n_subjects=2, n_channels=2, n_timepoints=3,
                                      n_classes=3, trials_per_subject=9, seed=1))
-    empty = SubjectDataset(0, np.empty((0, 2, 3)), [], [], [])
-    return [encode_subject(ds, stream.n_classes) for ds in (*stream, empty)]
+    return [encode_subject(ds, stream.n_classes) for ds in stream]
 
 
 def _valid_memory_blobs():
@@ -209,6 +210,19 @@ def check_memory_bytes(blob):
 
 @given(buf=damaged(_valid_subject_files(), b"EEGC"))
 def test_decode_subject_round_trips_or_fails_like_the_per_trial_decoder(buf):
+    check_subject_bytes(buf)
+
+
+@pytest.mark.parametrize("make", [
+    lambda valid: HEADER.pack(b"EEGC", 1, 0, 2, 3, 3),
+    lambda valid: HEADER.pack(b"EEGC", 1, 0, 0, 0, 3),
+    lambda valid: valid[:6] + struct.pack("<I", 0) + valid[10:],
+], ids=["header_only", "header_only_no_dims", "records_after_count_0"])
+def test_zero_trial_file_is_refused_at_offset_6(make):
+    buf = make(_valid_subject_files()[0])
+    with pytest.raises(StreamFormatError, match="file holds no trials") as got:
+        decode_subject(buf, 0)
+    assert got.value.offset == 6
     check_subject_bytes(buf)
 
 
