@@ -65,9 +65,9 @@ class Split(IntEnum):
 class LabeledTrial:
     """One channels x time trial with its label and provenance.
 
-    The sample matrix is stored as read-only float32; computation elsewhere
-    promotes to float64. ``timestamp`` is the trial's sequence number within
-    its subject's recording session.
+    The sample matrix is stored as read-only float32; the networks compute
+    on it in float32, and whitening in float64. ``timestamp`` is the trial's
+    sequence number within its subject's recording session.
     """
 
     trial: np.ndarray

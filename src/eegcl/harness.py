@@ -316,7 +316,7 @@ class RunState:
                 memory.offer_many(ds.trials_for(Split.TRAIN))
         self.stage_memory.append(len(memory) if memory is not None else 0)
 
-        # Test blocks stay float32; the model upcasts them exactly when used.
+        # Test blocks stay float32, so evaluation computes in float32 too.
         self.eval_cache.append(test_set)
         for i, test in enumerate(self.eval_cache):
             self.matrix[stage - 1, i] = evaluate_arrays(self.model, self.params, *test)

@@ -11,8 +11,11 @@ The public entry points (loss_and_gradient, gradient) check their input
 with check_params and check_batch, which keeps the batch's dtype, and then
 run the unchecked core: forward_cached, backward and
 unchecked_loss_and_gradient. A training stage runs those checks once and
-the core every step; forward_cached reads the batch as float64, in at most
-one copy.
+the core every step. The core computes in its batch's dtype: a float32
+batch, such as a subject's stored trials, in float32, against a float32
+copy of the parameters, and any other real dtype in float64. Either way
+the logits and the gradient come back float64, so the softmax, the loss,
+the optimizer and the parameters stay float64.
 Each forward pass reads the blocks of the vector it is given through the
 model's Layout and hands those views to backward, which writes each gradient
 block straight into its slice of one flat vector, so a step allocates no
@@ -107,6 +110,12 @@ def check_params(model, params) -> np.ndarray:
     return params
 
 
+def _compute_dtype(x: np.ndarray) -> type:
+    """The dtype a network computes a batch in: float32 for a float32
+    batch, float64 for any other real dtype."""
+    return np.float32 if x.dtype == np.float32 else np.float64
+
+
 class Network:
     """What both networks share: their config, the parameter layout built
     from their (name, shape) blocks and the initial parameters. Each
@@ -142,32 +151,36 @@ class MlpNet(Network):
         self._n_layers = len(sizes) - 1
 
     def forward_cached(self, params: np.ndarray, x: np.ndarray):
-        """Logits and the cache backward needs, for parameters and a checked
-        (n, channels, time) batch of any real dtype, read as float64."""
-        p = self.layout.views(params)
-        a = np.asarray(x, dtype=np.float64).reshape(x.shape[0], -1)
+        """Float64 logits and the cache backward needs, for parameters and a
+        checked (n, channels, time) batch of any real dtype, computed in
+        _compute_dtype(x)."""
+        dtype = _compute_dtype(x)
+        p = self.layout.views(params.astype(dtype, copy=False))
+        a = np.asarray(x, dtype=dtype).reshape(x.shape[0], -1)
         acts = [a]
         for i in range(self._n_layers - 1):
             a = np.tanh(a @ p[f"w{i}"].T + p[f"b{i}"])
             acts.append(a)
         last = self._n_layers - 1
         logits = a @ p[f"w{last}"].T + p[f"b{last}"]
-        return logits, (p, acts)
+        return logits.astype(np.float64, copy=False), (p, acts)
 
     def backward(self, cache, dlogits: np.ndarray, per_sample: bool = False) -> np.ndarray:
         """Flat gradient summed over the batch, or with per_sample one row
         per trial, of the loss whose logit gradient is dlogits. Each block
         is written straight into its slice of the result."""
         p, acts = cache
-        d = np.asarray(dlogits, dtype=np.float64)
-        grad = np.empty((d.shape[0], self.layout.size) if per_sample else self.layout.size)
+        d = dlogits.astype(acts[0].dtype, copy=False)
+        grad = np.empty(
+            (d.shape[0], self.layout.size) if per_sample else self.layout.size, d.dtype
+        )
         out = self.layout.views(grad)
         last = self._n_layers - 1
         for i in range(last, -1, -1):
             if i < last:
                 d = (d @ p[f"w{i + 1}"]) * (1.0 - acts[i + 1] ** 2)
             _dense_grad(d, acts[i], per_sample, out[f"w{i}"], out[f"b{i}"])
-        return grad
+        return grad.astype(np.float64, copy=False)
 
 
 class ShallowConvNet(Network):
@@ -198,12 +211,14 @@ class ShallowConvNet(Network):
         self.n_windows = config.n_timepoints - config.kernel_len + 1
 
     def forward_cached(self, params: np.ndarray, x: np.ndarray):
-        """Logits and the cache backward needs, for parameters and a checked
-        (n, channels, time) batch of any real dtype, read as float64."""
+        """Float64 logits and the cache backward needs, for parameters and a
+        checked (n, channels, time) batch of any real dtype, computed in
+        _compute_dtype(x)."""
         cfg = self.config
-        p = self.layout.views(params)
+        dtype = _compute_dtype(x)
+        p = self.layout.views(params.astype(dtype, copy=False))
         c, n, t = cfg.n_channels, x.shape[0], cfg.n_timepoints
-        xc = np.ascontiguousarray(x.transpose(1, 0, 2), dtype=np.float64).reshape(c, n * t)
+        xc = np.ascontiguousarray(x.transpose(1, 0, 2), dtype=dtype).reshape(c, n * t)
         z = (p["spatial"] @ xc).reshape(cfg.n_filters, n, t)
         band = _band(p["temporal"], t)
         s = z @ band  # (filters, n, windows)
@@ -211,20 +226,20 @@ class ShallowConvNet(Network):
         power = (s * s).sum(axis=2).T / self.n_windows  # mean over windows, (n, filters)
         feats = np.log(power + LOG_EPS)
         logits = feats @ p["head"].T + p["head_bias"]
-        return logits, (p, xc, z, band, s, power, feats)
+        return logits.astype(np.float64, copy=False), (p, xc, z, band, s, power, feats)
 
     def backward(self, cache, dlogits: np.ndarray, per_sample: bool = False) -> np.ndarray:
         """Flat gradient summed over the batch, or with per_sample one row
         per trial, of the loss whose logit gradient is dlogits. Each block
         is written straight into its slice of the result."""
         p, xc, z, band, s, power, feats = cache
-        d = np.asarray(dlogits, dtype=np.float64)
+        d = dlogits.astype(s.dtype, copy=False)
         dpower = (d @ p["head"]) / (power + LOG_EPS)
         ds = (2.0 / self.n_windows) * s
         ds *= dpower.T[:, :, None]
         dz = ds @ band.transpose(0, 2, 1)  # transposed temporal conv, (filters, n, time)
         n = d.shape[0]
-        grad = np.empty((n, self.layout.size) if per_sample else self.layout.size)
+        grad = np.empty((n, self.layout.size) if per_sample else self.layout.size, s.dtype)
         out = self.layout.views(grad)
         if per_sample:
             t = self.config.n_timepoints
@@ -246,7 +261,7 @@ class ShallowConvNet(Network):
             np.matmul(dz.reshape(dz.shape[0], -1), xc.T, out=out["spatial"])
             ds.sum(axis=(1, 2), out=out["spatial_bias"])
         _dense_grad(d, feats, per_sample, out["head"], out["head_bias"])
-        return grad
+        return grad.astype(np.float64, copy=False)
 
 
 def _read_only_view(base: np.ndarray, shape: tuple, offset: int, strides: tuple) -> np.ndarray:
@@ -270,10 +285,11 @@ def _band(w: np.ndarray, n_timepoints: int) -> np.ndarray:
     time, windows) with band[f, u + l, u] = w[f, l], so z @ band is the
     valid correlation of z with each filter. It is a read-only view of the
     zero-padded filters, in which a row steps one sample forward and a
-    column one sample back, so building it allocates only the padding."""
+    column one sample back, so building it allocates only the padding, in
+    the filters' dtype."""
     k, length = w.shape
     n_windows = n_timepoints - length + 1
-    padded = np.zeros((k, n_windows - 1 + n_timepoints))
+    padded = np.zeros((k, n_windows - 1 + n_timepoints), w.dtype)
     padded[:, n_windows - 1 : n_windows - 1 + length] = w
     step = padded.strides[1]
     return _read_only_view(

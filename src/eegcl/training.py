@@ -8,7 +8,9 @@ returns the parameters from the best validation epoch. Everything is seeded,
 so identical configs reproduce identical histories on one numpy build, one
 BLAS kernel and one BLAS thread setting (README, "Determinism and seeds").
 Input checks run once per stage; a step only indexes a batch and does the
-model's arithmetic, the penalty and the optimizer update.
+model's arithmetic, the penalty and the optimizer update. The model computes
+in the split's dtype, float32 for a subject's trials; the parameters, the
+penalty and the optimizer stay float64.
 """
 
 from __future__ import annotations
@@ -137,9 +139,10 @@ def train(model, params: np.ndarray, train_set, val_set, cfg: TrainConfig, seed:
     Once per stage, the parameters (check_params) and both splits
     (check_batch) are checked; the splits keep their own dtype (float32 for
     a subject's block). Each step indexes its batch's rows and runs the
-    forward/backward arithmetic, which casts the batch to float64, and the
-    optimizer update; each epoch's validation pass runs the forward pass
-    alone, on the split checked at the start.
+    forward/backward arithmetic, which computes in the batch's dtype and
+    returns a float64 gradient, and the optimizer update; each epoch's
+    validation pass runs the forward pass alone, on the split checked at
+    the start.
     """
     work = np.array(check_params(model, params))
     x_train, y_train = check_batch(model, *train_set)

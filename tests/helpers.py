@@ -1,12 +1,14 @@
 """Shared builders for the test suite: tiny trials, subjects, a
 central-difference gradient oracle, reference log-softmax and
 cross-entropy for the gradient oracles, align_subject for whitening a
-bare list of trials, and JSON files that do not decode."""
+bare list of trials, a spy on the dtype each network computes in, and JSON
+files that do not decode."""
 
 import numpy as np
 
 from eegcl.alignment import compute_whitener, reference_covariance
 from eegcl.data import LabeledTrial, Split, SubjectDataset
+from eegcl.models import MlpNet, ShallowConvNet
 
 
 def make_trial(data, label=0, subject=0, timestamp=0):
@@ -94,6 +96,39 @@ def align_subject(trials):
     trials = list(trials)
     report = compute_whitener(reference_covariance(trials))
     return list(np.matmul(report.whitener, np.array(trials, dtype=np.float64))), report
+
+
+def cache_dtypes(cache) -> frozenset:
+    """The dtypes of every array in a forward pass's cache: its arrays, its
+    lists of activations and its dicts of parameter blocks."""
+    dtypes = set()
+    for item in cache:
+        if isinstance(item, dict):
+            item = list(item.values())
+        dtypes.update(a.dtype for a in (item if isinstance(item, list) else [item]))
+    return frozenset(dtypes)
+
+
+def spy_compute_dtypes(monkeypatch) -> list:
+    """Wrap forward_cached and backward on both networks. Returns the list
+    to which every call then appends (method name, per_sample or None for a
+    forward pass, cache_dtypes of the cache it made or read)."""
+    calls = []
+    for cls in (MlpNet, ShallowConvNet):
+        forward, backward = cls.forward_cached, cls.backward
+
+        def spied_forward(self, params, x, forward=forward):
+            logits, cache = forward(self, params, x)
+            calls.append(("forward", None, cache_dtypes(cache)))
+            return logits, cache
+
+        def spied_backward(self, cache, dlogits, per_sample=False, backward=backward):
+            calls.append(("backward", per_sample, cache_dtypes(cache)))
+            return backward(self, cache, dlogits, per_sample)
+
+        monkeypatch.setattr(cls, "forward_cached", spied_forward)
+        monkeypatch.setattr(cls, "backward", spied_backward)
+    return calls
 
 
 # The bytes of JSON files that do not decode, by name: broken syntax, bytes

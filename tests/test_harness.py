@@ -43,6 +43,8 @@ from eegcl.harness import (
 from eegcl.models import ShallowConvNet, build_model
 from eegcl.replay import ReplayMemory
 
+from helpers import spy_compute_dtypes
+
 
 def small_stream(seed=1, n_subjects=3, n_classes=2):
     return gen_stream(
@@ -511,6 +513,24 @@ for strategy in (ewc_strategy(), pced_strategy()):
     for array in (record.final_params, record.matrix):
         print(hashlib.sha256(array.tobytes()).hexdigest())
 """
+
+
+def test_default_shape_runs_compute_in_float32(monkeypatch):
+    # A subject's trials stay float32 through whitening, the replay set and
+    # the cached test blocks, so every forward and backward pass of a run
+    # computes in float32: training steps, validation, the evaluation matrix
+    # and the Fisher pass. A float64 copy anywhere on the way would run that
+    # pass in float64 and give up float32's speed without failing a check.
+    calls = spy_compute_dtypes(monkeypatch)
+    stream = gen_stream(StreamConfig(n_subjects=3, seed=2))
+    for strategy in (sft_strategy(), er_strategy(), ewc_strategy(), pced_strategy()):
+        run_continual(stream, strategy, ModelConfig(), TrainConfig(max_epochs=2, patience=2), 0)
+    assert {dtypes for _, _, dtypes in calls} == {frozenset({np.dtype(np.float32)})}
+    # Forward-only passes (validation, evaluation), training steps and the
+    # Fisher pass's per-trial backward all ran.
+    assert {(name, per_sample) for name, per_sample, _ in calls} == {
+        ("forward", None), ("backward", False), ("backward", True)
+    }
 
 
 def test_results_do_not_depend_on_blas_thread_count():

@@ -230,22 +230,37 @@ class TestTrain:
         assert hist_a == hist_b
         assert np.array_equal(best_a, best_b)
 
-    @pytest.mark.parametrize("make_model", [tiny_model, tiny_conv], ids=["mlp", "conv"])
-    def test_float32_stage_matches_float64_input(self, make_model):
-        # The model casts each float32 batch to float64 itself: the run
-        # equals one on the same values in float64, and one on a
-        # non-contiguous view of them.
+    @pytest.mark.parametrize(
+        ("make_model", "params_rel"), [(tiny_model, 1e-3), (tiny_conv, 1e-7)], ids=["mlp", "conv"]
+    )
+    def test_float32_stage_matches_float64_input(self, make_model, params_rel):
+        # A float32 split computes in float32: the run equals one on a
+        # non-contiguous float32 view of it bit for bit. A float64 copy of
+        # the same values computes in float64 and runs the same epochs with
+        # the same validation accuracies; its losses agree to float32
+        # rounding. Its best parameters agree within params_rel of their
+        # largest entry: Adam's normalized step turns the rounding of the
+        # smallest gradient entries into steps of up to the learning rate.
+        # Measured over separable_sets seeds 0-5: at most 3.2e-4 (mlp) and
+        # 1.5e-8 (conv), and 1.5e-7 for the relative loss difference.
         model = make_model()
         (x, y), (x_val, y_val) = (check_batch(model, *s) for s in self.separable_sets())
         x32 = x.astype(np.float32)
         strided = np.ascontiguousarray(x32.transpose(2, 0, 1)).transpose(1, 2, 0)
         assert not strided.flags.c_contiguous
         cfg = TrainConfig(learning_rate=0.01, max_epochs=5, batch_size=8, patience=5)
-        runs = [train(model, model.init_params(0), (xs, y), (x_val, y_val), cfg, 0)
-                for xs in (x32, x32.astype(np.float64), strided)]
-        for best, history in runs[1:]:
-            assert history == runs[0][1]
-            assert np.array_equal(best, runs[0][0])
+        (best, history), (best_strided, history_strided), (best64, history64) = [
+            train(model, model.init_params(0), (xs, y), (x_val, y_val), cfg, 0)
+            for xs in (x32, strided, x32.astype(np.float64))
+        ]
+        assert history_strided == history
+        assert np.array_equal(best_strided, best)
+        assert [(h.epoch, h.val_accuracy) for h in history64] == [
+            (h.epoch, h.val_accuracy) for h in history
+        ]
+        for h, h64 in zip(history, history64):
+            assert h.train_loss == pytest.approx(h64.train_loss, rel=1e-6)
+        np.testing.assert_allclose(best, best64, rtol=0, atol=params_rel * np.abs(best64).max())
 
     def test_ties_keep_the_earliest_epoch(self):
         # if epoch 1 already hits the best validation accuracy, later epochs
