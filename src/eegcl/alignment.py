@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import Split, SubjectDataset
-from .errors import DegenerateInputError, EmptyInputError, ShapeError
+from .errors import DegenerateInputError, ShapeError
 from .linalg import covariances, inv_sqrt_of_eig, sym_eig
 from .linalg import covariance  # noqa: F401  traced as alignment.covariance by bench/
 
@@ -48,19 +48,17 @@ def reference_covariance(trials) -> np.ndarray:
 
     trials is an (n, channels, time) array, or a list of equal-shape
     (channels, time) trials, read once as float64; anything else, a ragged
-    list included, is a ShapeError, and no trials an EmptyInputError. Every
-    covariance comes from one batched matmul (linalg.covariances); they
-    are then summed in input-index order in float64, which is bitwise the
-    mean of the per-trial covariances.
+    list and no trials included, is a ShapeError. Every covariance comes
+    from one batched matmul (linalg.covariances); they are then summed in
+    input-index order in float64, which is bitwise the mean of the
+    per-trial covariances.
     """
     try:
         x = np.asarray(trials, dtype=np.float64)
     except ValueError as exc:
         raise ShapeError(f"trials must share one (channels, time) shape ({exc})") from exc
-    if x.shape[:1] == (0,):
-        raise EmptyInputError("reference covariance of no trials")
-    if x.ndim != 3:
-        raise ShapeError(f"trials must form an (n, channels, time) array, got shape {x.shape}")
+    if x.ndim != 3 or not len(x):
+        raise ShapeError(f"need an (n, channels, time) array of at least one trial, got {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("trial contains non-finite entries")
     return covariances(x).sum(axis=0) / len(x)

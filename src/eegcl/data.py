@@ -51,6 +51,8 @@ COUNT_LIMIT = 0xFFFFFFFF
 _LOG_DET_MIN = math.log(1e-3)
 # Share of each class gen_stream tags train; val and test split the rest.
 TRAIN_FRAC = 0.7
+# The rule for a subject id, class label or timestamp, as for a config's counts.
+_ID = integer(0)
 
 
 class Split(IntEnum):
@@ -78,17 +80,13 @@ class LabeledTrial:
     def __post_init__(self):
         a = np.array(self.trial, dtype=np.float32, order="C")
         if a.ndim != 2:
-            raise ValueError(f"trial must be 2-D, got shape {a.shape}")
+            raise ShapeError(f"trial must be 2-D, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("trial contains non-finite values")
         a.flags.writeable = False
         object.__setattr__(self, "trial", a)
-        if self.class_label < 0:
-            raise ValueError(f"class_label must be >= 0, got {self.class_label}")
-        if self.subject_id < 0:
-            raise ValueError(f"subject_id must be >= 0, got {self.subject_id}")
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be >= 0, got {self.timestamp}")
+        for name in ("class_label", "subject_id", "timestamp"):
+            _ID.check(getattr(self, name), name, ValueError)
 
     def __reduce__(self):
         # Unpickle through the constructor, which re-checks the trial and
@@ -107,12 +105,23 @@ def trials_equal(a: LabeledTrial, b: LabeledTrial) -> bool:
     )
 
 
+def _int64(values, name: str) -> np.ndarray:
+    """values as a new int64 array; a non-empty array of another kind than
+    integers, or above int64, is a ValueError naming the field, not
+    truncated or wrapped."""
+    a = np.asarray(values)
+    if a.size and (a.dtype.kind not in "iu" or a.max() > np.iinfo(np.int64).max):
+        raise ValueError(f"{name} must be integers within int64, got {a.dtype} values")
+    return a.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class SubjectDataset:
     """One subject's trials: a read-only float32 block (n, channels, time)
     with parallel int64 `labels` and `timestamps` and uint8 `split` tags.
 
-    The constructor checks the arrays (one trial or more) and makes them
+    The constructor checks the arrays (one trial or more; labels, timestamps
+    and split codes of an integer dtype, never truncated) and makes them
     read-only. A block that already is C-contiguous float32 is kept, not
     copied, so dataclasses.replace(ds, split=...) shares it. `trials`,
     `trials_for` and `trials_at` build LabeledTrials of only the rows asked
@@ -128,17 +137,18 @@ class SubjectDataset:
 
     def __post_init__(self):
         block = np.ascontiguousarray(self.block, dtype=np.float32)
-        labels = np.array(self.labels, dtype=np.int64)
-        timestamps = np.array(self.timestamps, dtype=np.int64)
+        labels = _int64(self.labels, "labels")
+        timestamps = _int64(self.timestamps, "timestamps")
+        split = _int64(self.split, "split")
         n = len(block) if block.ndim == 3 else 0
         if not n or not labels.shape == timestamps.shape == (n,):
             raise ShapeError(
                 f"need a (n, channels, time) block, n >= 1, with n labels and timestamps, "
                 f"got shapes {block.shape}, {labels.shape} and {timestamps.shape}"
             )
-        sid = self.subject_id
-        if sid < 0 or labels.min() < 0:
-            raise ValueError(f"subject_id and class labels must be >= 0 (subject {sid})")
+        _ID.check(self.subject_id, "subject_id", ValueError)
+        if labels.min() < 0:
+            raise ValueError(f"class labels must be >= 0 (subject {self.subject_id})")
         if not np.isfinite(block).all():
             raise ValueError("trial contains non-finite values")
         step = np.flatnonzero(np.diff(timestamps, prepend=-1) <= 0)
@@ -148,7 +158,6 @@ class SubjectDataset:
                 f"timestamps must increase strictly within a subject "
                 f"(saw {timestamps[i]} after {timestamps[i - 1] if i else -1})"
             )
-        split = np.array(self.split, dtype=np.int64)
         if split.shape != (n,) or ((split < 0) | (split > max(Split))).any():
             raise ValueError(f"need {n} Split codes, got {split.tolist()}")
         split = split.astype(np.uint8)
@@ -272,7 +281,7 @@ class Stream:
                 raise ValueError(f"subject {ds.subject_id} is listed twice")
             seen.add(ds.subject_id)
             if ds.block.shape[1:] != (self.n_channels, self.n_timepoints):
-                raise ValueError(
+                raise ShapeError(
                     f"subject {ds.subject_id} trial shape {ds.block.shape[1:]} "
                     f"!= ({self.n_channels}, {self.n_timepoints})"
                 )

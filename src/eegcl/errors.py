@@ -11,7 +11,9 @@ Each config dataclass states its field rules once, as a table of Rules
 applies the table with check_fields, then any rule across fields (a
 generator class too small to split, a kernel longer than the trial) as a
 ConfigError. A rule accepts JSON values only: a bool is not an integer,
-and an integer too large for a float is not a finite number.
+and an integer too large for a float is not a finite number. A subject id,
+class label or timestamp obeys integer(0) as well. An input refused for its
+shape or size, no trials included, is a ShapeError.
 """
 
 import math
@@ -22,15 +24,11 @@ from typing import NamedTuple
 
 
 class ShapeError(ValueError):
-    """An array has the wrong dimensionality or mismatched dimensions."""
+    """An array has the wrong dimensionality or dimensions, or no trials."""
 
 
 class DegenerateInputError(ValueError):
     """Input is too small or too degenerate for the requested operation."""
-
-
-class EmptyInputError(ValueError):
-    """An operation that needs at least one element received none."""
 
 
 class ConfigError(ValueError):

@@ -10,6 +10,8 @@ mattered before back toward where they were.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .errors import number
@@ -51,7 +53,7 @@ class OnlineEwc:
     def update(self, model, params: np.ndarray, xy):
         """Fold one finished stage in: re-anchor and add the Fisher of its
         (x, y) training arrays. The sum is a new array, so a hook made
-        earlier keeps the arrays it closed over."""
+        earlier keeps the arrays it bound."""
         fisher = fisher_diagonal(model, params, xy)
         self.fisher = fisher if self.fisher is None else self.fisher + fisher
         self.anchor = params.copy()
@@ -61,9 +63,4 @@ class OnlineEwc:
         Fisher sum, or None before any anchor."""
         if self.anchor is None:
             return None
-        anchor, fisher, lam = self.anchor, self.fisher, self.lam
-
-        def hook(vector):
-            return penalty(vector, anchor, fisher, lam)
-
-        return hook
+        return partial(penalty, anchor=self.anchor, fisher=self.fisher, lam=self.lam)

@@ -27,7 +27,7 @@ import numpy as np
 from .alignment import whiten_subject
 from .alignment import compute_whitener, reference_covariance  # noqa: F401  traced by bench/
 from .data import Split, Stream
-from .errors import ShapeError, UndefinedMetricError, check_fields, one_of
+from .errors import ConfigError, ShapeError, UndefinedMetricError, check_fields, one_of
 from .ewc import DEFAULT_LAMBDA, LAMBDA, OnlineEwc
 from .models import ModelConfig, build_model
 from .replay import MEMORY_RULES, ReplayMemory, store_class_balanced
@@ -74,6 +74,8 @@ class Strategy:
 
     def __post_init__(self):
         one_of(STRATEGY_KINDS).check(self.kind, "strategy kind")
+        if not isinstance(self.memory, MemoryConfig):
+            raise ConfigError(f"strategy memory must be a MemoryConfig, got {self.memory!r}")
         LAMBDA.check(self.lam, "ewc lambda")
 
     @property
@@ -125,7 +127,8 @@ class RunRecord:
 
     final_params holds the float64 parameter vector after the last stage
     (useful for checkpointing and for comparing two runs exactly); it stays
-    out of the JSON report, which carries only the metrics and telemetry.
+    out of the JSON report, which carries the strategy, seeds, matrix,
+    metrics and per-stage records.
     """
 
     strategy: Strategy

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyInputError, ShapeError
+from .errors import ConfigError, ShapeError
 from .errors import check_fields, integer, integers, one_of
 
 # Added inside the log of the pooled power so zero-power features stay finite.
@@ -65,6 +65,7 @@ class ModelConfig:
 
     def __post_init__(self):
         check_fields(self, "model", self.RULES)
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         if self.architecture == "shallow_conv" and self.kernel_len > self.n_timepoints:
             raise ConfigError(
                 f"model kernel_len must be <= n_timepoints {self.n_timepoints}, "
@@ -326,20 +327,19 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def check_batch(model, x: np.ndarray, labels) -> tuple:
     """The checks loss_and_gradient and gradient run on their input:
     returns x as an (n, channels, time) ndarray in its own real dtype and
-    labels as int64 class indices, one per trial. Raises ShapeError,
-    EmptyInputError (a batch of no trials) or ValueError otherwise.
+    labels as int64 class indices, one per trial. Raises ShapeError (a
+    batch of no trials included) or ValueError otherwise.
     train() runs them once on a stage's training split, so that its steps
     can call unchecked_loss_and_gradient."""
     cfg = model.config
     x = np.asarray(x)
     if x.dtype.kind not in "biuf":
         raise ValueError(f"a batch must be of bool, integer or real float dtype, got {x.dtype}")
-    if x.ndim != 3 or x.shape[1:] != (cfg.n_channels, cfg.n_timepoints):
+    if x.ndim != 3 or not len(x) or x.shape[1:] != (cfg.n_channels, cfg.n_timepoints):
         raise ShapeError(
-            f"batch must have shape (n, {cfg.n_channels}, {cfg.n_timepoints}), got {x.shape}"
+            f"batch must have shape (n, {cfg.n_channels}, {cfg.n_timepoints}) with at least "
+            f"one trial, got {x.shape}"
         )
-    if not x.shape[0]:
-        raise EmptyInputError("a batch needs at least one trial")
     labels = np.asarray(labels)
     if labels.shape != (x.shape[0],):
         raise ShapeError(f"labels must have shape ({x.shape[0]},), got {labels.shape}")

@@ -7,7 +7,7 @@ import pytest
 from eegcl import StreamConfig, gen_stream
 from eegcl.alignment import compute_whitener, reference_covariance, whiten_subject
 from eegcl.data import Split
-from eegcl.errors import EmptyInputError, ShapeError
+from eegcl.errors import ShapeError
 from eegcl.linalg import covariance
 
 from helpers import align_subject, balanced_subject
@@ -113,9 +113,9 @@ class TestReferenceCovariance:
         )
 
     def test_empty_list_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ShapeError, match="at least one trial"):
             reference_covariance([])
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ShapeError, match="at least one trial"):
             reference_covariance(np.empty((0, 3, 8)))
 
     def test_channel_mismatch_rejected(self):

@@ -31,3 +31,19 @@ def test_a_config_checks_every_rule_when_built(cls, label, name):
         cls(**{name: object()})
     with pytest.raises(ConfigError, match=f"^{label} must be "):
         replace(cls(), **{name: object()})
+
+
+@pytest.mark.parametrize("memory", [{"capacity": 3}, None, (160, 10, "class_balanced")],
+                         ids=["dict", "none", "tuple"])
+def test_strategy_memory_must_be_a_memory_config(memory):
+    with pytest.raises(ConfigError, match="^strategy memory must be a MemoryConfig, got "):
+        Strategy("ER", memory=memory)
+    with pytest.raises(ConfigError, match="^strategy memory must be a MemoryConfig, got "):
+        replace(Strategy("ER"), memory=memory)
+
+
+def test_model_hidden_from_a_json_list_equals_the_default():
+    config = ModelConfig(hidden=[32])
+    assert config.hidden == (32,)
+    assert config == ModelConfig() and hash(config) == hash(ModelConfig())
+    assert replace(ModelConfig(), hidden=[16, 8]).hidden == (16, 8)

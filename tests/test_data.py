@@ -133,8 +133,9 @@ class TestLabeledTrial:
             t.trial[0, 0] = 1.0
 
     def test_rejects_bad_shapes_and_values(self):
-        with pytest.raises(ValueError):
-            LabeledTrial(trial=np.zeros(5), class_label=0, subject_id=0, timestamp=0)
+        for trial in (np.zeros(5), np.zeros((1, 2, 3))):
+            with pytest.raises(ShapeError, match="trial must be 2-D"):
+                LabeledTrial(trial=trial, class_label=0, subject_id=0, timestamp=0)
         with pytest.raises(ValueError):
             LabeledTrial(
                 trial=np.array([[np.nan, 0.0]]), class_label=0, subject_id=0, timestamp=0
@@ -145,6 +146,20 @@ class TestLabeledTrial:
             LabeledTrial(trial=np.zeros((2, 3)), class_label=0, subject_id=-1, timestamp=0)
         with pytest.raises(ValueError):
             LabeledTrial(trial=np.zeros((2, 3)), class_label=0, subject_id=0, timestamp=-1)
+
+    @pytest.mark.parametrize("field", ["label", "subject", "timestamp"])
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "1", None])
+    def test_ids_are_integers_by_the_config_rule(self, field, value):
+        # A fractional id would be truncated by the EEGM encoder into a
+        # blob that its own decoder refuses.
+        name = {"label": "class_label", "subject": "subject_id", "timestamp": "timestamp"}[field]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got "):
+            make_trial(np.zeros((2, 3)), **{field: value})
+
+    def test_numpy_integer_ids_accepted(self):
+        t = make_trial(np.zeros((2, 3)), label=np.uint8(1), subject=np.int64(2),
+                       timestamp=np.uint32(3))
+        assert (t.class_label, t.subject_id, t.timestamp) == (1, 2, 3)
 
     def test_trials_equal_checks_everything(self):
         a = rand_trial(seed=1)
@@ -195,8 +210,23 @@ class TestSubjectDataset:
     def test_negative_ids_and_labels_rejected(self):
         with pytest.raises(ValueError, match="must be >= 0"):
             subject(labels=[0, -1])
-        with pytest.raises(ValueError, match="must be >= 0"):
+        with pytest.raises(ValueError, match="subject_id must be an integer >= 0"):
             replace(subject(), subject_id=-1)
+
+    @pytest.mark.parametrize("value", [1.5, 2.0, True, "1", None])
+    def test_subject_id_is_an_integer_by_the_config_rule(self, value):
+        with pytest.raises(ValueError, match="^subject_id must be an integer >= 0, got "):
+            replace(subject(), subject_id=value)
+
+    @pytest.mark.parametrize("name, values", [
+        ("labels", [0.7, 1.2, 1.9]), ("labels", [0.0, 1.0, 1.0]), ("labels", [True, False, True]),
+        ("labels", [0, 1, 2**70]), ("timestamps", [0.0, 1.5, 2.0]), ("split", [0, 1.5, 2]),
+        ("timestamps", np.array([0, 1, 2**63], np.uint64)),
+    ], ids=["fractional_labels", "whole_float_labels", "bool_labels", "huge_label",
+            "float_timestamps", "fractional_split", "uint64_timestamp_above_int64"])
+    def test_integer_fields_are_refused_not_truncated(self, name, values):
+        with pytest.raises(ValueError, match=f"^{name} must be integers within int64, got "):
+            subject(3, **{name: values})
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39])
@@ -494,7 +524,7 @@ class TestGenStream:
 class TestStreamValidation:
     def test_mismatched_trial_shape_rejected(self):
         ds = subject(1, block=np.zeros((1, 3, 8)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ShapeError, match=r"subject 0 trial shape \(3, 8\) != \(2, 8\)"):
             Stream(subjects=(ds,), n_channels=2, n_timepoints=8, n_classes=2, seed=0)
 
     def test_label_out_of_range_rejected(self):

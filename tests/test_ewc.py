@@ -3,7 +3,7 @@ import pytest
 
 from eegcl import ConfigError, ModelConfig, StreamConfig, TrainConfig, gen_stream
 from eegcl.data import Split
-from eegcl.errors import EmptyInputError
+from eegcl.errors import ShapeError
 from eegcl.ewc import OnlineEwc, fisher_diagonal, penalty
 from eegcl.models import build_model, gradient
 from eegcl.training import train
@@ -119,7 +119,7 @@ class TestFisherDiagonal:
 
     def test_empty_dataset_rejected(self):
         for model in tiny_models():
-            with pytest.raises(EmptyInputError):
+            with pytest.raises(ShapeError):
                 fisher_diagonal(model, model.init_params(0), (np.empty((0, 2, 4)), []))
 
 

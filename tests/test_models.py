@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eegcl import ConfigError, ModelConfig, TrainConfig
-from eegcl.errors import EmptyInputError, ShapeError
+from eegcl.errors import ShapeError
 from eegcl.models import (
     LOG_EPS,
     build_model,
@@ -263,10 +263,10 @@ class TestCrossEntropy:
         for model in (small_mlp(), small_conv()):
             params = model.init_params(0)
             x = np.zeros((0, model.config.n_channels, model.config.n_timepoints))
-            with pytest.raises(EmptyInputError):
+            with pytest.raises(ShapeError):
                 loss_and_gradient(model, params, x, [])
             for per_sample in (False, True):
-                with pytest.raises(EmptyInputError):
+                with pytest.raises(ShapeError):
                     gradient(model, params, x, [], per_sample=per_sample)
 
 
@@ -276,7 +276,7 @@ class TestForward:
         # the checked evaluation as in loss_and_gradient and gradient.
         for model in (small_mlp(), small_conv()):
             x = np.zeros((0, model.config.n_channels, model.config.n_timepoints))
-            with pytest.raises(EmptyInputError, match="at least one trial"):
+            with pytest.raises(ShapeError, match="at least one trial"):
                 evaluate_arrays(model, model.init_params(0), x, [])
 
     def test_zeroed_head_gives_constant_logits(self):

@@ -241,6 +241,30 @@ def test_memory_from_bytes_on_every_single_byte_damage():
         check_memory_bytes(blob)
 
 
+# An exemplar id within EEGM's field limits: an integer, or a value that
+# the integer rule refuses.
+exemplar_ids = st.one_of(st.integers(0, 255), st.floats(0, 255), st.booleans())
+
+
+@given(ids=st.lists(st.tuples(exemplar_ids, exemplar_ids, exemplar_ids), min_size=1,
+                    max_size=6, unique_by=lambda ids: ids[1:]))
+def test_every_memory_that_builds_round_trips_through_eegm(ids):
+    """(class_label, subject_id, timestamp) per exemplar: LabeledTrial
+    refuses what the encoder would truncate, so a memory that builds comes
+    back from its blob with the same keys and labels."""
+    try:
+        trials = [LabeledTrial(np.full((2, 3), i), *key) for i, key in enumerate(ids)]
+    except ValueError:
+        return
+    memory = ReplayMemory(capacity=len(trials))
+    memory.offer_many(trials)
+    blob = memory_to_bytes(memory)
+    out = memory_from_bytes(blob)
+    assert [(e.class_label, e.subject_id, e.timestamp) for e in out.entries] == list(ids)
+    assert all(trials_equal(a, b) for a, b in zip(memory.entries, out.entries))
+    assert memory_to_bytes(out) == blob
+
+
 # A manifest field's replacement: a JSON value of another type, an
 # integer near the valid ones, or the field's removal.
 DROP = object()

@@ -1,7 +1,7 @@
 """The package root exports what the README documents: the names its Quick
 start imports from eegcl and the error types its Exit codes table names.
 Everything else is imported from its module, and some module of the
-program or the benchmark reaches it. The CLI takes the options its
+program reaches it, or it is listed with the ROADMAP item that settles it. The CLI takes the options its
 docstring and the README's CLI section document."""
 
 import argparse
@@ -59,50 +59,73 @@ def names_used(node):
             yield sub.name.rpartition(".")[2]
 
 
+# The public names no src/eegcl module reaches yet, each tagged with the
+# ROADMAP item that wires it in, moves it to tests/helpers.py or deletes it.
+# A new name reached only by bench/ or the tests fails the reachability
+# tests, and a listed name that the program comes to reach must leave.
+UNREACHED = {
+    "data.trials_equal": 6,
+    "data.streams_equal": 6,
+    "harness.er_strategy": 13,
+    "harness.ewc_strategy": 13,
+    "harness.foreign_reads": 17,
+    "linalg.covariance": 15,
+    "models.loss_and_gradient": 17,
+    "replay.memory_to_bytes": 17,
+    "replay.memory_from_bytes": 17,
+    "replay.ReplayMemory.class_counts": 17,
+}
+
+
+def program_modules():
+    """(stem, tree) of every src/eegcl module, and a Counter of the names
+    they mention. Names imported on a line marked "# noqa: F401", which
+    only the benchmark's tracer reads, do not count."""
+    modules, uses = [], Counter()
+    for path in sorted((ROOT / "src" / "eegcl").glob("*.py")):
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        modules.append((path.stem, tree))
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                uses.update(alias.name.rpartition(".")[2] for alias in node.names
+                            if "# noqa: F401" not in lines[alias.lineno - 1])
+            else:
+                uses.update(names_used(node))
+    return modules, uses
+
+
 def test_every_public_name_is_reached():
     """Every top-level function and class in src/eegcl whose name does not
-    start with "_" is named in some src/eegcl or bench/ file outside its own
-    definition, or is exported in eegcl.__all__. bench/ counts as a reacher
-    until ROADMAP items 15 and 6 move its helpers out of the package."""
-    public, uses = [], Counter()
-    for path in sorted((ROOT / "src" / "eegcl").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            uses.update(names_used(node))
-            if (path.parent.name == "eegcl"
-                    and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                public.append((f"{path.stem}.{node.name}", node))
-    unreached = [
-        qualified for qualified, node in public
-        if node.name not in eegcl.__all__
+    start with "_" is named in some src/eegcl module outside its own
+    definition, or is exported in eegcl.__all__, apart from the names
+    UNREACHED lists."""
+    modules, uses = program_modules()
+    unreached = {
+        f"{stem}.{node.name}" for stem, tree in modules for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in eegcl.__all__
         and uses[node.name] == Counter(names_used(node))[node.name]
-    ]
-    assert unreached == []
+    }
+    assert unreached == {name for name in UNREACHED if name.count(".") == 1}
 
 
 def test_every_public_method_is_reached():
     """Every method of a top-level class in src/eegcl whose name does not
     start with "_" is named, as an attribute or a name, in some src/eegcl
-    or bench/ file outside its own definition. A method that only the tests
-    call is either wired into the program or deleted."""
-    methods, uses = [], Counter()
-    for path in sorted((ROOT / "src" / "eegcl").glob("*.py")) + sorted((ROOT / "bench").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        uses.update(names_used(tree))
-        if path.parent.name != "eegcl":
-            continue
-        for cls in tree.body:
-            if isinstance(cls, ast.ClassDef):
-                methods += [
-                    (f"{path.stem}.{cls.name}.{node.name}", node) for node in cls.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    and not node.name.startswith("_")
-                ]
-    unreached = [
-        qualified for qualified, node in methods
-        if uses[node.name] == Counter(names_used(node))[node.name]
-    ]
-    assert unreached == []
+    module outside its own definition, apart from the methods UNREACHED
+    lists. A method that only the tests or bench/ call is either wired
+    into the program or deleted."""
+    modules, uses = program_modules()
+    unreached = {
+        f"{stem}.{cls.name}.{node.name}" for stem, tree in modules for cls in tree.body
+        if isinstance(cls, ast.ClassDef) for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and uses[node.name] == Counter(names_used(node))[node.name]
+    }
+    assert unreached == {name for name in UNREACHED if name.count(".") == 2}
 
 
 def test_every_top_level_import_is_used():

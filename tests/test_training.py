@@ -5,7 +5,7 @@ import pytest
 
 from eegcl import ConfigError, ModelConfig, TrainConfig, TrainingDivergedError
 from eegcl.data import Split
-from eegcl.errors import EmptyInputError, ShapeError
+from eegcl.errors import ShapeError
 from eegcl.models import build_model, check_batch, loss_and_gradient
 from eegcl.training import Adam, EpochStats, Sgd, evaluate_arrays, train
 
@@ -130,7 +130,7 @@ class TestCheckBatch:
             check_batch(tiny_model(), x, [0, 1, 0, 1, 0])
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ShapeError):
             check_batch(tiny_model(), np.empty((0, 2, 4)), np.empty(0))
 
 
@@ -168,7 +168,7 @@ class TestEvaluate:
 
     def test_empty_rejected(self):
         model = tiny_model()
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(ShapeError):
             evaluate_arrays(model, model.init_params(0), np.empty((0, 2, 4)), np.empty(0))
 
     def test_label_count_must_match(self):
@@ -213,6 +213,14 @@ class TestTrain:
         model = tiny_model()
         with pytest.raises(ValueError, match="lie in"):
             train(model, model.init_params(0), train_set, (x_val, y_val + 2), TrainConfig(), 0)
+
+    def test_empty_split_is_a_shape_error(self):
+        train_set, val_set = self.separable_sets()
+        model = tiny_model()
+        empty = (np.empty((0, 2, 4)), np.empty(0, np.int64))
+        for sets in ((empty, val_set), (train_set, empty)):
+            with pytest.raises(ShapeError, match="at least one trial"):
+                train(model, model.init_params(0), *sets, TrainConfig(), 0)
 
     def test_patience_zero_runs_exactly_one_epoch(self):
         train_set, val_set = self.separable_sets()
