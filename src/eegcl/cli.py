@@ -24,7 +24,8 @@ or summary, exits 2 before any work.
 
 Exit codes: 0 success, 2 usage/config error, 3 I/O, format or memory
 error, 4 numerical failure. Output is plain text; the summary header is
-bolded only on interactive terminals and NO_COLOR disables that too.
+bolded only on interactive terminals, and a non-empty NO_COLOR disables
+that too.
 """
 
 from __future__ import annotations
@@ -46,8 +47,7 @@ import numpy as np
 
 from .alignment import whiten_subject
 from .alignment import compute_whitener, reference_covariance  # noqa: F401  traced by bench/
-from .data import (Split, Stream, StreamConfig, gen_stream, load_stream, read_json_object,
-                   save_stream)
+from .data import Stream, StreamConfig, gen_stream, load_stream, read_json_object, save_stream
 from .errors import (
     STRING,
     ConfigError,
@@ -243,7 +243,6 @@ def cmd_align(args) -> int:
         raise ConfigError(f"--out {args.out} is the --stream directory {args.stream}; "
                           "choose another directory for the aligned stream")
     stream = load_stream(args.stream)
-    stream.require_splits(Split.TRAIN)
     aligned_subjects = []
     for ds in stream:
         aligned, report = whiten_subject(ds)
@@ -289,8 +288,9 @@ def _write_csv(path: Path, rows) -> None:
 
 
 def _bold(text: str) -> str:
-    """Bold for interactive terminals; plain when piped or NO_COLOR is set."""
-    if os.environ.get("NO_COLOR") is not None or not sys.stdout.isatty():
+    """Bold for interactive terminals; plain when piped or NO_COLOR is set
+    and not empty."""
+    if os.environ.get("NO_COLOR") or not sys.stdout.isatty():
         return text
     return f"\x1b[1m{text}\x1b[0m"
 
@@ -313,7 +313,6 @@ def cmd_run(args) -> int:
         if not (stream_path / "manifest.json").is_file():
             raise ConfigError(f"stream path has no manifest.json: {stream_path}")
         stream = load_stream(stream_path)
-    stream.require_splits(*Split)
     dims = {name: getattr(stream, name) for name in _MODEL_DIMS}
     model_cfg = _build_dataclass(ModelConfig, {**dims, **config.model}, "model config")
     for name, value in dims.items():

@@ -1,13 +1,13 @@
 """Trial data model, stratified splits, synthetic subject streams, and disk I/O.
 
 A stream is an ordered, non-empty list of subjects; each subject owns one or
-more labeled multichannel trials tagged train/val/test. Stream,
-SubjectDataset and decode_subject each refuse an empty one, and StreamConfig
-a class too small to split, so every generated subject has trials in all
-three splits. The synthetic generator produces
-subjects that share latent class patterns but differ by an invertible
-per-subject channel mixing, which is the kind of inter-subject shift the
-alignment stage is designed to remove.
+more labeled multichannel trials tagged train/val/test. SubjectDataset and
+decode_subject refuse a subject without trials, Stream a stream without
+subjects or with a subject that lacks a split, and StreamConfig a class too
+small to split, so every generated subject has trials in all three splits.
+The synthetic generator produces subjects that share latent class patterns
+but differ by an invertible per-subject channel mixing, which is the kind of
+inter-subject shift the alignment stage is designed to remove.
 
 On-disk layout is a directory holding ``manifest.json`` plus one binary file
 per subject. All integers and floats in the binary format are little-endian.
@@ -263,7 +263,7 @@ class StreamConfig:
 @dataclass(frozen=True, eq=False)
 class Stream:
     """An ordered, non-empty subject stream plus the shared dimensions and
-    seed; each subject id appears once and has at least one trial."""
+    seed; each subject id appears once and has train, val and test trials."""
 
     subjects: tuple
     n_channels: int
@@ -290,15 +290,10 @@ class Stream:
                     f"subject {ds.subject_id} has class_label {ds.labels.max()} "
                     f">= n_classes {self.n_classes}"
                 )
-
-    def require_splits(self, *splits: Split) -> None:
-        """Raise StreamFormatError naming the first subject with no trials
-        in one of splits."""
-        for ds, split in ((ds, split) for ds in self.subjects for split in splits):
-            if not (ds.split == split).any():
-                raise StreamFormatError(
-                    f"subject {ds.subject_id} has no {split.name.lower()} trials"
-                )
+            counts = np.bincount(ds.split, minlength=len(Split))
+            for split in Split:
+                if not counts[split]:
+                    raise ValueError(f"subject {ds.subject_id} has no {split.name.lower()} trials")
 
     def __len__(self) -> int:
         return len(self.subjects)

@@ -227,18 +227,17 @@ def run_continual(
     derived.
     """
     state = RunState(stream, strategy, model_cfg, train_cfg, run_seed)
-    for ds in stream:
-        state.advance(ds)
+    for _ in stream:
+        state.advance()
     return state.record()
 
 
 class RunState:
-    """One continual run between its stages. The constructor checks the
-    stream (a Stream has at least one subject, each with trials) against
-    the model (trial shape and class count) and its splits (a subject
-    lacking one is refused before stage 1), and derives
-    every seed; advance(ds) runs subject ds's stage; record() returns the
-    finished run's RunRecord."""
+    """One continual run over its own stream, between its stages. The
+    constructor checks the stream (a Stream has at least one subject, each
+    with train, val and test trials) against the model (trial shape and
+    class count) and derives every seed; advance() runs the stage of the
+    stream's next subject; record() returns the finished run's RunRecord."""
 
     def __init__(self, stream: Stream, strategy: Strategy, model_cfg: ModelConfig,
                  train_cfg: TrainConfig, run_seed: int):
@@ -257,10 +256,9 @@ class RunState:
                 f"stream has {stream.n_classes} classes but the model "
                 f"outputs {model_cfg.n_classes}"
             )
-        stream.require_splits(*Split)
         model_seed, train_seed = derive_run_seeds(run_seed)
         self.shuffle_seeds, self.store_seeds, memory_seed = _derive_stage_seeds(train_seed, n)
-        self.strategy, self.train_cfg = strategy, train_cfg
+        self.stream, self.strategy, self.train_cfg = stream, strategy, train_cfg
         self.seeds = {"stream": stream.seed, "model": model_seed,
                       "train": train_seed, "run": run_seed}
 
@@ -274,20 +272,20 @@ class RunState:
         self.matrix = new_matrix(n)
         self.events, self.eval_cache = [], []
         # One entry per finished stage.
-        self.stage_subjects, self.stage_epochs = [], []
-        self.stage_memory, self.stage_seconds = [], []
+        self.stage_epochs, self.stage_memory, self.stage_seconds = [], [], []
 
     def _take(self, stage, ds, split):
         x, y = ds.arrays(split)
         self.events.append(AccessEvent(stage, ds.subject_id, split.name.lower(), len(y)))
         return x, y
 
-    def advance(self, ds) -> None:
-        """Run the next stage on subject ds, the stream's next subject."""
+    def advance(self) -> None:
+        """Run the next stage, on the stream's next subject."""
+        stage = len(self.stage_epochs) + 1
+        if stage > len(self.stream):
+            raise ValueError(f"the run has finished all {len(self.stream)} stages")
         started = time.perf_counter()
-        strategy, memory = self.strategy, self.memory
-        self.stage_subjects.append(ds.subject_id)
-        stage = len(self.stage_subjects)
+        strategy, memory, ds = self.strategy, self.memory, self.stream[stage - 1]
         if strategy.alignment_enabled:
             # The whitener comes from the training split alone; val and
             # test trials are whitened with it, never fed back into it.
@@ -333,7 +331,7 @@ class RunState:
             matrix=self.matrix,
             acc=final_acc(self.matrix),
             bwt=bwt(self.matrix) if len(self.matrix) >= 2 else None,
-            stage_subjects=tuple(self.stage_subjects),
+            stage_subjects=tuple(ds.subject_id for ds in self.stream),
             stage_epochs=tuple(self.stage_epochs),
             stage_memory=tuple(self.stage_memory),
             stage_seconds=tuple(self.stage_seconds),

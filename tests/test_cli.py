@@ -106,12 +106,17 @@ def assert_overflow_refused(err):
 
 
 def retag_split(stream_dir, subject, old, new):
-    """Rewrite a stream directory with one subject's `old` trials tagged `new`."""
-    stream = load_stream(stream_dir)
-    subjects = list(stream)
-    ds = subjects[subject]
-    subjects[subject] = replace(ds, split=np.where(ds.split == old, new, ds.split))
-    save_stream(replace(stream, subjects=subjects), stream_dir)
+    """Rewrite one subject's file in a stream directory with its `old` trials
+    tagged `new`. A Stream refuses a subject without a split, so the bytes
+    are edited in place: an EEGC file is an 18-byte header (channels at
+    offset 10, timepoints at 12), then per trial a <u4 timestamp, a u1
+    label, a u1 split tag and the float32 samples."""
+    path = stream_dir / f"subject_{subject:03d}.eegc"
+    blob = bytearray(path.read_bytes())
+    channels, timepoints = struct.unpack_from("<HI", blob, 10)
+    tags = np.frombuffer(blob, np.uint8, offset=18 + 5)[:: 6 + 4 * channels * timepoints]
+    tags[tags == old] = new
+    path.write_bytes(blob)
     return stream_dir
 
 
@@ -342,7 +347,8 @@ class TestAlign:
         stream_dir = retag_split(gen_stream_dir(tmp_path), 1, Split.TRAIN, Split.VAL)
         rc = main(["align", "--stream", str(stream_dir), "--out", str(tmp_path / "aligned")])
         assert rc == 3
-        assert "error: subject 1 has no train trials" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {stream_dir}: subject 1 has no train trials\n"
         assert not (tmp_path / "aligned").exists()
 
     def test_stream_without_subjects_exits_3(self, tmp_path, capsys):
@@ -407,6 +413,16 @@ class TestRunCommand:
         ))
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert "\x1b" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("no_color, bold", [(None, True), ("", True), ("1", False)],
+                             ids=["unset", "empty", "set"])
+    def test_bold_on_a_terminal_unless_no_color_is_non_empty(self, monkeypatch, no_color, bold):
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+        if no_color is None:
+            monkeypatch.delenv("NO_COLOR", raising=False)
+        else:
+            monkeypatch.setenv("NO_COLOR", no_color)
+        assert eegcl.cli._bold("acc") == ("\x1b[1macc\x1b[0m" if bold else "acc")
 
     def test_parallel_jobs_match_sequential_reports(self, tmp_path):
         # every file but each report's stage_seconds is the same byte for byte
@@ -913,7 +929,8 @@ class TestRunCommand:
         ))
         out = tmp_path / "out"
         assert main(["run", "--config", str(config), "--out", str(out), "--jobs", "2"]) == 3
-        assert f"error: subject 1 has no {old.name.lower()} trials" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err == f"error: {stream_dir}: subject 1 has no {old.name.lower()} trials\n"
         assert not list(out.glob("report_*"))
 
     def test_stream_without_subjects_exits_3(self, tmp_path, capsys):

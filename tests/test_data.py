@@ -521,21 +521,38 @@ class TestGenStream:
             assert counts[Split.VAL] + counts[Split.TEST] == 6
 
 
+def split_subject(seed=0, **arrays):
+    """A three-trial subject with one trial in each split; arrays overrides
+    any of block, labels and timestamps."""
+    return subject(3, seed, split=list(Split), **arrays)
+
+
 class TestStreamValidation:
     def test_mismatched_trial_shape_rejected(self):
-        ds = subject(1, block=np.zeros((1, 3, 8)))
+        ds = split_subject(block=np.zeros((3, 3, 8)))
         with pytest.raises(ShapeError, match=r"subject 0 trial shape \(3, 8\) != \(2, 8\)"):
             Stream(subjects=(ds,), n_channels=2, n_timepoints=8, n_classes=2, seed=0)
 
     def test_label_out_of_range_rejected(self):
-        ds = subject(1, labels=[5])
-        with pytest.raises(ValueError):
+        ds = split_subject(labels=[0, 1, 5])
+        with pytest.raises(ValueError, match="subject 0 has class_label 5 >= n_classes 2"):
             Stream(subjects=(ds,), n_channels=2, n_timepoints=8, n_classes=2, seed=0)
 
     def test_repeated_subject_id_rejected(self):
-        twins = (subject(1), subject(1, seed=1))  # both subject 0
+        twins = (split_subject(), split_subject(seed=1))  # both subject 0
         with pytest.raises(ValueError, match="subject 0 is listed twice"):
             Stream(subjects=twins, n_channels=2, n_timepoints=8, n_classes=2, seed=0)
+
+    @pytest.mark.parametrize("split", list(Split), ids=lambda s: s.name.lower())
+    def test_subject_without_a_split_rejected(self, split):
+        # A run reads only a Stream, so a subject lacking a split is refused
+        # before any stage, where the stream is built.
+        stream = gen_stream(StreamConfig(n_subjects=3, n_channels=2, n_timepoints=8,
+                                         trials_per_subject=12))
+        last = stream[2]
+        retagged = replace(last, split=np.where(last.split == split, (split + 1) % 3, last.split))
+        with pytest.raises(ValueError, match=f"^subject 2 has no {split.name.lower()} trials$"):
+            replace(stream, subjects=(stream[0], stream[1], retagged))
 
 
 class TestSubjectCodec:

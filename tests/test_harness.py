@@ -25,7 +25,7 @@ from eegcl import (
 from eegcl import ewc, harness
 from eegcl.cli import main
 from eegcl.data import Split, Stream
-from eegcl.errors import ShapeError, StreamFormatError
+from eegcl.errors import ShapeError
 from eegcl.ewc import OnlineEwc
 from eegcl.harness import (
     MemoryConfig,
@@ -271,19 +271,6 @@ class TestRunContinual:
         with pytest.raises(ValueError, match=r"subject 1 trial shape \(4, 31\)"):
             Stream(subjects=(first, narrow), n_channels=4, n_timepoints=32, n_classes=2, seed=1)
 
-    def test_missing_split_refused_before_stage_one(self, monkeypatch):
-        stream = small_stream()
-        last = stream[2]
-        retagged = replace(last, split=np.where(last.split == Split.TEST, Split.VAL, last.split))
-        stream = replace(stream, subjects=(stream[0], stream[1], retagged))
-
-        def no_training(*args, **kwargs):
-            raise AssertionError("train was called")
-
-        monkeypatch.setattr(harness, "train", no_training)
-        with pytest.raises(StreamFormatError, match="subject 2 has no test trials"):
-            run_continual(stream, er_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=0)
-
     def test_repeated_subject_does_not_lose_accuracy(self):
         # training twice on the same subject must keep its test accuracy
         # within tolerance of the first stage's result
@@ -368,7 +355,7 @@ class TestRunState:
         state = RunState(stream, strategy, small_model_cfg(), fast_train_cfg(), run_seed=3)
         for k, ds in enumerate(stream, start=1):
             before = len(state.events)
-            state.advance(ds)
+            state.advance()
             assert np.isnan(state.matrix[k:]).all()
             assert np.isfinite(state.matrix[k - 1, :k]).all()
             new = state.events[before:]
@@ -379,6 +366,17 @@ class TestRunState:
         assert record.matrix.tobytes() == whole.matrix.tobytes()
         assert record.final_params.tobytes() == whole.final_params.tobytes()
         assert report_without_seconds(record) == report_without_seconds(whole)
+
+    def test_advancing_a_finished_run_is_refused(self):
+        stream = small_stream(n_subjects=2)
+        state = RunState(stream, pced_strategy(), small_model_cfg(), fast_train_cfg(), run_seed=3)
+        for _ in stream:
+            state.advance()
+        events, epochs, matrix = list(state.events), list(state.stage_epochs), state.matrix.copy()
+        with pytest.raises(ValueError, match="^the run has finished all 2 stages$"):
+            state.advance()
+        assert state.events == events and state.stage_epochs == epochs
+        assert state.matrix.tobytes() == matrix.tobytes()
 
     @pytest.mark.parametrize("strategy", (er_strategy(), ewc_strategy()), ids=lambda s: s.kind)
     def test_record_pickles_without_the_run_state(self, strategy):

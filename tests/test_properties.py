@@ -3,7 +3,8 @@ single-byte mutations and truncations of valid files, a binary decoder
 either returns what its encoder writes back byte for byte or raises its
 documented error; load_stream does the same for generated manifest fields
 and damaged manifest bytes, and an experiment config for generated values
-in its fields. A continual run on a generated stream keeps its matrix,
+in its fields. A Stream builds exactly when every subject has train, val
+and test trials. A continual run on a generated stream keeps its matrix,
 audit, memory and seed invariants.
 
 decode_subject reads all records of a subject at once; the per-trial
@@ -16,6 +17,7 @@ import copy
 import json
 import struct
 from dataclasses import fields
+from functools import partial
 
 import numpy as np
 import pytest
@@ -34,6 +36,9 @@ from eegcl import (  # noqa: E402
 from eegcl.cli import ExperimentConfig, parse_experiment_config  # noqa: E402
 from eegcl.data import (  # noqa: E402
     LabeledTrial,
+    Split,
+    Stream,
+    SubjectDataset,
     decode_subject,
     encode_subject,
     load_stream,
@@ -426,6 +431,22 @@ def test_experiment_config_with_two_stream_sources_is_refused():
     with pytest.raises(ConfigError, match="exactly one of 'path' or 'generator'"):
         ExperimentConfig(stream_path="x", generator=StreamConfig(), strategies=(),
                          model={}, train=TrainConfig())
+
+
+@given(tags=st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=6),
+                    min_size=1, max_size=3))
+def test_stream_builds_exactly_when_every_subject_has_every_split(tags):
+    subjects = tuple(SubjectDataset(i, np.zeros((len(t), 2, 4)), [0] * len(t), range(len(t)), t)
+                     for i, t in enumerate(tags))
+    missing = [(i, split) for i, t in enumerate(tags) for split in Split if split not in t]
+    build = partial(Stream, subjects, n_channels=2, n_timepoints=4, n_classes=2, seed=0)
+    if not missing:
+        assert [ds.subject_id for ds in build()] == list(range(len(tags)))
+    else:
+        subject_id, split = missing[0]
+        with pytest.raises(ValueError,
+                           match=f"^subject {subject_id} has no {split.name.lower()} trials$"):
+            build()
 
 
 def run_strategies(capacity):
