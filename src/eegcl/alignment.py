@@ -5,18 +5,17 @@ trial covariance, so that after alignment the subject's mean covariance is
 the identity. This removes second-order (covariance) differences between
 subjects without touching labels and is the fast domain-adaptation step of
 the decoding pipeline. The reference covariance is computed once per
-subject over the stacked training trials, with one batched matmul, and
-whiten_subject is the one way a subject is whitened.
+subject over the stacked training trials, with one batched matmul. The one
+way to whiten a subject, whiten_subject, takes arrays its caller fetched.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Split, SubjectDataset
 from .errors import DegenerateInputError, ShapeError
 from .linalg import covariances, inv_sqrt_of_eig, sym_eig
 from .linalg import covariance  # noqa: F401  traced as alignment.covariance by bench/
@@ -83,21 +82,21 @@ def compute_whitener(ref_cov: np.ndarray) -> AlignmentReport:
     return AlignmentReport(whitener, condition, floored)
 
 
-def whiten_subject(dataset: SubjectDataset) -> tuple:
-    """Whiten a subject against their own training split.
+def whiten_subject(subject_id: int, train: np.ndarray, *arrays) -> tuple:
+    """Whiten a subject's trial arrays against their own training trials.
 
-    Returns (aligned SubjectDataset, AlignmentReport). The whitener comes
-    from the training trials alone; every trial of every split is then
-    whitened with it in one matmul and rounded to float32 once. Raises
+    Returns (the arrays whitened, AlignmentReport). The whitener comes from
+    the (n, channels, time) train block alone; each array is whitened in
+    float64 with one matmul and rounded to float32 once. Raises
     DegenerateInputError if a whitened sample overflows float32.
     """
-    report = compute_whitener(reference_covariance(dataset.arrays(Split.TRAIN)[0]))
+    report = compute_whitener(reference_covariance(train))
+    w = report.whitener
     with np.errstate(over="ignore"):
-        aligned = np.matmul(report.whitener, dataset.block.astype(np.float64)).astype(np.float32)
-    if not np.isfinite(aligned).all():
+        aligned = tuple(np.matmul(w, x.astype(np.float64)).astype(np.float32) for x in arrays)
+    if not all(np.isfinite(x).all() for x in aligned):
         raise DegenerateInputError(
-            f"subject {dataset.subject_id}: whitened trials overflow float32 "
+            f"subject {subject_id}: whitened trials overflow float32 "
             f"(condition number {report.condition_number:.3e})"
         )
-    return replace(dataset, block=aligned), report
-
+    return aligned, report

@@ -47,7 +47,7 @@ import numpy as np
 
 from .alignment import whiten_subject
 from .alignment import compute_whitener, reference_covariance  # noqa: F401  traced by bench/
-from .data import Stream, StreamConfig, gen_stream, load_stream, read_json_object, save_stream
+from .data import Split, Stream, StreamConfig, gen_stream, load_stream, read_json_object, save_stream
 from .errors import (
     STRING,
     ConfigError,
@@ -245,8 +245,8 @@ def cmd_align(args) -> int:
     stream = load_stream(args.stream)
     aligned_subjects = []
     for ds in stream:
-        aligned, report = whiten_subject(ds)
-        aligned_subjects.append(aligned)
+        (block,), report = whiten_subject(ds.subject_id, ds.arrays(Split.TRAIN)[0], ds.block)
+        aligned_subjects.append(replace(ds, block=block))
         note = " (eigenvalue floor applied)" if report.eigenvalue_floor_applied else ""
         print(
             f"subject {ds.subject_id}: condition number "

@@ -8,10 +8,11 @@ a[j, i] = accuracy on subject i after training through subject j. ACC is the
 mean of the final row; BWT is the mean change of earlier subjects' accuracy
 between their own stage and the end.
 
-Raw trials of past subjects are never touched after their stage: each
-stage's fetches go through an audited accessor, and past subjects are only
-reachable through the replay memory's snapshot and cached test arrays
-(frozen, and aligned with their arrival-time whitener when alignment is on).
+Raw trials of past subjects are never touched after their stage: a stage
+reads its own subject once, through the audited RunState._take, and then
+works only on the arrays it fetched. Past subjects are only reachable
+through the replay memory's snapshot and cached test arrays (frozen, and
+aligned with their arrival-time whitener when alignment is on).
 
 The accuracy matrix is a plain N x N float array with NaN marking the
 undefined upper triangle.
@@ -26,7 +27,7 @@ import numpy as np
 
 from .alignment import whiten_subject
 from .alignment import compute_whitener, reference_covariance  # noqa: F401  traced by bench/
-from .data import Split, Stream
+from .data import Split, Stream, SubjectDataset
 from .errors import ConfigError, ShapeError, UndefinedMetricError, check_fields, one_of
 from .ewc import DEFAULT_LAMBDA, LAMBDA, OnlineEwc
 from .models import ModelConfig, build_model
@@ -275,9 +276,11 @@ class RunState:
         self.stage_epochs, self.stage_memory, self.stage_seconds = [], [], []
 
     def _take(self, stage, ds, split):
-        x, y = ds.arrays(split)
+        """The run's one read of a subject: (x, y, timestamps) of a split, logged."""
+        mask = ds.split == split
+        x, y, stamps = ds.block[mask], ds.labels[mask], ds.timestamps[mask]
         self.events.append(AccessEvent(stage, ds.subject_id, split.name.lower(), len(y)))
-        return x, y
+        return x, y, stamps
 
     def advance(self) -> None:
         """Run the next stage, on the stream's next subject."""
@@ -286,22 +289,23 @@ class RunState:
             raise ValueError(f"the run has finished all {len(self.stream)} stages")
         started = time.perf_counter()
         strategy, memory, ds = self.strategy, self.memory, self.stream[stage - 1]
+        takes = (self._take(stage, ds, split) for split in Split)
+        (train_x, train_y, stamps), (val_x, val_y, _), (test_x, test_y, _) = takes
         if strategy.alignment_enabled:
-            # The whitener comes from the training split alone; val and
-            # test trials are whitened with it, never fed back into it.
-            ds, _ = whiten_subject(ds)
-        train_set, val_set, test_set = (self._take(stage, ds, split) for split in Split)
+            # The whitener comes from the train split alone; val and test are whitened with it.
+            (train_x, val_x, test_x), _ = whiten_subject(ds.subject_id, train_x,
+                                                         train_x, val_x, test_x)
 
-        fit_set = train_set
+        fit_set = train_set = (train_x, train_y)
         replayed = memory.snapshot() if memory is not None else ()
         if replayed:
             fit_set = (
-                np.concatenate([train_set[0], [t.trial for t in replayed]]),
-                np.concatenate([train_set[1], [t.class_label for t in replayed]]),
+                np.concatenate([train_x, [t.trial for t in replayed]]),
+                np.concatenate([train_y, [t.class_label for t in replayed]]),
             )
         penalty_hook = self.ewc_state.penalty_hook() if self.ewc_state is not None else None
         self.params, history = train(
-            self.model, self.params, fit_set, val_set, self.train_cfg,
+            self.model, self.params, fit_set, (val_x, val_y), self.train_cfg,
             self.shuffle_seeds[stage - 1], penalty=penalty_hook,
         )
         self.stage_epochs.append(len(history))
@@ -309,16 +313,18 @@ class RunState:
         if self.ewc_state is not None:
             self.ewc_state.update(self.model, self.params, train_set)
         if memory is not None:
+            fetched = SubjectDataset(ds.subject_id, train_x, train_y, stamps,
+                                     np.full(len(train_y), Split.TRAIN))
             if memory.policy == "class_balanced":
                 store_class_balanced(
-                    memory, ds, strategy.memory.per_class, self.store_seeds[stage - 1]
+                    memory, fetched, strategy.memory.per_class, self.store_seeds[stage - 1]
                 )
             else:
-                memory.offer_many(ds.trials_for(Split.TRAIN))
+                memory.offer_many(fetched.trials)
         self.stage_memory.append(len(memory) if memory is not None else 0)
 
         # Test blocks stay float32, so evaluation computes in float32 too.
-        self.eval_cache.append(test_set)
+        self.eval_cache.append((test_x, test_y))
         for i, test in enumerate(self.eval_cache):
             self.matrix[stage - 1, i] = evaluate_arrays(self.model, self.params, *test)
         self.stage_seconds.append(time.perf_counter() - started)

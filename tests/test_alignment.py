@@ -220,7 +220,8 @@ class TestAlignSubject:
         # of every split, is W @ x rounded to float32 once
         ds = balanced_subject(np.random.default_rng(10), 2, 6, n_channels=3, n_timepoints=8)
         ds = replace(ds, split=[Split.TRAIN, Split.VAL, Split.TEST] * 4)
-        aligned, report = whiten_subject(ds)
+        (block,), report = whiten_subject(ds.subject_id, ds.arrays(Split.TRAIN)[0], ds.block)
+        aligned = replace(ds, block=block)
         train = [t.trial for t in ds.trials_for(Split.TRAIN)]
         whitener = compute_whitener(reference_covariance(train)).whitener
         assert np.array_equal(report.whitener, whitener)

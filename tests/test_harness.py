@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -23,6 +24,7 @@ from eegcl import (
     sft_strategy,
 )
 from eegcl import ewc, harness
+from eegcl.alignment import whiten_subject
 from eegcl.cli import main
 from eegcl.data import Split, Stream
 from eegcl.errors import ShapeError
@@ -395,6 +397,103 @@ class TestRunState:
         assert not kinds & {ReplayMemory, OnlineEwc, ShallowConvNet}
         arrays = [obj for obj in seen if isinstance(obj, np.ndarray)]
         assert [a.shape for a in arrays] == [record.matrix.shape, record.final_params.shape]
+
+    @pytest.mark.parametrize("strategy", [
+        er_strategy(MemoryConfig(capacity=30, per_class=6)),
+        pced_strategy(MemoryConfig(capacity=30, per_class=6)),
+        er_strategy(MemoryConfig(capacity=30, policy="reservoir_standard")),
+        pced_strategy(MemoryConfig(capacity=30, policy="reservoir_standard")),
+    ], ids=lambda s: f"{s.kind}-{s.memory.policy}")
+    def test_memory_holds_the_stages_training_rows(self, strategy):
+        # Each exemplar is bitwise its subject's training row: whitened
+        # against that subject's training split under PCED, raw under ER.
+        stream = small_stream()
+        rows = {}
+        for ds in stream:
+            block = ds.block
+            if strategy.alignment_enabled:
+                (block,), _ = whiten_subject(ds.subject_id, ds.arrays(Split.TRAIN)[0], ds.block)
+            for i, stamp in enumerate(ds.timestamps):
+                if ds.split[i] == Split.TRAIN:
+                    rows[ds.subject_id, int(stamp)] = (block[i], int(ds.labels[i]))
+        state = RunState(stream, strategy, small_model_cfg(), fast_train_cfg(), run_seed=5)
+        for _ in stream:
+            state.advance()
+            assert len(state.memory) > 0
+            for entry in state.memory.entries:
+                trial, label = rows[entry.subject_id, entry.timestamp]
+                assert entry.trial.tobytes() == trial.tobytes()
+                assert entry.class_label == label
+
+
+# The SubjectDataset fields and methods that read a subject's trials.
+RAW_READS = {"block", "labels", "timestamps", "split", "arrays", "trials", "trials_for",
+             "trials_at"}
+
+
+def is_stream(node):
+    return isinstance(node, ast.Name) and node.id == "stream" or (
+        isinstance(node, ast.Attribute) and node.attr == "stream")
+
+
+def unaudited_reads(source):
+    """Where a function of source other than _take reads a subject taken
+    from the stream: an attribute of RAW_READS on it, or the subject passed
+    to a call other than _take. A subject is an index into the stream, or a
+    name bound to one by an assignment or by a loop over the stream."""
+    tree = ast.parse(source)
+    funcs = [node for top in tree.body for node in [top, *getattr(top, "body", [])]
+             if isinstance(node, ast.FunctionDef) and node.name != "_take"]
+    found = []
+    for func in funcs:
+        names = set()
+
+        def is_subject(node):
+            return isinstance(node, ast.Name) and node.id in names or (
+                isinstance(node, ast.Subscript) and is_stream(node.value))
+
+        for _ in range(2):  # a second pass binds names assigned from names
+            for node in ast.walk(func):
+                if isinstance(node, (ast.For, ast.comprehension)):
+                    if is_stream(node.iter) or any(map(is_stream, getattr(node.iter, "args", ()))):
+                        names.update(n.id for n in ast.walk(node.target) if isinstance(n, ast.Name))
+                elif isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        pairs = [(target, node.value)]
+                        if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                            pairs = zip(target.elts, node.value.elts)
+                        names.update(t.id for t, v in pairs
+                                     if isinstance(t, ast.Name) and is_subject(v))
+        for node in ast.walk(func):
+            if isinstance(node, ast.Attribute) and node.attr in RAW_READS and is_subject(node.value):
+                found.append(f"{func.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) != "_take":
+                args = [*node.args, *(k.value for k in node.keywords)]
+                found += [f"{func.name}:{node.lineno} call" for a in args if is_subject(a)]
+    return found
+
+
+class TestAccessAudit:
+    """Only RunState._take reads a subject's arrays, so the access events
+    are the whole record of what a run read."""
+
+    SOURCE = Path(harness.__file__).read_text()
+    ANCHOR = "        started = time.perf_counter()\n"
+
+    def test_only_take_reads_a_subject(self):
+        assert self.ANCHOR in self.SOURCE
+        assert unaudited_reads(self.SOURCE) == []
+
+    @pytest.mark.parametrize("read", [
+        "self.stream[0].block",
+        "ds.trials_for(Split.TRAIN)",
+        "whiten_subject(ds)",
+        "[s.labels for s in self.stream]",
+        "[s.trials for _, s in enumerate(self.stream)]",
+    ])
+    def test_an_injected_read_is_found(self, read):
+        source = self.SOURCE.replace(self.ANCHOR, f"{self.ANCHOR}        probe = {read}\n")
+        assert len(unaudited_reads(source)) == 1
 
 
 class TestEwcWiring:

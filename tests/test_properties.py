@@ -4,8 +4,9 @@ either returns what its encoder writes back byte for byte or raises its
 documented error; load_stream does the same for generated manifest fields
 and damaged manifest bytes, and an experiment config for generated values
 in its fields. A Stream builds exactly when every subject has train, val
-and test trials. A continual run on a generated stream keeps its matrix,
-audit, memory and seed invariants.
+and test trials. Whitening a subject split by split gives the bits of
+whitening their whole block. A continual run on a generated stream keeps
+its matrix, audit, memory and seed invariants.
 
 decode_subject reads all records of a subject at once; the per-trial
 decoder it replaced is kept here as its reference, with the same rules
@@ -33,6 +34,7 @@ from eegcl import (  # noqa: E402
     TrainConfig,
     gen_stream,
 )
+from eegcl.alignment import whiten_subject  # noqa: E402
 from eegcl.cli import ExperimentConfig, parse_experiment_config  # noqa: E402
 from eegcl.data import (  # noqa: E402
     LabeledTrial,
@@ -447,6 +449,22 @@ def test_stream_builds_exactly_when_every_subject_has_every_split(tags):
         with pytest.raises(ValueError,
                            match=f"^subject {subject_id} has no {split.name.lower()} trials$"):
             build()
+
+
+@given(n_channels=st.integers(1, 6), n_timepoints=st.integers(2, 12),
+       tags=st.lists(st.sampled_from(Split), max_size=12), seed=st.integers(0, 2**32 - 1))
+def test_per_split_whitening_is_whole_block_whitening(n_channels, n_timepoints, tags, seed):
+    # What a PCED stage whitens split by split, eegcl align whitens as one block.
+    tags = np.array([Split.TRAIN, *tags])
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((len(tags), n_channels, n_timepoints)).astype(np.float32)
+    train = block[tags == Split.TRAIN]
+    parts, report = whiten_subject(0, train, *(block[tags == split] for split in Split))
+    (whole,), whole_report = whiten_subject(0, train, block)
+    assert report.whitener.tobytes() == whole_report.whitener.tobytes()
+    for split, part in zip(Split, parts):
+        assert part.dtype == np.float32
+        assert part.tobytes() == whole[tags == split].tobytes()
 
 
 def run_strategies(capacity):

@@ -66,6 +66,7 @@ def names_used(node):
 UNREACHED = {
     "data.trials_equal": 6,
     "data.streams_equal": 6,
+    "data.SubjectDataset.trials_for": 2,
     "harness.er_strategy": 13,
     "harness.ewc_strategy": 13,
     "harness.foreign_reads": 17,
