@@ -18,7 +18,6 @@ from .errors import (
     DegenerateInputError,
     StreamFormatError,
     TrainingDivergedError,
-    UndefinedMetricError,
 )
 from .harness import forgetting_curve, pced_strategy, run_continual, sft_strategy
 from .models import ModelConfig
@@ -39,5 +38,4 @@ __all__ = [
     "StreamFormatError",
     "TrainingDivergedError",
     "DegenerateInputError",
-    "UndefinedMetricError",
 ]

@@ -54,7 +54,6 @@ from .errors import (
     DegenerateInputError,
     StreamFormatError,
     TrainingDivergedError,
-    UndefinedMetricError,
     integer,
     integers,
 )
@@ -75,7 +74,7 @@ from .training import TrainConfig
 logger = logging.getLogger("eegcl.cli")
 
 # Failures that exit 4; in `run` they fail one task, not the whole sweep.
-_NUMERICAL_ERRORS = (TrainingDivergedError, DegenerateInputError, UndefinedMetricError)
+_NUMERICAL_ERRORS = (TrainingDivergedError, DegenerateInputError)
 
 _CURVE_RE = re.compile(r"^subject=([0-9]+)$")
 _REPORT_RE = re.compile(r"^report_[a-z]+_[0-9]+\.json$")

@@ -5,6 +5,8 @@ more labeled multichannel trials tagged train/val/test. SubjectDataset and
 decode_subject refuse a subject without trials, Stream a stream without
 subjects or with a subject that lacks a split, and StreamConfig a class too
 small to split, so every generated subject has trials in all three splits.
+Stream.RULES, which load_stream reads a manifest by, holds a stream's
+dimensions to the subject header's widths, so its fields never stop a save.
 The synthetic generator produces subjects that share latent class patterns
 but differ by an invertible per-subject channel mixing, which is the kind of
 inter-subject shift the alignment stage is designed to remove.
@@ -271,7 +273,11 @@ class Stream:
     n_classes: int
     seed: int
 
+    RULES = {"n_channels": integer(1, CHANNEL_LIMIT), "n_timepoints": integer(1, COUNT_LIMIT),
+             "n_classes": integer(1, CLASS_LIMIT), "seed": integer(0)}
+
     def __post_init__(self):
+        check_fields(self, "stream", self.RULES)
         object.__setattr__(self, "subjects", tuple(self.subjects))
         if not self.subjects:
             raise ValueError("stream has no subjects")
@@ -580,12 +586,12 @@ def load_stream(path) -> Stream:
     root = Path(path)
     manifest_path = root / MANIFEST_NAME
     manifest = read_json_object(manifest_path, "manifest", StreamFormatError)
-    for key in ("version", "n_subjects", "n_channels", "n_timepoints", "n_classes", "seed", "subjects"):
+    rules = {"version": integer(0), "n_subjects": integer(0), **Stream.RULES}
+    for key in (*rules, "subjects"):
         if key not in manifest:
             raise StreamFormatError(f"{manifest_path}: missing key {key!r}")
-    for key, minimum in (("version", 0), ("n_subjects", 0), ("n_channels", 1),
-                         ("n_timepoints", 1), ("n_classes", 1), ("seed", 0)):
-        integer(minimum).check(manifest[key], f"{manifest_path}: {key}", StreamFormatError)
+    for key, rule in rules.items():
+        rule.check(manifest[key], f"{manifest_path}: {key}", StreamFormatError)
     if manifest["version"] != FORMAT_VERSION:
         raise StreamFormatError(
             f"{manifest_path}: unsupported manifest version {manifest['version']}"

@@ -1,19 +1,20 @@
 """Exception types shared across the package, and the field rules of the
-config dataclasses.
+checked types.
 
 The CLI maps these onto its exit-code contract: configuration and usage
 problems (ConfigError) exit 2, I/O and file-format problems
 (StreamFormatError) exit 3, numerical failures (TrainingDivergedError,
-DegenerateInputError, UndefinedMetricError) exit 4.
+DegenerateInputError) exit 4.
 
-Each config dataclass states its field rules once, as a table of Rules
-(field name -> rule), and its constructor (so dataclasses.replace too)
-applies the table with check_fields, then any rule across fields (a
-generator class too small to split, a kernel longer than the trial) as a
-ConfigError. A rule accepts JSON values only: a bool is not an integer,
-and an integer too large for a float is not a finite number. A subject id,
-class label or timestamp obeys integer(0) as well. An input refused for its
-shape or size, no trials included, is a ShapeError.
+Each checked type (each config dataclass, and Stream) states its field
+rules once, as a RULES table (field name -> Rule), and its constructor (so
+dataclasses.replace too) applies it with check_fields, then any rule across
+fields (a generator class too small to split, a kernel longer than the
+trial) as a ConfigError. A rule accepts JSON values only: a bool is not an
+integer, and an integer too large for a float is not a finite number; an
+integer that passes is stored as an int. A subject id, class label or
+timestamp obeys integer(0) as well. An input refused for its shape or
+size, no trials included, is a ShapeError.
 """
 
 import math
@@ -85,9 +86,13 @@ STRING = Rule(lambda v: isinstance(v, str), "a string")
 
 
 def check_fields(config, section: str, rules: dict) -> None:
-    """Apply a rule table to a config's fields, in table order."""
+    """Apply a rule table to a config's fields, in table order, and store
+    each integer that passes as an int."""
     for name, rule in rules.items():
-        rule.check(getattr(config, name), f"{section} {name}")
+        value = getattr(config, name)
+        rule.check(value, f"{section} {name}")
+        if _is_integer(value):
+            object.__setattr__(config, name, int(value))
 
 
 class StreamFormatError(ValueError):
@@ -101,10 +106,6 @@ class StreamFormatError(ValueError):
     def __init__(self, message: str, offset: int = -1):
         super().__init__(message if offset < 0 else f"{message} (at byte {offset})")
         self.offset = offset
-
-
-class UndefinedMetricError(ValueError):
-    """A metric is not defined for this input (e.g. BWT on one subject)."""
 
 
 class TrainingDivergedError(RuntimeError):

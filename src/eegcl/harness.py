@@ -28,24 +28,11 @@ import numpy as np
 from .alignment import whiten_subject
 from .alignment import compute_whitener, reference_covariance  # noqa: F401  traced by bench/
 from .data import Split, Stream, SubjectDataset
-from .errors import ConfigError, ShapeError, UndefinedMetricError, check_fields, one_of
+from .errors import ConfigError, ShapeError, integer, one_of
 from .ewc import DEFAULT_LAMBDA, LAMBDA, OnlineEwc
 from .models import ModelConfig, build_model
-from .replay import MEMORY_RULES, ReplayMemory, store_class_balanced
+from .replay import MemoryConfig, ReplayMemory, store_class_balanced
 from .training import TrainConfig, evaluate_arrays, train
-
-DEFAULT_MEMORY_CAPACITY = 160
-DEFAULT_PER_CLASS = 10
-
-
-@dataclass(frozen=True)
-class MemoryConfig:
-    capacity: int = DEFAULT_MEMORY_CAPACITY
-    per_class: int = DEFAULT_PER_CLASS
-    policy: str = "class_balanced"
-
-    def __post_init__(self):
-        check_fields(self, "memory", MEMORY_RULES)
 
 
 # Each strategy kind's mechanisms: whether it uses alignment, a memory and EWC.
@@ -164,11 +151,11 @@ def bwt(matrix: np.ndarray) -> float:
     matrix = _check_square(matrix)
     n = matrix.shape[0]
     if n < 2:
-        raise UndefinedMetricError("backward transfer needs at least 2 subjects")
+        raise ShapeError("backward transfer needs at least 2 subjects")
     final = matrix[-1, : n - 1]
     own = np.diagonal(matrix)[: n - 1]
     if not (np.all(np.isfinite(final)) and np.all(np.isfinite(own))):
-        raise UndefinedMetricError("backward transfer needs a completed run")
+        raise ValueError("backward transfer needs a completed run")
     return float(np.mean(final - own))
 
 
@@ -177,7 +164,7 @@ def final_acc(matrix: np.ndarray) -> float:
     matrix = _check_square(matrix)
     last = matrix[-1]
     if not np.all(np.isfinite(last)):
-        raise UndefinedMetricError("final accuracy needs a complete last row")
+        raise ValueError("final accuracy needs a complete last row")
     return float(np.mean(last))
 
 
@@ -192,9 +179,7 @@ def forgetting_curve(matrix: np.ndarray, subject: int) -> list:
     for stage in range(subject, n + 1):
         value = matrix[stage - 1, subject - 1]
         if not np.isfinite(value):
-            raise UndefinedMetricError(
-                f"matrix entry for stage {stage}, subject {subject} is undefined"
-            )
+            raise ValueError(f"matrix entry for stage {stage}, subject {subject} is undefined")
         series.append((stage, float(value)))
     return series
 
@@ -237,8 +222,9 @@ class RunState:
     """One continual run over its own stream, between its stages. The
     constructor checks the stream (a Stream has at least one subject, each
     with train, val and test trials) against the model (trial shape and
-    class count) and derives every seed; advance() runs the stage of the
-    stream's next subject; record() returns the finished run's RunRecord."""
+    class count), checks the run seed and derives every seed; advance() runs
+    the stage of the stream's next subject; record() returns the finished
+    run's RunRecord."""
 
     def __init__(self, stream: Stream, strategy: Strategy, model_cfg: ModelConfig,
                  train_cfg: TrainConfig, run_seed: int):
@@ -257,6 +243,8 @@ class RunState:
                 f"stream has {stream.n_classes} classes but the model "
                 f"outputs {model_cfg.n_classes}"
             )
+        integer(0).check(run_seed, "run seed")  # ExperimentConfig's rule for each seed
+        run_seed = int(run_seed)
         model_seed, train_seed = derive_run_seeds(run_seed)
         self.shuffle_seeds, self.store_seeds, memory_seed = _derive_stage_seeds(train_seed, n)
         self.stream, self.strategy, self.train_cfg = stream, strategy, train_cfg

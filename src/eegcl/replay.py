@@ -14,7 +14,8 @@ Three storage policies:
   draws a fixed quota per class from each subject's training split.
 
 The eviction and replacement randomness comes from the memory's own stdlib
-RNG so buffer contents never depend on model or training seeds.
+RNG so buffer contents never depend on model or training seeds. A
+strategy's MemoryConfig states the rules the memory checks its arguments by.
 
 memory_to_bytes and memory_from_bytes write and read the EEGM format, which
 only this module knows: a header, then one packed structured-dtype record
@@ -26,15 +27,14 @@ from __future__ import annotations
 import random
 import struct
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import LabeledTrial, Split, SubjectDataset
-from .errors import ConfigError, ShapeError, integer, one_of
+from .errors import ConfigError, ShapeError, check_fields, integer, one_of
 
 POLICIES = ("reservoir_standard", "reservoir_paper_literal", "class_balanced")
-# The memory's field rules, also harness.MemoryConfig's rule table.
-MEMORY_RULES = {"capacity": integer(0), "per_class": integer(0), "policy": one_of(POLICIES)}
 
 _MEMORY_MAGIC = b"EEGM"
 _MEMORY_VERSION = 1
@@ -45,6 +45,18 @@ _CAPACITY_LIMIT = 2**32 - 1
 _CHANNEL_LIMIT = 0xFFFF
 
 
+@dataclass(frozen=True)
+class MemoryConfig:
+    capacity: int = 160
+    per_class: int = 10
+    policy: str = "class_balanced"
+
+    RULES = {"capacity": integer(0), "per_class": integer(0), "policy": one_of(POLICIES)}
+
+    def __post_init__(self):
+        check_fields(self, "memory", self.RULES)
+
+
 class ReplayMemory:
     """Bounded exemplar buffer: at most `capacity` labeled trials of one
     shape, each (subject_id, timestamp) key at most once. offer_many inserts
@@ -52,8 +64,8 @@ class ReplayMemory:
     both through _insert."""
 
     def __init__(self, capacity: int, policy: str = "reservoir_standard", seed: int = 0):
-        MEMORY_RULES["capacity"].check(capacity, "memory capacity")
-        MEMORY_RULES["policy"].check(policy, "memory policy")
+        MemoryConfig.RULES["capacity"].check(capacity, "memory capacity")
+        MemoryConfig.RULES["policy"].check(policy, "memory policy")
         self.capacity = capacity
         self.policy = policy
         self.entries: list = []
@@ -156,7 +168,7 @@ def store_class_balanced(
             f"store_class_balanced requires policy 'class_balanced', "
             f"got {memory.policy!r}"
         )
-    MEMORY_RULES["per_class"].check(per_class, "memory per_class")
+    MemoryConfig.RULES["per_class"].check(per_class, "memory per_class")
     rng = np.random.default_rng(rng)
     train = np.flatnonzero(dataset.split == Split.TRAIN)
     labels = dataset.labels[train]

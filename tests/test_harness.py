@@ -16,7 +16,6 @@ from eegcl import (
     ModelConfig,
     StreamConfig,
     TrainConfig,
-    UndefinedMetricError,
     forgetting_curve,
     gen_stream,
     pced_strategy,
@@ -128,13 +127,13 @@ class TestBwt:
         assert bwt(m) == pytest.approx(0.05, abs=1e-12)
 
     def test_single_subject_undefined(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(ShapeError, match="^backward transfer needs at least 2 subjects$"):
             bwt(np.array([[0.9]]))
 
     def test_incomplete_run_undefined(self):
         m = triangular([[0.9], [0.8, 0.7]])
         m[1, 0] = np.nan
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(ValueError, match="^backward transfer needs a completed run$"):
             bwt(m)
 
     def test_non_square_rejected(self):
@@ -158,7 +157,7 @@ class TestFinalAcc:
     def test_incomplete_last_row_undefined(self):
         m = new_matrix(2)
         m[1, 0] = 0.5
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(ValueError, match="^final accuracy needs a complete last row$"):
             final_acc(m)
 
     def test_non_square_rejected(self):
@@ -190,7 +189,8 @@ class TestForgettingCurve:
     def test_missing_entry_undefined(self):
         m = self.matrix()
         m[1, 0] = np.nan
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(ValueError,
+                           match="^matrix entry for stage 2, subject 1 is undefined$"):
             forgetting_curve(m, 1)
 
 
@@ -379,6 +379,25 @@ class TestRunState:
             state.advance()
         assert state.events == events and state.stage_epochs == epochs
         assert state.matrix.tobytes() == matrix.tobytes()
+
+    @pytest.mark.parametrize("run_seed", [True, 2.0, -1], ids=["bool", "float", "negative"])
+    def test_run_seed_obeys_the_seeds_rule(self, run_seed):
+        with pytest.raises(ConfigError, match="^run seed must be an integer >= 0, got "):
+            RunState(small_stream(n_subjects=2), sft_strategy(), small_model_cfg(),
+                     fast_train_cfg(), run_seed=run_seed)
+
+    def test_numpy_integers_are_reported_as_ints(self):
+        # A numpy run seed and memory capacity give the report, and the
+        # JSON, of the same run with plain ints.
+        stream = small_stream(n_subjects=2)
+        numpy_run = run_continual(stream, er_strategy(MemoryConfig(capacity=np.int64(20))),
+                                  small_model_cfg(), fast_train_cfg(), run_seed=np.int64(3))
+        int_run = run_continual(stream, er_strategy(MemoryConfig(capacity=20)),
+                                small_model_cfg(), fast_train_cfg(), run_seed=3)
+        report = report_without_seconds(numpy_run)
+        assert json.loads(json.dumps(report)) == report == report_without_seconds(int_run)
+        assert type(report["seeds"]["run"]) is int
+        assert type(report["strategy"]["memory"]["capacity"]) is int
 
     @pytest.mark.parametrize("strategy", (er_strategy(), ewc_strategy()), ids=lambda s: s.kind)
     def test_record_pickles_without_the_run_state(self, strategy):

@@ -4,7 +4,8 @@ either returns what its encoder writes back byte for byte or raises its
 documented error; load_stream does the same for generated manifest fields
 and damaged manifest bytes, and an experiment config for generated values
 in its fields. A Stream builds exactly when every subject has train, val
-and test trials. Whitening a subject split by split gives the bits of
+and test trials, and one that builds from generated field values saves
+and loads back. Whitening a subject split by split gives the bits of
 whitening their whole block. A continual run on a generated stream keeps
 its matrix, audit, memory and seed invariants.
 
@@ -16,8 +17,9 @@ records, and every error must match that decoder's message and byte offset.
 
 import copy
 import json
+import shutil
 import struct
-from dataclasses import fields
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -37,6 +39,9 @@ from eegcl import (  # noqa: E402
 from eegcl.alignment import whiten_subject  # noqa: E402
 from eegcl.cli import ExperimentConfig, parse_experiment_config  # noqa: E402
 from eegcl.data import (  # noqa: E402
+    CHANNEL_LIMIT,
+    CLASS_LIMIT,
+    COUNT_LIMIT,
     LabeledTrial,
     Split,
     Stream,
@@ -354,6 +359,40 @@ def test_load_stream_on_every_single_byte_damage_of_its_manifest(stream_dir):
                                                         for e in manifest["subjects"]]
     finally:
         (source / "manifest.json").write_text(json.dumps(VALID_MANIFEST))
+
+
+def stream_field_values(low, high, fits):
+    """A Stream field's value: one the subjects fit, or an integer outside
+    [low, high] (high None is no bound), either as an int or an np.int64;
+    or a bool, a float or None."""
+    outside = st.integers(-2**63, low - 1)
+    if high is not None:
+        outside |= st.integers(high + 1, 2**63 - 1)
+    ints = fits | outside
+    return st.one_of(ints, ints.map(np.int64), st.booleans(), st.floats(), st.none())
+
+
+# The fields of the stream stream_dir holds: 2 channels, 3 timepoints, 2 classes.
+STREAM_FIELD_VALUES = {
+    "n_channels": stream_field_values(1, CHANNEL_LIMIT, st.just(2)),
+    "n_timepoints": stream_field_values(1, COUNT_LIMIT, st.just(3)),
+    "n_classes": stream_field_values(1, CLASS_LIMIT, st.integers(2, CLASS_LIMIT)),
+    "seed": stream_field_values(0, None, st.integers(0, 2**63 - 1)),
+}
+
+
+@given(changes=st.fixed_dictionaries({}, optional=STREAM_FIELD_VALUES))
+def test_every_stream_that_builds_saves_and_loads_back(stream_dir, changes):
+    try:
+        stream = replace(load_stream(stream_dir / "stream"), **changes)
+    except ConfigError:
+        return
+    target = stream_dir / "built"
+    shutil.rmtree(target, ignore_errors=True)
+    save_stream(stream, target)
+    manifest = json.loads((target / "manifest.json").read_text())
+    assert all(manifest[name] == getattr(stream, name) for name in STREAM_FIELD_VALUES)
+    assert streams_equal(load_stream(target), stream)
 
 
 VALID_EXPERIMENT = {
