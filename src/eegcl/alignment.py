@@ -90,10 +90,11 @@ def whiten_subject(subject_id: int, train: np.ndarray, *arrays) -> tuple:
     float64 with one matmul and rounded to float32 once. Raises
     DegenerateInputError if a whitened sample overflows float32.
     """
-    report = compute_whitener(reference_covariance(train))
-    w = report.whitener
+    train64 = np.asarray(train, dtype=np.float64)
+    report = compute_whitener(reference_covariance(train64))
     with np.errstate(over="ignore"):
-        aligned = tuple(np.matmul(w, x.astype(np.float64)).astype(np.float32) for x in arrays)
+        aligned = tuple(np.matmul(report.whitener, train64 if x is train else x.astype(np.float64))
+                        .astype(np.float32) for x in arrays)
     if not all(np.isfinite(x).all() for x in aligned):
         raise DegenerateInputError(
             f"subject {subject_id}: whitened trials overflow float32 "

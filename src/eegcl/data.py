@@ -5,8 +5,8 @@ more labeled multichannel trials tagged train/val/test. SubjectDataset and
 decode_subject refuse a subject without trials, Stream a stream without
 subjects or with a subject that lacks a split, and StreamConfig a class too
 small to split, so every generated subject has trials in all three splits.
-Stream.RULES, which load_stream reads a manifest by, holds a stream's
-dimensions to the subject header's widths, so its fields never stop a save.
+Stream.RULES, which load_stream reads a manifest by, and _ID_RULES hold a
+stream's fields to its files' widths, so every Stream that builds saves.
 The synthetic generator produces subjects that share latent class patterns
 but differ by an invertible per-subject channel mixing, which is the kind of
 inter-subject shift the alignment stage is designed to remove.
@@ -44,17 +44,21 @@ FORMAT_VERSION = 1
 
 _HEADER = struct.Struct("<4sHIHIH")  # magic, version, n_trials, channels, timepoints, n_classes
 # A subject header stores the channel count and the class count in two bytes,
-# and the trial count and the timepoint count in four.
+# and the trial count and the timepoint count in four; a trial record stores
+# its class label in one byte and its timestamp in four.
 CHANNEL_LIMIT = 0xFFFF
 CLASS_LIMIT = 0xFFFF
 COUNT_LIMIT = 0xFFFFFFFF
+LABEL_LIMIT = 0xFF
+TIMESTAMP_LIMIT = 0xFFFFFFFF
 
 # Redraw threshold for the per-subject mixing matrix determinant.
 _LOG_DET_MIN = math.log(1e-3)
 # Share of each class gen_stream tags train; val and test split the rest.
 TRAIN_FRAC = 0.7
-# The rule for a subject id, class label or timestamp, as for a config's counts.
-_ID = integer(0)
+# A trial's ids obey a config count's rule, held to their record widths.
+_ID_RULES = {"class_label": integer(0, LABEL_LIMIT), "subject_id": integer(0),
+             "timestamp": integer(0, TIMESTAMP_LIMIT)}
 
 
 class Split(IntEnum):
@@ -87,8 +91,8 @@ class LabeledTrial:
             raise ValueError("trial contains non-finite values")
         a.flags.writeable = False
         object.__setattr__(self, "trial", a)
-        for name in ("class_label", "subject_id", "timestamp"):
-            _ID.check(getattr(self, name), name, ValueError)
+        for name, rule in _ID_RULES.items():
+            rule.check(getattr(self, name), name, ValueError)
 
     def __reduce__(self):
         # Unpickle through the constructor, which re-checks the trial and
@@ -123,11 +127,12 @@ class SubjectDataset:
     with parallel int64 `labels` and `timestamps` and uint8 `split` tags.
 
     The constructor checks the arrays (one trial or more; labels, timestamps
-    and split codes of an integer dtype, never truncated) and makes them
-    read-only. A block that already is C-contiguous float32 is kept, not
-    copied, so dataclasses.replace(ds, split=...) shares it. `trials`,
-    `trials_for` and `trials_at` build LabeledTrials of only the rows asked
-    for, anew on each call.
+    and split codes of an integer dtype, never truncated; labels and
+    timestamps by a trial's _ID_RULES), makes them read-only and stores
+    subject_id as an int. A block that already is C-contiguous float32 is
+    kept, not copied, so dataclasses.replace(ds, split=...) shares it.
+    `trials`, `trials_for` and `trials_at` build LabeledTrials of only the
+    rows asked for, anew on each call.
     """
 
     subject_id: int
@@ -148,9 +153,7 @@ class SubjectDataset:
                 f"need a (n, channels, time) block, n >= 1, with n labels and timestamps, "
                 f"got shapes {block.shape}, {labels.shape} and {timestamps.shape}"
             )
-        _ID.check(self.subject_id, "subject_id", ValueError)
-        if labels.min() < 0:
-            raise ValueError(f"class labels must be >= 0 (subject {self.subject_id})")
+        _ID_RULES["subject_id"].check(self.subject_id, "subject_id", ValueError)
         if not np.isfinite(block).all():
             raise ValueError("trial contains non-finite values")
         step = np.flatnonzero(np.diff(timestamps, prepend=-1) <= 0)
@@ -160,9 +163,13 @@ class SubjectDataset:
                 f"timestamps must increase strictly within a subject "
                 f"(saw {timestamps[i]} after {timestamps[i - 1] if i else -1})"
             )
+        for name, value in (("class_label", labels.min()), ("class_label", labels.max()),
+                            ("timestamp", timestamps[-1])):  # the step check bounds the first
+            _ID_RULES[name].check(int(value), f"subject {self.subject_id} {name}", ValueError)
         if split.shape != (n,) or ((split < 0) | (split > max(Split))).any():
             raise ValueError(f"need {n} Split codes, got {split.tolist()}")
         split = split.astype(np.uint8)
+        object.__setattr__(self, "subject_id", int(self.subject_id))
         for name, value in zip(self._ARRAYS, (block, labels, timestamps, split)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -235,14 +242,14 @@ class StreamConfig:
     randomize_polarity: bool = True
     seed: int = 0
 
-    # n_timepoints >= 2, since alignment needs covariance estimates; a
-    # subject file stores each label in one byte, so n_classes <= 256, its
-    # channel count in two and its trial and timepoint counts in four.
+    # n_timepoints >= 2, since alignment needs covariance estimates; the
+    # other bounds are a subject file's widths (a label in one byte, so
+    # n_classes <= 256).
     RULES = {
         "n_subjects": integer(1),
         "n_channels": integer(1, CHANNEL_LIMIT),
         "n_timepoints": integer(2, COUNT_LIMIT),
-        "n_classes": integer(2, 256),
+        "n_classes": integer(2, LABEL_LIMIT + 1),
         "trials_per_subject": integer(1, COUNT_LIMIT),
         "mixing_scale": number(0),
         "noise_sigma": number(0),
@@ -452,8 +459,6 @@ def encode_subject(dataset: SubjectDataset, n_classes: int) -> bytes:
     if n_classes > CLASS_LIMIT:
         raise ValueError(f"n_classes {n_classes} is above EEGC's {CLASS_LIMIT}")
     header = _HEADER.pack(SUBJECT_MAGIC, FORMAT_VERSION, n, c, t, n_classes)
-    if dataset.labels.max() > 255 or dataset.timestamps.max() > 0xFFFFFFFF:
-        raise ValueError("labels must fit in one byte and timestamps in four")
     records = np.empty(n, _record_dtype(c, t))
     records["timestamp"], records["label"] = dataset.timestamps, dataset.labels
     records["tag"], records["samples"] = dataset.split, dataset.block

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabeledTrial, Split, SubjectDataset
+from .data import CHANNEL_LIMIT, TIMESTAMP_LIMIT, LabeledTrial, Split, SubjectDataset
 from .errors import ConfigError, ShapeError, check_fields, integer, one_of
 
 POLICIES = ("reservoir_standard", "reservoir_paper_literal", "class_balanced")
@@ -40,9 +40,8 @@ _MEMORY_MAGIC = b"EEGM"
 _MEMORY_VERSION = 1
 _MEMORY_HEADER = struct.Struct("<4sHIQBIHI")
 # magic, version, capacity, seen, policy code, n_entries, channels, timepoints
-_ENTRY_LIMITS = (("subject_id", 2**32 - 1), ("timestamp", 2**32 - 1), ("class_label", 255))
+_ENTRY_LIMITS = (("subject_id", 2**32 - 1),)  # LabeledTrial bounds its other ids
 _CAPACITY_LIMIT = 2**32 - 1
-_CHANNEL_LIMIT = 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -184,8 +183,8 @@ _POLICY_CODES = {name: i for i, name in enumerate(POLICIES)}
 
 
 def _record_dtype(c: int, t: int) -> np.dtype:
-    """One exemplar record of an EEGM blob, packed: the fields of
-    _ENTRY_LIMITS, then the samples."""
+    """One exemplar record of an EEGM blob, packed: subject_id, timestamp
+    and class_label, then the samples."""
     return np.dtype([
         ("subject_id", "<u4"), ("timestamp", "<u4"), ("class_label", "u1"),
         ("trial", "<f4", (c, t)),
@@ -199,8 +198,7 @@ def memory_to_bytes(memory: ReplayMemory) -> bytes:
     """Serialize buffer contents (not the RNG state) to a binary blob: the
     header, then one _record_dtype record per exemplar in storage order.
     A capacity above 2**32 - 1, exemplars of more than 65535 channels, or
-    an exemplar whose subject_id or timestamp exceeds 2**32 - 1 or whose
-    class_label exceeds 255, is a ValueError.
+    an exemplar whose subject_id exceeds 2**32 - 1, is a ValueError.
 
     A restored memory continues with a fresh seed, so eviction decisions
     after a checkpoint reload differ from an uninterrupted run; contents,
@@ -210,8 +208,8 @@ def memory_to_bytes(memory: ReplayMemory) -> bytes:
         raise ValueError(f"memory capacity {memory.capacity} is above EEGM's {_CAPACITY_LIMIT}")
     entries = memory.entries
     c, t = entries[0].trial.shape if entries else (0, 0)
-    if c > _CHANNEL_LIMIT:
-        raise ValueError(f"exemplar channels {c} is above EEGM's {_CHANNEL_LIMIT}")
+    if c > CHANNEL_LIMIT:
+        raise ValueError(f"exemplar channels {c} is above EEGM's {CHANNEL_LIMIT}")
     header = _MEMORY_HEADER.pack(
         _MEMORY_MAGIC, _MEMORY_VERSION, memory.capacity, memory.seen,
         _POLICY_CODES[memory.policy], len(entries), c, t,
@@ -224,8 +222,8 @@ def memory_to_bytes(memory: ReplayMemory) -> bytes:
         over = values > top
         if over.any():
             raise ValueError(f"exemplar {name} {values[over.argmax()]} is above EEGM's {top}")
-        records[name] = values
-    records["trial"] = [e.trial for e in entries]
+    for name in records.dtype.names:  # a LabeledTrial's fields, as named
+        records[name] = [getattr(e, name) for e in entries]
     return header + records.tobytes()
 
 
@@ -259,8 +257,8 @@ def memory_from_bytes(buf: bytes, seed: int = 0) -> ReplayMemory:
         keys = np.sort(records["subject_id"].astype(np.uint64) << 32 | records["timestamp"])
         twice = keys[1:][keys[1:] == keys[:-1]]
         if twice.size:
-            key = int(twice[0])
-            raise ValueError(f"memory blob holds exemplar {(key >> 32, key & 0xFFFFFFFF)} twice")
+            key = divmod(int(twice[0]), TIMESTAMP_LIMIT + 1)  # (subject_id, timestamp)
+            raise ValueError(f"memory blob holds exemplar {key} twice")
         fields = (records[n].tolist() for n in ("class_label", "subject_id", "timestamp"))
         memory._insert(LabeledTrial(*entry) for entry in zip(records["trial"], *fields))
     memory.seen = seen

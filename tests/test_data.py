@@ -30,6 +30,7 @@ from eegcl.data import (
 )
 from eegcl.errors import ShapeError
 from eegcl.linalg import covariance, inv_sqrt
+from eegcl.replay import ReplayMemory, memory_from_bytes, memory_to_bytes
 
 from helpers import UNDECODABLE_JSON, align_subject, balanced_subject, make_trial
 
@@ -152,9 +153,22 @@ class TestLabeledTrial:
     def test_ids_are_integers_by_the_config_rule(self, field, value):
         # A fractional id would be truncated by the EEGM encoder into a
         # blob that its own decoder refuses.
-        name = {"label": "class_label", "subject": "subject_id", "timestamp": "timestamp"}[field]
-        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got "):
+        name, text = {"label": ("class_label", r"in \[0, 255\]"), "subject": ("subject_id", ">= 0"),
+                      "timestamp": ("timestamp", r"in \[0, 4294967295\]")}[field]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer {text}, got "):
             make_trial(np.zeros((2, 3)), **{field: value})
+
+    @pytest.mark.parametrize("field, value", [("label", 256), ("timestamp", 2**32)])
+    def test_fields_out_of_record_range_rejected(self, field, value):
+        # A record stores a class label in one byte and a timestamp in four,
+        # so the trial refuses what its EEGM record could not hold.
+        name = {"label": "class_label", "timestamp": "timestamp"}[field]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer in \\[0, {value - 1}\\]"):
+            make_trial(np.zeros((2, 4)), **{field: value})
+        memory = ReplayMemory(capacity=1)
+        memory.offer_many([make_trial(np.zeros((2, 4)), **{field: value - 1})])
+        (out,) = memory_from_bytes(memory_to_bytes(memory)).entries
+        assert trials_equal(out, memory.entries[0])
 
     def test_numpy_integer_ids_accepted(self):
         t = make_trial(np.zeros((2, 3)), label=np.uint8(1), subject=np.int64(2),
@@ -207,11 +221,29 @@ class TestSubjectDataset:
         with pytest.raises(ShapeError):
             subject(**arrays)
 
+    @pytest.mark.parametrize("field, value", [("labels", 256), ("timestamps", 2**32)],
+                             ids=["label", "timestamp"])
+    def test_fields_out_of_record_range_rejected(self, field, value):
+        # A record stores a label in one byte and a timestamp in four, so the
+        # subject refuses, by a trial's rule, what its EEGC record could not hold.
+        name = {"labels": "class_label", "timestamps": "timestamp"}[field]
+        with pytest.raises(ValueError, match=f"^subject 0 {name} must be an integer in "
+                                             f"\\[0, {value - 1}\\], got {value}$"):
+            subject(1, **{field: [value]})
+        widest = subject(1, **{field: [value - 1]})
+        assert datasets_equal(decode_subject(encode_subject(widest, 256), 0)[0], widest)
+
     def test_negative_ids_and_labels_rejected(self):
-        with pytest.raises(ValueError, match="must be >= 0"):
+        with pytest.raises(ValueError, match=r"class_label must be an integer in \[0, 255\], got -1"):
             subject(labels=[0, -1])
         with pytest.raises(ValueError, match="subject_id must be an integer >= 0"):
             replace(subject(), subject_id=-1)
+
+    def test_numpy_subject_id_stored_as_int(self):
+        # save_stream writes each id into the manifest with json.dumps,
+        # which refuses a numpy integer after the subject files are written.
+        ds = replace(subject(), subject_id=np.int64(3))
+        assert type(ds.subject_id) is int and ds.subject_id == 3
 
     @pytest.mark.parametrize("value", [1.5, 2.0, True, "1", None])
     def test_subject_id_is_an_integer_by_the_config_rule(self, value):
@@ -573,11 +605,11 @@ class TestSubjectCodec:
         assert (n_trials, c, t, n_classes) == (4, 3, 5, 2)
         assert len(buf) == HEADER.size + 4 * (TRIAL_PREFIX.size + 4 * 3 * 5)
 
+    # A subject holds its labels and timestamps to the record's widths
+    # (TestSubjectDataset), so only the header's channel count is left here.
     @pytest.mark.parametrize("arrays, message", [
-        ({"labels": [256]}, "labels must fit in one byte"),
-        ({"timestamps": [2**32]}, "timestamps in four"),
         ({"block": np.zeros((1, 65536, 2))}, "n_channels 65536 is above EEGC's 65535"),
-    ], ids=["label", "timestamp", "channels"])
+    ], ids=["channels"])
     def test_fields_out_of_eegc_range_rejected(self, arrays, message):
         with pytest.raises(ValueError, match=message):
             encode_subject(subject(1, **arrays), 257)

@@ -5,7 +5,9 @@ documented error; load_stream does the same for generated manifest fields
 and damaged manifest bytes, and an experiment config for generated values
 in its fields. A Stream builds exactly when every subject has train, val
 and test trials, and one that builds from generated field values saves
-and loads back. Whitening a subject split by split gives the bits of
+and loads back; a subject builds exactly when its labels fit in one byte
+and its timestamps in four, and a stream of such subjects saves and loads
+back bit for bit. Whitening a subject split by split gives the bits of
 whitening their whole block. A continual run on a generated stream keeps
 its matrix, audit, memory and seed invariants.
 
@@ -42,6 +44,8 @@ from eegcl.data import (  # noqa: E402
     CHANNEL_LIMIT,
     CLASS_LIMIT,
     COUNT_LIMIT,
+    LABEL_LIMIT,
+    TIMESTAMP_LIMIT,
     LabeledTrial,
     Split,
     Stream,
@@ -393,6 +397,72 @@ def test_every_stream_that_builds_saves_and_loads_back(stream_dir, changes):
     manifest = json.loads((target / "manifest.json").read_text())
     assert all(manifest[name] == getattr(stream, name) for name in STREAM_FIELD_VALUES)
     assert streams_equal(load_stream(target), stream)
+
+
+# A label or timestamp within the width a trial record stores it in,
+# often at or next to either end.
+record_labels = st.sampled_from([0, 1, LABEL_LIMIT - 1, LABEL_LIMIT]) | st.integers(0, LABEL_LIMIT)
+record_stamps = (st.sampled_from([0, 1, TIMESTAMP_LIMIT - 1, TIMESTAMP_LIMIT])
+                 | st.integers(0, TIMESTAMP_LIMIT))
+
+
+@st.composite
+def subject_arrays(draw):
+    """A subject's labels, strictly increasing timestamps and split tags,
+    with a train, a val and a test trial; in one subject of three, a
+    label or the last timestamp is one the record cannot hold."""
+    tags = [*Split, *draw(st.lists(st.sampled_from(Split), max_size=2))]
+    n = len(tags)
+    labels = draw(st.lists(record_labels, min_size=n, max_size=n))
+    stamps = sorted(draw(st.sets(record_stamps, min_size=n, max_size=n)))
+    over = draw(st.sampled_from([None, None, None, None, "labels", "timestamps"]))
+    if over == "labels":
+        labels[draw(st.integers(0, n - 1))] = draw(st.integers(LABEL_LIMIT + 1, 300))
+    elif over == "timestamps":
+        stamps[-1] = draw(st.integers(TIMESTAMP_LIMIT + 1, 2**33))
+    return labels, stamps, tags
+
+
+@settings(max_examples=100)
+@given(subjects=st.lists(subject_arrays(), min_size=1, max_size=3),
+       n_classes=st.sampled_from([LABEL_LIMIT + 1, 301, CLASS_LIMIT]), seed=st.integers(0, 9))
+def test_every_stream_of_storable_subjects_round_trips(tmp_path_factory, subjects, n_classes,
+                                                       seed):
+    """A subject builds exactly when every label is at most LABEL_LIMIT and
+    every timestamp at most TIMESTAMP_LIMIT; a Stream of such subjects
+    saves, loads back equal, and saves again to the same bytes."""
+    rng = np.random.default_rng(seed)
+    storable = all(max(labels) <= LABEL_LIMIT and stamps[-1] <= TIMESTAMP_LIMIT
+                   for labels, stamps, _ in subjects)
+    try:
+        stream = Stream(tuple(
+            SubjectDataset(i, rng.standard_normal((len(tags), 2, 3)), labels, stamps, tags)
+            for i, (labels, stamps, tags) in enumerate(subjects)), 2, 3, n_classes, seed)
+    except ValueError:
+        assert not storable
+        return
+    assert storable
+    root = tmp_path_factory.mktemp("storable")
+    save_stream(stream, root / "a")
+    loaded = load_stream(root / "a")
+    assert streams_equal(loaded, stream)
+    save_stream(loaded, root / "b")
+    for path in sorted((root / "a").iterdir()):
+        assert path.read_bytes() == (root / "b" / path.name).read_bytes()
+
+
+@pytest.mark.parametrize("arrays, field", [({"labels": [0, 1, 300]}, "class_label"),
+                                           ({"timestamps": [0, 1, 2**32]}, "timestamp")],
+                         ids=["label_300", "timestamp_2_32"])
+def test_a_subject_no_record_can_hold_is_refused_before_a_save(tmp_path, arrays, field):
+    """A second subject with label 300 under n_classes 301, or with
+    timestamp 2**32, is refused where it is built, so the save that would
+    have written the first subject's file and then failed never starts."""
+    first = SubjectDataset(0, np.zeros((3, 2, 3)), [0, 1, 2], [0, 1, 2], list(Split))
+    with pytest.raises(ValueError, match=f"^subject 1 {field} must be an integer in "):
+        save_stream(Stream((first, replace(first, subject_id=1, **arrays)), 2, 3, 301, 0),
+                    tmp_path / "stream")
+    assert list(tmp_path.iterdir()) == []
 
 
 VALID_EXPERIMENT = {

@@ -451,9 +451,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match="dimensions"):
             memory_from_bytes(blob)
 
+    # A LabeledTrial refuses a timestamp or class label its record could not
+    # hold (test_data.py TestLabeledTrial); a subject id has no bound.
     @pytest.mark.parametrize("field, value", [
-        ("subject", 2**32), ("timestamp", 2**32), ("label", 256), ("capacity", 2**32),
-        ("channels", 2**16),
+        ("subject", 2**32), ("capacity", 2**32), ("channels", 2**16),
     ])
     def test_fields_out_of_eegm_range_rejected(self, field, value):
         def memory(v):
@@ -463,8 +464,7 @@ class TestSerialization:
             mem.offer_many([make_trial(np.zeros(shape), **fields)])
             return mem
 
-        name = {"subject": "exemplar subject_id", "label": "exemplar class_label",
-                "timestamp": "exemplar timestamp", "capacity": "memory capacity",
+        name = {"subject": "exemplar subject_id", "capacity": "memory capacity",
                 "channels": "exemplar channels"}[field]
         with pytest.raises(ValueError, match=f"{name} {value} is above EEGM's {value - 1}"):
             memory_to_bytes(memory(value))
