@@ -86,15 +86,13 @@ def whiten_subject(subject_id: int, train: np.ndarray, *arrays) -> tuple:
     """Whiten a subject's trial arrays against their own training trials.
 
     Returns (the arrays whitened, AlignmentReport). The whitener comes from
-    the (n, channels, time) train block alone; each array is whitened in
-    float64 with one matmul and rounded to float32 once. Raises
-    DegenerateInputError if a whitened sample overflows float32.
+    the (n, channels, time) train block alone; each array is whitened by
+    one matmul, which promotes it to the float64 whitener's dtype, and
+    rounded to float32 once. Raises DegenerateInputError on float32 overflow.
     """
-    train64 = np.asarray(train, dtype=np.float64)
-    report = compute_whitener(reference_covariance(train64))
+    report = compute_whitener(reference_covariance(train))
     with np.errstate(over="ignore"):
-        aligned = tuple(np.matmul(report.whitener, train64 if x is train else x.astype(np.float64))
-                        .astype(np.float32) for x in arrays)
+        aligned = tuple(np.matmul(report.whitener, x).astype(np.float32) for x in arrays)
     if not all(np.isfinite(x).all() for x in aligned):
         raise DegenerateInputError(
             f"subject {subject_id}: whitened trials overflow float32 "

@@ -8,7 +8,8 @@ and test trials, and one that builds from generated field values saves
 and loads back; a subject builds exactly when its labels fit in one byte
 and its timestamps in four, and a stream of such subjects saves and loads
 back bit for bit. Whitening a subject split by split gives the bits of
-whitening their whole block. A continual run on a generated stream keeps
+whitening their whole block, and whitening a float32 array gives the bits
+of whitening its float64 cast. A continual run on a generated stream keeps
 its matrix, audit, memory and seed invariants.
 
 decode_subject reads all records of a subject at once; the per-trial
@@ -38,7 +39,7 @@ from eegcl import (  # noqa: E402
     TrainConfig,
     gen_stream,
 )
-from eegcl.alignment import whiten_subject  # noqa: E402
+from eegcl.alignment import compute_whitener, reference_covariance, whiten_subject  # noqa: E402
 from eegcl.cli import ExperimentConfig, parse_experiment_config  # noqa: E402
 from eegcl.data import (  # noqa: E402
     CHANNEL_LIMIT,
@@ -574,6 +575,24 @@ def test_per_split_whitening_is_whole_block_whitening(n_channels, n_timepoints, 
     for split, part in zip(Split, parts):
         assert part.dtype == np.float32
         assert part.tobytes() == whole[tags == split].tobytes()
+
+
+@given(n_channels=st.integers(1, 6), n_timepoints=st.integers(2, 12),
+       tags=st.lists(st.sampled_from(Split), max_size=12), seed=st.integers(0, 2**32 - 1))
+def test_whitening_promotes_float32_as_an_explicit_float64_cast(n_channels, n_timepoints,
+                                                                tags, seed):
+    # The matmul's own promotion gives the bits of an explicit float64 cast,
+    # whether the train block itself or a copy of it is whitened.
+    tags = np.array([Split.TRAIN, *tags])
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((len(tags), n_channels, n_timepoints)).astype(np.float32)
+    train, other = block[tags == Split.TRAIN], block[tags != Split.TRAIN]
+    w = compute_whitener(reference_covariance(train)).whitener
+    expected = [np.matmul(w, a.astype(np.float64)).astype(np.float32).tobytes()
+                for a in (train, other)]
+    for first in (train, train.copy()):
+        aligned, _ = whiten_subject(0, train, first, other)
+        assert [a.tobytes() for a in aligned] == expected
 
 
 def run_strategies(capacity):
