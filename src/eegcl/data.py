@@ -6,7 +6,8 @@ decode_subject refuse a subject without trials, Stream a stream without
 subjects or with a subject that lacks a split, and StreamConfig a class too
 small to split, so every generated subject has trials in all three splits.
 Stream.RULES, which load_stream reads a manifest by, and _ID_RULES hold a
-stream's fields to its files' widths, so every Stream that builds saves.
+stream's fields to its files' widths, so every Stream that builds saves;
+_ID_RULES and LabeledTrial's shape check do the same for an EEGM exemplar.
 The synthetic generator produces subjects that share latent class patterns
 but differ by an invertible per-subject channel mixing, which is the kind of
 inter-subject shift the alignment stage is designed to remove.
@@ -45,11 +46,13 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHIHIH")  # magic, version, n_trials, channels, timepoints, n_classes
 # A subject header stores the channel count and the class count in two bytes,
 # and the trial count and the timepoint count in four; a trial record stores
-# its class label in one byte and its timestamp in four.
+# its class label in one byte and its timestamp in four; an EEGM exemplar
+# record (replay.py) stores its subject id in four.
 CHANNEL_LIMIT = 0xFFFF
 CLASS_LIMIT = 0xFFFF
 COUNT_LIMIT = 0xFFFFFFFF
 LABEL_LIMIT = 0xFF
+SUBJECT_LIMIT = 0xFFFFFFFF
 TIMESTAMP_LIMIT = 0xFFFFFFFF
 
 # Redraw threshold for the per-subject mixing matrix determinant.
@@ -57,7 +60,7 @@ _LOG_DET_MIN = math.log(1e-3)
 # Share of each class gen_stream tags train; val and test split the rest.
 TRAIN_FRAC = 0.7
 # A trial's ids obey a config count's rule, held to their record widths.
-_ID_RULES = {"class_label": integer(0, LABEL_LIMIT), "subject_id": integer(0),
+_ID_RULES = {"class_label": integer(0, LABEL_LIMIT), "subject_id": integer(0, SUBJECT_LIMIT),
              "timestamp": integer(0, TIMESTAMP_LIMIT)}
 
 
@@ -75,7 +78,8 @@ class LabeledTrial:
 
     The sample matrix is stored as read-only float32; the networks compute
     on it in float32, and whitening in float64. ``timestamp`` is the trial's
-    sequence number within its subject's recording session.
+    sequence number within its subject's recording session. Its ids and
+    shape fit an EEGM exemplar record, so every replay memory encodes.
     """
 
     trial: np.ndarray
@@ -85,8 +89,9 @@ class LabeledTrial:
 
     def __post_init__(self):
         a = np.array(self.trial, dtype=np.float32, order="C")
-        if a.ndim != 2:
-            raise ShapeError(f"trial must be 2-D, got shape {a.shape}")
+        if a.ndim != 2 or not (0 < a.shape[0] <= CHANNEL_LIMIT and 0 < a.shape[1] <= COUNT_LIMIT):
+            raise ShapeError(f"trial must be 2-D, 1 x 1 to {CHANNEL_LIMIT} x {COUNT_LIMIT}, "
+                             f"got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("trial contains non-finite values")
         a.flags.writeable = False
@@ -290,6 +295,8 @@ class Stream:
             raise ValueError("stream has no subjects")
         seen = set()
         for ds in self.subjects:
+            if not isinstance(ds, SubjectDataset):
+                raise TypeError(f"stream subjects must be SubjectDatasets, got {type(ds).__name__}")
             if ds.subject_id in seen:
                 raise ValueError(f"subject {ds.subject_id} is listed twice")
             seen.add(ds.subject_id)
@@ -473,7 +480,9 @@ def decode_subject(buf: bytes, subject_id: int, path="<memory>") -> tuple:
     operations. Raises StreamFormatError carrying the byte offset of the
     first malformed field: for a file of another length, its first missing
     or first extra byte; else the first bad field of the first bad record.
+    A subject_id out of its rule is the caller's fault, a plain ValueError.
     """
+    _ID_RULES["subject_id"].check(subject_id, "subject_id", ValueError)
     if len(buf) < _HEADER.size:
         raise StreamFormatError(
             f"{path}: truncated while reading header "
@@ -622,8 +631,8 @@ def load_stream(path) -> Stream:
     subjects = []
     for i, entry in enumerate(entries):
         subject_id = entry.get("subject_id")
-        integer(0).check(subject_id, f"{manifest_path}: subjects[{i}] subject_id",
-                         StreamFormatError)
+        _ID_RULES["subject_id"].check(subject_id, f"{manifest_path}: subjects[{i}] subject_id",
+                                      StreamFormatError)
         if any(ds.subject_id == subject_id for ds in subjects):
             raise StreamFormatError(f"{manifest_path}: subject {subject_id} is listed twice")
         fpath = root / entry["file"]

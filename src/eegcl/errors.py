@@ -13,8 +13,9 @@ fields (a generator class too small to split, a kernel longer than the
 trial) as a ConfigError. A rule accepts JSON values only: a bool is not an
 integer, and an integer too large for a float is not a finite number; an
 integer that passes is stored as an int. A subject id, class label or
-timestamp obeys integer(0) as well. An input refused for its shape or
-size, no trials included, is a ShapeError.
+timestamp obeys an integer rule as well, bounded by the width of the file
+field that stores it, as a memory capacity is. An input refused for its
+shape or size, no trials included, is a ShapeError.
 """
 
 import math

@@ -16,10 +16,12 @@ Three storage policies:
 The eviction and replacement randomness comes from the memory's own stdlib
 RNG so buffer contents never depend on model or training seeds. A
 strategy's MemoryConfig states the rules the memory checks its arguments by.
+`seen`, the n of B/n, counts every item taken, also by an offer that raised.
 
 memory_to_bytes and memory_from_bytes write and read the EEGM format, which
 only this module knows: a header, then one packed structured-dtype record
-per exemplar.
+per exemplar. MemoryConfig and LabeledTrial hold each value to its EEGM
+width, so every memory encodes; the decoder checks only header and length.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CHANNEL_LIMIT, TIMESTAMP_LIMIT, LabeledTrial, Split, SubjectDataset
+from .data import COUNT_LIMIT, LabeledTrial, Split, SubjectDataset
 from .errors import ConfigError, ShapeError, check_fields, integer, one_of
 
 POLICIES = ("reservoir_standard", "reservoir_paper_literal", "class_balanced")
@@ -40,8 +42,6 @@ _MEMORY_MAGIC = b"EEGM"
 _MEMORY_VERSION = 1
 _MEMORY_HEADER = struct.Struct("<4sHIQBIHI")
 # magic, version, capacity, seen, policy code, n_entries, channels, timepoints
-_ENTRY_LIMITS = (("subject_id", 2**32 - 1),)  # LabeledTrial bounds its other ids
-_CAPACITY_LIMIT = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,8 @@ class MemoryConfig:
     per_class: int = 10
     policy: str = "class_balanced"
 
-    RULES = {"capacity": integer(0), "per_class": integer(0), "policy": one_of(POLICIES)}
+    RULES = {"capacity": integer(0, COUNT_LIMIT), "per_class": integer(0),
+             "policy": one_of(POLICIES)}
 
     def __post_init__(self):
         check_fields(self, "memory", self.RULES)
@@ -94,8 +95,9 @@ class ReplayMemory:
         one random() per entry against its replacement probability (module
         docstring) and, if accepted, a randrange for the slot it overwrites;
         class_balanced evicts a randrange-drawn exemplar of the oldest
-        subject and appends. A bad entry raises after every earlier one was
-        inserted. The checks are inline, since a call per item costs ~10%.
+        subject and appends. A bad entry, or the iterable, raises after every
+        earlier entry was inserted and counted in seen. The checks are
+        inline, since a call per item costs ~10%.
         """
         stored_list = self.entries
         keys = self._keys
@@ -107,41 +109,41 @@ class ReplayMemory:
         seen = self.seen
         accepted = 0
         shape = self._shape
-        for entry in entries:
-            if shape is None:
-                shape = self._shape = entry.trial.shape
-            elif entry.trial.shape != shape:
-                self.seen = seen
-                raise ShapeError(
-                    f"entry shape {entry.trial.shape} does not match "
-                    f"memory shape {shape}"
-                )
-            key = (entry.subject_id, entry.timestamp)
-            if key in keys:
-                self.seen = seen
-                raise ValueError(f"exemplar {key} is already in memory")
-            seen += 1
-            if capacity == 0:
-                continue
-            if len(stored_list) < capacity:
-                stored_list.append(entry)
-            elif balanced:
-                # this branch only appends, so entry 0 is the oldest subject's
-                oldest = stored_list[0].subject_id
-                slots = [i for i, e in enumerate(stored_list) if e.subject_id == oldest]
-                old = stored_list.pop(slots[randrange(len(slots))])
-                keys.discard((old.subject_id, old.timestamp))
-                stored_list.append(entry)
-            elif rand() < (capacity / seen if standard else 0.5):
-                slot = randrange(capacity)
-                old = stored_list[slot]
-                keys.discard((old.subject_id, old.timestamp))
-                stored_list[slot] = entry
-            else:
-                continue
-            keys.add(key)
-            accepted += 1
-        self.seen = seen
+        try:
+            for entry in entries:
+                if shape is None:
+                    shape = self._shape = entry.trial.shape
+                elif entry.trial.shape != shape:
+                    raise ShapeError(
+                        f"entry shape {entry.trial.shape} does not match "
+                        f"memory shape {shape}"
+                    )
+                key = (entry.subject_id, entry.timestamp)
+                if key in keys:
+                    raise ValueError(f"exemplar {key} is already in memory")
+                seen += 1
+                if capacity == 0:
+                    continue
+                if len(stored_list) < capacity:
+                    stored_list.append(entry)
+                elif balanced:
+                    # this branch only appends, so entry 0 is the oldest subject's
+                    oldest = stored_list[0].subject_id
+                    slots = [i for i, e in enumerate(stored_list) if e.subject_id == oldest]
+                    old = stored_list.pop(slots[randrange(len(slots))])
+                    keys.discard((old.subject_id, old.timestamp))
+                    stored_list.append(entry)
+                elif rand() < (capacity / seen if standard else 0.5):
+                    slot = randrange(capacity)
+                    old = stored_list[slot]
+                    keys.discard((old.subject_id, old.timestamp))
+                    stored_list[slot] = entry
+                else:
+                    continue
+                keys.add(key)
+                accepted += 1
+        finally:
+            self.seen = seen
         return accepted
 
     def snapshot(self) -> tuple:
@@ -197,38 +199,29 @@ _RECORD_PREFIX = _record_dtype(0, 0).itemsize  # bytes of an exemplar record bef
 def memory_to_bytes(memory: ReplayMemory) -> bytes:
     """Serialize buffer contents (not the RNG state) to a binary blob: the
     header, then one _record_dtype record per exemplar in storage order.
-    A capacity above 2**32 - 1, exemplars of more than 65535 channels, or
-    an exemplar whose subject_id exceeds 2**32 - 1, is a ValueError.
+    Every memory encodes: MemoryConfig holds its capacity, and LabeledTrial
+    each exemplar's ids and dimensions, to the widths of their fields.
 
     A restored memory continues with a fresh seed, so eviction decisions
     after a checkpoint reload differ from an uninterrupted run; contents,
     counters, and policy round-trip exactly.
     """
-    if memory.capacity > _CAPACITY_LIMIT:
-        raise ValueError(f"memory capacity {memory.capacity} is above EEGM's {_CAPACITY_LIMIT}")
     entries = memory.entries
     c, t = entries[0].trial.shape if entries else (0, 0)
-    if c > CHANNEL_LIMIT:
-        raise ValueError(f"exemplar channels {c} is above EEGM's {CHANNEL_LIMIT}")
     header = _MEMORY_HEADER.pack(
         _MEMORY_MAGIC, _MEMORY_VERSION, memory.capacity, memory.seen,
         _POLICY_CODES[memory.policy], len(entries), c, t,
     )
-    if not entries:
-        return header
     records = np.empty(len(entries), _record_dtype(c, t))
-    for name, top in _ENTRY_LIMITS:
-        values = np.array([getattr(e, name) for e in entries])
-        over = values > top
-        if over.any():
-            raise ValueError(f"exemplar {name} {values[over.argmax()]} is above EEGM's {top}")
     for name in records.dtype.names:  # a LabeledTrial's fields, as named
         records[name] = [getattr(e, name) for e in entries]
     return header + records.tobytes()
 
 
 def memory_from_bytes(buf: bytes, seed: int = 0) -> ReplayMemory:
-    """Inverse of memory_to_bytes; any malformed blob is a ValueError."""
+    """Inverse of memory_to_bytes; any malformed blob is a ValueError. Only
+    the header and length are checked here: LabeledTrial and _insert check
+    each exemplar, as they do in a live memory."""
     if len(buf) < _MEMORY_HEADER.size:
         raise ValueError("memory blob too short for header")
     magic, version, capacity, seen, code, n_entries, c, t = _MEMORY_HEADER.unpack_from(buf, 0)
@@ -236,8 +229,7 @@ def memory_from_bytes(buf: bytes, seed: int = 0) -> ReplayMemory:
         raise ValueError(f"bad memory blob magic {magic!r}")
     if version != _MEMORY_VERSION:
         raise ValueError(f"unsupported memory blob version {version}")
-    policy = POLICIES[code] if code < len(POLICIES) else None
-    if policy is None:
+    if code >= len(POLICIES):
         raise ValueError(f"unknown policy code {code}")
     if n_entries > capacity:
         raise ValueError(f"memory blob holds {n_entries} entries, over its capacity {capacity}")
@@ -249,16 +241,9 @@ def memory_from_bytes(buf: bytes, seed: int = 0) -> ReplayMemory:
     expected = _MEMORY_HEADER.size + n_entries * (_RECORD_PREFIX + 4 * c * t)
     if len(buf) != expected:
         raise ValueError(f"memory blob length {len(buf)} != expected {expected}")
-    memory = ReplayMemory(capacity=capacity, policy=policy, seed=seed)
+    memory = ReplayMemory(capacity=capacity, policy=POLICIES[code], seed=seed)
     if n_entries:
         records = np.frombuffer(buf, _record_dtype(c, t), n_entries, _MEMORY_HEADER.size)
-        if not np.isfinite(records["trial"]).all():
-            raise ValueError("memory blob holds non-finite samples")
-        keys = np.sort(records["subject_id"].astype(np.uint64) << 32 | records["timestamp"])
-        twice = keys[1:][keys[1:] == keys[:-1]]
-        if twice.size:
-            key = divmod(int(twice[0]), TIMESTAMP_LIMIT + 1)  # (subject_id, timestamp)
-            raise ValueError(f"memory blob holds exemplar {key} twice")
         fields = (records[n].tolist() for n in ("class_label", "subject_id", "timestamp"))
         memory._insert(LabeledTrial(*entry) for entry in zip(records["trial"], *fields))
     memory.seen = seen

@@ -322,6 +322,7 @@ class TestAlign:
         lambda m: m["subjects"][0].update(subject_id=True),
         lambda m: m["subjects"][0].update(subject_id=-1),
         lambda m: m["subjects"][0].update(subject_id=1.0),
+        lambda m: m["subjects"][0].update(subject_id=2**32),
         lambda m: m["subjects"][1].update(subject_id=0),
         lambda m: m["subjects"][0].pop("file"),
         lambda m: m["subjects"][0].pop("subject_id"),
@@ -330,7 +331,7 @@ class TestAlign:
         lambda m: m["subjects"].__setitem__(0, "subject_000.eegc"),
         lambda m: m.update(n_channels="3"),
         lambda m: m.update(seed=None),
-    ], ids=["string_id", "bool_id", "negative_id", "float_id", "repeated_id", "no_file",
+    ], ids=["string_id", "bool_id", "negative_id", "float_id", "huge_id", "repeated_id", "no_file",
             "no_subject_id", "file_not_a_string", "subjects_not_a_list",
             "entry_not_an_object", "string_dimension", "null_seed"])
     def test_malformed_manifest_entry_exits_3(self, tmp_path, capsys, damage):

@@ -134,7 +134,10 @@ class TestLabeledTrial:
             t.trial[0, 0] = 1.0
 
     def test_rejects_bad_shapes_and_values(self):
-        for trial in (np.zeros(5), np.zeros((1, 2, 3))):
+        # an EEGM header stores the channel count in two bytes, and its
+        # decoder refuses a memory of empty trials
+        for trial in (np.zeros(5), np.zeros((1, 2, 3)), np.zeros((65536, 1)), np.zeros((0, 3)),
+                      np.zeros((3, 0))):
             with pytest.raises(ShapeError, match="trial must be 2-D"):
                 LabeledTrial(trial=trial, class_label=0, subject_id=0, timestamp=0)
         with pytest.raises(ValueError):
@@ -153,7 +156,8 @@ class TestLabeledTrial:
     def test_ids_are_integers_by_the_config_rule(self, field, value):
         # A fractional id would be truncated by the EEGM encoder into a
         # blob that its own decoder refuses.
-        name, text = {"label": ("class_label", r"in \[0, 255\]"), "subject": ("subject_id", ">= 0"),
+        name, text = {"label": ("class_label", r"in \[0, 255\]"),
+                      "subject": ("subject_id", r"in \[0, 4294967295\]"),
                       "timestamp": ("timestamp", r"in \[0, 4294967295\]")}[field]
         with pytest.raises(ValueError, match=f"^{name} must be an integer {text}, got "):
             make_trial(np.zeros((2, 3)), **{field: value})
@@ -236,7 +240,7 @@ class TestSubjectDataset:
     def test_negative_ids_and_labels_rejected(self):
         with pytest.raises(ValueError, match=r"class_label must be an integer in \[0, 255\], got -1"):
             subject(labels=[0, -1])
-        with pytest.raises(ValueError, match="subject_id must be an integer >= 0"):
+        with pytest.raises(ValueError, match=r"subject_id must be an integer in \[0, 4294967295\]"):
             replace(subject(), subject_id=-1)
 
     def test_numpy_subject_id_stored_as_int(self):
@@ -247,7 +251,8 @@ class TestSubjectDataset:
 
     @pytest.mark.parametrize("value", [1.5, 2.0, True, "1", None])
     def test_subject_id_is_an_integer_by_the_config_rule(self, value):
-        with pytest.raises(ValueError, match="^subject_id must be an integer >= 0, got "):
+        with pytest.raises(ValueError,
+                           match=r"^subject_id must be an integer in \[0, 4294967295\], got "):
             replace(subject(), subject_id=value)
 
     @pytest.mark.parametrize("name, values", [
@@ -575,6 +580,11 @@ class TestStreamValidation:
         with pytest.raises(ValueError, match="subject 0 is listed twice"):
             Stream(subjects=twins, n_channels=2, n_timepoints=8, n_classes=2, seed=0)
 
+    def test_subject_that_is_not_a_dataset_rejected(self):
+        with pytest.raises(TypeError, match="^stream subjects must be SubjectDatasets, got object$"):
+            Stream(subjects=(split_subject(), object()), n_channels=2, n_timepoints=8,
+                   n_classes=2, seed=0)
+
     @pytest.mark.parametrize("split", list(Split), ids=lambda s: s.name.lower())
     def test_subject_without_a_split_rejected(self, split):
         # A run reads only a Stream, so a subject lacking a split is refused
@@ -658,6 +668,15 @@ class TestSubjectCodec:
     def test_truncated_header(self):
         with pytest.raises(StreamFormatError):
             decode_subject(b"EEGC", 0)
+
+    @pytest.mark.parametrize("subject_id", [-1, True, 2.0, 2**32])
+    def test_bad_subject_id_is_the_callers_value_error(self, subject_id):
+        # the file is valid: the argument is at fault, not a byte of the file
+        buf = encode_subject(balanced(2), 2)
+        with pytest.raises(ValueError, match=r"^subject_id must be an integer in "
+                                             r"\[0, 4294967295\], got ") as exc:
+            decode_subject(buf, subject_id)
+        assert not isinstance(exc.value, StreamFormatError)
 
     def test_truncated_samples(self):
         buf = encode_subject(balanced(2), 2)
@@ -827,6 +846,17 @@ class TestStreamIO:
         with pytest.raises(StreamFormatError, match=r"subjects\[2\] file .* is not a bare file name"):
             load_stream(tmp_path / "s")
         assert decoded == []
+
+    @pytest.mark.parametrize("subject_id", [-1, 2**32])
+    def test_manifest_subject_id_out_of_range_names_its_entry(self, tmp_path, subject_id):
+        save_stream(self.small_stream(), tmp_path / "s")
+        path = tmp_path / "s" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["subjects"][1]["subject_id"] = subject_id
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(StreamFormatError, match=r"subjects\[1\] subject_id must be an integer "
+                                                    rf"in \[0, 4294967295\], got {subject_id}$"):
+            load_stream(tmp_path / "s")
 
     def test_subject_file_without_trials_offset_6(self, tmp_path):
         save_stream(self.small_stream(), tmp_path / "s")

@@ -258,26 +258,51 @@ def test_memory_from_bytes_on_every_single_byte_damage():
         check_memory_bytes(blob)
 
 
-# An exemplar id within EEGM's field limits: an integer, or a value that
-# the integer rule refuses.
-exemplar_ids = st.one_of(st.integers(0, 255), st.floats(0, 255), st.booleans())
+# An exemplar id: an integer, one at or one past the bound of an EEGM id
+# field, or a value that the integer rule refuses.
+exemplar_ids = st.one_of(st.integers(0, 255), st.sampled_from([256, 2**32 - 1, 2**32]),
+                         st.floats(0, 255), st.booleans())
 
 
 @given(ids=st.lists(st.tuples(exemplar_ids, exemplar_ids, exemplar_ids), min_size=1,
-                    max_size=6, unique_by=lambda ids: ids[1:]))
-def test_every_memory_that_builds_round_trips_through_eegm(ids):
-    """(class_label, subject_id, timestamp) per exemplar: LabeledTrial
-    refuses what the encoder would truncate, so a memory that builds comes
-    back from its blob with the same keys and labels."""
+                    max_size=6, unique_by=lambda ids: ids[1:]),
+       capacity=st.one_of(st.integers(0, 8), st.sampled_from([2**32 - 1, 2**32])),
+       channels=st.sampled_from([0, 2, CHANNEL_LIMIT, CHANNEL_LIMIT + 1]),
+       stop=st.one_of(st.none(), st.integers(0, 5)))
+def test_every_memory_that_builds_round_trips_through_eegm(ids, capacity, channels, stop):
+    """(class_label, subject_id, timestamp) per exemplar, offered until
+    trial `stop` raises KeyboardInterrupt or a trial is refused, with ids,
+    capacity and channels drawn at and one past their EEGM widths (and no
+    channels).
+    MemoryConfig and LabeledTrial refuse at construction what the encoder
+    would truncate, and seen counts every trial taken, also by an offer that
+    raises, so a memory that builds comes back from its blob with the same
+    entries and seen and encodes to the same bytes again."""
     try:
-        trials = [LabeledTrial(np.full((2, 3), i), *key) for i, key in enumerate(ids)]
-    except ValueError:
+        memory = ReplayMemory(capacity=capacity)
+    except ConfigError:
+        assert capacity > COUNT_LIMIT
         return
-    memory = ReplayMemory(capacity=len(trials))
-    memory.offer_many(trials)
+    taken = []
+
+    def offered():
+        for i, key in enumerate(ids):
+            if i == stop:
+                raise KeyboardInterrupt
+            taken.append(LabeledTrial(np.full((channels, 1), i), *key))
+            yield taken[-1]
+
+    try:
+        memory.offer_many(offered())
+    except (KeyboardInterrupt, ValueError):  # a ShapeError is a ValueError
+        pass
+    assert memory.seen == len(taken)
+    if capacity >= len(taken):
+        assert all(a is b for a, b in zip(memory.entries, taken, strict=True))
     blob = memory_to_bytes(memory)
     out = memory_from_bytes(blob)
-    assert [(e.class_label, e.subject_id, e.timestamp) for e in out.entries] == list(ids)
+    assert (out.capacity, out.seen) == (memory.capacity, memory.seen)
+    assert len(out) == len(memory)
     assert all(trials_equal(a, b) for a, b in zip(memory.entries, out.entries))
     assert memory_to_bytes(out) == blob
 

@@ -28,7 +28,8 @@ class TestConstruction:
 
     @pytest.mark.parametrize("value", [1.5, True, "3", None])
     def test_non_integer_sizes_rejected(self, value):
-        with pytest.raises(ConfigError, match="memory capacity must be an integer >= 0"):
+        with pytest.raises(ConfigError,
+                           match=r"memory capacity must be an integer in \[0, 4294967295\]"):
             ReplayMemory(capacity=value)
         subject = balanced_subject(np.random.default_rng(0), 0, 4)
         with pytest.raises(ConfigError, match="memory per_class must be an integer >= 0"):
@@ -182,6 +183,24 @@ class TestOffer:
                 many.offer_many(repeated)
             assert many.seen == one.seen
             assert all(a is b for a, b in zip(many.entries, one.entries))
+
+    @pytest.mark.parametrize("interrupt", ["nan_trial", "keyboard"])
+    def test_seen_survives_an_iterable_that_raises(self, interrupt):
+        # seen counts every trial the loop took, so the reservoir's B/n stays
+        # right and the memory still encodes to a blob its decoder accepts
+        def trials():
+            yield from stream_of(3)
+            if interrupt == "keyboard":
+                raise KeyboardInterrupt
+            yield make_trial(np.full((2, 4), np.nan), timestamp=3)
+
+        mem = ReplayMemory(capacity=5, seed=0)
+        with pytest.raises(KeyboardInterrupt if interrupt == "keyboard" else ValueError):
+            mem.offer_many(trials())
+        assert len(mem) == mem.seen == 3
+        out = memory_from_bytes(memory_to_bytes(mem))
+        assert (len(out), out.seen) == (3, 3)
+        assert all(a.timestamp == b.timestamp for a, b in zip(mem.entries, out.entries))
 
 
 class TestReservoirPolicies:
@@ -451,8 +470,10 @@ class TestSerialization:
         with pytest.raises(ValueError, match="dimensions"):
             memory_from_bytes(blob)
 
-    # A LabeledTrial refuses a timestamp or class label its record could not
-    # hold (test_data.py TestLabeledTrial); a subject id has no bound.
+    # The encoder refuses nothing: MemoryConfig holds a capacity, and
+    # LabeledTrial an exemplar's ids and dimensions, to their EEGM fields, so
+    # one past a field's bound is refused at construction and the bound
+    # itself round-trips.
     @pytest.mark.parametrize("field, value", [
         ("subject", 2**32), ("capacity", 2**32), ("channels", 2**16),
     ])
@@ -464,10 +485,13 @@ class TestSerialization:
             mem.offer_many([make_trial(np.zeros(shape), **fields)])
             return mem
 
-        name = {"subject": "exemplar subject_id", "capacity": "memory capacity",
-                "channels": "exemplar channels"}[field]
-        with pytest.raises(ValueError, match=f"{name} {value} is above EEGM's {value - 1}"):
-            memory_to_bytes(memory(value))
+        error, text = {
+            "subject": (ValueError, r"^subject_id must be an integer in \[0, 4294967295\]"),
+            "capacity": (ConfigError, r"^memory capacity must be an integer in \[0, 4294967295\]"),
+            "channels": (ShapeError, "1 x 1 to 65535 x 4294967295"),
+        }[field]
+        with pytest.raises(error, match=text):
+            memory(value)
         assert len(memory_from_bytes(memory_to_bytes(memory(value - 1)))) == 1
 
     def test_duplicate_exemplar_rejected(self):
@@ -477,7 +501,7 @@ class TestSerialization:
         header = len(memory_to_bytes(ReplayMemory(capacity=2)))
         first = blob[header : header + (len(blob) - header) // 2]
         assert len(memory_from_bytes(blob[:header] + first + blob[header + len(first):])) == 2
-        with pytest.raises(ValueError, match="twice"):
+        with pytest.raises(ValueError, match=r"exemplar \(0, 0\) is already in memory"):
             memory_from_bytes(blob[:header] + first + first)
 
     def test_empty_memory_of_widest_dimensions_decodes(self):
