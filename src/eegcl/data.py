@@ -5,22 +5,28 @@ more labeled multichannel trials tagged train/val/test. SubjectDataset and
 decode_subject refuse a subject without trials, Stream a stream without
 subjects or with a subject that lacks a split, and StreamConfig a class too
 small to split, so every generated subject has trials in all three splits.
-Stream.RULES, which load_stream reads a manifest by, and _ID_RULES hold a
-stream's fields to its files' widths, so every Stream that builds saves;
-_ID_RULES and LabeledTrial's shape check do the same for an EEGM exemplar.
+Stream.RULES, which load_stream reads a manifest by, _ID_RULES and the
+shape check SubjectDataset and LabeledTrial share hold a stream's fields to
+its files' widths, so every Stream that builds saves; _ID_RULES and the
+shape check do the same for an EEGM exemplar.
 The synthetic generator produces subjects that share latent class patterns
 but differ by an invertible per-subject channel mixing, which is the kind of
 inter-subject shift the alignment stage is designed to remove.
 
 On-disk layout is a directory holding ``manifest.json`` plus one binary file
 per subject. All integers and floats in the binary format are little-endian.
+A subject file (EEGC) is stated once, as the header dtype _HEADER and the
+record dtype _record_dtype: both codec directions go through them, and every
+StreamFormatError offset is read from them by field name. encode_subject
+refuses a class count that decode_subject would refuse, so every file it
+writes decodes to an equal subject.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -43,7 +49,9 @@ MANIFEST_NAME = "manifest.json"
 SUBJECT_MAGIC = b"EEGC"
 FORMAT_VERSION = 1
 
-_HEADER = struct.Struct("<4sHIHIH")  # magic, version, n_trials, channels, timepoints, n_classes
+# A subject file's header, packed; a raw V4 magic keeps trailing NULs.
+_HEADER = np.dtype([("magic", "V4"), ("version", "<u2"), ("n_trials", "<u4"),
+                    ("n_channels", "<u2"), ("n_timepoints", "<u4"), ("n_classes", "<u2")])
 # A subject header stores the channel count and the class count in two bytes,
 # and the trial count and the timepoint count in four; a trial record stores
 # its class label in one byte and its timestamp in four; an EEGM exemplar
@@ -54,6 +62,9 @@ COUNT_LIMIT = 0xFFFFFFFF
 LABEL_LIMIT = 0xFF
 SUBJECT_LIMIT = 0xFFFFFFFF
 TIMESTAMP_LIMIT = 0xFFFFFFFF
+# A subject's (trials, channels, timepoints) by the widths of its header
+# fields; a trial's (channels, timepoints) by the last two.
+_SHAPE_LIMITS = (COUNT_LIMIT, CHANNEL_LIMIT, COUNT_LIMIT)
 
 # Redraw threshold for the per-subject mixing matrix determinant.
 _LOG_DET_MIN = math.log(1e-3)
@@ -62,6 +73,13 @@ TRAIN_FRAC = 0.7
 # A trial's ids obey a config count's rule, held to their record widths.
 _ID_RULES = {"class_label": integer(0, LABEL_LIMIT), "subject_id": integer(0, SUBJECT_LIMIT),
              "timestamp": integer(0, TIMESTAMP_LIMIT)}
+
+
+def _check_shape(name: str, shape: tuple, limits: tuple) -> None:
+    """ShapeError unless shape has one dimension per limit, each from 1 to it."""
+    if len(shape) != len(limits) or not all(0 < n <= m for n, m in zip(shape, limits)):
+        raise ShapeError(f"{name} must be {len(limits)}-D, {' x '.join('1' * len(limits))} to "
+                         f"{' x '.join(map(str, limits))}, got shape {shape}")
 
 
 class Split(IntEnum):
@@ -89,9 +107,7 @@ class LabeledTrial:
 
     def __post_init__(self):
         a = np.array(self.trial, dtype=np.float32, order="C")
-        if a.ndim != 2 or not (0 < a.shape[0] <= CHANNEL_LIMIT and 0 < a.shape[1] <= COUNT_LIMIT):
-            raise ShapeError(f"trial must be 2-D, 1 x 1 to {CHANNEL_LIMIT} x {COUNT_LIMIT}, "
-                             f"got shape {a.shape}")
+        _check_shape("trial", a.shape, _SHAPE_LIMITS[1:])
         if not np.all(np.isfinite(a)):
             raise ValueError("trial contains non-finite values")
         a.flags.writeable = False
@@ -131,11 +147,13 @@ class SubjectDataset:
     """One subject's trials: a read-only float32 block (n, channels, time)
     with parallel int64 `labels` and `timestamps` and uint8 `split` tags.
 
-    The constructor checks the arrays (one trial or more; labels, timestamps
-    and split codes of an integer dtype, never truncated; labels and
-    timestamps by a trial's _ID_RULES), makes them read-only and stores
-    subject_id as an int. A block that already is C-contiguous float32 is
-    kept, not copied, so dataclasses.replace(ds, split=...) shares it.
+    The constructor checks the arrays (a block of 1 to 2**32 - 1 trials,
+    1 to 65535 channels and 1 to 2**32 - 1 timepoints, the widths of an
+    EEGC header; labels, timestamps and split codes of an integer dtype,
+    never truncated; labels and timestamps by a trial's _ID_RULES), makes
+    them read-only and stores subject_id as an int. A block that already is
+    C-contiguous float32 is kept, not copied, so
+    dataclasses.replace(ds, split=...) shares it.
     `trials`, `trials_for` and `trials_at` build LabeledTrials of only the
     rows asked for, anew on each call.
     """
@@ -152,12 +170,11 @@ class SubjectDataset:
         labels = _int64(self.labels, "labels")
         timestamps = _int64(self.timestamps, "timestamps")
         split = _int64(self.split, "split")
-        n = len(block) if block.ndim == 3 else 0
-        if not n or not labels.shape == timestamps.shape == (n,):
-            raise ShapeError(
-                f"need a (n, channels, time) block, n >= 1, with n labels and timestamps, "
-                f"got shapes {block.shape}, {labels.shape} and {timestamps.shape}"
-            )
+        _check_shape("block", block.shape, _SHAPE_LIMITS)
+        n = len(block)
+        if not labels.shape == timestamps.shape == (n,):
+            raise ShapeError(f"need {n} labels and timestamps, "
+                             f"got shapes {labels.shape} and {timestamps.shape}")
         _ID_RULES["subject_id"].check(self.subject_id, "subject_id", ValueError)
         if not np.isfinite(block).all():
             raise ValueError("trial contains non-finite values")
@@ -216,6 +233,14 @@ class SubjectDataset:
     def trials_for(self, split: Split) -> tuple:
         """Trials carrying the given split tag, in timestamp order."""
         return self.trials_at(np.flatnonzero(self.split == split))
+
+
+def _check_classes(ds: SubjectDataset, n_classes: int) -> None:
+    """ValueError unless every label of ds is below n_classes."""
+    if ds.labels.max() >= n_classes:
+        raise ValueError(
+            f"subject {ds.subject_id} has class_label {ds.labels.max()} >= n_classes {n_classes}"
+        )
 
 
 def datasets_equal(a: SubjectDataset, b: SubjectDataset) -> bool:
@@ -305,11 +330,7 @@ class Stream:
                     f"subject {ds.subject_id} trial shape {ds.block.shape[1:]} "
                     f"!= ({self.n_channels}, {self.n_timepoints})"
                 )
-            if ds.labels.max() >= self.n_classes:
-                raise ValueError(
-                    f"subject {ds.subject_id} has class_label {ds.labels.max()} "
-                    f">= n_classes {self.n_classes}"
-                )
+            _check_classes(ds, self.n_classes)
             counts = np.bincount(ds.split, minlength=len(Split))
             for split in Split:
                 if not counts[split]:
@@ -455,89 +476,85 @@ def _record_dtype(c: int, t: int) -> np.dtype:
     )
 
 
-_RECORD_PREFIX = _record_dtype(1, 1).fields["samples"][1]  # a record's bytes before its samples
+def _offset(dtype: np.dtype, name: str) -> int:
+    """The byte offset of the named field within a record of dtype."""
+    return dtype.fields[name][1]
 
 
 def encode_subject(dataset: SubjectDataset, n_classes: int) -> bytes:
-    """Serialize one subject to the binary trial format."""
+    """Serialize one subject to the binary trial format. n_classes obeys
+    Stream.RULES and is above every label, as decode_subject requires;
+    else a ValueError."""
+    Stream.RULES["n_classes"].check(n_classes, "n_classes", ValueError)
+    _check_classes(dataset, n_classes)
     n, c, t = dataset.block.shape
-    if c > CHANNEL_LIMIT:
-        raise ValueError(f"n_channels {c} is above EEGC's {CHANNEL_LIMIT}")
-    if n_classes > CLASS_LIMIT:
-        raise ValueError(f"n_classes {n_classes} is above EEGC's {CLASS_LIMIT}")
-    header = _HEADER.pack(SUBJECT_MAGIC, FORMAT_VERSION, n, c, t, n_classes)
+    header = np.array((SUBJECT_MAGIC, FORMAT_VERSION, n, c, t, n_classes), _HEADER)
     records = np.empty(n, _record_dtype(c, t))
     records["timestamp"], records["label"] = dataset.timestamps, dataset.labels
     records["tag"], records["samples"] = dataset.split, dataset.block
-    return header + records.tobytes()
+    return header.tobytes() + records.tobytes()
 
 
 def decode_subject(buf: bytes, subject_id: int, path="<memory>") -> tuple:
     """Parse one subject file; returns (SubjectDataset, n_classes).
 
     The file must be exactly its header plus n_trials records, as an EEGM
-    blob is; all records are then parsed at once and checked with array
-    operations. Raises StreamFormatError carrying the byte offset of the
-    first malformed field: for a file of another length, its first missing
-    or first extra byte; else the first bad field of the first bad record.
+    blob is; all records are then parsed at once and checked by the
+    SubjectDataset constructor. Raises StreamFormatError carrying the byte
+    offset of the first malformed field: for a file of another length, its
+    first missing or first extra byte; else the first bad record's first bad field.
     A subject_id out of its rule is the caller's fault, a plain ValueError.
     """
     _ID_RULES["subject_id"].check(subject_id, "subject_id", ValueError)
-    if len(buf) < _HEADER.size:
+    if len(buf) < _HEADER.itemsize:
         raise StreamFormatError(
             f"{path}: truncated while reading header "
-            f"(need {_HEADER.size} bytes at offset 0, have {len(buf)})",
+            f"(need {_HEADER.itemsize} bytes at offset 0, have {len(buf)})",
             offset=0,
         )
-    magic, version, n_trials, c, t, n_classes = _HEADER.unpack_from(buf, 0)
-    if magic != SUBJECT_MAGIC:
-        raise StreamFormatError(
-            f"{path}: bad magic {magic!r}, expected {SUBJECT_MAGIC!r}", offset=0
-        )
-    if version != FORMAT_VERSION:
-        raise StreamFormatError(
-            f"{path}: unsupported format version {version}", offset=4
-        )
-    if n_trials < 1:
-        raise StreamFormatError(f"{path}: file holds no trials", offset=6)
-    if c < 1 or t < 1:
-        raise StreamFormatError(
-            f"{path}: invalid trial dimensions {c}x{t}", offset=10
-        )
-    # In Python integers: only a record that fits in buf is sure to fit in a dtype.
-    size = _RECORD_PREFIX + 4 * c * t
-    expected = _HEADER.size + n_trials * size
+    magic, version, n_trials, c, t, n_classes = np.frombuffer(buf, _HEADER, 1)[0].item()
+    for name, bad, message in (  # the header's faults, in its byte order
+        ("magic", magic != SUBJECT_MAGIC, f"bad magic {magic!r}, expected {SUBJECT_MAGIC!r}"),
+        ("version", version != FORMAT_VERSION, f"unsupported format version {version}"),
+        ("n_trials", n_trials < 1, "file holds no trials"),
+        ("n_channels", c < 1 or t < 1, f"invalid trial dimensions {c}x{t}"),
+    ):
+        if bad:
+            raise StreamFormatError(f"{path}: {message}", offset=_offset(_HEADER, name))
+    # In Python integers, before any record dtype is built: a dtype's size
+    # must fit in a C int, and a header can ask for far more.
+    size = _record_dtype(0, 0).itemsize + 4 * c * t
+    expected = _HEADER.itemsize + n_trials * size
     if len(buf) != expected:
         raise StreamFormatError(
             f"{path}: file holds {len(buf)} bytes, but its header and "
             f"{n_trials} trials of {c}x{t} take {expected}",
             offset=min(len(buf), expected),
         )
-    records = np.frombuffer(buf, _record_dtype(c, t), n_trials, _HEADER.size)
+    record = _record_dtype(c, t)
+    records = np.frombuffer(buf, record, n_trials, _HEADER.itemsize)
     block = np.array(records["samples"], dtype=np.float32).reshape(n_trials, c, t)
-    labels, tags = records["label"], records["tag"]
-    bad = (labels >= n_classes) | (tags > max(Split))
-    if not bad.any():
-        try:  # the constructor's finiteness check is the only pass over the samples
-            return SubjectDataset(subject_id, block, labels, records["timestamp"], tags), n_classes
-        except ValueError as exc:
-            if np.isfinite(block).all():
-                raise StreamFormatError(f"{path}: {exc}", offset=_HEADER.size) from exc
-    # A record is bad: find the first, then its first bad field.
-    i = int((bad | ~np.isfinite(block).all(axis=(1, 2))).argmax())
-    offset = _HEADER.size + i * size
-    if labels[i] >= n_classes:
-        raise StreamFormatError(
-            f"{path}: trial {i} class_label {labels[i]} >= n_classes {n_classes}",
-            offset=offset + 4,
-        )
-    if tags[i] > max(Split):
-        raise StreamFormatError(
-            f"{path}: trial {i} split tag {tags[i]} not in {{0, 1, 2}}",
-            offset=offset + 5,
-        )
+    stamps, labels, tags = records["timestamp"], records["label"], records["tag"]
+    with contextlib.suppress(ValueError):  # a bad record, which the table below finds
+        if labels.max() < n_classes:  # the constructor's pass is the only one over the samples
+            return SubjectDataset(subject_id, block, labels, stamps, tags), n_classes
+    # The faults a record can hold, in its byte order: the first bad
+    # record's first bad field is reported.
+    prev = np.concatenate(([-1], stamps[:-1]))  # int64, so the first record's -1 fits
+    faults = (
+        ("timestamp", stamps <= prev,
+         "trial {i}: timestamps must increase strictly within a subject (saw {v} after {prev})"),
+        ("label", labels >= n_classes, "trial {i} class_label {v} >= n_classes {n_classes}"),
+        ("tag", tags > max(Split), "trial {i} split tag {v} not in {{0, 1, 2}}"),
+        ("samples", ~np.isfinite(block).all(axis=(1, 2)),
+         "trial {i}: trial contains non-finite values"),
+    )
+    bad = np.array([mask for _, mask, _ in faults])
+    i = int(bad.any(axis=0).argmax())
+    name, _, message = faults[int(bad[:, i].argmax())]
     raise StreamFormatError(
-        f"{path}: trial {i}: trial contains non-finite values", offset=offset + _RECORD_PREFIX
+        f"{path}: " + message.format(i=i, v=records[name][i], prev=prev[i], n_classes=n_classes),
+        offset=_HEADER.itemsize + i * size + _offset(record, name),
     )
 
 
@@ -639,13 +656,13 @@ def load_stream(path) -> Stream:
         if not fpath.is_file():
             raise StreamFormatError(f"{fpath}: listed in manifest but missing")
         ds, n_classes = decode_subject(fpath.read_bytes(), subject_id, fpath)
-        # The header fields the manifest restates, with their byte offsets.
-        for what, have, offset in (("classes", n_classes, 16), ("channels", ds.n_channels, 10),
-                                   ("timepoints", ds.n_timepoints, 12)):
-            if have != manifest[f"n_{what}"]:
+        # The header fields the manifest restates.
+        for key, have in (("n_classes", n_classes), ("n_channels", ds.n_channels),
+                          ("n_timepoints", ds.n_timepoints)):
+            if have != manifest[key]:
                 raise StreamFormatError(
-                    f"{fpath}: file has {have} {what}, manifest says {manifest[f'n_{what}']}",
-                    offset=offset,
+                    f"{fpath}: file has {have} {key[2:]}, manifest says {manifest[key]}",
+                    offset=_offset(_HEADER, key),
                 )
         subjects.append(ds)
     try:

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import json
 import math
@@ -237,6 +239,19 @@ class TestSubjectDataset:
         widest = subject(1, **{field: [value - 1]})
         assert datasets_equal(decode_subject(encode_subject(widest, 256), 0)[0], widest)
 
+    # 2**32 trials is left out: the block would take 32 GB or more.
+    @pytest.mark.parametrize("shape", [(1, 65536, 2), (1, 0, 3), (1, 2, 0)],
+                             ids=["channels", "no_channels", "no_timepoints"])
+    def test_fields_out_of_eegc_range_rejected(self, shape):
+        # The subject refuses, where it is built, a shape its EEGC header
+        # cannot hold: more channels than two bytes count, or none at all.
+        with pytest.raises(ShapeError, match=re.escape(
+                f"block must be 3-D, 1 x 1 x 1 to 4294967295 x 65535 x 4294967295, "
+                f"got shape {shape}")):
+            subject(1, block=np.zeros(shape))
+        widest = subject(1, block=np.zeros((1, 65535, 2)))
+        assert decode_subject(encode_subject(widest, 2), 0)[0].block.shape == (1, 65535, 2)
+
     def test_negative_ids_and_labels_rejected(self):
         with pytest.raises(ValueError, match=r"class_label must be an integer in \[0, 255\], got -1"):
             subject(labels=[0, -1])
@@ -282,7 +297,7 @@ class TestSubjectDataset:
             assert not a.flags.writeable
         with pytest.raises(ValueError):
             ds.block[0, 0, 0] = 1.0
-        with pytest.raises(ShapeError, match=r"n >= 1"):
+        with pytest.raises(ShapeError, match=r"^block must be 3-D, 1 x 1 x 1 to "):
             subject(0, block=np.empty((0, 2, 8)))
         block = np.zeros((2, 2, 8), dtype=np.float32)  # already float32: kept, not copied
         assert subject(block=block).block is block
@@ -615,17 +630,6 @@ class TestSubjectCodec:
         assert (n_trials, c, t, n_classes) == (4, 3, 5, 2)
         assert len(buf) == HEADER.size + 4 * (TRIAL_PREFIX.size + 4 * 3 * 5)
 
-    # A subject holds its labels and timestamps to the record's widths
-    # (TestSubjectDataset), so only the header's channel count is left here.
-    @pytest.mark.parametrize("arrays, message", [
-        ({"block": np.zeros((1, 65536, 2))}, "n_channels 65536 is above EEGC's 65535"),
-    ], ids=["channels"])
-    def test_fields_out_of_eegc_range_rejected(self, arrays, message):
-        with pytest.raises(ValueError, match=message):
-            encode_subject(subject(1, **arrays), 257)
-        widest = subject(1, block=np.zeros((1, 65535, 2)))
-        assert decode_subject(encode_subject(widest, 2), 0)[0].block.shape == (1, 65535, 2)
-
     def test_bad_magic_offset_0(self):
         buf = HEADER.pack(b"XXXX", 1, 0, 2, 4, 2)
         with pytest.raises(StreamFormatError) as exc:
@@ -715,8 +719,23 @@ class TestSubjectCodec:
             + TRIAL_PREFIX.pack(5, 0, 0) + data
             + TRIAL_PREFIX.pack(5, 1, 0) + data
         )
-        with pytest.raises(StreamFormatError):
+        with pytest.raises(StreamFormatError, match="trial 1: timestamps must increase "
+                                                    "strictly within a subject") as exc:
             decode_subject(buf, 0)
+        # the repeated timestamp is in the second record, not at the first
+        assert exc.value.offset == HEADER.size + 1 * (TRIAL_PREFIX.size + len(data))
+
+    def test_every_error_offset_is_read_from_a_dtype(self):
+        # No offset= argument in eegcl.data holds an integer literal but 0:
+        # each byte offset is read from the header or record dtype by field name.
+        tree = ast.parse(inspect.getsource(eegcl.data))
+        literals = [
+            (node.lineno, const.value) for node in ast.walk(tree)
+            if isinstance(node, ast.keyword) and node.arg == "offset"
+            for const in ast.walk(node.value)
+            if isinstance(const, ast.Constant) and type(const.value) is int and const.value != 0
+        ]
+        assert literals == []
 
 
 class TestStreamIO:
@@ -767,7 +786,8 @@ class TestStreamIO:
         with pytest.raises(ConfigError, match=r"^stream n_classes must be an integer in "
                                               r"\[1, 65535\], got 65536$"):
             Stream(stream.subjects, stream.n_channels, stream.n_timepoints, 65536, 0)
-        with pytest.raises(ValueError, match="n_classes 65536 is above EEGC's 65535"):
+        with pytest.raises(ValueError, match=r"^n_classes must be an integer in "
+                                             r"\[1, 65535\], got 65536$"):
             encode_subject(stream[0], 65536)
         widest = encode_subject(stream[0], 65535)
         assert decode_subject(widest, 0)[1] == 65535

@@ -1,7 +1,9 @@
-"""Property tests for the decoders: on arbitrary bytes, and on
-single-byte mutations and truncations of valid files, a binary decoder
-either returns what its encoder writes back byte for byte or raises its
-documented error; load_stream does the same for generated manifest fields
+"""Property tests for the decoders: on arbitrary bytes, on
+single-byte mutations and truncations of valid files, and on subject files
+with several record fields made bad at once, a binary decoder either
+returns what its encoder writes back byte for byte or raises its
+documented error, and every subject file the encoder writes decodes equal;
+load_stream does the same for generated manifest fields
 and damaged manifest bytes, and an experiment config for generated values
 in its fields. A Stream builds exactly when every subject has train, val
 and test trials, and one that builds from generated field values saves
@@ -51,6 +53,7 @@ from eegcl.data import (  # noqa: E402
     Split,
     Stream,
     SubjectDataset,
+    datasets_equal,
     decode_subject,
     encode_subject,
     load_stream,
@@ -87,7 +90,8 @@ def per_trial_decode(buf, path="<memory>"):
     """The per-trial subject decoder: returns (trials, split tags,
     n_classes), or raises the StreamFormatError the block decoder must
     reproduce. A file must hold n_trials >= 1 records and nothing else
-    after its header."""
+    after its header; each record's fields are checked in their byte
+    order, its timestamp against the record before."""
     if len(buf) < HEADER.size:
         raise StreamFormatError(
             f"{path}: truncated while reading header "
@@ -111,9 +115,16 @@ def per_trial_decode(buf, path="<memory>"):
             offset=min(len(buf), expected),
         )
     offset = HEADER.size
-    trials, tags = [], []
+    trials, tags, last = [], [], -1
     for i in range(n_trials):
         timestamp, label, tag = TRIAL_PREFIX.unpack_from(buf, offset)
+        if timestamp <= last:
+            raise StreamFormatError(
+                f"{path}: trial {i}: timestamps must increase strictly within a subject "
+                f"(saw {timestamp} after {last})",
+                offset=offset,
+            )
+        last = timestamp
         if label >= n_classes:
             raise StreamFormatError(
                 f"{path}: trial {i} class_label {label} >= n_classes {n_classes}",
@@ -134,15 +145,6 @@ def per_trial_decode(buf, path="<memory>"):
         offset += 4 * c * t
         trials.append(trial)
         tags.append(tag)
-    last = -1
-    for trial in trials:
-        if trial.timestamp <= last:
-            raise StreamFormatError(
-                f"{path}: timestamps must increase strictly within a subject "
-                f"(saw {trial.timestamp} after {last})",
-                offset=HEADER.size,
-            )
-        last = trial.timestamp
     return trials, tags, n_classes
 
 
@@ -225,7 +227,29 @@ def check_memory_bytes(blob):
         assert again[:MEMORY_HEADER_BEFORE_DIMS] == blob[:MEMORY_HEADER_BEFORE_DIMS]
 
 
-@given(buf=damaged(_valid_subject_files(), b"EEGC"))
+# A bad value for each field of a trial record, at its byte offset: a
+# timestamp of 0 (not above the record before), a label past the valid
+# files' 3 classes, a split tag past TEST and a NaN sample.
+BAD_FIELDS = ((0, struct.pack("<I", 0)), (4, b"\xff"), (5, b"\x03"),
+              (6, np.float32(np.nan).tobytes()))
+
+
+@st.composite
+def several_bad_fields(draw):
+    """A valid subject file with fields of one or more records made bad at
+    once, so that a record can hold faults in more than one field."""
+    buf = bytearray(draw(st.sampled_from(_valid_subject_files())))
+    n_trials, c, t = HEADER.unpack_from(buf)[2:5]
+    size = TRIAL_PREFIX.size + 4 * c * t
+    for i, (at, value) in draw(st.lists(
+            st.tuples(st.integers(0, n_trials - 1), st.sampled_from(BAD_FIELDS)),
+            min_size=1, max_size=6)):
+        pos = HEADER.size + i * size + at
+        buf[pos:pos + len(value)] = value
+    return bytes(buf)
+
+
+@given(buf=damaged(_valid_subject_files(), b"EEGC") | several_bad_fields())
 def test_decode_subject_round_trips_or_fails_like_the_per_trial_decoder(buf):
     check_subject_bytes(buf)
 
@@ -489,6 +513,35 @@ def test_a_subject_no_record_can_hold_is_refused_before_a_save(tmp_path, arrays,
         save_stream(Stream((first, replace(first, subject_id=1, **arrays)), 2, 3, 301, 0),
                     tmp_path / "stream")
     assert list(tmp_path.iterdir()) == []
+
+
+# A class count for encode_subject: at and past the header's bounds, one the
+# integer rule refuses, or (None) the subject's largest label.
+class_counts = (st.sampled_from([0, -1, True, 2.5, CLASS_LIMIT, CLASS_LIMIT + 1, None])
+                | st.integers(1, LABEL_LIMIT + 2))
+
+
+@given(arrays=subject_arrays(), n_classes=class_counts)
+def test_every_subject_the_encoder_writes_decodes_equal(arrays, n_classes):
+    """encode_subject refuses, with a ValueError, a class count outside
+    Stream.RULES or not above every label; each blob it returns decodes to
+    an equal subject and its class count."""
+    labels, stamps, tags = arrays
+    try:
+        ds = SubjectDataset(0, np.zeros((len(tags), 2, 3)), labels, stamps, tags)
+    except ValueError:  # a label or timestamp no record can hold
+        return
+    if n_classes is None:
+        n_classes = max(labels)
+    encodable = type(n_classes) is int and max(labels) < n_classes <= CLASS_LIMIT
+    try:
+        blob = encode_subject(ds, n_classes)
+    except ValueError:
+        assert not encodable
+        return
+    assert encodable
+    decoded, n = decode_subject(blob, 0)
+    assert datasets_equal(decoded, ds) and n == n_classes
 
 
 VALID_EXPERIMENT = {
