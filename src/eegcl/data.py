@@ -7,8 +7,8 @@ subjects or with a subject that lacks a split, and StreamConfig a class too
 small to split, so every generated subject has trials in all three splits.
 Stream.RULES, which load_stream reads a manifest by, _ID_RULES and the
 shape check SubjectDataset and LabeledTrial share hold a stream's fields to
-its files' widths, so every Stream that builds saves; _ID_RULES and the
-shape check do the same for an EEGM exemplar.
+its files' widths, and a trial to TRIAL_SAMPLES_LIMIT samples, so every Stream
+that builds saves; _ID_RULES and the shape check do the same for an EEGM exemplar.
 The synthetic generator produces subjects that share latent class patterns
 but differ by an invertible per-subject channel mixing, which is the kind of
 inter-subject shift the alignment stage is designed to remove.
@@ -65,6 +65,9 @@ TIMESTAMP_LIMIT = 0xFFFFFFFF
 # A subject's (trials, channels, timepoints) by the widths of its header
 # fields; a trial's (channels, timepoints) by the last two.
 _SHAPE_LIMITS = (COUNT_LIMIT, CHANNEL_LIMIT, COUNT_LIMIT)
+# Samples a trial may hold: numpy's largest record dtype, 2**31 - 1 bytes (a
+# wider one gets a negative itemsize), less EEGM's 9-byte prefix, in float32s.
+TRIAL_SAMPLES_LIMIT = (2**31 - 1 - 9) // 4
 
 # Redraw threshold for the per-subject mixing matrix determinant.
 _LOG_DET_MIN = math.log(1e-3)
@@ -76,10 +79,13 @@ _ID_RULES = {"class_label": integer(0, LABEL_LIMIT), "subject_id": integer(0, SU
 
 
 def _check_shape(name: str, shape: tuple, limits: tuple) -> None:
-    """ShapeError unless shape has one dimension per limit, each from 1 to it."""
-    if len(shape) != len(limits) or not all(0 < n <= m for n, m in zip(shape, limits)):
+    """ShapeError unless shape has one dimension per limit, each from 1 to
+    it, and its last two make a trial of at most TRIAL_SAMPLES_LIMIT samples."""
+    if (len(shape) != len(limits) or not all(0 < n <= m for n, m in zip(shape, limits))
+            or math.prod(shape[-2:]) > TRIAL_SAMPLES_LIMIT):
         raise ShapeError(f"{name} must be {len(limits)}-D, {' x '.join('1' * len(limits))} to "
-                         f"{' x '.join(map(str, limits))}, got shape {shape}")
+                         f"{' x '.join(map(str, limits))}, got shape {shape} "
+                         f"(at most {TRIAL_SAMPLES_LIMIT} samples a trial)")
 
 
 class Split(IntEnum):
@@ -106,8 +112,8 @@ class LabeledTrial:
     timestamp: int
 
     def __post_init__(self):
+        _check_shape("trial", np.shape(self.trial), _SHAPE_LIMITS[1:])  # before the copy
         a = np.array(self.trial, dtype=np.float32, order="C")
-        _check_shape("trial", a.shape, _SHAPE_LIMITS[1:])
         if not np.all(np.isfinite(a)):
             raise ValueError("trial contains non-finite values")
         a.flags.writeable = False
@@ -149,11 +155,11 @@ class SubjectDataset:
 
     The constructor checks the arrays (a block of 1 to 2**32 - 1 trials,
     1 to 65535 channels and 1 to 2**32 - 1 timepoints, the widths of an
-    EEGC header; labels, timestamps and split codes of an integer dtype,
-    never truncated; labels and timestamps by a trial's _ID_RULES), makes
-    them read-only and stores subject_id as an int. A block that already is
-    C-contiguous float32 is kept, not copied, so
-    dataclasses.replace(ds, split=...) shares it.
+    EEGC header, and at most TRIAL_SAMPLES_LIMIT samples a trial, before
+    the block is copied; labels, timestamps and split codes of an integer
+    dtype, never truncated; labels and timestamps by a trial's _ID_RULES),
+    makes them read-only and stores subject_id as an int. A C-contiguous
+    float32 block is kept, so dataclasses.replace(ds, split=...) shares it.
     `trials`, `trials_for` and `trials_at` build LabeledTrials of only the
     rows asked for, anew on each call.
     """
@@ -166,11 +172,11 @@ class SubjectDataset:
     _ARRAYS = ("block", "labels", "timestamps", "split")
 
     def __post_init__(self):
+        _check_shape("block", np.shape(self.block), _SHAPE_LIMITS)  # before the copy
         block = np.ascontiguousarray(self.block, dtype=np.float32)
         labels = _int64(self.labels, "labels")
         timestamps = _int64(self.timestamps, "timestamps")
         split = _int64(self.split, "split")
-        _check_shape("block", block.shape, _SHAPE_LIMITS)
         n = len(block)
         if not labels.shape == timestamps.shape == (n,):
             raise ShapeError(f"need {n} labels and timestamps, "
@@ -498,8 +504,9 @@ def encode_subject(dataset: SubjectDataset, n_classes: int) -> bytes:
 def decode_subject(buf: bytes, subject_id: int, path="<memory>") -> tuple:
     """Parse one subject file; returns (SubjectDataset, n_classes).
 
-    The file must be exactly its header plus n_trials records, as an EEGM
-    blob is; all records are then parsed at once and checked by the
+    Its trial holds 1 to TRIAL_SAMPLES_LIMIT samples, so its record dtype
+    builds, and the file is exactly its header plus n_trials records, as an
+    EEGM blob is; all records are then parsed at once and checked by the
     SubjectDataset constructor. Raises StreamFormatError carrying the byte
     offset of the first malformed field: for a file of another length, its
     first missing or first extra byte; else the first bad record's first bad field.
@@ -517,21 +524,18 @@ def decode_subject(buf: bytes, subject_id: int, path="<memory>") -> tuple:
         ("magic", magic != SUBJECT_MAGIC, f"bad magic {magic!r}, expected {SUBJECT_MAGIC!r}"),
         ("version", version != FORMAT_VERSION, f"unsupported format version {version}"),
         ("n_trials", n_trials < 1, "file holds no trials"),
-        ("n_channels", c < 1 or t < 1, f"invalid trial dimensions {c}x{t}"),
+        ("n_channels", not 0 < c * t <= TRIAL_SAMPLES_LIMIT, f"invalid trial dimensions {c}x{t}"),
     ):
         if bad:
             raise StreamFormatError(f"{path}: {message}", offset=_offset(_HEADER, name))
-    # In Python integers, before any record dtype is built: a dtype's size
-    # must fit in a C int, and a header can ask for far more.
-    size = _record_dtype(0, 0).itemsize + 4 * c * t
-    expected = _HEADER.itemsize + n_trials * size
+    record = _record_dtype(c, t)
+    expected = _HEADER.itemsize + n_trials * record.itemsize
     if len(buf) != expected:
         raise StreamFormatError(
             f"{path}: file holds {len(buf)} bytes, but its header and "
             f"{n_trials} trials of {c}x{t} take {expected}",
             offset=min(len(buf), expected),
         )
-    record = _record_dtype(c, t)
     records = np.frombuffer(buf, record, n_trials, _HEADER.itemsize)
     block = np.array(records["samples"], dtype=np.float32).reshape(n_trials, c, t)
     stamps, labels, tags = records["timestamp"], records["label"], records["tag"]
@@ -554,7 +558,7 @@ def decode_subject(buf: bytes, subject_id: int, path="<memory>") -> tuple:
     name, _, message = faults[int(bad[:, i].argmax())]
     raise StreamFormatError(
         f"{path}: " + message.format(i=i, v=records[name][i], prev=prev[i], n_classes=n_classes),
-        offset=_HEADER.itemsize + i * size + _offset(record, name),
+        offset=_HEADER.itemsize + i * record.itemsize + _offset(record, name),
     )
 
 

@@ -1,11 +1,11 @@
 """Elastic weight consolidation: diagonal Fisher importance + quadratic anchor.
 
-After each training stage the harness records the trained parameters as an
-anchor and adds that stage's diagonal Fisher estimate into a running sum
-(the online variant — one anchor, accumulated importances — so the state
-stays O(n_params) no matter how many subjects pass). During later stages the
-penalty (lambda/2) * sum_i F_i (theta_i - anchor_i)^2 pulls parameters that
-mattered before back toward where they were.
+After each training stage but the last, the harness records the trained
+parameters as an anchor and adds that stage's diagonal Fisher estimate into
+a running sum (the online variant — one anchor, accumulated importances — so
+the state stays O(n_params) no matter how many subjects pass). During later
+stages the penalty (lambda/2) * sum_i F_i (theta_i - anchor_i)^2 pulls
+parameters that mattered before back toward where they were.
 """
 
 from __future__ import annotations

@@ -298,7 +298,7 @@ class RunState:
         )
         self.stage_epochs.append(len(history))
 
-        if self.ewc_state is not None:
+        if self.ewc_state is not None and stage < len(self.stream):  # a later penalty reads it
             self.ewc_state.update(self.model, self.params, train_set)
         if memory is not None:
             fetched = SubjectDataset(ds.subject_id, train_x, train_y, stamps,

@@ -19,29 +19,31 @@ strategy's MemoryConfig states the rules the memory checks its arguments by.
 `seen`, the n of B/n, counts every item taken, also by an offer that raised.
 
 memory_to_bytes and memory_from_bytes write and read the EEGM format, which
-only this module knows: a header, then one packed structured-dtype record
+only this module knows: a packed header dtype, then one packed record dtype
 per exemplar. MemoryConfig and LabeledTrial hold each value to its EEGM
-width, so every memory encodes; the decoder checks only header and length.
+width, and a trial to data.TRIAL_SAMPLES_LIMIT samples, so every memory
+encodes; the decoder checks only header and length.
 """
 
 from __future__ import annotations
 
 import random
-import struct
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import COUNT_LIMIT, LabeledTrial, Split, SubjectDataset
+from .data import COUNT_LIMIT, TRIAL_SAMPLES_LIMIT, LabeledTrial, Split, SubjectDataset
 from .errors import ConfigError, ShapeError, check_fields, integer, one_of
 
 POLICIES = ("reservoir_standard", "reservoir_paper_literal", "class_balanced")
 
 _MEMORY_MAGIC = b"EEGM"
 _MEMORY_VERSION = 1
-_MEMORY_HEADER = struct.Struct("<4sHIQBIHI")
-# magic, version, capacity, seen, policy code, n_entries, channels, timepoints
+# A memory blob's header, packed; a raw V4 magic keeps trailing NULs.
+_MEMORY_HEADER = np.dtype([("magic", "V4"), ("version", "<u2"), ("capacity", "<u4"),
+                           ("seen", "<u8"), ("policy", "u1"), ("n_entries", "<u4"),
+                           ("n_channels", "<u2"), ("n_timepoints", "<u4")])
 
 
 @dataclass(frozen=True)
@@ -181,9 +183,6 @@ def store_class_balanced(
     return memory._insert(dataset.trials_at(chosen))
 
 
-_POLICY_CODES = {name: i for i, name in enumerate(POLICIES)}
-
-
 def _record_dtype(c: int, t: int) -> np.dtype:
     """One exemplar record of an EEGM blob, packed: subject_id, timestamp
     and class_label, then the samples."""
@@ -191,9 +190,6 @@ def _record_dtype(c: int, t: int) -> np.dtype:
         ("subject_id", "<u4"), ("timestamp", "<u4"), ("class_label", "u1"),
         ("trial", "<f4", (c, t)),
     ])
-
-
-_RECORD_PREFIX = _record_dtype(0, 0).itemsize  # bytes of an exemplar record before its samples
 
 
 def memory_to_bytes(memory: ReplayMemory) -> bytes:
@@ -208,23 +204,22 @@ def memory_to_bytes(memory: ReplayMemory) -> bytes:
     """
     entries = memory.entries
     c, t = entries[0].trial.shape if entries else (0, 0)
-    header = _MEMORY_HEADER.pack(
-        _MEMORY_MAGIC, _MEMORY_VERSION, memory.capacity, memory.seen,
-        _POLICY_CODES[memory.policy], len(entries), c, t,
-    )
+    header = np.array((_MEMORY_MAGIC, _MEMORY_VERSION, memory.capacity, memory.seen,
+                       POLICIES.index(memory.policy), len(entries), c, t), _MEMORY_HEADER)
     records = np.empty(len(entries), _record_dtype(c, t))
     for name in records.dtype.names:  # a LabeledTrial's fields, as named
         records[name] = [getattr(e, name) for e in entries]
-    return header + records.tobytes()
+    return header.tobytes() + records.tobytes()
 
 
 def memory_from_bytes(buf: bytes, seed: int = 0) -> ReplayMemory:
     """Inverse of memory_to_bytes; any malformed blob is a ValueError. Only
-    the header and length are checked here: LabeledTrial and _insert check
-    each exemplar, as they do in a live memory."""
-    if len(buf) < _MEMORY_HEADER.size:
+    the header (a trial of at most TRIAL_SAMPLES_LIMIT samples) and length
+    are checked here: LabeledTrial and _insert check each exemplar."""
+    if len(buf) < _MEMORY_HEADER.itemsize:
         raise ValueError("memory blob too short for header")
-    magic, version, capacity, seen, code, n_entries, c, t = _MEMORY_HEADER.unpack_from(buf, 0)
+    magic, version, capacity, seen, code, n_entries, c, t = (
+        np.frombuffer(buf, _MEMORY_HEADER, 1)[0].item())
     if magic != _MEMORY_MAGIC:
         raise ValueError(f"bad memory blob magic {magic!r}")
     if version != _MEMORY_VERSION:
@@ -235,16 +230,16 @@ def memory_from_bytes(buf: bytes, seed: int = 0) -> ReplayMemory:
         raise ValueError(f"memory blob holds {n_entries} entries, over its capacity {capacity}")
     if seen < n_entries:
         raise ValueError(f"memory blob holds {n_entries} entries but has seen only {seen}")
-    if n_entries and (c < 1 or t < 1):
+    # Its record dtype builds (t counts alone at 0 channels); empty memories encode 0x0.
+    if max(t, c * t) > TRIAL_SAMPLES_LIMIT or n_entries and not c * t:
         raise ValueError(f"memory blob holds {n_entries} entries of invalid dimensions {c}x{t}")
-    # In Python integers: only a record that fits in buf is sure to fit in a dtype.
-    expected = _MEMORY_HEADER.size + n_entries * (_RECORD_PREFIX + 4 * c * t)
+    record = _record_dtype(c, t)
+    expected = _MEMORY_HEADER.itemsize + n_entries * record.itemsize
     if len(buf) != expected:
         raise ValueError(f"memory blob length {len(buf)} != expected {expected}")
     memory = ReplayMemory(capacity=capacity, policy=POLICIES[code], seed=seed)
-    if n_entries:
-        records = np.frombuffer(buf, _record_dtype(c, t), n_entries, _MEMORY_HEADER.size)
-        fields = (records[n].tolist() for n in ("class_label", "subject_id", "timestamp"))
-        memory._insert(LabeledTrial(*entry) for entry in zip(records["trial"], *fields))
+    records = np.frombuffer(buf, record, n_entries, _MEMORY_HEADER.itemsize)
+    fields = (records[n].tolist() for n in ("class_label", "subject_id", "timestamp"))
+    memory._insert(LabeledTrial(*entry) for entry in zip(records["trial"], *fields))
     memory.seen = seen
     return memory

@@ -13,8 +13,11 @@ the default shape, run seed 0, 2 epochs a stage:
 
 The bits depend on the numpy and BLAS build and on the CPU kernel OpenBLAS
 picks at run time, so ``golden_runs.json`` keeps the build and kernel that
-made them beside the digests, and ``test_golden_runs.py`` skips on any
-other. A change that alters results on purpose refreshes both in one step:
+made them beside the digests. ``test_golden_runs.py`` skips on another
+numpy or BLAS build, and on another kernel it skips only the
+``final_params`` digests, the only ones that moved under the Haswell and
+Sandybridge kernels. A change that
+alters results on purpose refreshes both in one step:
 
     PYTHONPATH=src python3 tests/golden_runs.py > tests/golden_runs.json
 """

@@ -6,20 +6,25 @@ import math
 import pickle
 import re
 import struct
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import eegcl.data
+import eegcl.replay
 from eegcl import ConfigError, StreamConfig, StreamFormatError, gen_stream
 from eegcl.alignment import compute_whitener, reference_covariance
 from eegcl.data import (
+    _SHAPE_LIMITS,
     LabeledTrial,
     Split,
     Stream,
     SubjectDataset,
+    _check_shape,
     _draw_mixing,
     datasets_equal,
     decode_subject,
@@ -38,6 +43,8 @@ from helpers import UNDECODABLE_JSON, align_subject, balanced_subject, make_tria
 
 HEADER = struct.Struct("<4sHIHIH")
 TRIAL_PREFIX = struct.Struct("<IBB")
+# A (channels, timepoints) trial of TRIAL_SAMPLES_LIMIT + 1 samples.
+PAST_THE_SAMPLE_BOUND = (2, 268_435_455)
 
 
 def with_trial_count(buf, change):
@@ -251,6 +258,25 @@ class TestSubjectDataset:
             subject(1, block=np.zeros(shape))
         widest = subject(1, block=np.zeros((1, 65535, 2)))
         assert decode_subject(encode_subject(widest, 2), 0)[0].block.shape == (1, 65535, 2)
+
+    def test_trial_past_the_sample_bound_refused_before_its_copy(self):
+        # The shape check reads the input's own shape, so a view of one
+        # float is refused before its ~2 GB float32 copy is made.
+        c, t = PAST_THE_SAMPLE_BOUND
+        for name, shape, limits in (("block", (1, c, t), _SHAPE_LIMITS),
+                                    ("trial", (c, t), _SHAPE_LIMITS[1:])):
+            with pytest.raises(ShapeError, match=re.escape(
+                    f"got shape {shape} (at most 536870909 samples a trial)")):
+                _check_shape(name, shape, limits)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ShapeError, match="^block must be 3-D"):
+                SubjectDataset(0, np.broadcast_to(np.float32(0), (1, c, t)), [0], [0], [0])
+            with pytest.raises(ShapeError, match="^trial must be 2-D"):
+                make_trial(np.broadcast_to(np.float32(0), (c, t)))
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
     def test_negative_ids_and_labels_rejected(self):
         with pytest.raises(ValueError, match=r"class_label must be an integer in \[0, 255\], got -1"):
@@ -650,10 +676,14 @@ class TestSubjectCodec:
         assert exc.value.offset == 6
 
     def test_bad_dimensions_offset_10(self):
-        buf = HEADER.pack(b"EEGC", 1, 1, 0, 4, 2)
-        with pytest.raises(StreamFormatError) as exc:
-            decode_subject(buf, 0)
-        assert exc.value.offset == 10
+        # No channels, or one sample a trial past the bound: refused by the
+        # dimension check, at n_channels, before the file's length is compared.
+        for c, t in ((0, 4), PAST_THE_SAMPLE_BOUND):
+            buf = HEADER.pack(b"EEGC", 1, 1, c, t, 2)
+            with pytest.raises(StreamFormatError,
+                               match=f"invalid trial dimensions {c}x{t} ") as exc:
+                decode_subject(buf, 0)
+            assert exc.value.offset == 10
 
     def test_bad_label_offset(self):
         data = np.zeros((2, 4), "<f4").tobytes()
@@ -724,6 +754,26 @@ class TestSubjectCodec:
             decode_subject(buf, 0)
         # the repeated timestamp is in the second record, not at the first
         assert exc.value.offset == HEADER.size + 1 * (TRIAL_PREFIX.size + len(data))
+
+    def test_record_dtypes_are_buildable_at_the_sample_bound(self):
+        # numpy sizes a record dtype in a C int: at the bound, both codecs'
+        # records (a 6-byte EEGC and a 9-byte EEGM prefix) still fit.
+        limit = eegcl.data.TRIAL_SAMPLES_LIMIT
+        assert limit == (2**31 - 1 - 9) // 4 == 536_870_909
+        for record_dtype, prefix in ((eegcl.data._record_dtype, 6),
+                                     (eegcl.replay._record_dtype, 9)):
+            assert 0 < record_dtype(1, limit).itemsize == prefix + 4 * limit
+
+    def test_no_module_imports_struct(self):
+        # Binary layouts have one idiom, the numpy structured dtype.
+        package = Path(eegcl.data.__file__).parent
+        importers = [
+            path.name for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Import) and any(a.name == "struct" for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.module == "struct"
+        ]
+        assert importers == []
 
     def test_every_error_offset_is_read_from_a_dtype(self):
         # No offset= argument in eegcl.data holds an integer literal but 0:

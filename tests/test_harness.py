@@ -516,6 +516,18 @@ class TestAccessAudit:
 
 
 class TestEwcWiring:
+    @pytest.mark.parametrize("n_subjects", [1, 3])
+    def test_no_fisher_pass_after_the_last_stage(self, monkeypatch, n_subjects):
+        # Only a later stage's penalty reads a Fisher diagonal, so an
+        # n-stage run takes n - 1 of them.
+        calls = []
+        real_fisher = ewc.fisher_diagonal
+        monkeypatch.setattr(ewc, "fisher_diagonal",
+                            lambda *args: calls.append(args) or real_fisher(*args))
+        run_continual(small_stream(n_subjects=n_subjects), ewc_strategy(), small_model_cfg(),
+                      fast_train_cfg(), run_seed=0)
+        assert len(calls) == n_subjects - 1
+
     def test_each_stage_gets_the_penalty_of_the_stages_before(self, monkeypatch):
         # Stage k trains under the hook for the anchor after stage k-1 and
         # the left-to-right sum of the Fisher diagonals after stages 1..k-1.

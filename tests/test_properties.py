@@ -49,6 +49,7 @@ from eegcl.data import (  # noqa: E402
     COUNT_LIMIT,
     LABEL_LIMIT,
     TIMESTAMP_LIMIT,
+    TRIAL_SAMPLES_LIMIT,
     LabeledTrial,
     Split,
     Stream,
@@ -105,7 +106,7 @@ def per_trial_decode(buf, path="<memory>"):
         raise StreamFormatError(f"{path}: unsupported format version {version}", offset=4)
     if n_trials < 1:
         raise StreamFormatError(f"{path}: file holds no trials", offset=6)
-    if c < 1 or t < 1:
+    if c < 1 or t < 1 or c * t > TRIAL_SAMPLES_LIMIT:
         raise StreamFormatError(f"{path}: invalid trial dimensions {c}x{t}", offset=10)
     expected = HEADER.size + n_trials * (TRIAL_PREFIX.size + 4 * c * t)
     if len(buf) != expected:

@@ -505,12 +505,25 @@ class TestSerialization:
             memory_from_bytes(blob[:header] + first + first)
 
     def test_empty_memory_of_widest_dimensions_decodes(self):
-        # No record dtype is built for an empty memory, so header dimensions
-        # far beyond numpy's record size limit still decode.
-        blob = struct.pack("<4sHIQBIHI", b"EEGM", 1, 4, 7, 1, 0, 0xFFFF, 0xFFFFFFFF)
-        out = memory_from_bytes(blob)
-        assert (len(out), out.capacity, out.seen) == (0, 4, 7)
-        assert out.policy == "reservoir_paper_literal"
+        # An empty memory's header may state any dimensions within the sample
+        # bound, 536870909, a trial of no samples included.
+        for c, t in ((0xFFFF, 536870909 // 0xFFFF), (1, 536870909), (0, 536870909),
+                     (0xFFFF, 0)):
+            blob = struct.pack("<4sHIQBIHI", b"EEGM", 1, 4, 7, 1, 0, c, t)
+            out = memory_from_bytes(blob)
+            assert (len(out), out.capacity, out.seen) == (0, 4, 7)
+            assert out.policy == "reservoir_paper_literal"
+
+    @pytest.mark.parametrize("n_entries", [0, 1])
+    def test_dimensions_past_the_sample_bound_rejected(self, n_entries):
+        # One sample past the bound, in a trial or in the timepoints beside no
+        # channels, or the widest header: refused by the dimension check, with
+        # or without exemplars, before the blob's length is compared.
+        for c, t in ((2, 268435455), (0, 536870910), (0xFFFF, 0xFFFFFFFF)):
+            blob = struct.pack("<4sHIQBIHI", b"EEGM", 1, 4, 7, 1, n_entries, c, t)
+            with pytest.raises(ValueError, match=f"^memory blob holds {n_entries} entries of "
+                                                 f"invalid dimensions {c}x{t}$"):
+                memory_from_bytes(blob)
 
 
 @pytest.fixture(scope="module")
